@@ -55,6 +55,9 @@ let k_deliver = 1
 let max_links = 16
 let period = 8
 
+(* int keys: [Int.equal] instead of the generic table's polymorphic compare *)
+module Itbl = Hashtbl.Make (Int)
+
 let run c =
   if c.procs < 1 || c.procs > 1_500_000 then
     invalid_arg "Engine.run: procs out of [1, 1_500_000]";
@@ -82,8 +85,13 @@ let run c =
   let first_detect = Array.make cap (-1) in
   let lat = Stats.series () in
   let fs_dur = Stats.series () in
-  (* open false suspicions: (observer * cap + target) -> start time *)
-  let fs_open : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  (* open false suspicions: (observer * cap + target) -> start time,
+     indexed by both endpoints so that a stop touches only its own
+     records.  An index list may hold keys already retracted, or
+     listed twice; every key in [fs_index.(p)] names [p], so removing
+     one that is stale or gone is harmless. *)
+  let fs_open : int Itbl.t = Itbl.create 64 in
+  let fs_index = Array.make cap [] in
   let links = Array.make max_links 0 in
   let llen = ref 0 in
   let part = ref (-1) in
@@ -128,7 +136,11 @@ let run c =
       if Univ.is_live univ target then begin
         incr false_suspicions;
         let key = (observer * cap) + target in
-        if not (Hashtbl.mem fs_open key) then Hashtbl.add fs_open key now
+        if not (Itbl.mem fs_open key) then begin
+          Itbl.add fs_open key now;
+          fs_index.(observer) <- key :: fs_index.(observer);
+          fs_index.(target) <- key :: fs_index.(target)
+        end
       end
       else if first_detect.(target) < 0 && crash_time.(target) >= 0 then begin
         first_detect.(target) <- now;
@@ -138,11 +150,11 @@ let run c =
     end
     else begin
       let key = (observer * cap) + target in
-      match Hashtbl.find_opt fs_open key with
-      | Some start ->
+      match Itbl.find fs_open key with
+      | start ->
         Stats.add fs_dur (now - start);
-        Hashtbl.remove fs_open key
-      | None -> ()
+        Itbl.remove fs_open key
+      | exception Not_found -> ()
     end
   in
   let ctx =
@@ -160,10 +172,8 @@ let run c =
   (* false-suspicion records involving a process that just died are
      void: the suspicion is no longer false *)
   let purge_fs p =
-    Hashtbl.filter_map_inplace
-      (fun key start ->
-        if key / cap = p || key mod cap = p then None else Some start)
-      fs_open
+    List.iter (Itbl.remove fs_open) fs_index.(p);
+    fs_index.(p) <- []
   in
   let stop p =
     epoch.(p) <- epoch.(p) + 1;

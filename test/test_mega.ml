@@ -183,6 +183,95 @@ let engine_join_interning () =
     "universe grew by the joins" (100 + r.M.Engine.joins)
     r.M.Engine.final_count
 
+(* Churn-heavy runs pinned byte for byte: their [fs=] and [dur=]
+   fields go through the false-suspicion purge on every crash or
+   leave, and every field through the Rng streams. *)
+let golden_cfg detector seed =
+  let topology = if detector = "vcube" then M.Topology.Hypercube else M.Topology.Ring 2 in
+  M.Engine.cfg ~procs:10_000 ~events:200_000 ~topology ~detector ~seed ()
+
+let engine_golden () =
+  List.iter
+    (fun (detector, seed, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d" detector seed)
+        expected
+        (M.Engine.deterministic_summary (M.Engine.run (golden_cfg detector seed))))
+    [ ( "vcube",
+        1,
+        "vcube n0=10000 ev=200000 vt=41 live=9782/10154 churn=291/14/154/95 links=91/75 \
+         part=32/32 msg=199703/140 det=86 lat=24/31/32 fs=3470 dur=2/2/2 mon=sat" );
+      ( "hb-pc",
+        1,
+        "hb-pc n0=10000 ev=200000 vt=31 live=9782/10154 churn=291/14/154/95 links=91/75 \
+         part=32/32 msg=177969/271 det=163 lat=19/24/24 fs=22 dur=0/0/0 mon=undecided \
+         (sample.accuracy: a live observer still suspects a live peer)" );
+      ( "vcube",
+        2,
+        "vcube n0=10000 ev=200000 vt=42 live=9762/10153 churn=302/17/153/106 links=77/61 \
+         part=32/32 msg=199725/185 det=98 lat=25/31/34 fs=6225 dur=1/1/1 mon=sat" );
+      ( "hb-pc",
+        2,
+        "hb-pc n0=10000 ev=200000 vt=31 live=9762/10153 churn=302/17/153/106 links=77/61 \
+         part=32/32 msg=177481/311 det=174 lat=19/23/25 fs=33 dur=1/4/4 mon=undecided \
+         (sample.accuracy: a live observer still suspects a live peer)" );
+    ]
+
+let engine_allocation () =
+  List.iter
+    (fun detector ->
+      let c = golden_cfg detector 1 in
+      let w0 = Gc.minor_words () in
+      let r = M.Engine.run c in
+      let per_event = (Gc.minor_words () -. w0) /. float_of_int r.M.Engine.processed in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f minor words per event <= 2" detector per_event)
+        true (per_event <= 2.0))
+    [ "vcube"; "hb-pc" ]
+
+(* {2 Rng} *)
+
+let derived_stream () = M.Rng.make (Scheduler.Seed.derive ~root:7 ~key:"test.rng" ~index:0)
+
+let rng_golden () =
+  let r = derived_stream () in
+  Alcotest.(check (list int))
+    "first 32 draws"
+    [ 937413738; 939298720; 752682302; 1028659116; 16315513; 983088902; 1053326157;
+      833610303; 102108263; 707416477; 618651246; 122057345; 516949002; 131363709;
+      53754825; 617729683; 420706014; 367045293; 278733222; 1065417567; 407395125;
+      575996968; 753747675; 962804358; 961141956; 130151038; 97569508; 984867475;
+      514226439; 350762100; 923759701; 222634989 ]
+    (List.init 32 (fun _ -> M.Rng.int r 0x3fffffff))
+
+(* Rng repeats the splitmix64 finalizer to keep its state unboxed; the
+   k-th draw must be the top 30 bits of [Seed.mix64 (seed + k * golden)]. *)
+let prop_rng_mix64 =
+  QCheck2.Test.make ~name:"Rng draws = top 30 bits of Seed.mix64 (200 cases)" ~count:200
+    QCheck2.Gen.(pair int (int_range 1 0x3fffffff))
+    (fun (seed, bound) ->
+      let r = M.Rng.make seed in
+      List.for_all
+        (fun k ->
+          let z = Int64.add (Int64.of_int seed) (Int64.mul 0x9e3779b97f4a7c15L (Int64.of_int k)) in
+          let top30 = Int64.to_int (Int64.shift_right_logical (Scheduler.Seed.mix64 z) 34) in
+          M.Rng.int r bound = top30 mod bound)
+        (List.init 16 succ))
+
+let rng_allocation () =
+  let r = derived_stream () in
+  let draws = 1_000_000 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to draws do
+    acc := !acc + M.Rng.int r 100
+  done;
+  let per_draw = (Gc.minor_words () -. w0) /. float_of_int draws in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per draw < 0.01" per_draw)
+    true (per_draw < 0.01)
+
 (* {2 Sampled monitor} *)
 
 let sample_clean () =
@@ -232,6 +321,11 @@ let suite =
       (engine_detects "vcube" M.Topology.Hypercube);
     Alcotest.test_case "engine: churnless run is clean" `Quick engine_churnless;
     Alcotest.test_case "engine: joiners are interned and adopted" `Quick engine_join_interning;
+    Alcotest.test_case "engine: golden churn summaries" `Quick engine_golden;
+    Alcotest.test_case "engine: at most 2 minor words per event" `Quick engine_allocation;
+    Alcotest.test_case "rng: golden derived stream" `Quick rng_golden;
+    QCheck_alcotest.to_alcotest prop_rng_mix64;
+    Alcotest.test_case "rng: draws do not allocate" `Quick rng_allocation;
     Alcotest.test_case "sample: crash + suspicion is Sat" `Quick sample_clean;
     Alcotest.test_case "sample: self pairs filtered" `Quick sample_self_suspicion_violates;
     Alcotest.test_case "sample: window eviction keeps exactness" `Quick sample_window_eviction;
