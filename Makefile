@@ -19,14 +19,12 @@ lint:
 # the safety model checker proving the catalog specs on the closed
 # detector+crash product (a smoke pass also runs in `dune runtest`);
 # JOBS=n shards the frontier across n domains with identical verdicts;
-# COMPILED=1 routes exploration through the compiled explorer (packed
-# states, defunctionalized step tables) — same verdicts, faster;
 # SYMMETRY=1 runs the equivariance analyzer (certified subjects
 # explore orbit representatives, breaking ones get a named witness)
 # and re-verifies every CHK subject under its declared quotient,
 # climbing the parametric cutoff ladder for certified ones
 mc:
-	dune exec bin/afd_lint.exe -- --mc $(if $(MAX_STATES),--max-states $(MAX_STATES),) $(if $(JOBS),--jobs $(JOBS),) $(if $(COMPILED),--compiled,) $(if $(SYMMETRY),--symmetry,)
+	dune exec bin/afd_lint.exe -- --mc $(if $(MAX_STATES),--max-states $(MAX_STATES),) $(if $(JOBS),--jobs $(JOBS),) $(if $(SYMMETRY),--symmetry,)
 
 # online property monitors vs offline trace checks over the detector
 # catalog, streaming under windowed retention (smoke mode also runs as

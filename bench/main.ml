@@ -486,49 +486,12 @@ let f1 () =
     (verdict_str (C.Spec.check ~n ~f:1 r.Net.trace))
 
 (* ------------------------------------------------------------------ *)
-(* P1-P5: performance benches                                          *)
+(* P1-P4: performance benches                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* P5: the hashed seen-set against the legacy O(n^2) list scan on the
-   largest catalog subject, single timed runs (the list scan is too
-   slow for Bechamel's quota at this cap).  Also printed under the
-   perf gate, so `make perf` tracks exploration throughput. *)
-let p5_explore () =
-  let module A = Afd_analysis in
-  let comp =
-    (Heartbeat.net ~n:3 ~initial_timeout:2 ~crashable:(Loc.Set.singleton 2) ())
-      .Net.composition
-  in
-  let a = Composition.as_automaton comp in
-  let probe =
-    A.Probe.make ~equal_action:Act.equal ~pp_action:Act.pp
-      ~equal_state:Composition.equal_state ~hash_state:Composition.hash_state
-      ~max_states:6_000
-      [ Act.Crash 0;
-        Act.Crash 2;
-        Act.Send { src = 0; dst = 1; msg = Msg.Ping 0 };
-        Act.Receive { src = 1; dst = 0; msg = Msg.Ping 0 };
-        Act.Fd { at = 0; detector = Heartbeat.detector_name; payload = Act.Pset Loc.Set.empty };
-      ]
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let sp, t_hash = time (fun () -> A.Space.explore ~por:false a probe) in
-  let listed, t_list = time (fun () -> A.Explore.list_based a probe) in
-  row
-    "  P5 explore heartbeat-net (%d states, %d transitions): hashed %.3fs vs \
-     list-scan %.3fs = %.1fx speedup@."
-    (Array.length sp.A.Space.states)
-    sp.A.Space.stats.A.Space.transitions t_hash t_list
-    (if t_hash > 0. then t_list /. t_hash else 0.);
-  assert (List.length listed = Array.length sp.A.Space.states)
-
 (* PX: the domain-sharded parallel explorer against the sequential one
-   on the same largest catalog subject, single timed runs at 1/2/4/8
-   domains.  Every parallel result is gated through Pspace.agree — a
+   on the same largest catalog subject, single timed runs at 2/4/8
+   domains.  Every parallel result is gated through Space.agree — a
    speedup figure is only printed for a structurally identical state
    space.  Printed under the perf gate too, so `make perf` tracks
    parallel exploration throughput alongside the sequential figures.
@@ -563,7 +526,7 @@ let px_explore () =
     (fun jobs ->
       let par, t_par = time (fun () -> A.Pspace.explore ~por:false ~jobs a probe) in
       let equal =
-        A.Pspace.agree ~equal_state:Composition.equal_state ~equal_action:Act.equal
+        A.Space.agree ~equal_state:Composition.equal_state ~equal_action:Act.equal
           seq par
       in
       row "  PX   %d domains: %.3fs (%.0f transitions/s)  speedup=%.2fx  state-set-equal=%b@."
@@ -573,13 +536,13 @@ let px_explore () =
         (if t_par > 0. then t_seq /. t_par else 0.)
         equal;
       assert equal)
-    [ 1; 2; 4; 8 ]
+    [ 2; 4; 8 ]
 
 (* CX: the compiled explorer (Cspace: packed state keys,
    defunctionalized step tables) against the boxed sequential one on
    the same net compositions, single timed runs at a 200k-state budget
    — large enough to amortize table warmup, which dominates the small
-   matrix caps.  Every compiled result is gated through Pspace.agree
+   matrix caps.  Every compiled result is gated through Space.agree
    before a speedup figure is printed.  A final compiled-only run
    pushes one subject past 10^6 states to exercise the packed tables
    at scale.  Printed under the perf gate, so `make perf` tracks the
@@ -614,7 +577,7 @@ let cx_explore () =
         let a = Composition.as_automaton (mk ()) in
         let seq = A.Space.explore ~por:false a p in
         let cmp = A.Cspace.explore_composition ~por:false ~jobs:1 (mk ()) p in
-        A.Pspace.agree ~equal_state:Composition.equal_state
+        A.Space.agree ~equal_state:Composition.equal_state
           ~equal_action:Act.equal seq cmp
       in
       assert equal;
@@ -714,7 +677,6 @@ let perf () =
           | _ -> row "  %-45s (no estimate)@." name)
         results)
     tests;
-  p5_explore ();
   px_explore ();
   cx_explore ()
 
@@ -838,7 +800,6 @@ let () =
       Format.printf
         "@.perf gate: %.0f transitions/s vs baseline %.0f (%s) = %.2fx (floor %.2fx)@."
         current base path ratio floor;
-      p5_explore ();
       px_explore ();
       cx_explore ();
       if ratio < floor then begin

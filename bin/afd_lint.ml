@@ -92,9 +92,11 @@ let () =
          JSON are identical at any N)" );
       ( "--compiled",
         Arg.Set compiled,
-        "explore on the compiled explorer (Cspace: packed states, \
-         defunctionalized step tables) — findings, verdicts and JSON are \
-         identical to the boxed explorers" );
+        "explore the net compositions' lint graphs on the packed \
+         composition explorer (Cspace: per-component interned states, \
+         step tables); plain automata, orbit-quotiented explorations and \
+         the --mc model checker keep the boxed explorers — findings, \
+         verdicts and JSON are identical either way" );
       ( "--profile",
         Arg.Set profile,
         "with --mc, report per-phase wall-clock timings (explore / clause \
@@ -155,7 +157,7 @@ let () =
   let mc_results =
     if !mc && !fixture = None then
       Afd_bench.Check.mc_all ?max_states:!max_states ~por:!por ~jobs:!jobs
-        ~compiled:!compiled ~profile:!profile ()
+        ~profile:!profile ()
     else []
   in
   let sy_results =
@@ -194,9 +196,9 @@ let () =
         List.map
           (fun r ->
             Printf.sprintf
-              "{\"subject\": \"%s\", \"expect_violated\": %b, \"ok\": %b, \
+              "{\"subject\": %s, \"expect_violated\": %b, \"ok\": %b, \
                \"outcome\": %s}"
-              (String.escaped r.Afd_bench.Check.mc_id)
+              (Afd_ioa.Json.string r.Afd_bench.Check.mc_id)
               r.Afd_bench.Check.mc_expect_violated r.Afd_bench.Check.mc_ok
               r.Afd_bench.Check.mc_json)
           mc_results
@@ -211,8 +213,8 @@ let () =
                (List.map
                   (fun r ->
                     Printf.sprintf
-                      "{\"subject\": \"%s\", \"ok\": %b, \"outcome\": %s}"
-                      (String.escaped r.Afd_bench.Check.sy_id)
+                      "{\"subject\": %s, \"ok\": %b, \"outcome\": %s}"
+                      (Afd_ioa.Json.string r.Afd_bench.Check.sy_id)
                       r.Afd_bench.Check.sy_ok r.Afd_bench.Check.sy_json)
                   sy_results))
       in

@@ -436,19 +436,10 @@ let check_cmd =
       & info [ "max-states" ] ~docv:"N"
           ~doc:"State budget per product exploration (with $(b,--mc)).")
   in
-  let compiled_arg =
-    Arg.(
-      value & flag
-      & info [ "compiled" ]
-          ~doc:
-            "With $(b,--mc), explore each product on the compiled explorer \
-             (Cspace: packed states, defunctionalized step tables).  The \
-             table and JSON are byte-identical to the boxed explorers.")
-  in
-  let run seeds jobs root json window retention smoke mc max_states compiled =
+  let run seeds jobs root json window retention smoke mc max_states =
     if mc then begin
       let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
-      let results = Afd_bench.Check.mc_all ?max_states ~jobs ~compiled () in
+      let results = Afd_bench.Check.mc_all ?max_states ~jobs () in
       Format.printf "MC  exhaustive safety + liveness check (%d domains)@." jobs;
       List.iter
         (fun r ->
@@ -496,8 +487,7 @@ let check_cmd =
   let term =
     Term.(
       const run $ seeds_arg $ jobs_arg $ root_arg $ json_arg $ window_arg
-      $ check_retention_arg $ smoke_arg $ mc_arg $ max_states_arg
-      $ compiled_arg)
+      $ check_retention_arg $ smoke_arg $ mc_arg $ max_states_arg)
   in
   Cmd.v
     (Cmd.info "check"

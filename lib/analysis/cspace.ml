@@ -1,9 +1,9 @@
-(* Compiled state-space exploration.
+(* Compiled exploration of compositions.
 
    Same BFS, same sleep-set reduction, same bookkeeping as
    [Space.explore] — but the hot loop runs over dense integer ids
-   instead of boxed states, and (for compositions) the transition
-   relation is defunctionalized into first-order step tables:
+   instead of boxed states, and the transition relation is
+   defunctionalized into first-order step tables:
 
    - every component state is interned once ([Pack.interner], hash
      accelerated, exact equality authoritative), so a product state is
@@ -19,17 +19,14 @@
    The result is decoded back to a boxed [Space.t] at the end and is
    structurally identical to [Space.explore] — same states in the same
    discovery order, same edges, parents, depths, verdict and stats —
-   which [Pspace.agree] checks field for field in the differential
+   which [Space.agree] checks field for field in the differential
    tests.  The congruence argument is spelled out in DESIGN.md.
 
-   Parallel mode ([jobs > 1], compositions) is round-based like
-   [Pspace]: workers expand frontier states read-only against the
-   frozen tables and ship packed successor keys; the sequential merge
-   replays the exact [Space] pop body on the packets, recomputing the
-   rare expansions that touched a table miss.  For plain automata at
-   [jobs > 1] the boxed [Pspace] explorer is already the right tool
-   (there is no packed representation to exploit), so [explore]
-   delegates to it. *)
+   Parallel mode ([jobs > 1]) is round-based like [Pspace]: workers
+   expand frontier states read-only against the frozen tables and ship
+   packed successor keys; the sequential merge replays the exact
+   [Space] pop body on the packets, recomputing the rare expansions
+   that touched a table miss. *)
 
 open Afd_ioa
 
@@ -85,7 +82,7 @@ let direct m i =
    replacing Space's name-list membership scans. *)
 let bits_per_word = 62
 
-(* --- the core BFS, shared by every backend ---
+(* --- the core BFS, shared by the sequential and parallel passes ---
 
    A literal replay of [Space.explore]'s loop over ids: same seed
    handling, same probe-once-per-first-expansion, same move order, same
@@ -296,71 +293,6 @@ let canon_of names =
   Array.init (Array.length names) (fun t ->
       let rec go u = if String.equal names.(u) names.(t) then u else go (u + 1) in
       go 0)
-
-(* --- generic backend: any automaton, whole states interned ---
-
-   Ids come from one conflict-checked interner keyed by the probe's own
-   hash and equality — the exact pairing Space's bucket table uses, so
-   lookups resolve identically (at worst, a [None] hash degrades to one
-   linear cluster, Space's single bucket).  Actions are appended per
-   occurrence (no interning: a plain automaton's action values need no
-   table key), so edge and parent actions are the very values Space
-   would store. *)
-let machine_of_automaton (type s a) (aut : (s, a) Automaton.t)
-    (probe : (s, a) Probe.t) : (s, a) machine =
-  let hash =
-    match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0
-  in
-  let inter = Pack.interner ~hash ~equal:probe.Probe.equal_state () in
-  let tasks = Array.of_list aut.Automaton.tasks in
-  let ntasks = Array.length tasks in
-  let task_names = Array.map (fun tk -> tk.Automaton.task_name) tasks in
-  let acts = ref [||] and alen = ref 0 in
-  let push_act a =
-    let cap = Array.length !acts in
-    if !alen >= cap then begin
-      let b = Array.make (max 16 (2 * cap)) a in
-      Array.blit !acts 0 b 0 cap;
-      acts := b
-    end;
-    !acts.(!alen) <- a;
-    incr alen;
-    !alen - 1
-  in
-  let probe_ids = Array.of_list (List.map push_act probe.Probe.actions) in
-  let pending = ref aut.Automaton.start in
-  { ntasks;
-    task_names;
-    canon = canon_of task_names;
-    probe_ids;
-    start_s = aut.Automaton.start;
-    find_state = (fun s -> Pack.find inter s);
-    add_state = (fun s -> Pack.intern inter s);
-    state_value = (fun i -> Pack.value inter i);
-    act_value = (fun a -> !acts.(a));
-    enabled =
-      (fun i t ->
-        match tasks.(t).Automaton.enabled (Pack.value inter i) with
-        | None -> -1
-        | Some a -> push_act a);
-    step =
-      (fun i a ->
-        match aut.Automaton.step (Pack.value inter i) !acts.(a) with
-        | None -> -1
-        | Some s' ->
-          let j = Pack.find inter s' in
-          if j >= 0 then j
-          else begin
-            pending := s';
-            -2
-          end);
-    admit = (fun () -> Pack.intern inter !pending);
-    commute =
-      (fun i u au t at ->
-        Space.commute aut probe (Pack.value inter i)
-          (tasks.(u), !acts.(au))
-          (tasks.(t), !acts.(at)));
-  }
 
 (* --- composition backend: packed product states, step tables --- *)
 
@@ -817,29 +749,14 @@ let backend_of_composition (type a) (comp : a Composition.t)
 
 let sequential m ~round:_ ~expanded:_ _r i = direct m i
 
-let explore ?(por = false) ?symmetry ?(jobs = 1) ?profile aut probe =
-  if jobs > 1 then Pspace.explore ~por ?symmetry ~jobs aut probe
-  else
-    (* Quotient before interning: representatives are interned, so the
-       dense id space is the orbit quotient. *)
-    let aut, probe =
-      match symmetry with
-      | None -> (aut, probe)
-      | Some canon -> Space.quotient canon aut probe
-    in
-    let m = machine_of_automaton aut probe in
-    run_core ~por ~probe ?profile m ~expansions:(sequential m) ()
-
-let explore_composition_packed ~por ~jobs ?profile comp probe =
+let explore_composition ?(por = false) ?(jobs = 1) ?profile comp probe =
   let b = backend_of_composition comp probe in
   let m = b.cb_machine in
   if jobs <= 1 then run_core ~por ~probe ?profile m ~expansions:(sequential m) ()
   else
     Afd_runner.Pool.with_pool ~jobs (fun pool ->
         let expansions ~round ~expanded =
-          let inputs =
-            Array.map (fun i -> (i, expanded i)) round
-          in
+          let inputs = Array.map (fun i -> (i, expanded i)) round in
           let packets =
             Afd_runner.Pool.map_pool pool
               (fun (i, exp) -> b.cb_ro ~por ~expanded:exp i)
@@ -852,13 +769,3 @@ let explore_composition_packed ~por ~jobs ?profile comp probe =
         in
         run_core ~por ~probe ?profile m ~expansions ())
 
-let explore_composition ?(por = false) ?symmetry ?(jobs = 1) ?profile comp probe =
-  match symmetry with
-  | Some canon ->
-    (* A global permutation cuts across the per-component factorization
-       the packed tables rely on (component states are interned
-       independently, and canonization mixes slots), so the quotient
-       runs on the flattened automaton through the generic backend —
-       same Space.t structure, same verdicts. *)
-    explore ~por ~symmetry:canon ~jobs ?profile (Composition.as_automaton comp) probe
-  | None -> explore_composition_packed ~por ~jobs ?profile comp probe

@@ -1,17 +1,22 @@
-(** Compiled state-space exploration.
+(** Compiled exploration of compositions.
 
     The same BFS + sleep-set machinery as {!Space.explore}, run over
-    dense integer state/action ids instead of boxed values: states are
-    canonicalized through conflict-checked {!Pack} tables (hashes
-    accelerate, exact equality decides), and — for compositions — the
-    transition relation is defunctionalized into per-component step and
+    dense integer state/action ids instead of boxed values: each
+    component's states are canonicalized through conflict-checked
+    {!Pack} tables (hashes accelerate, exact equality decides), a
+    product state is a fixed-width key of those ids, and the transition
+    relation is defunctionalized into per-component step and
     enabledness tables keyed by (state id, action id), built lazily the
     first time each pair is visited and hit thereafter.
+
+    Plain automata have no per-component factorization to exploit; they
+    explore on the boxed {!Space} / {!Pspace} path ({!Subject} makes
+    that choice).
 
     The decoded result is {e structurally identical} to the boxed
     explorer at any [jobs] {m \times} POR {m \times} budget: same states
     in the same discovery order, same edge array, parent tree, depths,
-    verdict and stats — {!Pspace.agree} is the equality the
+    verdict and stats — {!Space.agree} is the equality the
     differential tests ([test/test_cspace.ml]) and the CX benchmark
     rows assert.  DESIGN.md ("Packed state layout") gives the layout
     and the congruence argument.
@@ -21,40 +26,21 @@
     touches the returned {!Space.t}, so profiled runs stay
     byte-identical to unprofiled ones. *)
 
-val explore :
-  ?por:bool ->
-  ?symmetry:('s -> 's) ->
-  ?jobs:int ->
-  ?profile:(string -> float -> unit) ->
-  ('s, 'a) Afd_ioa.Automaton.t ->
-  ('s, 'a) Probe.t ->
-  ('s, 'a) Space.t
-(** Generic backend: whole states interned under the probe's own
-    equality/hash (a [None] hash degrades to exact linear lookup,
-    matching the boxed explorer's single-bucket fallback).  With
-    [jobs > 1] this delegates to {!Pspace.explore} — a plain automaton
-    exposes no packed representation for workers to ship, and the boxed
-    parallel explorer already produces the identical structure. *)
-
 val explore_composition :
   ?por:bool ->
-  ?symmetry:('a Afd_ioa.Composition.state -> 'a Afd_ioa.Composition.state) ->
   ?jobs:int ->
   ?profile:(string -> float -> unit) ->
   'a Afd_ioa.Composition.t ->
   ('a Afd_ioa.Composition.state, 'a) Probe.t ->
   ('a Afd_ioa.Composition.state, 'a) Space.t
-(** Packed backend: product states are fixed-width keys of per-component
-    interned ids, product steps are per-component table lookups, and the
-    POR commute diamond closes over id tuples.
+(** Product states are fixed-width keys of per-component interned ids,
+    product steps are per-component table lookups, and the POR commute
+    diamond closes over id tuples.
 
-    [symmetry] (an orbit canonicalizer over product states) is honored
-    by falling back to the generic {!explore} on
-    {!Afd_ioa.Composition.as_automaton}: a global process permutation
-    mixes the per-component slots the packed tables factor over, so the
-    quotient cannot run on the packed representation — the result is
-    still the same [Space.t] structure the quotiented boxed explorer
-    produces.
+    There is no orbit quotient here: a global process permutation mixes
+    the per-component slots the packed tables factor over, so quotiented
+    explorations run on the boxed explorers ({!Space.explore}
+    [~symmetry]).
 
     Precondition: the probe's [equal_state]/[hash_state] must agree
     with {!Afd_ioa.Composition.equal_state}/[hash_state] (pointwise

@@ -17,8 +17,9 @@ val run :
 (** Defaults to {!Rules.all}.  [max_states] overrides every subject's
     exploration cap; [por] turns on the sleep-set reduction; [jobs]
     spreads each subject's exploration over that many domains;
-    [compiled] routes it to {!Cspace} (see {!Subject.make} — findings
-    and reports are identical at any [jobs], compiled or not);
+    [compiled] routes composition subjects to {!Cspace} (see
+    {!Subject.make} — findings and reports are identical at any
+    [jobs], compiled or not);
     [symmetry] runs the {!Symm} equivariance analysis per subject and
     orbit-quotients certified explorations (pair it with
     {!Rules.symmetry} so the verdicts surface as findings). *)

@@ -145,7 +145,7 @@ type ('s, 'o) pstate =
 exception Latch of string * string
 
 let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
-    ?(compiled = false) ?timings ?(len_cap = 8) ?(count_cap = 1)
+    ?timings ?(len_cap = 8) ?(count_cap = 1)
     ?(equal_out = Stdlib.( = )) ?symmetry ?perm_out ~equal_state ~hash_state ~n
     prop sys =
   (* Phase timings are an out-parameter, never part of the outcome
@@ -414,16 +414,12 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
   let phash = phash_gen track_live in
   let probe = Probe.make ~equal_state:pequal ~hash_state:phash ~max_states [] in
   let symmetry_fn = Option.map Symm.canonizer quotient in
-  (* Pspace and Cspace are structurally identical to Space at any
-     [jobs], so every verdict, counterexample, and liveness lasso below
-     is byte-for-byte independent of the domain count and of
-     [compiled]. *)
+  (* Pspace is structurally identical to Space at any [jobs], so every
+     verdict, counterexample, and liveness lasso below is byte-for-byte
+     independent of the domain count. *)
   let t0 = Unix.gettimeofday () in
   let space =
-    if compiled then
-      Cspace.explore ~por ?symmetry:symmetry_fn ~jobs ?profile:sub_profile product probe
-    else if jobs <= 1 then Space.explore ~por ?symmetry:symmetry_fn product probe
-    else Pspace.explore ~por ?symmetry:symmetry_fn ~jobs ?profile:sub_profile product probe
+    Pspace.explore ~por ?symmetry:symmetry_fn ~jobs ?profile:sub_profile product probe
   in
   let t1 = Unix.gettimeofday () in
   t_rec "explore" (t1 -. t0);
@@ -693,7 +689,7 @@ let pair_automaton (det : ('s, 'a) Automaton.t) (crash : (Loc.Set.t, 'a) Automat
       @ List.map (lift crash.Automaton.name snd) crash.Automaton.tasks;
   }
 
-let check_spec ?max_states ?por ?jobs ?compiled ?timings ?len_cap ?count_cap
+let check_spec ?max_states ?por ?jobs ?timings ?len_cap ?count_cap
     ?crashable ?symmetry ~n spec ~detector =
   match spec.Afd_core.Afd.prop with
   | None ->
@@ -710,7 +706,7 @@ let check_spec ?max_states ?por ?jobs ?compiled ?timings ?len_cap ?count_cap
           [ Component.C detector; Component.C crash ]
       in
       let o =
-        check ?max_states ?por ?jobs ?compiled ?timings ?len_cap ?count_cap
+        check ?max_states ?por ?jobs ?timings ?len_cap ?count_cap
           ~equal_out:spec.Afd_core.Afd.equal_out ~equal_state:Composition.equal_state
           ~hash_state:Composition.hash_state ~n (prop ~n)
           (Composition.as_automaton comp)
@@ -741,7 +737,7 @@ let check_spec ?max_states ?por ?jobs ?compiled ?timings ?len_cap ?count_cap
           }
         in
         Ok
-          (check ?max_states ?por ?jobs ?compiled ?timings ?len_cap ?count_cap
+          (check ?max_states ?por ?jobs ?timings ?len_cap ?count_cap
              ~equal_out:spec.Afd_core.Afd.equal_out ~symmetry:sy ~perm_out:perm_o
              ~equal_state:eq_pair ~hash_state:psym.ss_hash ~n (prop ~n)
              (pair_automaton detector crash))))
@@ -902,23 +898,8 @@ let pp_outcome ~pp_out fmt o =
     o.lassos;
   Format.fprintf fmt "@]"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let sym_status_to_json s =
-  let str x = "\"" ^ json_escape x ^ "\"" in
+  let str = Json.string in
   match s with
   | Sym_off -> "{\"status\":\"off\"}"
   | Sym_quotient c ->
@@ -949,7 +930,7 @@ let sym_status_to_json s =
   | Sym_fallback r -> Printf.sprintf "{\"status\":\"uncertified\",\"reason\":%s}" (str r)
 
 let outcome_to_json ?(timings = []) ~pp_out o =
-  let str s = "\"" ^ json_escape s ^ "\"" in
+  let str = Json.string in
   let strs l = "[" ^ String.concat "," (List.map str l) ^ "]" in
   let violation v =
     Printf.sprintf
@@ -1021,7 +1002,7 @@ let pp_parametric fmt p =
   Format.fprintf fmt "@]"
 
 let parametric_to_json p =
-  let str s = "\"" ^ json_escape s ^ "\"" in
+  let str = Json.string in
   let point pt =
     Printf.sprintf
       "{\"n\":%d,\"orbits\":%d,\"transitions\":%d,\"verdict\":%s,\"proved\":%b,\"violated\":[%s],\"raw_states\":%s}"

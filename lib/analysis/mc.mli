@@ -154,7 +154,6 @@ val check :
   ?max_states:int ->
   ?por:bool ->
   ?jobs:int ->
-  ?compiled:bool ->
   ?timings:(string * float) list ref ->
   ?len_cap:int ->
   ?count_cap:int ->
@@ -177,15 +176,12 @@ val check :
     [count_cap] (default 1) caps the per-location output counts joined
     to the state identity for liveness; [equal_out] (default
     structural) compares last outputs there.  [jobs > 1] (default 1)
-    explores the product on {!Pspace} across that many domains;
-    [compiled] (default [false]) on {!Cspace} (packed ids,
-    defunctionalized step tables) instead.  All explorations are
-    structurally identical, so the outcome — including counterexample
-    paths and lassos — is the same at any [jobs], compiled or not.
+    explores the product on {!Pspace} across that many domains; the
+    exploration is structurally identical at any [jobs], so the
+    outcome — including counterexample paths and lassos — is too.
     [timings], when given, accumulates per-phase wall-clock seconds
     ([explore], [clause_eval], [lasso], plus [explore.*] sub-phases
-    from the parallel/compiled explorers) without touching the
-    outcome.
+    from the parallel explorer) without touching the outcome.
 
     [symmetry], when given, is the process-permutation action on
     system states; [perm_out] the action on output payloads.  The
@@ -202,7 +198,6 @@ val check_spec :
   ?max_states:int ->
   ?por:bool ->
   ?jobs:int ->
-  ?compiled:bool ->
   ?timings:(string * float) list ref ->
   ?len_cap:int ->
   ?count_cap:int ->

@@ -66,25 +66,6 @@ let grow_slots t =
   t.islots <- s';
   t.imask <- m'
 
-(* Read-only lookup: safe to call from worker domains while the merge
-   is quiescent (no mutation, not even of the conflict counter). *)
-let find t v =
-  let h = t.ihash v in
-  let m = t.imask in
-  let j = ref (h land m) in
-  let res = ref (-1) in
-  (try
-     while t.islots.(!j) <> 0 do
-       let id = t.islots.(!j) - 1 in
-       if t.ihashes.(id) = h && t.iequal t.ivals.(id) v then begin
-         res := id;
-         raise Exit
-       end;
-       j := (!j + 1) land m
-     done
-   with Exit -> ());
-  !res
-
 let intern t v =
   if 2 * (t.icount + 1) > t.imask then grow_slots t;
   let h = t.ihash v in

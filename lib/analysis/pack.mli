@@ -22,10 +22,6 @@ val interner : ?hash:('v -> int) -> equal:('v -> 'v -> bool) -> unit -> 'v inter
 (** Find-or-add; returns the canonical id. *)
 val intern : 'v interner -> 'v -> int
 
-(** Read-only lookup, [-1] when absent.  Safe from worker domains while
-    the owner is quiescent: mutates nothing, not even counters. *)
-val find : 'v interner -> 'v -> int
-
 val value : 'v interner -> int -> 'v
 val size : 'v interner -> int
 

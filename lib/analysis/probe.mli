@@ -6,7 +6,7 @@
     general.  A probe universe makes the check mechanical anyway: a set
     of representative actions, optional extra seed states (reachable
     states are sampled by bounded exploration from the start state, see
-    {!Explore}), and the equalities needed to compare states and
+    {!Space}), and the equalities needed to compare states and
     actions.  Registering an automaton with a dishonest probe universe
     weakens the lint, never the automaton — the rules report a
     [Warning] when a universe is empty rather than silently passing. *)

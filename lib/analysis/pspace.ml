@@ -401,24 +401,7 @@ let explore_pool ?(por = false) ?symmetry ?profile ?merge_stats pool aut probe =
   }
 
 let explore ?(por = false) ?symmetry ?(jobs = 1) ?profile ?merge_stats aut probe =
-  Afd_runner.Pool.with_pool ~jobs (fun pool ->
-      explore_pool ~por ?symmetry ?profile ?merge_stats pool aut probe)
-
-let agree ~equal_state ~equal_action a b =
-  let open Space in
-  let arr eq x y = Array.length x = Array.length y && Array.for_all2 eq x y
-  in
-  let edge_eq (e : _ Space.edge) (f : _ Space.edge) =
-    e.src = f.src && e.dst = f.dst && equal_action e.act f.act && e.task = f.task
-  in
-  let parent_eq p q =
-    match (p, q) with
-    | None, None -> true
-    | Some (i, a), Some (j, b) -> i = j && equal_action a b
-    | _ -> false
-  in
-  a.verdict = b.verdict && a.por = b.por && a.stats = b.stats
-  && arr equal_state a.states b.states
-  && arr edge_eq a.edges b.edges
-  && arr parent_eq a.parent b.parent
-  && arr ( = ) a.depth b.depth
+  if jobs <= 1 then Space.explore ~por ?symmetry aut probe
+  else
+    Afd_runner.Pool.with_pool ~jobs (fun pool ->
+        explore_pool ~por ?symmetry ?profile ?merge_stats pool aut probe)

@@ -21,8 +21,8 @@
     one at any [jobs]: same state indices, same edge array (order
     included), same parent tree, depths, verdict, and stats.  The
     differential tests in [test/test_pspace.ml] assert this field for
-    field across the subject catalog, and {!agree} is the assertion
-    the benchmark equality gate reuses.
+    field across the subject catalog, and {!Space.agree} is the
+    assertion the benchmark equality gate reuses.
 
     {b Dedup scheme.}  The seen-set is sharded by hash stripe
     ([hash land (stripes - 1)], 8 stripes); workers read it as a
@@ -71,15 +71,14 @@ val explore :
   ('s, 'a) Afd_ioa.Automaton.t ->
   ('s, 'a) Probe.t ->
   ('s, 'a) Space.t
-(** Like {!Space.explore}, with the expansion work spread over [jobs]
-    domains (default [1]; clamped to at least 1).  [jobs = 1] still
-    runs the round-based machinery — inline, with no domain spawned —
-    so single-job runs exercise the same code path the differential
-    tests compare.  The result is structurally identical to
-    [Space.explore ~por aut probe] at any [jobs].  [?profile] reports
-    wall-clock phase timings ([workers], [stripe_dedup], [replay]);
-    [?merge_stats] the striped-merge accounting — neither touches the
-    result. *)
+(** The boxed explorer at any domain count: [jobs <= 1] (the default)
+    is {!Space.explore} itself, [jobs > 1] spreads the expansion work
+    over that many domains.  The result is structurally identical to
+    [Space.explore ~por aut probe] at any [jobs].  With [jobs > 1],
+    [?profile] reports wall-clock phase timings ([workers],
+    [stripe_dedup], [replay]) and [?merge_stats] the striped-merge
+    accounting; neither touches the result, and both stay silent at
+    [jobs <= 1]. *)
 
 val explore_pool :
   ?por:bool ->
@@ -93,16 +92,3 @@ val explore_pool :
 (** [explore] on a caller-managed pool, so one set of worker domains
     amortises over many explorations (the benchmark matrix and the
     engine's catalog sweep).  The pool is left usable. *)
-
-val agree :
-  equal_state:('s -> 's -> bool) ->
-  equal_action:('a -> 'a -> bool) ->
-  ('s, 'a) Space.t ->
-  ('s, 'a) Space.t ->
-  bool
-(** Structural identity of two explorations: states pointwise equal in
-    the same order, edge arrays equal (order, endpoints, action, task
-    label), parent trees, depths, verdicts, POR flags, and stats all
-    equal.  This is strictly stronger than the state-set / edge-
-    multiset equality the acceptance gate needs, and is what the PX
-    benchmark rows assert between sequential and parallel runs. *)

@@ -104,22 +104,7 @@ let pp_explorations fmt t =
 
 (* --- JSON (hand-rolled; the repo deliberately has no JSON dependency) --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
+let json_str = Afd_ioa.Json.string
 
 let json_opt_str = function None -> "null" | Some s -> json_str s
 let json_opt_int = function None -> "null" | Some i -> string_of_int i

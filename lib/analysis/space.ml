@@ -40,8 +40,8 @@ let commute aut probe s (tk_u, act_u) (tk_t, act_t) =
 (* Orbit quotient as a wrapper: canonize the start state, the probe
    seeds, and every successor the moment it is produced.  The explorer
    below then sees only representatives, so its seen-set is the
-   quotient for free — one wrapper shared by the sequential, parallel
-   and compiled explorers.  Enabledness and edge actions are evaluated
+   quotient for free — one wrapper shared by the sequential and
+   parallel explorers.  Enabledness and edge actions are evaluated
    at representatives, which is sound exactly when the subject carries
    an equivariance certificate (see Symm / DESIGN.md). *)
 let quotient canon aut probe =
@@ -238,3 +238,20 @@ let out_degree t =
   let deg = Array.make (Array.length t.states) 0 in
   Array.iter (fun e -> deg.(e.src) <- deg.(e.src) + 1) t.edges;
   deg
+
+let agree ~equal_state ~equal_action a b =
+  let arr eq x y = Array.length x = Array.length y && Array.for_all2 eq x y in
+  let edge_eq e f =
+    e.src = f.src && e.dst = f.dst && equal_action e.act f.act && e.task = f.task
+  in
+  let parent_eq p q =
+    match (p, q) with
+    | None, None -> true
+    | Some (i, a), Some (j, b) -> i = j && equal_action a b
+    | _ -> false
+  in
+  a.verdict = b.verdict && a.por = b.por && a.stats = b.stats
+  && arr equal_state a.states b.states
+  && arr edge_eq a.edges b.edges
+  && arr parent_eq a.parent b.parent
+  && arr ( = ) a.depth b.depth

@@ -1,6 +1,6 @@
 (** Exhaustive state-space exploration.
 
-    Where {!Explore} samples, [Space] enumerates: a frontier BFS over
+    [Space] enumerates: a frontier BFS over
     every probed action and every task-enabled action, deduplicating
     through a hashed seen-set ({!Probe.t}[.hash_state]), recording the
     full labelled edge relation and the BFS parent tree — so every
@@ -75,8 +75,8 @@ val explore :
     state (followed by the probe's deduplicated [seed_states]), taking
     every probed action and every task-enabled action, up to the
     probe's [max_states].  [por] (default [false]) switches the
-    sleep-set reduction on.  Visit order with POR off matches the
-    historical {!Explore.reachable} order exactly.
+    sleep-set reduction on.  Visit order with POR off is the plain
+    list-scan BFS order (the differential tests keep that reference).
 
     [symmetry] is an orbit canonicalization function (see
     {!Symm.canonizer}): when given, the start state, every probe seed
@@ -93,12 +93,10 @@ val quotient :
   ('s, 'a) Afd_ioa.Automaton.t * ('s, 'a) Probe.t
 (** The wrapper [explore ~symmetry] applies: canonized start/seeds and a
     step that canonizes every successor.  Exposed so the parallel
-    ({!Pspace}) and compiled ({!Cspace}) front-ends quotient the same
-    way. *)
+    explorer ({!Pspace}) quotients the same way. *)
 
 val reachable : ('s, 'a) t -> 's list
-(** The states in discovery order (compatible with the old
-    [Explore.reachable] contract). *)
+(** The states in discovery order; the start state is first. *)
 
 val path_actions : ('s, 'a) t -> int -> 'a list
 (** Actions along the BFS-tree (shortest discovered) path from the
@@ -124,3 +122,16 @@ val commute :
     to probe-equal states (a computed diamond).  This is the
     independence relation the sleep-set reduction prunes with, and the
     [race-pair] lint rule reports the negation of. *)
+
+val agree :
+  equal_state:('s -> 's -> bool) ->
+  equal_action:('a -> 'a -> bool) ->
+  ('s, 'a) t ->
+  ('s, 'a) t ->
+  bool
+(** Structural identity of two explorations: states pointwise equal in
+    the same order, edge arrays equal (order, endpoints, action, task
+    label), parent trees, depths, verdicts, POR flags, and stats all
+    equal.  [Space] is the oracle: the parallel ({!Pspace}) and compiled
+    ({!Cspace}) explorers must agree with it at any [jobs], which the
+    differential tests and the PX/CX benchmark rows assert. *)

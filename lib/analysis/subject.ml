@@ -23,7 +23,7 @@ let make ?(por = false) ?max_states ?(jobs = 1) ?(compiled = false)
   let with_cap p =
     match max_states with None -> p | Some m -> { p with Probe.max_states = m }
   in
-  let pack ?explore a p =
+  let pack ?compiled_run a p =
     (* Orbit quotienting is gated on the analyzer's certificate: only a
        subject whose declared S_n action survives the equivariance
        check explores on representatives; breaking or undeclared
@@ -39,15 +39,14 @@ let make ?(por = false) ?max_states ?(jobs = 1) ?(compiled = false)
           | Symm.Certified _, Some sy -> Some (Symm.canonizer sy)
           | (Symm.Certified _ | Symm.Breaking _ | Symm.Unsupported _), _ -> None))
     in
+    (* The one explorer choice: a compiled composition runs packed
+       unless it is quotiented (the packed tables cannot canonize
+       across component slots); everything else runs boxed. *)
     let space =
       lazy
-        (let symmetry = Lazy.force canon in
-         match explore with
-         | Some run -> run ?symmetry ()
-         | None ->
-           if compiled then Cspace.explore ?symmetry ~por ~jobs a p
-           else if jobs <= 1 then Space.explore ?symmetry ~por a p
-           else Pspace.explore ?symmetry ~por ~jobs a p)
+        (match (Lazy.force canon, compiled_run) with
+        | None, Some run -> run ()
+        | symmetry, _ -> Pspace.explore ?symmetry ~por ~jobs a p)
     in
     P
       { aut = a;
@@ -65,8 +64,7 @@ let make ?(por = false) ?max_states ?(jobs = 1) ?(compiled = false)
       (* Composition states hold closures, on which the probe's default
          structural equality would bail out: flatten with the
          componentwise equality and its congruent hash.  That exact
-         pairing is also {!Cspace.explore_composition}'s precondition,
-         so compiled runs take the packed backend here. *)
+         pairing is also {!Cspace.explore_composition}'s precondition. *)
       let a = Composition.as_automaton c in
       let p =
         with_cap
@@ -75,14 +73,11 @@ let make ?(por = false) ?max_states ?(jobs = 1) ?(compiled = false)
             hash_state = Some Composition.hash_state;
           }
       in
-      let explore =
-        if compiled then
-          Some
-            (fun ?symmetry () ->
-              Cspace.explore_composition ?symmetry ~por ~jobs c p)
+      let compiled_run =
+        if compiled then Some (fun () -> Cspace.explore_composition ~por ~jobs c p)
         else None
       in
-      Some (pack ?explore a p)
+      Some (pack ?compiled_run a p)
     | Registry.Spec _ -> None
   in
   { origin; entry; name = Registry.entry_name entry; packed }

@@ -1,14 +1,14 @@
 (** A lint subject: a registry item packed with one shared (lazy)
     state-space exploration.
 
-    Before this module, every exploring rule called [Explore.reachable]
-    itself — six redundant BFS passes per subject, and no way to tell
-    the report how complete any of them was.  A [Subject.t] flattens
-    compositions once ({!Composition.as_automaton}, with the
-    componentwise state equality {e and} its congruent hash) and
-    memoizes a single {!Space.explore} that all rules share; the
-    exploration (with its {!Space.verdict}) is surfaced in the report
-    only if some rule actually forced it. *)
+    A [Subject.t] flattens compositions once
+    ({!Composition.as_automaton}, with the componentwise state equality
+    {e and} its congruent hash) and memoizes a single exploration that
+    all rules share; the exploration (with its {!Space.verdict}) is
+    surfaced in the report only if some rule actually forced it.  This
+    is also the one place that picks an explorer: compiled, unquotiented
+    compositions run on {!Cspace.explore_composition}, everything else
+    on {!Pspace.explore} (which is {!Space.explore} at one job). *)
 
 open Afd_ioa
 
@@ -54,10 +54,11 @@ val make :
     [por] (default [false]) turns on the sleep-set reduction for the
     shared exploration (edge-granular rules then skip themselves — see
     {!Rules.mc}); [jobs > 1] (default [1]) runs the shared exploration
-    on {!Pspace} across that many domains; [compiled] (default
-    [false]) on {!Cspace} — the packed composition backend for
-    composition entries, the generic interned one otherwise.  Same
-    result in every combination, structurally ({!Pspace.agree}).
+    across that many domains; [compiled] (default [false]) runs
+    composition entries on the packed {!Cspace} explorer unless the
+    exploration is orbit-quotiented — it has no effect on plain
+    automata.  Same result in every combination, structurally
+    ({!Space.agree}).
 
     [symmetry] (default [false]) runs the {!Symm} equivariance
     analysis on each packed subject; a certified subject's shared

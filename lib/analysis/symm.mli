@@ -19,7 +19,7 @@
     - {!canonizer} turns a declared symmetry into an orbit
       canonicalization function: the minimum of the state's orbit
       under [sy_cmp].  Handed to [Space.explore ~symmetry] (or the
-      parallel/compiled explorers) it quotients the seen-set by orbit;
+      parallel explorer) it quotients the seen-set by orbit;
       {!canonizer_w} additionally returns the witnessing permutation,
       which {!Mc} uses to lift quotient counterexample paths back to
       genuine runs of the unreduced system.

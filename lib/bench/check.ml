@@ -250,12 +250,11 @@ let liveness_subjects =
         spec = Perfect.spec; expect_violated = true };
   ]
 
-let mc_subject ?max_states ?(por = false) ?jobs ?compiled ?(profile = false)
-    (S s) =
+let mc_subject ?max_states ?(por = false) ?jobs ?(profile = false) (S s) =
   let open Afd_analysis in
   let timings = if profile then Some (ref []) else None in
   match
-    Mc.check_spec ?max_states ~por ?jobs ?compiled ?timings ~n:s.n s.spec
+    Mc.check_spec ?max_states ~por ?jobs ?timings ~n:s.n s.spec
       ~detector:(s.detector s.n)
   with
   | Error e -> Error e
@@ -329,13 +328,13 @@ let mc_subject ?max_states ?(por = false) ?jobs ?compiled ?(profile = false)
             ~pp_out o;
       }
 
-let mc_all ?max_states ?(por = false) ?jobs ?compiled ?profile () =
+let mc_all ?max_states ?(por = false) ?jobs ?profile () =
   (* The limit-broken extras are refutable only by the fair-cycle pass,
      which POR disables — under POR they would fail vacuously. *)
   let all = if por then subjects else subjects @ liveness_subjects in
   List.map
     (fun subj ->
-      match mc_subject ?max_states ~por ?jobs ?compiled ?profile subj with
+      match mc_subject ?max_states ~por ?jobs ?profile subj with
       | Ok r -> r
       | Error e ->
         (* every shipped subject is prop-compiled; a raw spec here is a
@@ -357,7 +356,7 @@ let mc_all ?max_states ?(por = false) ?jobs ?compiled ?profile () =
           mc_lassos = [];
           mc_ok = false;
           mc_profile = [];
-          mc_json = Printf.sprintf "{\"error\": \"%s\"}" (String.escaped e);
+          mc_json = Printf.sprintf "{\"error\": %s}" (Json.string e);
         })
     all
 
@@ -375,8 +374,6 @@ type sy_result = {
   sy_ok : bool;
   sy_json : string;
 }
-
-let json_escape s = String.concat "" [ "\""; String.escaped s; "\"" ]
 
 let sy_subject ?max_states ?ns (S s) =
   let open Afd_analysis in
@@ -444,7 +441,7 @@ let sy_subject ?max_states ?ns (S s) =
               Printf.sprintf
                 "{\"id\": %s, \"status\": %s, \"detail\": %s, \"states\": %d, \
                  \"raw_states\": %d, \"agree\": %b, \"ok\": %b, \"parametric\": %s}"
-                (json_escape s.id) (json_escape status) (json_escape detail)
+                (Json.string s.id) (Json.string status) (Json.string detail)
                 sym.Mc.states raw.Mc.states agree ok
                 (match par with
                 | None -> "null"
@@ -468,7 +465,7 @@ let sy_all ?max_states ?ns () =
           sy_parametric = None;
           sy_ok = false;
           sy_json =
-            Printf.sprintf "{\"id\": %s, \"error\": %s}" (json_escape s.id)
-              (json_escape e);
+            Printf.sprintf "{\"id\": %s, \"error\": %s}" (Json.string s.id)
+              (Json.string e);
         })
     (subjects @ liveness_subjects)

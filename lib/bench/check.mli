@@ -148,14 +148,12 @@ val mc_subject :
   ?max_states:int ->
   ?por:bool ->
   ?jobs:int ->
-  ?compiled:bool ->
   ?profile:bool ->
   subject ->
   (mc_result, string) result
 (** Model-check one subject; [Error] for raw specs.  [jobs > 1] runs
-    the product exploration on {!Afd_analysis.Pspace}, [compiled] on
-    {!Afd_analysis.Cspace} — the result (JSON included) is
-    byte-identical at any [jobs], compiled or not.  [profile] (default
+    the product exploration on {!Afd_analysis.Pspace} — the result
+    (JSON included) is byte-identical at any [jobs].  [profile] (default
     [false]) collects per-phase timings into the JSON's ["profile"]
     field (and only then — unprofiled JSON is unchanged). *)
 
@@ -163,7 +161,6 @@ val mc_all :
   ?max_states:int ->
   ?por:bool ->
   ?jobs:int ->
-  ?compiled:bool ->
   ?profile:bool ->
   unit ->
   mc_result list

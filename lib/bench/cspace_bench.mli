@@ -5,7 +5,7 @@
     defunctionalized per-component step tables) at a fixed domain
     count (1, 2 or 4), POR off and POR on, and asserts the equality
     gate: the verdict is [Sat] iff both compiled explorations are
-    structurally identical ({!Afd_analysis.Pspace.agree}) to the
+    structurally identical ({!Afd_analysis.Space.agree}) to the
     sequential boxed {!Afd_analysis.Space.explore} references.  The
     rendered detail is deterministic shape only — the verdict table is
     byte-identical at any [--jobs] — and the transitions explored feed

@@ -3,7 +3,7 @@
    Each row explores one of the MX net compositions with the parallel
    explorer (Pspace) at a fixed domain count, POR off and POR on, and
    asserts the equality gate: both explorations must be structurally
-   identical (Pspace.agree — states in order, edges in order, parents,
+   identical (Space.agree — states in order, edges in order, parents,
    depths, verdict, stats) to the sequential Space.explore references.
    The rendered detail carries only deterministic shape, so the verdict
    table stays byte-identical at any --jobs and any domain count; the
@@ -38,7 +38,7 @@ let entry ~id ~label ~jobs mk_comp acts =
       let a = Composition.as_automaton (mk_comp ()) in
       let p = probe acts in
       let agree =
-        A.Pspace.agree ~equal_state:Composition.equal_state
+        A.Space.agree ~equal_state:Composition.equal_state
           ~equal_action:Act.equal
       in
       let seq_off = A.Space.explore ~por:false a p in

@@ -4,7 +4,7 @@
     explorer ({!Afd_analysis.Pspace}) at a fixed domain count (1, 2, 4
     or 8), POR off and POR on, and asserts the equality gate: the
     verdict is [Sat] iff both parallel explorations are structurally
-    identical ({!Afd_analysis.Pspace.agree}) to the sequential
+    identical ({!Afd_analysis.Space.agree}) to the sequential
     {!Afd_analysis.Space.explore} references.  The rendered detail is
     deterministic shape only — the verdict table is byte-identical at
     any [--jobs] — and the transitions explored feed the aggregate

@@ -27,22 +27,8 @@ let pp pp_out fmt c =
       (Fd_event.pp_trace pp_out) c.window;
   Format.fprintf fmt "@]"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ~pp_out c =
-  let str s = "\"" ^ json_escape s ^ "\"" in
+  let str = Afd_ioa.Json.string in
   let event_str = function Some e -> str (Fmt.str "%a" (Fd_event.pp pp_out) e) | None -> "null" in
   Printf.sprintf
     "{\"index\":%d,\"clause\":%s,\"reason\":%s,\"event\":%s,\"window_start\":%d,\"window\":[%s]}"

@@ -2,22 +2,7 @@ open Afd_core
 
 (* --- JSON (hand-rolled; the repo deliberately has no JSON dependency) --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = Printf.sprintf "\"%s\"" (json_escape s)
+let json_str = Afd_ioa.Json.string
 let json_opt_int = function None -> "null" | Some i -> string_of_int i
 let json_float f = Printf.sprintf "%.6f" f
 

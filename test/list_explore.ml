@@ -1,9 +1,11 @@
-open Afd_ioa
+(* Reference explorer for the differential tests: BFS with a list
+   seen-set, O(n) membership scan per push.  This is the semantics
+   (visit order included) that [Space.explore ~por:false] and the
+   parallel explorer must reproduce on every catalog subject. *)
 
-(* Historical list-based seen-set: O(n) membership scan per push, kept
-   as the reference implementation for the Space differential tests and
-   the hashed-vs-list bench row.  Semantics (visit order included) are
-   what [Space.explore ~por:false] reproduces. *)
+open Afd_ioa
+open Afd_analysis
+
 let list_based aut probe =
   let seen = ref [] and count = ref 0 in
   let mem s = List.exists (probe.Probe.equal_state s) !seen in
@@ -29,5 +31,3 @@ let list_based aut probe =
     step_all (Automaton.enabled_actions aut s)
   done;
   List.rev !seen
-
-let reachable aut probe = Space.reachable (Space.explore ~por:false aut probe)

@@ -1,12 +1,13 @@
-(* Differential tests for the compiled explorer (lib/analysis/cspace).
+(* Differential tests for the compiled composition explorer
+   (lib/analysis/cspace).
 
    Same claim as test_pspace, one explorer over: Cspace (packed states,
    defunctionalized step tables) is STRUCTURALLY identical to
    Space.explore — same state array in the same discovery order, same
    edge array (order included), same parent tree, depths, verdict, and
-   stats — on both backends (generic whole-state interning and the
-   packed composition machine), at any jobs, with POR on or off, under
-   any max_states budget. *)
+   stats — at any jobs, with POR on or off, under any max_states
+   budget.  End to end, the lint report is byte-identical with and
+   without [compiled]. *)
 
 open Afd_ioa
 open Afd_core
@@ -16,10 +17,10 @@ module BC = Afd_bench.Check
 let chk_subjects = BC.subjects @ BC.liveness_subjects
 
 (* Close one CHK subject like Mc.check_spec does and compare the boxed
-   sequential exploration against the compiled one, both backends.  The
-   GADT match and everything typed by its existentials stay inside this
-   one function. *)
-let subject_agrees ~packed ~por ~jobs ~max_states (BC.S { n; detector; _ }) =
+   sequential exploration against the compiled one.  The GADT match and
+   everything typed by its existentials stay inside this one
+   function. *)
+let subject_agrees ~por ~jobs ~max_states (BC.S { n; detector; _ }) =
   let crashable = Loc.set_of_universe ~n in
   let comp =
     Composition.make ~name:"chk-closed"
@@ -33,60 +34,50 @@ let subject_agrees ~packed ~por ~jobs ~max_states (BC.S { n; detector; _ }) =
       ~hash_state:Composition.hash_state ~max_states []
   in
   let seq = Space.explore ~por aut probe in
-  let com =
-    if packed then Cspace.explore_composition ~por ~jobs comp probe
-    else Cspace.explore ~por ~jobs aut probe
-  in
-  Pspace.agree ~equal_state:Composition.equal_state ~equal_action:( = ) seq com
+  let com = Cspace.explore_composition ~por ~jobs comp probe in
+  Space.agree ~equal_state:Composition.equal_state ~equal_action:( = ) seq com
 
 (* --- qcheck: compiled == boxed across the catalog ---
 
-   Random subject x backend x POR x budget x jobs.  Small random
+   Random subject x POR x budget x jobs.  Small random
    budgets exercise the truncation path (cut counting during merge) and
    budgets below the seed count exercise the seed-cut path. *)
 let differential_prop =
   let gen =
     QCheck2.Gen.(
       let* subj_ix = int_bound (List.length chk_subjects - 1) in
-      let* packed = bool in
       let* por = bool in
       let* jobs = oneofl [ 1; 2; 4 ] in
       let* cap = oneofl [ 1; 7; 60; 400; 2000 ] in
-      return (subj_ix, packed, por, jobs, cap))
+      return (subj_ix, por, jobs, cap))
   in
   QCheck2.Test.make
     ~name:
-      "Cspace == Space (structural) on CHK subjects x backend x por x budget \
-       x jobs"
+      "Cspace == Space (structural) on CHK subjects x por x budget x jobs"
     ~count:40
-    ~print:(fun (i, packed, por, jobs, cap) ->
-      Printf.sprintf "subject=%s packed=%b por=%b jobs=%d max_states=%d"
+    ~print:(fun (i, por, jobs, cap) ->
+      Printf.sprintf "subject=%s por=%b jobs=%d max_states=%d"
         (BC.id (List.nth chk_subjects i))
-        packed por jobs cap)
+        por jobs cap)
     gen
-    (fun (subj_ix, packed, por, jobs, cap) ->
-      subject_agrees ~packed ~por ~jobs ~max_states:cap
-        (List.nth chk_subjects subj_ix))
+    (fun (subj_ix, por, jobs, cap) ->
+      subject_agrees ~por ~jobs ~max_states:cap (List.nth chk_subjects subj_ix))
 
-(* --- full-catalog sweep at a fixed budget, both backends, both POR --- *)
+(* --- full-catalog sweep at a fixed budget, both POR settings --- *)
 
 let test_catalog_structural_equality () =
   List.iter
     (fun subj ->
       List.iter
-        (fun packed ->
+        (fun por ->
           List.iter
-            (fun por ->
-              List.iter
-                (fun jobs ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf
-                       "%s packed=%b por=%b jobs=%d structurally equal"
-                       (BC.id subj) packed por jobs)
-                    true
-                    (subject_agrees ~packed ~por ~jobs ~max_states:6_000 subj))
-                [ 1; 2; 4 ])
-            [ false; true ])
+            (fun jobs ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s por=%b jobs=%d structurally equal"
+                   (BC.id subj) por jobs)
+                true
+                (subject_agrees ~por ~jobs ~max_states:6_000 subj))
+            [ 1; 2; 4 ])
         [ false; true ])
     chk_subjects
 
@@ -113,7 +104,7 @@ let test_profile_does_not_perturb () =
       comp probe
   in
   Alcotest.(check bool) "profiled == unprofiled" true
-    (Pspace.agree ~equal_state:Composition.equal_state ~equal_action:( = )
+    (Space.agree ~equal_state:Composition.equal_state ~equal_action:( = )
        plain profiled);
   List.iter
     (fun k ->
@@ -121,47 +112,56 @@ let test_profile_does_not_perturb () =
         (List.mem_assoc k !phases))
     [ "workers"; "merge"; "decode" ]
 
-(* --- crash safety: a raising step propagates from workers --- *)
+(* --- the lint engine through Subject: compiled == boxed, end to end --- *)
+
+let test_lint_report_compiled_invariant () =
+  let report compiled =
+    Report.to_json
+      (Engine.run ~rules:(Rules.all @ Rules.mc) ~max_states:2_000 ?compiled
+         (Catalog.items ()))
+  in
+  Alcotest.(check string) "lint JSON identical with and without compiled"
+    (report None) (report (Some true))
+
+(* --- crash safety: a raising step propagates, sequential or not --- *)
 
 exception Boom
 
-let bomb ~armed =
+(* counter automaton whose step blows up past 5 *)
+let bomb =
   { Automaton.name = "bomb";
     kind = (fun _ -> Some Automaton.Internal);
     start = 0;
-    step =
-      (fun s () ->
-        if armed && s >= 5 then raise Boom
-        else if s < 40 then Some (s + 1)
-        else None);
+    step = (fun s () -> if s >= 5 then raise Boom else Some (s + 1));
     tasks =
       [ { Automaton.task_name = "inc";
           fair = true;
-          enabled = (fun s -> if s < 40 then Some () else None);
+          enabled = (fun _ -> Some ());
         }
       ];
   }
 
-let int_probe = Probe.make ~hash_state:(fun s -> s) ~max_states:1_000 []
-
-let test_generic_matches_plain_automaton () =
-  let seq = Space.explore (bomb ~armed:false) int_probe in
-  let com = Cspace.explore (bomb ~armed:false) int_probe in
-  Alcotest.(check bool) "generic backend on a plain automaton" true
-    (Pspace.agree ~equal_state:( = ) ~equal_action:( = ) seq com)
-
 let test_raise_propagates () =
-  match Cspace.explore (bomb ~armed:true) int_probe with
-  | exception Boom -> ()
-  | _ -> Alcotest.fail "expected the step exception to propagate"
+  let comp = Composition.make ~name:"bomb" [ Component.C bomb ] in
+  let probe =
+    Probe.make ~equal_state:Composition.equal_state
+      ~hash_state:Composition.hash_state ~max_states:1_000 []
+  in
+  List.iter
+    (fun jobs ->
+      match Cspace.explore_composition ~jobs comp probe with
+      | exception Boom -> ()
+      | _ ->
+        Alcotest.failf "jobs=%d: expected the step exception to propagate" jobs)
+    [ 1; 2 ]
 
 let suite =
   [ QCheck_alcotest.to_alcotest differential_prop;
-    Alcotest.test_case "catalog x backend x por x jobs: structural equality"
-      `Quick test_catalog_structural_equality;
+    Alcotest.test_case "catalog x por x jobs: structural equality" `Quick
+      test_catalog_structural_equality;
     Alcotest.test_case "profile callback does not perturb the result" `Quick
       test_profile_does_not_perturb;
-    Alcotest.test_case "generic backend on a plain automaton" `Quick
-      test_generic_matches_plain_automaton;
+    Alcotest.test_case "lint report JSON identical with compiled" `Quick
+      test_lint_report_compiled_invariant;
     Alcotest.test_case "raising step propagates" `Quick test_raise_propagates;
   ]

@@ -32,8 +32,8 @@ let test_differential_vs_list () =
       | None -> ()
       | Some (Subject.P { aut = a; probe = p; _ }) ->
         incr checked;
-        let hashed = Explore.reachable a p in
-        let listed = Explore.list_based a p in
+        let hashed = Space.reachable (Space.explore a p) in
+        let listed = List_explore.list_based a p in
         Alcotest.(check int)
           (subj.Subject.name ^ ": same state count")
           (List.length listed) (List.length hashed);
@@ -61,7 +61,8 @@ let test_hash_fallback_single_bucket () =
   Alcotest.(check bool) "custom equality without hash -> None" true
     (no_hash.Probe.hash_state = None);
   let with_hash = mk ~hash_state:(fun s -> Hashtbl.hash (Loc.Set.elements s)) () in
-  let r1 = Explore.reachable a no_hash and r2 = Explore.reachable a with_hash in
+  let r1 = Space.reachable (Space.explore a no_hash)
+  and r2 = Space.reachable (Space.explore a with_hash) in
   Alcotest.(check int) "same count with and without hash" (List.length r1)
     (List.length r2);
   List.iter2

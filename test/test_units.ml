@@ -1,5 +1,5 @@
 (* Small-module unit coverage: Verdict, Msg, Fd_event, Spec_util,
-   Problem, Fairness edge cases, pretty-printers. *)
+   Problem, Fairness edge cases, pretty-printers, the JSON escaper. *)
 
 open Afd_ioa
 open Afd_core
@@ -145,6 +145,15 @@ let test_loc_pp () =
   Alcotest.(check string) "set" "{p0,p2}"
     (Fmt.str "%a" Loc.pp_set (Loc.Set.of_list [ 2; 0 ]))
 
+(* --- Json --- *)
+
+let test_json_escape () =
+  let check name want s = Alcotest.(check string) name want (Json.escape s) in
+  check "control byte as \\u" "\\u0001" "\x01";
+  check "named escapes" "\\\"\\\\\\n\\t\\r" "\"\\\n\t\r";
+  check "UTF-8 bytes pass through" "\xe2\x97\x87 \xcf\x83" "\xe2\x97\x87 \xcf\x83";
+  Alcotest.(check string) "quoted" "\"a\\u001fb\"" (Json.string "a\x1fb")
+
 let suite =
   [ Alcotest.test_case "verdict algebra" `Quick test_verdict_algebra;
     Alcotest.test_case "vset" `Quick test_vset;
@@ -155,4 +164,5 @@ let suite =
     Alcotest.test_case "fairness on quiescent runs" `Quick test_fairness_quiescent;
     Alcotest.test_case "act pretty-printing" `Quick test_act_pp;
     Alcotest.test_case "loc pretty-printing" `Quick test_loc_pp;
+    Alcotest.test_case "json escaper" `Quick test_json_escape;
   ]
