@@ -144,21 +144,34 @@ type ('s, 'o) pstate =
 
 exception Latch of string * string
 
-let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
-    ?timings ?(len_cap = 8) ?(count_cap = 1)
-    ?(equal_out = Stdlib.( = )) ?symmetry ?perm_out ~equal_state ~hash_state ~n
-    prop sys =
-  (* Phase timings are an out-parameter, never part of the outcome
-     record: a profiled run stays byte-identical to an unprofiled
-     one. *)
-  let t_rec =
-    match timings with
-    | None -> fun _ _ -> ()
-    | Some r -> fun k dt -> r := !r @ [ (k, dt) ]
-  in
-  let sub_profile =
-    Option.map (fun r k dt -> r := !r @ [ ("explore." ^ k, dt) ]) timings
-  in
+let no_perm_out = "spec declares no output transport (perm_out)"
+
+(* What [check] builds before it explores: the product of the system
+   with the safety clauses' runtime, the probe carrying the product
+   identity (with or without the liveness enrichment), and how symmetry
+   resolved — on a certificate, together with the lifted descriptor and
+   the staged canonizer that the quotient exploration and path lifting
+   share. *)
+type ('s, 'o) quotient = {
+  q_sy : (('s, 'o) pstate, 'o Fd_event.t) Probe.symmetry;
+  q_canon : ('s, 'o) pstate -> ('s, 'o) pstate * Symm.Perm.t;
+}
+
+type ('s, 'o) setup = {
+  names : string array;  (** safety clause names, one per runtime slot *)
+  stables : (string * 'o P.state_judge) list;
+  product : (('s, 'o) pstate, 'o Fd_event.t) Automaton.t;
+  probe : (('s, 'o) pstate, 'o Fd_event.t) Probe.t;
+      (** the product identity exploration merges states by *)
+  resolved :
+    [ `Off
+    | `Fallback of string
+    | `Breaking of Symm.witness
+    | `Quotient of Symm.certificate * ('s, 'o) quotient ];
+}
+
+let setup ~max_states ~por ?(len_cap = 8) ?(count_cap = 1) ?(equal_out = Stdlib.( = ))
+    ?symmetry ?perm_out ~equal_state ~hash_state ~n prop sys =
   let safety, stables =
     List.partition_map
       (fun (nm, c) ->
@@ -277,11 +290,10 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
   in
   (* --- symmetry: lift the declared system action to product states,
      certify equivariance over the quotient, or fall back --- *)
-  let t0s = Unix.gettimeofday () in
-  let sym_resolved =
+  let resolved =
     match (symmetry, perm_out) with
     | None, _ -> `Off
-    | Some _, None -> `Fallback "spec declares no output transport (perm_out)"
+    | Some _, None -> `Fallback no_perm_out
     | Some sy, Some perm_o -> (
       match
         List.find_map
@@ -314,6 +326,23 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
                 rts = Array.map (perm_rt pif) r.rts;
               }
         in
+        (* [pcmp] past [sys]: summaries, then runtimes. *)
+        let cmp_tail (sa : _ P.state) ra (sb : _ P.state) rb =
+          let c = Stdlib.compare (min sa.P.len len_cap) (min sb.P.len len_cap) in
+          if c <> 0 then c
+          else
+            let c = Symm.cmp_set sa.P.crashed sb.P.crashed in
+            if c <> 0 then c
+            else begin
+              let res = ref 0 and i = ref 0 in
+              let la = Array.length ra in
+              while !res = 0 && !i < la do
+                res := rt_cmp_sem ra.(!i) rb.(!i);
+                incr i
+              done;
+              !res
+            end
+        in
         (* A total order congruent with [pequal_gen false]: orbit minima
            are canonical representatives.  The liveness enrichment is
            deliberately absent — under a quotient, liveness is not
@@ -326,24 +355,7 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
           | Running _, Latched _ -> 1
           | Running a, Running b ->
             let c = sy.Probe.sy_cmp a.sys b.sys in
-            if c <> 0 then c
-            else
-              let c =
-                Stdlib.compare (min a.summary.P.len len_cap) (min b.summary.P.len len_cap)
-              in
-              if c <> 0 then c
-              else
-                let c = Symm.cmp_set a.summary.P.crashed b.summary.P.crashed in
-                if c <> 0 then c
-                else begin
-                  let res = ref 0 and i = ref 0 in
-                  let la = Array.length a.rts in
-                  while !res = 0 && !i < la do
-                    res := rt_cmp_sem a.rts.(!i) b.rts.(!i);
-                    incr i
-                  done;
-                  !res
-                end
+            if c <> 0 then c else cmp_tail a.summary a.rts b.summary b.rts
         in
         let psy =
           { Probe.sy_n = n;
@@ -352,6 +364,44 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
             sy_cmp = pcmp;
             sy_fields = [];
           }
+        in
+        (* The orbit minimum [Symm.canonizer_w psy] computes, staged:
+           [pcmp] orders by [sys] first, so an image whose [sys] is
+           already greater than the best so far cannot win and its
+           summary and runtimes are never built.  Same permutation
+           order, same strict [<]; the identity, whose image is the
+           state itself, is the starting point. *)
+        let id = Symm.Perm.identity n in
+        let moves =
+          List.filter_map
+            (fun pi ->
+              if Symm.Perm.is_identity pi then None else Some (pi, Symm.Perm.apply pi))
+            (Symm.Perm.all ~n)
+        in
+        let canon_w = function
+          | Latched _ as st -> (st, id)
+          | Running r as st ->
+            let best = ref st and best_pi = ref id in
+            let best_sys = ref r.sys and best_summary = ref r.summary in
+            let best_rts = ref r.rts in
+            List.iter
+              (fun (pi, pif) ->
+                let sys = sy.Probe.sy_state pif r.sys in
+                let c = sy.Probe.sy_cmp sys !best_sys in
+                if c <= 0 then begin
+                  let summary = perm_summary pif r.summary in
+                  let rts = Array.map (perm_rt pif) r.rts in
+                  if c < 0 || cmp_tail summary rts !best_summary !best_rts < 0
+                  then begin
+                    best := Running { sys; summary; rts };
+                    best_pi := pi;
+                    best_sys := sys;
+                    best_summary := summary;
+                    best_rts := rts
+                  end
+                end)
+              moves;
+            (!best, !best_pi)
         in
         (* Certification sweep over the quotient product.  Latched
            states compare by clause only: latch reasons embed permuted
@@ -383,20 +433,9 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
             ~equal_action:equal_event ~max_states ~symm:psy []
         in
         (match Symm.analyze product aprobe with
-        | Symm.Certified cert -> `Quotient (cert, psy)
+        | Symm.Certified cert -> `Quotient (cert, { q_sy = psy; q_canon = canon_w })
         | Symm.Breaking w -> `Breaking w
         | Symm.Unsupported r -> `Fallback r))
-  in
-  if Option.is_some symmetry then t_rec "symmetry" (Unix.gettimeofday () -. t0s);
-  let quotient =
-    match sym_resolved with `Quotient (_, psy) -> Some psy | _ -> None
-  in
-  let sym =
-    match sym_resolved with
-    | `Off -> Sym_off
-    | `Fallback r -> Sym_fallback r
-    | `Breaking w -> Sym_breaking w
-    | `Quotient (cert, _) -> Sym_quotient cert
   in
   (* Stable judges read [last_output]/[output_counts], so when liveness
      is in scope those fields join the product identity (counts capped
@@ -405,15 +444,47 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
      search is off and the coarser safety identity suffices; a symmetry
      quotient merges fair cycles the same way, so liveness is off
      there too. *)
-  let track_live = stables <> [] && not por && Option.is_none quotient in
+  let quotient = match resolved with `Quotient _ -> true | _ -> false in
+  let track_live = stables <> [] && (not por) && not quotient in
   (* Unreduced runs keep the historical structural accumulator
      identity (byte-identical outcomes); quotient runs need the
      semantic one so transported accumulators merge. *)
-  let rt_eq = if Option.is_some quotient then rt_equal_sem else rt_equal in
-  let pequal = pequal_gen ~rt_eq track_live in
-  let phash = phash_gen track_live in
-  let probe = Probe.make ~equal_state:pequal ~hash_state:phash ~max_states [] in
-  let symmetry_fn = Option.map Symm.canonizer quotient in
+  let rt_eq = if quotient then rt_equal_sem else rt_equal in
+  let probe =
+    Probe.make ~equal_state:(pequal_gen ~rt_eq track_live)
+      ~hash_state:(phash_gen track_live) ~max_states []
+  in
+  { names; stables; product; probe; resolved }
+
+let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
+    ?timings ?len_cap ?count_cap ?equal_out ?symmetry ?perm_out ~equal_state
+    ~hash_state ~n prop sys =
+  (* Phase timings are an out-parameter, never part of the outcome
+     record: a profiled run stays byte-identical to an unprofiled
+     one. *)
+  let t_rec =
+    match timings with
+    | None -> fun _ _ -> ()
+    | Some r -> fun k dt -> r := !r @ [ (k, dt) ]
+  in
+  let sub_profile =
+    Option.map (fun r k dt -> r := !r @ [ ("explore." ^ k, dt) ]) timings
+  in
+  let t0s = Unix.gettimeofday () in
+  let { names; stables; product; probe; resolved } =
+    setup ~max_states ~por ?len_cap ?count_cap ?equal_out ?symmetry ?perm_out
+      ~equal_state ~hash_state ~n prop sys
+  in
+  if Option.is_some symmetry then t_rec "symmetry" (Unix.gettimeofday () -. t0s);
+  let quotient = match resolved with `Quotient (_, q) -> Some q | _ -> None in
+  let sym =
+    match resolved with
+    | `Off -> Sym_off
+    | `Fallback r -> Sym_fallback r
+    | `Breaking w -> Sym_breaking w
+    | `Quotient (cert, _) -> Sym_quotient cert
+  in
+  let symmetry_fn = Option.map (fun q s -> fst (q.q_canon s)) quotient in
   (* Pspace is structurally identical to Space at any [jobs], so every
      verdict, counterexample, and liveness lasso below is byte-for-byte
      independent of the domain count. *)
@@ -503,8 +574,8 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
      rho_i(a_i), and rho advances by the canonizing permutation of the
      raw successor.  The lifted path replays through the monitor, which
      independently re-derives the violation. *)
-  let lift_path psy i =
-    let cw = Symm.canonizer_w psy in
+  let lift_path q i =
+    let cw = q.q_canon in
     let rec collect j acc =
       match space.Space.parent.(j) with
       | None -> acc
@@ -515,8 +586,8 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
     let rho = ref (Symm.Perm.inverse sigma0) in
     List.map
       (fun (j, a) ->
-        let b = psy.Probe.sy_action (Symm.Perm.apply !rho) a in
-        (match pstep space.Space.states.(j) a with
+        let b = q.q_sy.Probe.sy_action (Symm.Perm.apply !rho) a in
+        (match product.Automaton.step space.Space.states.(j) a with
         | Some t ->
           let _, sigma = cw t in
           rho := Symm.Perm.compose !rho (Symm.Perm.inverse sigma)
@@ -527,7 +598,7 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
   let path_of i =
     match quotient with
     | None -> Space.path_actions space i
-    | Some psy -> lift_path psy i
+    | Some q -> lift_path q i
   in
   let violations =
     List.rev_map
@@ -689,16 +760,37 @@ let pair_automaton (det : ('s, 'a) Automaton.t) (crash : (Loc.Set.t, 'a) Automat
       @ List.map (lift crash.Automaton.name snd) crash.Automaton.tasks;
   }
 
+let raw_spec_error spec =
+  Printf.sprintf "spec %s is raw (no compiled formula to model-check)"
+    spec.Afd_core.Afd.name
+
+let crash_automaton ?crashable ~n () =
+  let crashable = Option.value ~default:(Loc.set_of_universe ~n) crashable in
+  Afd_core.Afd_automata.crash_automaton ~n ~crashable
+
+(* The detector+crash pair with its lifted symmetry: the descriptor, the
+   pair identity through the declared semantic order (shape differences
+   introduced by [ss_perm] must not split states), its hash, and the
+   pair automaton. *)
+let symmetric_pair ~n dsym perm_o detector crash =
+  let psym = sym_pair dsym sym_set in
+  let sy =
+    { Probe.sy_n = n;
+      sy_state = psym.ss_perm;
+      sy_action = Symm.perm_event perm_o;
+      sy_cmp = psym.ss_cmp;
+      sy_fields = [];
+    }
+  in
+  let equal_state a b = psym.ss_cmp a b = 0 in
+  (sy, equal_state, psym.ss_hash, pair_automaton detector crash)
+
 let check_spec ?max_states ?por ?jobs ?timings ?len_cap ?count_cap
     ?crashable ?symmetry ~n spec ~detector =
   match spec.Afd_core.Afd.prop with
-  | None ->
-    Error
-      (Printf.sprintf "spec %s is raw (no compiled formula to model-check)"
-         spec.Afd_core.Afd.name)
+  | None -> Error (raw_spec_error spec)
   | Some prop ->
-    let crashable = Option.value ~default:(Loc.set_of_universe ~n) crashable in
-    let crash = Afd_core.Afd_automata.crash_automaton ~n ~crashable in
+    let crash = crash_automaton ?crashable ~n () in
     let unreduced ?sym () =
       let comp =
         Composition.make
@@ -720,27 +812,57 @@ let check_spec ?max_states ?por ?jobs ?timings ?len_cap ?count_cap
       | None ->
         Ok
           (unreduced
-             ~sym:(Sym_fallback "spec declares no output transport (perm_out)")
+             ~sym:(Sym_fallback no_perm_out)
              ())
       | Some perm_o ->
-        (* Pair identity through the declared semantic order — shape
-           differences introduced by [ss_perm] must not split
-           states. *)
-        let psym = sym_pair dsym sym_set in
-        let eq_pair a b = psym.ss_cmp a b = 0 in
-        let sy =
-          { Probe.sy_n = n;
-            sy_state = psym.ss_perm;
-            sy_action = Symm.perm_event perm_o;
-            sy_cmp = psym.ss_cmp;
-            sy_fields = [];
-          }
+        let sy, equal_state, hash_state, pair =
+          symmetric_pair ~n dsym perm_o detector crash
         in
         Ok
           (check ?max_states ?por ?jobs ?timings ?len_cap ?count_cap
              ~equal_out:spec.Afd_core.Afd.equal_out ~symmetry:sy ~perm_out:perm_o
-             ~equal_state:eq_pair ~hash_state:psym.ss_hash ~n (prop ~n)
-             (pair_automaton detector crash))))
+             ~equal_state ~hash_state ~n (prop ~n) pair)))
+
+(* --- the quotient's canonizer, exposed for cross-checking --- *)
+
+type ('s, 'o) product_state = ('s, 'o) pstate
+
+type ('s, 'o) quotient_view = {
+  qv_product : (('s, 'o) product_state, 'o Fd_event.t) Automaton.t;
+  qv_states : ('s, 'o) product_state array;
+  qv_symmetry : (('s, 'o) product_state, 'o Fd_event.t) Probe.symmetry;
+  qv_canon : ('s, 'o) product_state -> ('s, 'o) product_state * Symm.Perm.t;
+}
+
+(* The same [setup] and exploration as [check_spec ~symmetry] on a
+   certificate (no POR, one domain, no liveness enrichment). *)
+let quotient_view ?(max_states = default_max_states) ?crashable ~symmetry ~n spec
+    ~detector =
+  match (spec.Afd_core.Afd.prop, spec.Afd_core.Afd.perm_out) with
+  | None, _ -> Error (raw_spec_error spec)
+  | Some _, None -> Error no_perm_out
+  | Some prop, Some perm_o -> (
+    let sy, equal_state, hash_state, pair =
+      symmetric_pair ~n symmetry perm_o detector (crash_automaton ?crashable ~n ())
+    in
+    let st =
+      setup ~max_states ~por:false ~equal_out:spec.Afd_core.Afd.equal_out ~symmetry:sy
+        ~perm_out:perm_o ~equal_state ~hash_state ~n (prop ~n) pair
+    in
+    match st.resolved with
+    | `Quotient (_, q) ->
+      let space =
+        Space.explore ~symmetry:(fun s -> fst (q.q_canon s)) st.product st.probe
+      in
+      Ok
+        { qv_product = st.product;
+          qv_states = space.Space.states;
+          qv_symmetry = q.q_sy;
+          qv_canon = q.q_canon;
+        }
+    | `Off -> Error "symmetry not engaged"
+    | `Fallback r -> Error ("uncertified: " ^ r)
+    | `Breaking w -> Error (Fmt.str "symmetry-breaking: %a" Symm.pp_witness w))
 
 (* --- parametric cutoff search --- *)
 
@@ -753,7 +875,8 @@ type point = {
   pt_violated : string list;  (** violated clauses, when any *)
   pt_raw_states : int option;
       (** unreduced state count at the same n, when the unreduced run
-          exhausts within budget; [None] when it truncates *)
+          exhausts within budget; [None] when it truncates at this n or
+          at a smaller one *)
 }
 
 type parametric_verdict =
@@ -779,6 +902,10 @@ let parametric ?max_states ?(ns = [ 2; 3; 4; 5 ]) ?crashable ~symmetry spec
   let points = ref [] in
   let sym = ref Sym_off in
   let halted = ref None in
+  (* Larger instances only grow: once an unreduced rung truncates, the
+     larger ones would too, so their counts are known to be [None]
+     without running them. *)
+  let raw_truncated = ref false in
   (try
      List.iter
        (fun n ->
@@ -794,9 +921,16 @@ let parametric ?max_states ?(ns = [ 2; 3; 4; 5 ]) ?crashable ~symmetry spec
            (match o.sym with
            | Sym_quotient _ ->
              let raw =
-               match check_spec ?max_states ?crashable ~n spec ~detector:(detector n) with
-               | Ok r when r.verdict = Space.Exhausted -> Some r.states
-               | Ok _ | Error _ -> None
+               if !raw_truncated then None
+               else
+                 match
+                   check_spec ?max_states ?crashable ~n spec ~detector:(detector n)
+                 with
+                 | Ok { verdict = Space.Exhausted; states; _ } -> Some states
+                 | Ok { verdict = Space.Truncated _; _ } ->
+                   raw_truncated := true;
+                   None
+                 | Error _ -> None
              in
              let violated =
                List.map (fun v -> v.clause) o.violations

@@ -221,6 +221,44 @@ val check_spec :
     without [perm_out] falls back to the unreduced composition with
     [sym = Sym_fallback]. *)
 
+(** {1 The quotient's canonizer}
+
+    Orbit canonicalization of product states is staged: [sys] is
+    permuted and compared first, and the rest of a permuted state is
+    built only when its [sys] ties with or beats the best so far.  The
+    result must be exactly the orbit minimum (and witness) that
+    {!Symm.canonizer_w} computes over the lifted descriptor; this view
+    exposes both, and the states they act on, so tests can check
+    that. *)
+
+type ('s, 'o) product_state
+(** A state of the product of a system with a formula's clause
+    runtime. *)
+
+type ('s, 'o) quotient_view = {
+  qv_product : (('s, 'o) product_state, 'o Fd_event.t) Automaton.t;
+  qv_states : ('s, 'o) product_state array;
+      (** the quotient exploration's representatives, discovery order *)
+  qv_symmetry : (('s, 'o) product_state, 'o Fd_event.t) Probe.symmetry;
+      (** the system's symmetry lifted to product states *)
+  qv_canon : ('s, 'o) product_state -> ('s, 'o) product_state * Symm.Perm.t;
+      (** the staged canonizer quotient exploration and counterexample
+          lifting use *)
+}
+
+val quotient_view :
+  ?max_states:int ->
+  ?crashable:Loc.Set.t ->
+  symmetry:'s state_symmetry ->
+  n:int ->
+  'o Afd_core.Afd.spec ->
+  detector:('s, 'o Fd_event.t) Automaton.t ->
+  (('s * Loc.Set.t, 'o) quotient_view, string) result
+(** Build the product {!check_spec} builds with [symmetry], certify it,
+    and explore its orbit quotient as {!check_spec} does (no POR, one
+    domain).  [Error] when the spec is raw or has no [perm_out], or the
+    product does not certify. *)
+
 (** {1 Parametric cutoff search}
 
     Verify a certified-symmetric subject at n0, n0+1, ... and report a
@@ -239,8 +277,10 @@ type point = {
   pt_violated : string list;  (** violated clauses, when any *)
   pt_raw_states : int option;
       (** unreduced state count at the same n when the unreduced run
-          exhausts within budget; [None] when it truncates — the
-          quotient reached an instance brute force cannot *)
+          exhausts within budget; [None] when it truncates at this n
+          or at a smaller n (larger instances only grow, so the ladder
+          stops running unreduced rungs after the first truncation) —
+          the quotient reached an instance brute force cannot *)
 }
 
 type parametric_verdict =
@@ -270,7 +310,9 @@ val parametric :
     (per-n statuses differ: a k-set detector can be equivariant at
     n = k and breaking above), or the first budget truncation.  Each
     proved point also runs the unreduced instance to record the
-    orbit-vs-state curve ([pt_raw_states]). *)
+    orbit-vs-state curve ([pt_raw_states]), until one unreduced
+    instance truncates: the larger ones are not run and report
+    [None]. *)
 
 val pp_parametric : Format.formatter -> parametric -> unit
 val parametric_to_json : parametric -> string

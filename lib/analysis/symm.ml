@@ -107,9 +107,11 @@ let rename_locs ~n pi name =
     then begin
       let j = ref (!i + 1) in
       while !j < len && is_digit name.[!j] do incr j done;
-      let idx = int_of_string (String.sub name (!i + 1) (!j - !i - 1)) in
-      if idx < n then Buffer.add_string buf (Loc.to_string (pi idx))
-      else Buffer.add_string buf (String.sub name !i (!j - !i));
+      (* A token whose digits overflow an int, or that names no
+         location below [n], is not a location: copy it unchanged. *)
+      (match int_of_string_opt (String.sub name (!i + 1) (!j - !i - 1)) with
+      | Some idx when idx < n -> Buffer.add_string buf (Loc.to_string (pi idx))
+      | Some _ | None -> Buffer.add_string buf (String.sub name !i (!j - !i)));
       i := !j
     end
     else begin
@@ -219,7 +221,6 @@ let analyze (aut : ('s, 'a) Automaton.t) (probe : ('s, 'a) Probe.t) : verdict =
       else begin
         let perms = Perm.all ~n in
         let nontrivial = List.filter (fun p -> not (Perm.is_identity p)) perms in
-        let canon = canonizer sy in
         let pp_act a = Fmt.str "%a" probe.Probe.pp_action a in
         let equal_state = probe.Probe.equal_state in
         let equal_action = probe.Probe.equal_action in
@@ -288,9 +289,10 @@ let analyze (aut : ('s, 'a) Automaton.t) (probe : ('s, 'a) Probe.t) : verdict =
               if not (f.f_equal there here) then status := `Indexed)
             field_status
         in
-        (* Task mirroring is state-independent: resolve, once per
-           permutation, which task plays each task's role after
-           renaming, and that the fairness flags agree. *)
+        (* Task mirroring and the probed actions' images are
+           state-independent: resolve, once per permutation, which task
+           plays each task's role after renaming (and that the fairness
+           flags agree), and the permuted probe actions. *)
         let mirrors () =
           List.map
             (fun pi ->
@@ -329,28 +331,30 @@ let analyze (aut : ('s, 'a) Automaton.t) (probe : ('s, 'a) Probe.t) : verdict =
                                    Fmt.str "fairness flag differs from task %s"
                                      name';
                                });
-                        (t, t'))
+                        t')
                   aut.Automaton.tasks
               in
-              (pi, pif, ms))
+              (pi, pif, ms, List.map (sy.Probe.sy_action pif) probe.Probe.actions))
             nontrivial
         in
         (* Per-representative equivariance: steps on probed actions, and
            task correspondence (the mirrored task's enabled action is
-           the permuted one, successors permute).  [r'] is the permuted
-           representative, computed once per (state, permutation);
-           [a_img] the action standing for the permuted [a] on that
-           side — for task checks it is the mirror task's own enabled
-           action, which is [equal_action]-equal to the transported one
-           but produced by the automaton itself, exactly as quotient
-           exploration produces it (transported payloads may be
-           semantically equal yet structurally distinct rebuilds). *)
-        let check_step pi pif r r' idx a a_img =
-          let s1 = Option.map (sy.Probe.sy_state pif) (aut.Automaton.step r a) in
+           the permuted one, successors permute).  [succ] is [r]'s own
+           successor under [a], computed once per representative; [r']
+           the permuted representative, computed once per (state,
+           permutation); [a_img] the action standing for the permuted
+           [a] on that side — for task checks it is the mirror task's
+           own enabled action, which is [equal_action]-equal to the
+           transported one but produced by the automaton itself,
+           exactly as quotient exploration produces it (transported
+           payloads may be semantically equal yet structurally distinct
+           rebuilds).  Returns the permuted successor, if any. *)
+        let check_step pi pif r' idx a succ a_img =
+          let s1 = Option.map (sy.Probe.sy_state pif) succ in
           let s2 = aut.Automaton.step r' a_img in
           match (s1, s2) with
-          | None, None -> ()
-          | Some t1, Some t2 when equal_state t1 t2 -> ()
+          | None, None -> None
+          | Some t1, Some t2 when equal_state t1 t2 -> s1
           | Some t1, Some t2 ->
               raise
                 (Broken
@@ -377,40 +381,65 @@ let analyze (aut : ('s, 'a) Automaton.t) (probe : ('s, 'a) Probe.t) : verdict =
                          (if s1 = None then "becomes enabled" else "is disabled");
                    })
         in
-        let check_tasks pi pif r r' idx ms =
-          List.iter
-            (fun ((t : ('s, 'a) Automaton.task), t') ->
-              let here = t.Automaton.enabled r in
-              let there = t'.Automaton.enabled r' in
-              match (here, there) with
-              | None, None -> ()
-              | Some a, Some a' when equal_action (sy.Probe.sy_action pif a) a' ->
-                  (* The enabled action permutes; its successor must too. *)
-                  check_step pi pif r r' idx a a'
-              | _ ->
-                  raise
-                    (Broken
-                       { w_kind = `Enabled;
-                         w_field = None;
-                         w_task = Some t.Automaton.task_name;
-                         w_perm = Perm.to_string pi;
-                         w_state = idx;
-                         w_detail =
-                           Fmt.str "task %s enabled action is not the permuted one"
-                             t'.Automaton.task_name;
-                       }))
-            ms
-        in
+        (* Check every nontrivial permutation at [r] and return [r]'s
+           successors (probed actions, then enabled tasks) already
+           canonized.  The sweep builds π·succ for every π in
+           [Perm.all] order anyway, so each successor slot keeps the
+           running strict minimum starting from the successor itself
+           (the identity's image): exactly what [canonizer] computes,
+           without its n! extra images. *)
         let check_rep mirrors r idx =
+          let acts =
+            List.map (fun a -> (a, aut.Automaton.step r a)) probe.Probe.actions
+          in
+          let tasks =
+            List.map
+              (fun (t : ('s, 'a) Automaton.task) ->
+                let here = t.Automaton.enabled r in
+                (t, here, Option.bind here (aut.Automaton.step r)))
+              aut.Automaton.tasks
+          in
+          let best =
+            Array.of_list
+              (List.map snd acts @ List.map (fun (_, _, succ) -> succ) tasks)
+          in
+          let keep k = function
+            | Some img -> (
+                match best.(k) with
+                | Some b when sy.Probe.sy_cmp img b < 0 -> best.(k) <- Some img
+                | Some _ | None -> ())
+            | None -> ()
+          in
+          let nacts = List.length acts in
           List.iter
-            (fun (pi, pif, ms) ->
+            (fun (pi, pif, ms, acts') ->
               let r' = sy.Probe.sy_state pif r in
               check_fields pi pif r r' idx;
-              List.iter
-                (fun a -> check_step pi pif r r' idx a (sy.Probe.sy_action pif a))
-                probe.Probe.actions;
-              check_tasks pi pif r r' idx ms)
-            mirrors
+              List.iteri
+                (fun k ((a, succ), a') -> keep k (check_step pi pif r' idx a succ a'))
+                (List.combine acts acts');
+              List.iteri
+                (fun k ((t, here, succ), t') ->
+                  match (here, t'.Automaton.enabled r') with
+                  | None, None -> ()
+                  | Some a, Some a' when equal_action (sy.Probe.sy_action pif a) a' ->
+                      (* The enabled action permutes; its successor must too. *)
+                      keep (nacts + k) (check_step pi pif r' idx a succ a')
+                  | _ ->
+                      raise
+                        (Broken
+                           { w_kind = `Enabled;
+                             w_field = None;
+                             w_task = Some t.Automaton.task_name;
+                             w_perm = Perm.to_string pi;
+                             w_state = idx;
+                             w_detail =
+                               Fmt.str "task %s enabled action is not the permuted one"
+                                 t'.Automaton.task_name;
+                           }))
+                (List.combine tasks ms))
+            mirrors;
+          best
         in
         (* Bounded quotient exploration over representatives: successors
            via probed actions and enabled tasks, canonized on insert. *)
@@ -436,32 +465,23 @@ let analyze (aut : ('s, 'a) Automaton.t) (probe : ('s, 'a) Probe.t) : verdict =
             Hashtbl.replace seen h (s :: bucket)
           in
           let queue = Queue.create () in
-          let push s =
-            let r = canon s in
+          let push_rep r =
             if not (mem r) then begin
               remember r;
               Queue.add (r, !count) queue;
               incr count
             end
           in
-          push aut.Automaton.start;
-          List.iter push probe.Probe.seed_states;
+          let canon = canonizer sy in
+          push_rep (canon aut.Automaton.start);
+          List.iter (fun s -> push_rep (canon s)) probe.Probe.seed_states;
           let exhaustive = ref true in
           let budget = probe.Probe.max_states in
           while not (Queue.is_empty queue) do
             let r, idx = Queue.pop queue in
-            check_rep mirrors r idx;
+            let succs = check_rep mirrors r idx in
             if !count >= budget then exhaustive := false
-            else begin
-              let succ a =
-                match aut.Automaton.step r a with Some s -> push s | None -> ()
-              in
-              List.iter succ probe.Probe.actions;
-              List.iter
-                (fun (t : ('s, 'a) Automaton.task) ->
-                  match t.Automaton.enabled r with Some a -> succ a | None -> ())
-                aut.Automaton.tasks
-            end
+            else Array.iter (Option.iter push_rep) succs
           done;
           Certified
             { c_n = n;

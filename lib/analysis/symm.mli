@@ -21,8 +21,10 @@
       under [sy_cmp].  Handed to [Space.explore ~symmetry] (or the
       parallel explorer) it quotients the seen-set by orbit;
       {!canonizer_w} additionally returns the witnessing permutation,
-      which {!Mc} uses to lift quotient counterexample paths back to
-      genuine runs of the unreduced system.
+      the kind of witness that lifts quotient counterexample paths back
+      to genuine runs of the unreduced system.  {!Mc} canonizes its
+      product states with a staged version of the same minimum, which
+      its tests check against {!canonizer_w}.
 
     {b Soundness.}  Checking equivariance for {e every} permutation at
     {e every representative} the quotient exploration discovers
@@ -40,6 +42,7 @@ module Perm : sig
   (** [p.(i)] is the image of location [i]. *)
 
   val identity : int -> t
+  val is_identity : t -> bool
   val apply : t -> int -> int
   val inverse : t -> t
   val compose : t -> t -> t
@@ -75,7 +78,9 @@ val perm_event :
 val rename_locs : n:int -> (int -> int) -> string -> string
 (** Rewrite every maximal ["p<digits>"] token naming a location below
     [n] through the permutation — the generic task renamer for the
-    catalog's ["fd_p0"] / ["crash_p1"] / ["FD-P/fd_p2"] conventions. *)
+    catalog's ["fd_p0"] / ["crash_p1"] / ["FD-P/fd_p2"] conventions.
+    Any other token, including one whose digits overflow an [int], is
+    not a location and is copied unchanged. *)
 
 val cmp_set : Afd_ioa.Loc.Set.t -> Afd_ioa.Loc.Set.t -> int
 (** Total order on location sets congruent with [Loc.Set.equal]

@@ -178,6 +178,149 @@ let test_sy_all_rows_ok () =
         true r.BC.sy_ok)
     (BC.sy_all ~max_states:4_000 ())
 
+(* --- rename_locs on tokens that name no location --- *)
+
+let test_rename_locs_non_locations () =
+  let swap01 i = match i with 0 -> 1 | 1 -> 0 | i -> i in
+  Alcotest.(check string) "locations below n are renamed" "fd_p1/crash_p0"
+    (Symm.rename_locs ~n:3 swap01 "fd_p0/crash_p1");
+  Alcotest.(check string) "an index >= n is left alone" "fd_p3"
+    (Symm.rename_locs ~n:3 swap01 "fd_p3");
+  Alcotest.(check string) "a token overflowing an int is left alone"
+    "fd_p99999999999999999999"
+    (Symm.rename_locs ~n:3 swap01 "fd_p99999999999999999999")
+
+(* --- a step that breaks only below the start state --- *)
+
+(* Flags over three processes: the first [Set i] raises flag [i]; every
+   later one raises flag [i] and flag 0 too.  Every check at the start
+   state passes, since the empty set is fixed by every permutation and
+   the first step is unbiased; the bias shows only at a deeper
+   representative. *)
+type flag = Set of int
+
+let biased_flags : (Afd_ioa.Loc.Set.t, flag) Afd_ioa.Automaton.t =
+  let module S = Afd_ioa.Loc.Set in
+  { Afd_ioa.Automaton.name = "biased-flags";
+    kind =
+      (fun (Set i) -> if i >= 0 && i < 3 then Some Afd_ioa.Automaton.Input else None);
+    start = S.empty;
+    step =
+      (fun s (Set i) ->
+        Some (if S.is_empty s then S.singleton i else S.add 0 (S.add i s)));
+    tasks = [];
+  }
+
+let test_deep_step_breaks () =
+  let module S = Afd_ioa.Loc.Set in
+  let symm =
+    { Probe.sy_n = 3;
+      sy_state = Symm.perm_set;
+      sy_action = (fun pif (Set i) -> Set (pif i));
+      sy_cmp = S.compare;
+      sy_fields = [];
+    }
+  in
+  let probe =
+    Probe.make ~equal_state:S.equal
+      ~hash_state:(fun s -> Hashtbl.hash (S.elements s))
+      ~symm [ Set 0; Set 1; Set 2 ]
+  in
+  match Symm.analyze biased_flags probe with
+  | Symm.Breaking w ->
+    Alcotest.(check bool) "a step witness" true (w.Symm.w_kind = `Step);
+    Alcotest.(check bool) "below the start state" true (w.Symm.w_state > 0)
+  | Symm.Certified _ -> Alcotest.fail "biased-flags must not certify"
+  | Symm.Unsupported r -> Alcotest.failf "unsupported: %s" r
+
+(* --- the staged canonizer is the orbit minimum --- *)
+
+(* Compare Mc's staged canonizer with [Symm.canonizer_w] over the
+   lifted descriptor on every representative of the n=4 quotient, every
+   successor of one (what exploration canonizes), and every permuted
+   image of one (so the witness is not always the identity). *)
+let staged_canonizer_agrees (BC.S { id; detector; symm; spec; _ }) =
+  match
+    Mc.quotient_view ~symmetry:(Option.get symm) ~n:4 spec ~detector:(detector 4)
+  with
+  | Error e -> Alcotest.failf "%s: %s" id e
+  | Ok qv ->
+    let sy = qv.Mc.qv_symmetry in
+    let reference = Symm.canonizer_w sy in
+    let compared = ref 0 in
+    let agree s =
+      incr compared;
+      let r1, w1 = qv.Mc.qv_canon s and r2, w2 = reference s in
+      if sy.Probe.sy_cmp r1 r2 <> 0 || w1 <> w2 then
+        Alcotest.failf "%s: staged canonizer disagrees (witness %s vs %s)" id
+          (Symm.Perm.to_string w1) (Symm.Perm.to_string w2)
+    in
+    let perms = Symm.Perm.all ~n:4 in
+    Array.iter
+      (fun r ->
+        agree r;
+        List.iter
+          (fun (t : _ Afd_ioa.Automaton.task) ->
+            match t.Afd_ioa.Automaton.enabled r with
+            | Some a -> Option.iter agree (qv.Mc.qv_product.Afd_ioa.Automaton.step r a)
+            | None -> ())
+          qv.Mc.qv_product.Afd_ioa.Automaton.tasks;
+        List.iter (fun pi -> agree (sy.Probe.sy_state (Symm.Perm.apply pi) r)) perms)
+      qv.Mc.qv_states;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: compared %d states" id !compared)
+      true
+      (!compared > Array.length qv.Mc.qv_states)
+
+let test_staged_canonizer () =
+  List.iter
+    (fun id -> staged_canonizer_agrees (List.find (fun s -> BC.id s = id) chk_subjects))
+    [ "CHK.p"; "CHK.s"; "CHK.sigma"; "CHK.dk" ]
+
+(* --- the ladder skips unreduced rungs past the first truncation --- *)
+
+let test_parametric_skips_raw_rungs () =
+  let (BC.S { detector; symm; spec; _ }) =
+    List.find (fun s -> BC.id s = "CHK.s") chk_subjects
+  in
+  let p = Mc.parametric ~symmetry:(Option.get symm) spec ~detector in
+  Alcotest.(check (list (option int)))
+    "raw counts at n=2..5: exhausted, then truncated at 4 and skipped at 5"
+    [ Some 150; Some 1788; None; None ]
+    (List.map (fun pt -> pt.Mc.pt_raw_states) p.Mc.par_points);
+  match Mc.check_spec ~n:5 spec ~detector:(detector 5) with
+  | Ok o ->
+    Alcotest.(check bool) "a direct unreduced run at n=5 truncates" true
+      (match o.Mc.verdict with Space.Truncated _ -> true | Space.Exhausted -> false)
+  | Error e -> Alcotest.failf "raw spec: %s" e
+
+(* --- golden rows --- *)
+
+(* [BC.sy_all ~max_states:4_000 ()] as computed with the unstaged
+   canonizer and every unreduced rung run: representatives, witnesses,
+   rep counts and raw state counts must not drift. *)
+let golden_sy_rows =
+  [
+    {|{"id": "CHK.p", "status": "certified", "detail": "30 reps x 6 perms", "states": 30, "raw_states": 1548, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":39,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":24,"transitions":52,"verdict":"exhausted","proved":true,"violated":[],"raw_states":150},{"n":3,"orbits":30,"transitions":100,"verdict":"exhausted","proved":true,"violated":[],"raw_states":1548},{"n":4,"orbits":35,"transitions":160,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":39,"transitions":230,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
+    {|{"id": "CHK.evp", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-EvP-noisy/fd_p0): task FD-EvP-noisy/fd_p2 enabled action is not the permuted one", "states": 1310, "raw_states": 1826, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.s", "status": "certified", "detail": "59 reps x 6 perms", "states": 59, "raw_states": 1788, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":101,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":37,"transitions":66,"verdict":"exhausted","proved":true,"violated":[],"raw_states":150},{"n":3,"orbits":59,"transitions":152,"verdict":"exhausted","proved":true,"violated":[],"raw_states":1788},{"n":4,"orbits":81,"transitions":280,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":101,"transitions":450,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
+    {|{"id": "CHK.evs", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-EvP-noisy/fd_p0): task FD-EvP-noisy/fd_p2 enabled action is not the permuted one", "states": 1310, "raw_states": 1826, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.omega", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Omega/fd_p0): task FD-Omega/fd_p2 enabled action is not the permuted one", "states": 580, "raw_states": 929, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.antiomega", "status": "breaking", "detail": "enabledness not equivariant under (p0 p1 p2) at state #0 (task FD-antiOmega/fd_p0): task FD-antiOmega/fd_p1 enabled action is not the permuted one", "states": 528, "raw_states": 877, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.omega2", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Omega2/fd_p0): task FD-Omega2/fd_p2 enabled action is not the permuted one", "states": 740, "raw_states": 1053, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.psi2", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Psi2/fd_p0): task FD-Psi2/fd_p2 enabled action is not the permuted one", "states": 740, "raw_states": 1053, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.sigma", "status": "certified", "detail": "99 reps x 6 perms", "states": 99, "raw_states": 2044, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":256,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":48,"transitions":78,"verdict":"exhausted","proved":true,"violated":[],"raw_states":172},{"n":3,"orbits":99,"transitions":214,"verdict":"exhausted","proved":true,"violated":[],"raw_states":2044},{"n":4,"orbits":171,"transitions":468,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":256,"transitions":876,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
+    {|{"id": "CHK.dk", "status": "certified", "detail": "30 reps x 6 perms", "states": 30, "raw_states": 1548, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":39,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":24,"transitions":52,"verdict":"exhausted","proved":true,"violated":[],"raw_states":150},{"n":3,"orbits":30,"transitions":100,"verdict":"exhausted","proved":true,"violated":[],"raw_states":1548},{"n":4,"orbits":35,"transitions":160,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":39,"transitions":230,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
+    {|{"id": "CHK.lying-p", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-EvP-noisy/fd_p0): task FD-EvP-noisy/fd_p2 enabled action is not the permuted one", "states": 695, "raw_states": 935, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.marabout", "status": "certified", "detail": "216 reps x 6 perms", "states": 216, "raw_states": 3771, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"refuted","n":2},"sym":{"status":"certified","n":2,"reps":66,"perms":2,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":66,"transitions":104,"verdict":"exhausted","proved":false,"violated":["exactness"],"raw_states":219}]}}|};
+    {|{"id": "CHK.flipflop", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-FlipFlop/fd_p0): task FD-FlipFlop/fd_p2 enabled action is not the permuted one", "states": 1488, "raw_states": 2369, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.silent", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Silent/fd_p0): task FD-Silent/fd_p2 enabled action is not the permuted one", "states": 119, "raw_states": 180, "agree": true, "ok": true, "parametric": null}|};
+  ]
+
+let test_sy_all_golden () =
+  Alcotest.(check (list string)) "sy_json rows" golden_sy_rows
+    (List.map (fun r -> r.BC.sy_json) (BC.sy_all ~max_states:4_000 ()))
+
 let suite =
   [ QCheck_alcotest.to_alcotest differential_prop;
     Alcotest.test_case "quotient pays at n=4 (FD-P)" `Quick test_quotient_at_n4;
@@ -188,4 +331,13 @@ let suite =
     Alcotest.test_case "parametric ladder: FD-P cutoff candidate" `Quick
       test_parametric_ladder_pin;
     Alcotest.test_case "sy_all: every row agrees" `Quick test_sy_all_rows_ok;
+    Alcotest.test_case "sy_all: rows match the golden JSON" `Quick test_sy_all_golden;
+    Alcotest.test_case "rename_locs leaves non-location tokens alone" `Quick
+      test_rename_locs_non_locations;
+    Alcotest.test_case "a step breaking below the start state is caught" `Quick
+      test_deep_step_breaks;
+    Alcotest.test_case "staged canonizer = Symm.canonizer_w at n=4" `Quick
+      test_staged_canonizer;
+    Alcotest.test_case "parametric skips raw rungs past a truncation" `Quick
+      test_parametric_skips_raw_rungs;
   ]
