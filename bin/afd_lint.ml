@@ -73,7 +73,10 @@ let () =
          with --mc, also re-verify each CHK subject under its declared \
          quotient and climb the parametric cutoff ladder" );
       ( "--max-states",
-        Arg.Int (fun n -> max_states := Some n),
+        Arg.Int
+          (fun n ->
+            if n < 1 then raise (Arg.Bad "--max-states expects a positive count");
+            max_states := Some n),
         "N override every exploration's state budget" );
       ( "--por",
         Arg.String

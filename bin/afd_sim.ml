@@ -430,9 +430,17 @@ let check_cmd =
              every reachable product state ($(b,--jobs) domains explore via \
              Pspace; the table is identical at any job count).")
   in
+  let positive_int =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected a positive count, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   let max_states_arg =
     Arg.(
-      value & opt (some int) None
+      value & opt (some positive_int) None
       & info [ "max-states" ] ~docv:"N"
           ~doc:"State budget per product exploration (with $(b,--mc)).")
   in

@@ -37,42 +37,48 @@ let commute aut probe s (tk_u, act_u) (tk_t, act_t) =
     | _ -> false)
   | _ -> false
 
-(* Orbit quotient as a wrapper: canonize the start state, the probe
-   seeds, and every successor the moment it is produced.  The explorer
-   below then sees only representatives, so its seen-set is the
-   quotient for free — one wrapper shared by the sequential and
-   parallel explorers.  Enabledness and edge actions are evaluated
-   at representatives, which is sound exactly when the subject carries
-   an equivariance certificate (see Symm / DESIGN.md). *)
-let quotient canon aut probe =
-  let open Automaton in
-  let aut' =
-    { aut with
-      start = canon aut.start;
-      step = (fun s a -> Option.map canon (aut.step s a));
-    }
-  in
-  let probe' =
-    { probe with Probe.seed_states = List.map canon probe.Probe.seed_states }
-  in
-  (aut', probe')
+type 's view = {
+  v_state : int -> 's;
+  v_find : 's -> int -> int;
+  v_expanded : int -> bool;
+}
+
+type ('s, 'a) expansion = {
+  x_probe : int -> int;
+  x_names : string array;
+  x_acts : 'a array;
+  x_step : int -> int;
+  x_commute : int -> int -> bool;
+  x_admit : ('s -> int -> int) -> int;
+}
 
 (* The seen-set is a bucket table keyed by [probe.hash_state]: a bucket
    holds the indices of all discovered states with that hash, scanned
    with the probe's (authoritative) state equality.  When no congruent
    hash is known the table degrades to a single bucket — exactly the
    old list scan, still exact. *)
-let rec explore ?(por = false) ?symmetry aut probe =
-  match symmetry with
-  | Some canon ->
-    let aut, probe = quotient canon aut probe in
-    explore ~por aut probe
-  | None -> explore_raw ~por aut probe
-
-and explore_raw ~por aut probe =
+let explore_with ?(por = false) ?symmetry expansions aut probe =
+  (* Orbit quotient as a wrapper: canonize the start state, the probe
+     seeds, and every successor the moment it is produced.  The core
+     then sees only representatives, so its seen-set is the quotient
+     for free, whichever expansion feeds it.  Enabledness and edge
+     actions are evaluated at representatives, which is sound exactly
+     when the subject carries an equivariance certificate (see Symm /
+     DESIGN.md). *)
+  let aut, probe =
+    match symmetry with
+    | None -> (aut, probe)
+    | Some canon ->
+      ( { aut with
+          Automaton.start = canon aut.Automaton.start;
+          step = (fun s a -> Option.map canon (aut.Automaton.step s a));
+        },
+        { probe with Probe.seed_states = List.map canon probe.Probe.seed_states } )
+  in
   let max_states = probe.Probe.max_states in
   let hash = match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0 in
   let equal = probe.Probe.equal_state in
+  let probe_acts = Array.of_list probe.Probe.actions in
   (* Parallel growable arrays indexed by discovery order. *)
   let states = ref [||] and n = ref 0 in
   let parent = ref [||] and depth = ref [||] in
@@ -100,11 +106,15 @@ and explore_raw ~por aut probe =
       grow queued false
     end
   in
-  let find_index s =
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt buckets (hash s)) in
-    List.find_opt (fun i -> equal (!states).(i) s) bucket
+  let find s h =
+    match Hashtbl.find_opt buckets h with
+    | None -> -1
+    | Some bucket -> (
+      match List.find_opt (fun i -> equal (!states).(i) s) bucket with
+      | Some i -> i
+      | None -> -1)
   in
-  let add_state s ~par ~d ~sl =
+  let add_state s h ~par ~d ~sl =
     ensure ();
     let i = !n in
     (!states).(i) <- s;
@@ -113,7 +123,6 @@ and explore_raw ~por aut probe =
     (!sleep).(i) <- sl;
     (!queued).(i) <- true;
     incr n;
-    let h = hash s in
     Hashtbl.replace buckets h (i :: Option.value ~default:[] (Hashtbl.find_opt buckets h));
     Queue.add i queue;
     i
@@ -122,88 +131,94 @@ and explore_raw ~por aut probe =
     incr transitions;
     edges_rev := { src; dst; act; task } :: !edges_rev
   in
-  (* Take the transition [act] from state [i]; [sl] is the sleep set the
-     successor inherits (always [] with POR off). *)
-  let take i act task sl =
-    match aut.Automaton.step (!states).(i) act with
-    | None -> ()
-    | Some s' -> (
-      match find_index s' with
-      | Some j ->
-        record_edge i j act task;
-        if por then begin
-          (* Re-reaching a state with a smaller sleep set re-opens the
-             moves the earlier visit was allowed to skip: shrink to the
-             intersection and re-expand, so sleeping prunes transitions
-             but never states. *)
-          let inter = List.filter (fun u -> List.mem u sl) (!sleep).(j) in
-          if List.length inter < List.length (!sleep).(j) then begin
-            (!sleep).(j) <- inter;
-            if not (!queued).(j) then begin
-              (!queued).(j) <- true;
-              Queue.add j queue
+  (* Take the transition [act] from state [i], whose successor the
+     expansion resolved to [code]; [sl] is the sleep set the successor
+     inherits (always [] with POR off). *)
+  let take x i act task sl code =
+    if code >= 0 then begin
+      let j = code in
+      record_edge i j act task;
+      if por then begin
+        (* Re-reaching a state with a smaller sleep set re-opens the
+           moves the earlier visit was allowed to skip: shrink to the
+           intersection and re-expand, so sleeping prunes transitions
+           but never states. *)
+        let inter = List.filter (fun u -> List.mem u sl) (!sleep).(j) in
+        if List.length inter < List.length (!sleep).(j) then begin
+          (!sleep).(j) <- inter;
+          if not (!queued).(j) then begin
+            (!queued).(j) <- true;
+            Queue.add j queue
+          end
+        end
+      end
+    end
+    else if code = -2 then begin
+      if !n < max_states then begin
+        let d = if (!depth).(i) = max_int then max_int else (!depth).(i) + 1 in
+        let j = x.x_admit (fun s h -> add_state s h ~par:(Some (i, act)) ~d ~sl) in
+        record_edge i j act task
+      end
+      else incr cut
+    end
+  in
+  let seed s ~d =
+    let h = hash s in
+    if find s h >= 0 then incr dup_seeds
+    else if !n < max_states then ignore (add_state s h ~par:None ~d ~sl:[])
+    else incr cut
+  in
+  seed aut.Automaton.start ~d:0;
+  List.iter (seed ~d:max_int) probe.Probe.seed_states;
+  let view =
+    { v_state = (fun i -> (!states).(i));
+      v_find = find;
+      v_expanded = (fun i -> (!expanded).(i));
+    }
+  in
+  let expansions = expansions aut probe view in
+  while not (Queue.is_empty queue) do
+    (* One round = the whole queue: FIFO order is the concatenation of
+       rounds, and states requeued or admitted below join the next. *)
+    let round = Array.init (Queue.length queue) (fun _ -> Queue.pop queue) in
+    let get = expansions round in
+    Array.iteri
+      (fun r i ->
+        let x = get r in
+        (!queued).(i) <- false;
+        if not (!expanded).(i) then begin
+          (* Probed (environment) actions are never reduced and are
+             taken once, on the first expansion. *)
+          (!expanded).(i) <- true;
+          Array.iteri (fun p act -> take x i act None [] (x.x_probe p)) probe_acts
+        end;
+        let names = x.x_names in
+        let k = Array.length names in
+        let index_of u =
+          let rec go v = if v >= k then -1 else if names.(v) = u then v else go (v + 1) in
+          go 0
+        in
+        for t = 0 to k - 1 do
+          let name = names.(t) in
+          if not (List.mem name (!done_moves).(i)) then begin
+            if por && List.mem name (!sleep).(i) then incr slept
+            else begin
+              let sl' =
+                if not por then []
+                else
+                  (* Sleep' = { u ∈ Sleep ∪ Done : independent(u, move, s) } *)
+                  List.filter
+                    (fun u ->
+                      let v = index_of u in
+                      v >= 0 && x.x_commute v t)
+                    (List.sort_uniq Stdlib.compare ((!sleep).(i) @ (!done_moves).(i)))
+              in
+              (!done_moves).(i) <- name :: (!done_moves).(i);
+              take x i x.x_acts.(t) (Some name) sl' (x.x_step t)
             end
           end
-        end
-      | None ->
-        if !n < max_states then begin
-          let d = if (!depth).(i) = max_int then max_int else (!depth).(i) + 1 in
-          let j = add_state s' ~par:(Some (i, act)) ~d ~sl in
-          record_edge i j act task
-        end
-        else incr cut)
-  in
-  if max_states > 0 then
-    ignore (add_state aut.Automaton.start ~par:None ~d:0 ~sl:[])
-  else incr cut;
-  List.iter
-    (fun s ->
-      match find_index s with
-      | Some _ -> incr dup_seeds
-      | None ->
-        if !n < max_states then ignore (add_state s ~par:None ~d:max_int ~sl:[])
-        else incr cut)
-    probe.Probe.seed_states;
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    (!queued).(i) <- false;
-    let s = (!states).(i) in
-    if not (!expanded).(i) then begin
-      (* Probed (environment) actions are never reduced and are taken
-         once, on the first expansion. *)
-      (!expanded).(i) <- true;
-      List.iter (fun act -> take i act None []) probe.Probe.actions
-    end;
-    let moves =
-      List.filter_map
-        (fun tk ->
-          match tk.Automaton.enabled s with Some a -> Some (tk, a) | None -> None)
-        aut.Automaton.tasks
-    in
-    List.iter
-      (fun (tk, act) ->
-        let name = tk.Automaton.task_name in
-        if not (List.mem name (!done_moves).(i)) then begin
-          if por && List.mem name (!sleep).(i) then incr slept
-          else begin
-            let sl' =
-              if not por then []
-              else
-                (* Sleep' = { u ∈ Sleep ∪ Done : independent(u, move, s) } *)
-                List.filter
-                  (fun u ->
-                    match
-                      List.find_opt (fun (tk2, _) -> tk2.Automaton.task_name = u) moves
-                    with
-                    | Some mu -> commute aut probe s mu (tk, act)
-                    | None -> false)
-                  (List.sort_uniq Stdlib.compare ((!sleep).(i) @ (!done_moves).(i)))
-            in
-            (!done_moves).(i) <- name :: (!done_moves).(i);
-            take i act (Some name) sl'
-          end
-        end)
-      moves
+        done)
+      round
   done;
   {
     states = Array.sub !states 0 !n;
@@ -214,6 +229,48 @@ and explore_raw ~por aut probe =
     por;
     stats = { transitions = !transitions; slept = !slept; cut = !cut; dup_seeds = !dup_seeds };
   }
+
+(* The sequential expansion: everything is computed in place, when the
+   core asks, against the live seen-set — so a move the core skips
+   (done, slept) is never stepped, and a fresh successor is parked
+   until the core admits it. *)
+let sequential aut probe view =
+  let hash = match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0 in
+  let probe_acts = Array.of_list probe.Probe.actions in
+  let parked = ref aut.Automaton.start and parked_h = ref 0 in
+  let x_admit add = add !parked !parked_h in
+  fun round r ->
+    let s = view.v_state round.(r) in
+    let code act =
+      match aut.Automaton.step s act with
+      | None -> -1
+      | Some s' ->
+        let h = hash s' in
+        let j = view.v_find s' h in
+        if j >= 0 then j
+        else begin
+          parked := s';
+          parked_h := h;
+          -2
+        end
+    in
+    let moves =
+      Array.of_list
+        (List.filter_map
+           (fun tk ->
+             match tk.Automaton.enabled s with Some a -> Some (tk, a) | None -> None)
+           aut.Automaton.tasks)
+    in
+    let x_acts = Array.map snd moves in
+    { x_probe = (fun p -> code probe_acts.(p));
+      x_names = Array.map (fun (tk, _) -> tk.Automaton.task_name) moves;
+      x_acts;
+      x_step = (fun t -> code x_acts.(t));
+      x_commute = (fun u t -> commute aut probe s moves.(u) moves.(t));
+      x_admit;
+    }
+
+let explore ?por ?symmetry aut probe = explore_with ?por ?symmetry sequential aut probe
 
 let reachable t = Array.to_list t.states
 

@@ -10,6 +10,13 @@
     [max_states] budget.  The model checker ({!Mc}) and the
     graph-backed lint rules are built on top of this module.
 
+    {b One core.}  The BFS bookkeeping — seen-set, parent tree, depths,
+    sleep sets, edges, seeds, budget cuts — exists once, in
+    {!explore_with}.  {!explore} feeds it states expanded in place;
+    the parallel explorer ({!Pspace}) feeds it expansions its workers
+    computed.  The compiled explorer ({!Cspace}) keeps its own packed
+    copy, checked against this one by the differential tests.
+
     {b Partial-order reduction.}  With [~por:true] the explorer runs a
     sleep-set reduction (Godefroid): when two task transitions commute
     at a state — both orders are defined and converge to the same state
@@ -86,14 +93,58 @@ val explore :
     certificate — the engine enforces that; handing an uncertified
     canonizer here silently merges genuinely distinct states. *)
 
-val quotient :
-  ('s -> 's) ->
+(** {1 The BFS core} *)
+
+(** Read access to the core's seen-set for an expansion producer.  It
+    does not change while the producer computes a round, so a parallel
+    producer may read it from any domain then. *)
+type 's view = {
+  v_state : int -> 's;  (** state at a discovery index *)
+  v_find : 's -> int -> int;  (** index of a state given with its hash, or [-1] *)
+  v_expanded : int -> bool;  (** were the state's probe actions taken already? *)
+}
+
+(** One frontier state's expansion.  A successor {e code} is [-1] for
+    a blocked step, the index of an already-seen successor, or [-2]
+    for a fresh one, which the expansion parks until the core admits
+    it through [x_admit] or cuts it at the budget.  The core asks for
+    codes in the order it takes the moves, settling each before it
+    asks for the next. *)
+type ('s, 'a) expansion = {
+  x_probe : int -> int;
+      (** code of the [p]-th probe action; asked only on the state's
+          first expansion *)
+  x_names : string array;  (** enabled task moves, task-list order *)
+  x_acts : 'a array;  (** their actions *)
+  x_step : int -> int;  (** code of the [t]-th enabled move *)
+  x_commute : int -> int -> bool;
+      (** [x_commute u t]: do moves [u] and [t] commute at the state
+          ({!commute})?  Asked only with POR on. *)
+  x_admit : ('s -> int -> int) -> int;
+      (** give the parked successor and its hash to the core's
+          insertion function; returns the index it got *)
+}
+
+val explore_with :
+  ?por:bool ->
+  ?symmetry:('s -> 's) ->
+  (('s, 'a) Afd_ioa.Automaton.t ->
+  ('s, 'a) Probe.t ->
+  's view ->
+  int array ->
+  int ->
+  ('s, 'a) expansion) ->
   ('s, 'a) Afd_ioa.Automaton.t ->
   ('s, 'a) Probe.t ->
-  ('s, 'a) Afd_ioa.Automaton.t * ('s, 'a) Probe.t
-(** The wrapper [explore ~symmetry] applies: canonized start/seeds and a
-    step that canonizes every successor.  Exposed so the parallel
-    explorer ({!Pspace}) quotients the same way. *)
+  ('s, 'a) t
+(** [explore_with expansions aut probe] is the core: it applies the
+    [symmetry] wrapper, seeds the queue and calls
+    [expansions aut' probe' view] once, with the quotiented automaton
+    and probe.  It then drains the queue one round at a time: the
+    result is applied to each round's frontier (indices, queue order),
+    and the core asks that for the [r]-th state's expansion right
+    before processing it.  {!explore} is [explore_with] on the
+    sequential expansion. *)
 
 val reachable : ('s, 'a) t -> 's list
 (** The states in discovery order; the start state is first. *)

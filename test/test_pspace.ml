@@ -9,9 +9,17 @@
    liveness lassos, lint reports, JSON) is then byte-identical at any
    --jobs, which the coarser-grained tests here confirm end to end.
 
+   Both explorers run Space's one BFS core, so the differential no
+   longer compares two copies of the bookkeeping.  The well-formedness
+   sweep below checks the explorations against the automaton itself
+   instead (edges and parents replay, states distinct, counts and
+   verdict consistent, POR-off depths are BFS distances), on Pspace and
+   on the compiled explorer, which keeps its own packed copy of the
+   bookkeeping.
+
    A worker that raises mid-exploration must propagate the exception
-   out of the explorer and leave a shared pool usable — the
-   crash-safety half of the contract. *)
+   out of the explorer without leaking domains — the crash-safety half
+   of the contract. *)
 
 open Afd_ioa
 open Afd_core
@@ -24,11 +32,16 @@ module BC = Afd_bench.Check
 let chk_subjects = BC.subjects @ BC.liveness_subjects
 
 (* Close one CHK subject like Mc.check_spec does — detector composed
-   with the crash automaton over the full universe — and compare the
-   sequential and parallel explorations structurally.  The GADT match
-   and everything typed by its existentials stay inside this one
-   function. *)
-let subject_agrees ~por ~jobs ~max_states (BC.S { n; detector; _ }) =
+   with the crash automaton over the full universe — and hand the
+   composition, its automaton and an exploration probe to [f].  The
+   GADT match and everything typed by its existentials stay inside
+   this one function. *)
+type 'r closed = {
+  f : 'a. 'a Composition.t -> ('a Composition.state, 'a) Automaton.t ->
+      ('a Composition.state, 'a) Probe.t -> 'r;
+}
+
+let with_closed ~max_states (BC.S { n; detector; _ }) { f } =
   let crashable = Loc.set_of_universe ~n in
   let comp =
     Composition.make ~name:"chk-closed"
@@ -36,14 +49,142 @@ let subject_agrees ~por ~jobs ~max_states (BC.S { n; detector; _ }) =
         Component.C (Afd_automata.crash_automaton ~n ~crashable);
       ]
   in
-  let aut = Composition.as_automaton comp in
   let probe =
     Probe.make ~equal_state:Composition.equal_state
       ~hash_state:Composition.hash_state ~max_states []
   in
-  let seq = Space.explore ~por aut probe in
-  let par = Pspace.explore ~por ~jobs aut probe in
-  Space.agree ~equal_state:Composition.equal_state ~equal_action:( = ) seq par
+  f comp (Composition.as_automaton comp) probe
+
+(* The sequential and parallel explorations agree structurally. *)
+let subject_agrees ~por ~jobs ~max_states subj =
+  with_closed ~max_states subj
+    { f =
+        (fun _ aut probe ->
+          Space.agree ~equal_state:Composition.equal_state ~equal_action:( = )
+            (Space.explore ~por aut probe)
+            (Pspace.explore ~por ~jobs aut probe));
+    }
+
+(* --- well-formedness, independent of the explorer code ---
+
+   What any exploration of [aut] must satisfy, checked against the
+   automaton and the probe alone: the first violation, if any. *)
+let well_formed aut probe (sp : _ Space.t) =
+  let eq = probe.Probe.equal_state in
+  let n = Array.length sp.Space.states in
+  let replays src act dst =
+    match aut.Automaton.step sp.Space.states.(src) act with
+    | Some s' -> eq s' sp.Space.states.(dst)
+    | None -> false
+  in
+  let fail = ref None in
+  let check ok msg = if !fail = None && not ok then fail := Some (Lazy.force msg) in
+  Array.iteri
+    (fun e { Space.src; dst; act; _ } ->
+      check (replays src act dst) (lazy (Printf.sprintf "edge %d does not replay" e)))
+    sp.Space.edges;
+  let edge_set = Hashtbl.create 64 in
+  Array.iter
+    (fun { Space.src; dst; act; _ } -> Hashtbl.replace edge_set (src, dst, act) ())
+    sp.Space.edges;
+  Array.iteri
+    (fun i par ->
+      match par with
+      | None -> ()
+      | Some (p, act) ->
+        check (replays p act i) (lazy (Printf.sprintf "parent of %d does not replay" i));
+        check
+          (Hashtbl.mem edge_set (p, i, act))
+          (lazy (Printf.sprintf "parent edge of %d not recorded" i));
+        let dp = sp.Space.depth.(p) in
+        check
+          (sp.Space.depth.(i) = if dp = max_int then max_int else dp + 1)
+          (lazy (Printf.sprintf "depth of %d is not its parent's + 1" i)))
+    sp.Space.parent;
+  let hash = Option.value ~default:(fun _ -> 0) probe.Probe.hash_state in
+  let buckets = Hashtbl.create 64 in
+  Array.iteri
+    (fun i s ->
+      let h = hash s in
+      let b = Option.value ~default:[] (Hashtbl.find_opt buckets h) in
+      List.iter
+        (fun j ->
+          check (not (eq sp.Space.states.(j) s))
+            (lazy (Printf.sprintf "states %d and %d are equal" j i)))
+        b;
+      Hashtbl.replace buckets h (i :: b))
+    sp.Space.states;
+  check
+    (sp.Space.stats.Space.transitions = Array.length sp.Space.edges)
+    (lazy "transitions <> |edges|");
+  check (n <= probe.Probe.max_states) (lazy "more states than max_states");
+  check
+    ((sp.Space.verdict = Space.Exhausted) = (sp.Space.stats.Space.cut = 0))
+    (lazy "verdict disagrees with the cut count");
+  if not sp.Space.por then begin
+    (* BFS distances from state 0 over the recorded edges *)
+    let dist = Array.make n max_int in
+    let adj = Array.make n [] in
+    Array.iter (fun { Space.src; dst; _ } -> adj.(src) <- dst :: adj.(src)) sp.Space.edges;
+    let q = Queue.create () in
+    if n > 0 then begin
+      dist.(0) <- 0;
+      Queue.add 0 q
+    end;
+    while not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      List.iter
+        (fun v ->
+          if dist.(v) = max_int then begin
+            dist.(v) <- dist.(u) + 1;
+            Queue.add v q
+          end)
+        adj.(u)
+    done;
+    Array.iteri
+      (fun i d ->
+        if d <> max_int then
+          check (d = dist.(i))
+            (lazy (Printf.sprintf "depth of %d is not its BFS distance" i)))
+      sp.Space.depth
+  end;
+  !fail
+
+(* Explore one closed CHK subject with Pspace and with the compiled
+   explorer; the failures of both, labelled. *)
+let subject_well_formed ~por ~jobs ~max_states subj =
+  with_closed ~max_states subj
+    { f =
+        (fun comp aut probe ->
+          List.filter_map
+            (fun (name, sp) ->
+              Option.map (fun m -> name ^ ": " ^ m) (well_formed aut probe sp))
+            [ ("Pspace", Pspace.explore ~por ~jobs aut probe);
+              ("Cspace", Cspace.explore_composition ~por ~jobs comp probe);
+            ]);
+    }
+
+let test_well_formed () =
+  let runs = ref 0 in
+  List.iter
+    (fun subj ->
+      List.iter
+        (fun por ->
+          List.iter
+            (fun max_states ->
+              List.iter
+                (fun jobs ->
+                  incr runs;
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "%s por=%b max_states=%d jobs=%d well-formed"
+                       (BC.id subj) por max_states jobs)
+                    []
+                    (subject_well_formed ~por ~jobs ~max_states subj))
+                [ 1; 2 ])
+            [ 7; 400; 3_000 ])
+        [ false; true ])
+    chk_subjects;
+  Alcotest.(check int) "every combination ran" (14 * 2 * 3 * 2) !runs
 
 (* --- qcheck: parallel == sequential across the catalog ---
 
@@ -165,13 +306,17 @@ let test_mc_por_byte_equality () =
 (* --- lint engine: whole report identical at any jobs --- *)
 
 let test_lint_report_jobs_invariant () =
-  let report jobs =
+  let report ~por jobs =
     Afd_analysis.Report.to_json
-      (Engine.run ~rules:(Rules.all @ Rules.mc) ~max_states:2_000 ~jobs
+      (Engine.run ~rules:(Rules.all @ Rules.mc) ~max_states:2_000 ~por ~jobs
          (Catalog.items ()))
   in
-  Alcotest.(check string) "lint JSON identical at jobs 1 vs 3" (report 1)
-    (report 3)
+  List.iter
+    (fun por ->
+      Alcotest.(check string)
+        (Printf.sprintf "lint JSON identical at jobs 1 vs 3, por=%b" por)
+        (report ~por 1) (report ~por 3))
+    [ false; true ]
 
 (* --- crash safety: a raising step mid-exploration --- *)
 
@@ -197,18 +342,6 @@ let bomb ~armed =
 
 let int_probe = Probe.make ~hash_state:(fun s -> s) ~max_states:1_000 []
 
-let test_raise_propagates_and_pool_survives () =
-  Afd_runner.Pool.with_pool ~jobs:3 (fun pool ->
-      (match Pspace.explore_pool pool (bomb ~armed:true) int_probe with
-      | exception Boom -> ()
-      | _ -> Alcotest.fail "expected the worker exception to propagate");
-      (* the same pool is not poisoned: a clean exploration on it still
-         agrees with the sequential explorer *)
-      let seq = Space.explore (bomb ~armed:false) int_probe in
-      let par = Pspace.explore_pool pool (bomb ~armed:false) int_probe in
-      Alcotest.(check bool) "pool survives a raising exploration" true
-        (Space.agree ~equal_state:( = ) ~equal_action:( = ) seq par))
-
 let test_explore_raise_no_leak () =
   (* the one-shot entry point joins its domains before re-raising *)
   match Pspace.explore ~jobs:4 (bomb ~armed:true) int_probe with
@@ -219,6 +352,8 @@ let suite =
   [ QCheck_alcotest.to_alcotest differential_prop;
     Alcotest.test_case "catalog x por x jobs: structural equality" `Quick
       test_catalog_structural_equality;
+    Alcotest.test_case "Pspace and Cspace explorations are well-formed" `Quick
+      test_well_formed;
     Alcotest.test_case "list == hashed == parallel on the whole catalog" `Quick
       test_three_explorer_congruence;
     Alcotest.test_case "MC table and JSON byte-identical at jobs 1 vs 4" `Quick
@@ -227,8 +362,6 @@ let suite =
       test_mc_por_byte_equality;
     Alcotest.test_case "lint report JSON identical at any jobs" `Quick
       test_lint_report_jobs_invariant;
-    Alcotest.test_case "raising step propagates, shared pool survives" `Quick
-      test_raise_propagates_and_pool_survives;
     Alcotest.test_case "one-shot explore joins domains on failure" `Quick
       test_explore_raise_no_leak;
   ]
