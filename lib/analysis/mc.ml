@@ -128,9 +128,10 @@ let rt_cmp_sem a b =
   | C_fold f, C_fold g -> (
     match f.fold.P.fcmp with
     | Some c -> c f.acc (Obj.magic g.acc)
-    | None -> (
-      try Stdlib.compare (Obj.repr f.acc) (Obj.repr g.acc)
-      with Invalid_argument _ -> 0))
+    | None ->
+      (* [setup] falls back before any quotient when a fold lacks
+         [fcmp]; guessing here could only merge states wrongly. *)
+      invalid_arg "Mc.rt_cmp_sem: fold clause has no semantic order (fcmp)")
   | C_always _, _ -> -1
   | _, C_always _ -> 1
   | C_until _, C_fold _ -> -1
@@ -261,32 +262,38 @@ let setup ~max_states ~por ?(len_cap = 8) ?(count_cap = 1) ?(equal_out = Stdlib.
     | Latched _, Running _ | Running _, Latched _ -> false
   in
   let mix h v = (h * 131) + v in
-  let phash_gen tl = function
+  (* Product hash, congruent with [pequal_gen]: it reads every field the
+     equality reads, folding over sets and maps in their key order
+     rather than building lists.  [acc] is whether [Fold] accumulators
+     join: under structural identity ([rt_equal], [obj_equal]) equal
+     accumulators are structurally equal and so hash equal; quotient
+     runs compare them through [fcmp], whose classes (transported
+     accumulators of differing AVL shape) have no congruent hash, so
+     there they are skipped.  [tl] is whether the liveness enrichment
+     (last outputs, capped counts) joins the identity. *)
+  let phash_gen ~acc tl = function
     | Latched { clause; reason } -> Hashtbl.hash (clause, reason)
     | Running r ->
-      let h = mix (hash_state r.sys) (min r.summary.P.len len_cap) in
-      let h = mix h (Hashtbl.hash (Loc.Set.elements r.summary.P.crashed)) in
-      (* Fold accumulators are skipped (no congruent hash across the
-         existential); Until flags are cheap and discriminating. *)
+      let s = r.summary in
+      let h = mix (hash_state r.sys) (min s.P.len len_cap) in
+      let h = Loc.Set.fold (fun l h -> mix h l) s.P.crashed (mix h (-1)) in
       let h =
         Array.fold_left
-          (fun h c -> match c with C_until u -> mix h (Bool.to_int u.released) | _ -> h)
+          (fun h c ->
+            match c with
+            | C_always _ -> h
+            | C_until u -> mix h (Bool.to_int u.released)
+            | C_fold f -> if acc then mix h (Hashtbl.hash (Obj.repr f.acc)) else h)
           h r.rts
       in
       if not tl then h
-      else begin
-        (* Congruent with the enriched equality: [equal_out] may be
-           coarser than structural equality on payloads, so only the
-           [last_output] domain is hashed; capped counts are ints. *)
-        let h =
-          mix h (Hashtbl.hash (List.map fst (Loc.Map.bindings r.summary.P.last_output)))
-        in
-        mix h
-          (Hashtbl.hash
-             (List.map
-                (fun (l, c) -> (l, min c count_cap))
-                (Loc.Map.bindings r.summary.P.output_counts)))
-      end
+      else
+        (* [equal_out] may be coarser than structural equality on
+           payloads, so only the [last_output] domain is hashed. *)
+        let h = Loc.Map.fold (fun l _ h -> mix h l) s.P.last_output (mix h (-2)) in
+        Loc.Map.fold
+          (fun l c h -> mix (mix h l) (min c count_cap))
+          s.P.output_counts (mix h (-3))
   in
   (* --- symmetry: lift the declared system action to product states,
      certify equivariance over the quotient, or fall back --- *)
@@ -414,7 +421,7 @@ let setup ~max_states ~por ?(len_cap = 8) ?(count_cap = 1) ?(equal_out = Stdlib.
         in
         let ahash = function
           | Latched { clause; _ } -> Hashtbl.hash clause
-          | st -> phash_gen false st
+          | st -> phash_gen ~acc:false false st
         in
         (* Event equality through [equal_out]: permuted payloads are
            rebuilt sets/maps whose AVL shape may differ from stepped
@@ -448,11 +455,12 @@ let setup ~max_states ~por ?(len_cap = 8) ?(count_cap = 1) ?(equal_out = Stdlib.
   let track_live = stables <> [] && (not por) && not quotient in
   (* Unreduced runs keep the historical structural accumulator
      identity (byte-identical outcomes); quotient runs need the
-     semantic one so transported accumulators merge. *)
+     semantic one so transported accumulators merge.  The hash follows:
+     accumulators join it only under the structural identity. *)
   let rt_eq = if quotient then rt_equal_sem else rt_equal in
   let probe =
     Probe.make ~equal_state:(pequal_gen ~rt_eq track_live)
-      ~hash_state:(phash_gen track_live) ~max_states []
+      ~hash_state:(phash_gen ~acc:(not quotient) track_live) ~max_states []
   in
   { names; stables; product; probe; resolved }
 
@@ -643,20 +651,27 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
       List.iter
         (fun (cname, judge) ->
           (* Discovery order is nondecreasing depth: the first pivot
-             found yields the shortest stem. *)
+             found yields the shortest stem.  The graph tests go first,
+             so the judge (which formats a reason for every non-[Sat]
+             state) runs only on pivot candidates. *)
           let pivot = ref None in
           let i = ref 0 in
           while !pivot = None && !i < nstates do
             (match space.Space.states.(!i) with
             | Latched _ -> ()
             | Running r -> (
-              match judge r.summary with
-              | P.J_sat -> ()
-              | P.J_violated reason | P.J_undecided reason ->
-                if Live.fair_cycle_through live !i then
-                  pivot := Some (!i, reason, `Cycle)
-                else if Live.fair_stop_at live !i then
-                  pivot := Some (!i, reason, `Stop)));
+              let kind =
+                if Live.fair_cycle_through live !i then Some `Cycle
+                else if Live.fair_stop_at live !i then Some `Stop
+                else None
+              in
+              match kind with
+              | None -> ()
+              | Some kind -> (
+                match judge r.summary with
+                | P.J_sat -> ()
+                | P.J_violated reason | P.J_undecided reason ->
+                  pivot := Some (!i, reason, kind))));
             incr i
           done;
           match !pivot with

@@ -44,7 +44,18 @@
     [equal_out]) and [output_counts] capped at [count_cap] (default 1)
     so that every Stable judge is a function of the merged state.  A
     clause comparing [len] against a bound above [len_cap], or counts
-    above [count_cap], needs those caps raised. *)
+    above [count_cap], needs those caps raised.
+
+    The seen-set hash reads every field this equality reads: the
+    system state's hash, the capped length, the crashed set, the
+    [Until] flags and, with liveness in scope, the [last_output]
+    domain and the capped counts.  Without a certified symmetry
+    quotient, [Fold] accumulators compare structurally and are hashed
+    structurally too.  Under a quotient they compare through the
+    fold's semantic order ([fcmp]), which has no congruent hash, so
+    quotient runs (and the certification sweep) leave them out of the
+    hash: states that differ only there share a bucket and are told
+    apart by the equality. *)
 
 open Afd_ioa
 open Afd_prop

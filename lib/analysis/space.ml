@@ -85,7 +85,7 @@ let explore_with ?(por = false) ?symmetry expansions aut probe =
   let sleep = ref [||] and done_moves = ref [||] in
   let expanded = ref [||] and queued = ref [||] in
   let buckets : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let edges_rev = ref [] and transitions = ref 0 in
+  let edges = ref [||] and transitions = ref 0 in
   let slept = ref 0 and cut = ref 0 and dup_seeds = ref 0 in
   let queue = Queue.create () in
   let ensure () =
@@ -128,8 +128,15 @@ let explore_with ?(por = false) ?symmetry expansions aut probe =
     i
   in
   let record_edge src dst act task =
-    incr transitions;
-    edges_rev := { src; dst; act; task } :: !edges_rev
+    let e = { src; dst; act; task } in
+    let cap = Array.length !edges in
+    if !transitions >= cap then begin
+      let b = Array.make (max 8 (2 * cap)) e in
+      Array.blit !edges 0 b 0 cap;
+      edges := b
+    end;
+    (!edges).(!transitions) <- e;
+    incr transitions
   in
   (* Take the transition [act] from state [i], whose successor the
      expansion resolved to [code]; [sl] is the sleep set the successor
@@ -222,7 +229,7 @@ let explore_with ?(por = false) ?symmetry expansions aut probe =
   done;
   {
     states = Array.sub !states 0 !n;
-    edges = Array.of_list (List.rev !edges_rev);
+    edges = Array.sub !edges 0 !transitions;
     parent = Array.sub !parent 0 !n;
     depth = Array.sub !depth 0 !n;
     verdict = (if !cut = 0 then Exhausted else Truncated max_states);

@@ -167,6 +167,36 @@ let test_mc_truthful_proved () =
     Alcotest.(check bool) "some safety clauses were checked" true
       (o.Mc.safety_clauses <> [])
 
+(* The three subjects whose specs carry [Fold] clauses, at n=4: their
+   product identity compares accumulators, so their state counts pin
+   the seen-set's merging (a hash that split equal states would add
+   states; one that merged unequal ones would drop them). *)
+let test_mc_fold_subjects_n4 () =
+  let pinned =
+    [ ("CHK.s", 25_632, 58_536, true);
+      ("CHK.sigma", 27_552, 62_304, true);
+      ("CHK.marabout", 85_199, 184_368, false);
+    ]
+  in
+  List.iter
+    (fun (id, states, transitions, proved) ->
+      match
+        List.find_opt
+          (fun (Afd_bench.Check.S s) -> String.equal s.id id)
+          Afd_bench.Check.subjects
+      with
+      | None -> Alcotest.failf "missing subject %s" id
+      | Some (Afd_bench.Check.S s) -> (
+        match Mc.check_spec ~n:4 ~max_states:200_000 s.spec ~detector:(s.detector 4) with
+        | Error e -> Alcotest.fail e
+        | Ok o ->
+          Alcotest.(check string) (id ^ " verdict") "exhausted"
+            (Space.verdict_string o.Mc.verdict);
+          Alcotest.(check int) (id ^ " states") states o.Mc.states;
+          Alcotest.(check int) (id ^ " transitions") transitions o.Mc.transitions;
+          Alcotest.(check bool) (id ^ " proved") proved o.Mc.proved))
+    pinned
+
 let find_mc id rs =
   match List.find_opt (fun r -> String.equal r.Afd_bench.Check.mc_id id) rs with
   | Some r -> r
@@ -343,6 +373,8 @@ let suite =
       test_mc_truthful_proved;
     Alcotest.test_case "MC: 10 proofs, 4 confirmed refutations" `Quick
       test_mc_all_subjects;
+    Alcotest.test_case "MC at n=4: fold subjects' states and verdicts pinned" `Quick
+      test_mc_fold_subjects_n4;
     QCheck_alcotest.to_alcotest containment_prop;
     QCheck_alcotest.to_alcotest collision_prop;
   ]
