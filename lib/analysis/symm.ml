@@ -1,11 +1,13 @@
 (* Static symmetry inference and orbit canonicalization.
 
-   The soundness contract is spelled out in symm.mli and DESIGN.md: we
-   check equivariance for EVERY permutation at EVERY representative a
-   bounded quotient exploration discovers.  Only the full group at the
-   representatives lets the inductive argument factor an arbitrary
-   reachable state s of the unreduced system as rho . r with r a
-   discovered representative; generator-only or sampled checks do not
+   The soundness contract is spelled out in symm.mli and DESIGN.md: the
+   inductive argument factors an arbitrary reachable state s of the
+   unreduced system as rho . r with r a discovered representative, so
+   it needs equivariance for EVERY permutation at EVERY representative.
+   We obtain that by checking the two generators of S_n at every
+   element of each representative's orbit: chained along the orbit,
+   they imply every permutation at the representative.  Generator
+   checks at the representative alone, or sampled checks, do not
    compose into a certificate. *)
 
 open Afd_ioa
@@ -212,7 +214,19 @@ let disagreeing_field fields s1 s2 =
       else Some f.f_name)
     fields
 
-let analyze (aut : ('s, 'a) Automaton.t) (probe : ('s, 'a) Probe.t) : verdict =
+(* One element [x] of a representative's orbit.  For each slot [i] of
+   [x] (a probed action or a task), [src.(i)] is the representative's
+   slot that it mirrors, [acts.(i)] its action (a task's enabled one,
+   if any) and [succs.(i)] the successor [x] takes by it.  Only the
+   walk's queue holds images; the orbit set keeps each [src] alone. *)
+type ('s, 'a) image = {
+  x : 's;
+  src : int array;
+  acts : 'a option array;
+  succs : 's option array;
+}
+
+let analyze (type s a) (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t) : verdict =
   match probe.Probe.symm with
   | None -> Unsupported "no declared symmetry"
   | Some sy ->
@@ -289,72 +303,85 @@ let analyze (aut : ('s, 'a) Automaton.t) (probe : ('s, 'a) Probe.t) : verdict =
               if not (f.f_equal there here) then status := `Indexed)
             field_status
         in
-        (* Task mirroring and the probed actions' images are
-           state-independent: resolve, once per permutation, which task
-           plays each task's role after renaming (and that the fairness
-           flags agree), and the permuted probe actions. *)
-        let mirrors () =
-          List.map
-            (fun pi ->
-              let pif = Perm.apply pi in
-              let ms =
-                List.map
-                  (fun (t : ('s, 'a) Automaton.task) ->
-                    let name' = rename_locs ~n pif t.Automaton.task_name in
-                    match
-                      List.find_opt
-                        (fun (t' : ('s, 'a) Automaton.task) ->
-                          String.equal t'.Automaton.task_name name')
-                        aut.Automaton.tasks
-                    with
-                    | None ->
-                        raise
-                          (Broken
-                             { w_kind = `Task;
-                               w_field = None;
-                               w_task = Some t.Automaton.task_name;
-                               w_perm = Perm.to_string pi;
-                               w_state = 0;
-                               w_detail =
-                                 Fmt.str "no task named %s to mirror it" name';
-                             })
-                    | Some t' ->
-                        if t'.Automaton.fair <> t.Automaton.fair then
-                          raise
-                            (Broken
-                               { w_kind = `Task;
-                                 w_field = None;
-                                 w_task = Some t.Automaton.task_name;
-                                 w_perm = Perm.to_string pi;
-                                 w_state = 0;
-                                 w_detail =
-                                   Fmt.str "fairness flag differs from task %s"
-                                     name';
-                               });
-                        t')
-                  aut.Automaton.tasks
-              in
-              (pi, pif, ms, List.map (sy.Probe.sy_action pif) probe.Probe.actions))
-            nontrivial
+        (* A state's slots: the probed actions (in probe order), then
+           the tasks (in task order).  A permutation moves a probed
+           action to the first probed action equal to its image (one
+           exists once [check_global] passes), and a task to its
+           mirror: the task named by renaming its locations, which must
+           exist and carry the same fairness flag.  Like the global
+           checks, the slot maps are state-independent. *)
+        let tasks = Array.of_list aut.Automaton.tasks in
+        let nprobe = List.length probe.Probe.actions in
+        let nslots = nprobe + Array.length tasks in
+        let index p xs =
+          let rec go i = function
+            | [] -> None
+            | x :: xs -> if p x then Some i else go (i + 1) xs
+          in
+          go 0 xs
         in
-        (* Per-representative equivariance: steps on probed actions, and
-           task correspondence (the mirrored task's enabled action is
-           the permuted one, successors permute).  [succ] is [r]'s own
-           successor under [a], computed once per representative; [r']
-           the permuted representative, computed once per (state,
-           permutation); [a_img] the action standing for the permuted
-           [a] on that side — for task checks it is the mirror task's
-           own enabled action, which is [equal_action]-equal to the
-           transported one but produced by the automaton itself,
-           exactly as quotient exploration produces it (transported
-           payloads may be semantically equal yet structurally distinct
-           rebuilds).  Returns the permuted successor, if any. *)
-        let check_step pi pif r' idx a succ a_img =
+        let slot_map pi =
+          let pif = Perm.apply pi in
+          let mirror (t : (s, a) Automaton.task) =
+            let name' = rename_locs ~n pif t.Automaton.task_name in
+            let broken detail =
+              Broken
+                { w_kind = `Task;
+                  w_field = None;
+                  w_task = Some t.Automaton.task_name;
+                  w_perm = Perm.to_string pi;
+                  w_state = 0;
+                  w_detail = detail;
+                }
+            in
+            match
+              index
+                (fun (t' : (s, a) Automaton.task) ->
+                  String.equal t'.Automaton.task_name name')
+                aut.Automaton.tasks
+            with
+            | None -> raise (broken (Fmt.str "no task named %s to mirror it" name'))
+            | Some j ->
+                if tasks.(j).Automaton.fair <> t.Automaton.fair then
+                  raise (broken (Fmt.str "fairness flag differs from task %s" name'));
+                nprobe + j
+          in
+          let image a =
+            Option.get (index (equal_action (sy.Probe.sy_action pif a)) probe.Probe.actions)
+          in
+          ( pi,
+            pif,
+            Array.append
+              (Array.of_list (List.map image probe.Probe.actions))
+              (Array.map mirror tasks) )
+        in
+        let own r =
+          let acts =
+            Array.append
+              (Array.of_list (List.map Option.some probe.Probe.actions))
+              (Array.map (fun (t : (s, a) Automaton.task) -> t.Automaton.enabled r) tasks)
+          in
+          { x = r;
+            src = Array.init nslots Fun.id;
+            acts;
+            succs = Array.map (fun a -> Option.bind a (aut.Automaton.step r)) acts;
+          }
+        in
+        (* Equivariance of one step: [x] takes [a] to [succ], and
+           [x'], the image of [x] under [pi], must take [a_img] to the
+           image of [succ].  [a_img] stands for the permuted [a] — for
+           task checks it is the mirror task's own enabled action,
+           which is [equal_action]-equal to the transported one but
+           produced by the automaton itself, exactly as quotient
+           exploration produces it (transported payloads may be
+           semantically equal yet structurally distinct rebuilds).
+           Returns [x']'s successor, if any. *)
+        let check_step pi pif x' idx a succ a_img =
           let s1 = Option.map (sy.Probe.sy_state pif) succ in
-          let s2 = aut.Automaton.step r' a_img in
+          let s2 = aut.Automaton.step x' a_img in
           match (s1, s2) with
           | None, None -> None
-          | Some t1, Some t2 when equal_state t1 t2 -> s1
+          | Some t1, Some t2 when equal_state t1 t2 -> s2
           | Some t1, Some t2 ->
               raise
                 (Broken
@@ -381,75 +408,125 @@ let analyze (aut : ('s, 'a) Automaton.t) (probe : ('s, 'a) Probe.t) : verdict =
                          (if s1 = None then "becomes enabled" else "is disabled");
                    })
         in
-        (* Check every nontrivial permutation at [r] and return [r]'s
-           successors (probed actions, then enabled tasks) already
-           canonized.  The sweep builds π·succ for every π in
-           [Perm.all] order anyway, so each successor slot keeps the
-           running strict minimum starting from the successor itself
-           (the identity's image): exactly what [canonizer] computes,
-           without its n! extra images. *)
-        let check_rep mirrors r idx =
-          let acts =
-            List.map (fun a -> (a, aut.Automaton.step r a)) probe.Probe.actions
-          in
-          let tasks =
-            List.map
-              (fun (t : ('s, 'a) Automaton.task) ->
-                let here = t.Automaton.enabled r in
-                (t, here, Option.bind here (aut.Automaton.step r)))
-              aut.Automaton.tasks
-          in
-          let best =
-            Array.of_list
-              (List.map snd acts @ List.map (fun (_, _, succ) -> succ) tasks)
-          in
-          let keep k = function
-            | Some img -> (
+        (* Equivariance under [pi] at [e]: the declared fields, the
+           probed actions' steps, and each task's mirror (its enabled
+           action is the permuted one, its successor the permuted
+           successor).  Returns the image of [e], with the image's own
+           actions and successors in its own slots. *)
+        let check_image pi pif slot idx e =
+          let y = sy.Probe.sy_state pif e.x in
+          check_fields pi pif e.x y idx;
+          let src = Array.make nslots 0 in
+          let acts = Array.make nslots None and succs = Array.make nslots None in
+          Array.iteri
+            (fun i a ->
+              let j = slot.(i) in
+              let take a a' =
+                acts.(j) <- Some a';
+                succs.(j) <- check_step pi pif y idx a e.succs.(i) a'
+              in
+              src.(j) <- e.src.(i);
+              if i < nprobe then
+                let a = Option.get a in
+                take a (sy.Probe.sy_action pif a)
+              else
+                let t = tasks.(i - nprobe) and t' = tasks.(j - nprobe) in
+                match (a, t'.Automaton.enabled y) with
+                | None, None -> ()
+                | Some a, Some a' when equal_action (sy.Probe.sy_action pif a) a' -> take a a'
+                | _ ->
+                    raise
+                      (Broken
+                         { w_kind = `Enabled;
+                           w_field = None;
+                           w_task = Some t.Automaton.task_name;
+                           w_perm = Perm.to_string pi;
+                           w_state = idx;
+                           w_detail =
+                             Fmt.str "task %s enabled action is not the permuted one"
+                               t'.Automaton.task_name;
+                         }))
+            e.acts;
+          { x = y; src; acts; succs }
+        in
+        let module Orbit = Map.Make (struct
+          type t = s
+
+          let compare = sy.Probe.sy_cmp
+        end) in
+        (* Walk [r]'s orbit and return [r]'s successors, already
+           canonized.  The orbit minimum of [r]'s successor in slot [k]
+           is the minimum over the successors, at every orbit element,
+           in the slots that mirror a slot of [k]'s class under [r]'s
+           stabilizer; a generator step landing on a known element
+           yields a stabilizer element, whose slot pairs are merged. *)
+        let walk generators r idx =
+          let e = own r in
+          let best = Array.copy e.succs in
+          let offer k = function
+            | Some s -> (
                 match best.(k) with
-                | Some b when sy.Probe.sy_cmp img b < 0 -> best.(k) <- Some img
+                | Some b when sy.Probe.sy_cmp s b < 0 -> best.(k) <- Some s
                 | Some _ | None -> ())
             | None -> ()
           in
-          let nacts = List.length acts in
-          List.iter
-            (fun (pi, pif, ms, acts') ->
-              let r' = sy.Probe.sy_state pif r in
-              check_fields pi pif r r' idx;
-              List.iteri
-                (fun k ((a, succ), a') -> keep k (check_step pi pif r' idx a succ a'))
-                (List.combine acts acts');
-              List.iteri
-                (fun k ((t, here, succ), t') ->
-                  match (here, t'.Automaton.enabled r') with
-                  | None, None -> ()
-                  | Some a, Some a' when equal_action (sy.Probe.sy_action pif a) a' ->
-                      (* The enabled action permutes; its successor must too. *)
-                      keep (nacts + k) (check_step pi pif r' idx a succ a')
-                  | _ ->
-                      raise
-                        (Broken
-                           { w_kind = `Enabled;
-                             w_field = None;
-                             w_task = Some t.Automaton.task_name;
-                             w_perm = Perm.to_string pi;
-                             w_state = idx;
-                             w_detail =
-                               Fmt.str "task %s enabled action is not the permuted one"
-                                 t'.Automaton.task_name;
-                           }))
-                (List.combine tasks ms))
-            mirrors;
-          best
+          let parent = Array.init nslots Fun.id in
+          let rec find k = if parent.(k) = k then k else find parent.(k) in
+          let union j k =
+            let j = find j and k = find k in
+            if j < k then parent.(k) <- j else if k < j then parent.(j) <- k
+          in
+          let orbit = ref (Orbit.singleton r e.src) in
+          let queue = Queue.create () in
+          Queue.add e queue;
+          while not (Queue.is_empty queue) do
+            let e = Queue.pop queue in
+            List.iter
+              (fun (g, gf, slot) ->
+                let img = check_image g gf slot idx e in
+                match Orbit.find_opt img.x !orbit with
+                | Some src -> Array.iter2 union img.src src
+                | None ->
+                    Array.iteri (fun j s -> offer img.src.(j) s) img.succs;
+                    orbit := Orbit.add img.x img.src !orbit;
+                    Queue.add img queue)
+              generators
+          done;
+          Array.iteri (fun k s -> if find k <> k then offer (find k) s) best;
+          Array.init nslots (fun k -> best.(find k))
+        in
+        (* When the walk breaks, the witness comes from every
+           nontrivial permutation at [r] in [Perm.all] order, as a full
+           sweep would name it; the generator's witness stands only if
+           that sweep passes. *)
+        let check_rep slot_maps generators r idx =
+          try walk generators r idx
+          with Broken w ->
+            let e = own r in
+            List.iter
+              (fun (pi, pif, slot) -> ignore (check_image pi pif slot idx e))
+              slot_maps;
+            raise (Broken w)
         in
         (* Bounded quotient exploration over representatives: successors
            via probed actions and enabled tasks, canonized on insert. *)
         try
           check_global ();
-          let mirrors = mirrors () in
+          let slot_maps = List.map slot_map nontrivial in
+          (* The two generators of S_n: the transposition (p0 p1) and
+             the n-cycle, which coincide at n = 2.  Checked at every
+             element of a representative's orbit, they imply every
+             permutation at the representative (DESIGN.md, "Orbit
+             reduction"). *)
+          let swap = Array.init n (fun i -> if i < 2 then 1 - i else i) in
+          let cycle = Array.init n (fun i -> (i + 1) mod n) in
+          let generators =
+            List.filter (fun (pi, _, _) -> pi = swap || pi = cycle) slot_maps
+          in
           let hash =
             match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0
           in
-          let seen : (int, 's list) Hashtbl.t = Hashtbl.create 256 in
+          let seen : (int, s list) Hashtbl.t = Hashtbl.create 256 in
           let count = ref 0 in
           let mem s =
             let h = hash s in
@@ -479,7 +556,7 @@ let analyze (aut : ('s, 'a) Automaton.t) (probe : ('s, 'a) Probe.t) : verdict =
           let budget = probe.Probe.max_states in
           while not (Queue.is_empty queue) do
             let r, idx = Queue.pop queue in
-            let succs = check_rep mirrors r idx in
+            let succs = check_rep slot_maps generators r idx in
             if !count >= budget then exhaustive := false
             else Array.iter (Option.iter push_rep) succs
           done;

@@ -6,11 +6,11 @@
     claim {e checkable} and then {e exploitable}:
 
     - {!analyze} takes a subject (automaton + probe) whose probe
-      declares an S_n action ({!Probe.symmetry}) and checks, state by
-      state over a bounded quotient exploration and permutation by
-      permutation over the whole group, that the step relation, task
-      enabledness, signature, and probe set are equivariant under the
-      declared action — classifying every declared state field as
+      declares an S_n action ({!Probe.symmetry}) and checks, over a
+      bounded quotient exploration and for the whole group, that the
+      step relation, task enabledness, signature, and probe set are
+      equivariant under the declared action — classifying every
+      declared state field as
       identity-independent, process-indexed, or symmetry-breaking.
       The result is either a {!certificate} or a concrete breaking
       {!witness} (the permutation, the state, the action or task, and
@@ -26,16 +26,24 @@
       product states with a staged version of the same minimum, which
       its tests check against {!canonizer_w}.
 
-    {b Soundness.}  Checking equivariance for {e every} permutation at
-    {e every representative} the quotient exploration discovers
-    certifies the quotient without ever building the unreduced space:
-    by induction every reachable state [s] of the original system
-    factors as [ρ·r] for a discovered representative [r], because an
-    equivariant step from [ρ·r] is [ρ]-conjugate to an explored step
-    from [r].  Checking only a generator set, or only sampled states,
-    does {e not} compose — the induction needs arbitrary [ρ] at the
-    representatives.  DESIGN.md ("Orbit reduction") spells the argument
-    out. *)
+    {b Soundness.}  Equivariance for {e every} permutation at {e every
+    representative} the quotient exploration discovers certifies the
+    quotient without ever building the unreduced space: by induction
+    every reachable state [s] of the original system factors as [ρ·r]
+    for a discovered representative [r], because an equivariant step
+    from [ρ·r] is [ρ]-conjugate to an explored step from [r].  The
+    analyzer establishes it by checking the two generators of S_n, the
+    transposition [(p0 p1)] and the n-cycle, at every element of each
+    representative's orbit: chained along the orbit they imply every
+    permutation at the representative, provided [step], [enabled] and
+    the declared action respect the probe's state identity and the
+    action is a group action up to it.  That costs [2·n!/|Stab(r)|]
+    generator checks per representative instead of [n! − 1].
+    Checking the generators at the representatives alone, or only
+    sampled states, does {e not} compose.  When a generator check
+    fails, the permutations are swept in {!Perm.all} order at that
+    representative, and the first failing one is the witness.
+    DESIGN.md ("Orbit reduction") spells the argument out. *)
 
 module Perm : sig
   type t = int array
@@ -105,7 +113,9 @@ type witness = {
 type certificate = {
   c_n : int;
   c_states : int;  (** representatives the check covered *)
-  c_perms : int;  (** permutations checked at each of them ([n!]) *)
+  c_perms : int;
+      (** the order of the group the check covers at each of them
+          ([n!]); the analyzer itself checks only generators *)
   c_exhaustive : bool;
       (** the quotient exploration finished within the probe budget —
           only then is the certificate a proof about the whole

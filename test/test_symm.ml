@@ -233,6 +233,140 @@ let test_deep_step_breaks () =
   | Symm.Certified _ -> Alcotest.fail "biased-flags must not certify"
   | Symm.Unsupported r -> Alcotest.failf "unsupported: %s" r
 
+(* --- a task that breaks only away from its representative --- *)
+
+(* Three flags, the start state gives one to p0, and task [pass_p<i>]
+   fires (a self-loop) while p<i> holds a flag and p2 holds none.  At
+   the representative {p0} both generators of S_3 pass: (p0 p1) and
+   the 3-cycle both move the flag to p1, where the mirrored task is
+   enabled too.  Only the image {p2}, reached from {p1} by the 3-cycle,
+   disables its mirror.  The witness is the one the per-permutation
+   sweep at the representative reports. *)
+type pass = Pass of int
+
+let gated_pass : (Afd_ioa.Loc.Set.t, pass) Afd_ioa.Automaton.t =
+  let module S = Afd_ioa.Loc.Set in
+  let task i =
+    { Afd_ioa.Automaton.task_name = Printf.sprintf "pass_p%d" i;
+      fair = true;
+      enabled =
+        (fun s -> if S.mem i s && not (S.mem 2 s) then Some (Pass i) else None);
+    }
+  in
+  { Afd_ioa.Automaton.name = "gated-pass";
+    kind =
+      (fun (Pass i) ->
+        if i >= 0 && i < 3 then Some Afd_ioa.Automaton.Internal else None);
+    start = S.singleton 0;
+    step = (fun s (Pass _) -> Some s);
+    tasks = List.map task [ 0; 1; 2 ];
+  }
+
+let test_breaks_off_representative () =
+  let module S = Afd_ioa.Loc.Set in
+  let symm =
+    { Probe.sy_n = 3;
+      sy_state = Symm.perm_set;
+      sy_action = (fun pif (Pass i) -> Pass (pif i));
+      sy_cmp = Symm.cmp_set;
+      sy_fields = [];
+    }
+  in
+  let probe =
+    Probe.make ~equal_state:S.equal
+      ~hash_state:(fun s -> Hashtbl.hash (S.elements s))
+      ~symm []
+  in
+  match Symm.analyze gated_pass probe with
+  | Symm.Breaking w ->
+    Alcotest.(check string) "the per-permutation witness"
+      "enabledness not equivariant under (p0 p2) at state #0 (task pass_p0): \
+       task pass_p2 enabled action is not the permuted one"
+      (Fmt.str "%a" Symm.pp_witness w)
+  | Symm.Certified _ -> Alcotest.fail "gated-pass must not certify"
+  | Symm.Unsupported r -> Alcotest.failf "unsupported: %s" r
+
+(* --- certificates and field classification are pinned --- *)
+
+let render_verdict = function
+  | Symm.Certified c ->
+    Printf.sprintf "certified n=%d states=%d perms=%d exhaustive=%b fields=[%s]"
+      c.Symm.c_n c.Symm.c_states c.Symm.c_perms c.Symm.c_exhaustive
+      (String.concat ";"
+         (List.map
+            (fun (f, k) ->
+              f ^ ":" ^ match k with `Indexed -> "indexed" | `Invariant -> "invariant")
+            c.Symm.c_fields))
+  | Symm.Breaking w -> Fmt.str "breaking: %a" Symm.pp_witness w
+  | Symm.Unsupported r -> "unsupported: " ^ r
+
+(* [Symm.analyze] on every registered automaton that declares fields
+   (the catalog's, then the symmetry fixtures'), as the all-permutation
+   analyzer computed it.  MC products declare no fields and the lint
+   JSON does not print them, so this is what pins the classification. *)
+let golden_certificates =
+  [ "crash: certified n=3 states=4 perms=6 exhaustive=true fields=[crashset:indexed]";
+    "FD-Omega: breaking: step not equivariant under (p0 p2) at state #0: fd(p0)_p0 is \
+     disabled in the permuted state";
+    "FD-antiOmega: breaking: step not equivariant under (p0 p1 p2) at state #0: \
+     fd(p0)_p0 becomes enabled in the permuted state";
+    "FD-P: certified n=3 states=4 perms=6 exhaustive=true fields=[crashset:indexed]";
+    "FD-Sigma: certified n=3 states=4 perms=6 exhaustive=true fields=[crashset:indexed]";
+    "FD-Omega2: breaking: step not equivariant under (p0 p2) at state #0: \
+     fd({p1,p2})_p0 becomes enabled in the permuted state";
+    "FD-Psi2: breaking: step not equivariant under (p0 p2) at state #0: \
+     fd({p1,p2})_p0 becomes enabled in the permuted state";
+    "FD-FlipFlop: breaking: step not equivariant under (p0 p2) at state #0: fd(p0)_p0 \
+     is disabled in the permuted state";
+    "min-suspector: breaking: step not equivariant under (p0 p1) at state #0: \
+     fd({p0})_p0 is disabled in the permuted state";
+    "declared-suspector: certified n=2 states=3 perms=2 exhaustive=true \
+     fields=[crashset:indexed]";
+  ]
+
+let test_certificates_pinned () =
+  let certify = function
+    | Registry.Automaton (a, p) -> (
+      match p.Probe.symm with
+      | Some sy when sy.Probe.sy_fields <> [] ->
+        Some
+          (Printf.sprintf "%s: %s" a.Afd_ioa.Automaton.name
+             (render_verdict (Symm.analyze a p)))
+      | Some _ | None -> None)
+    | Registry.Composition _ | Registry.Spec _ -> None
+  in
+  let entries =
+    List.map (fun it -> it.Registry.entry) (Catalog.items ())
+    @ List.map snd Fixtures.symmetry
+    @ [ Fixtures.symmetry_certifiable ]
+  in
+  Alcotest.(check (list string)) "certificates" golden_certificates
+    (List.filter_map certify entries)
+
+(* --- the n = 6 rung --- *)
+
+let test_n6_rung id ~orbits ~reps () =
+  let (BC.S { detector; symm; spec; _ }) =
+    List.find (fun s -> BC.id s = id) chk_subjects
+  in
+  let p =
+    Mc.parametric ~ns:[ 2; 3; 4; 5; 6 ] ~symmetry:(Option.get symm) spec ~detector
+  in
+  Alcotest.(check (list int)) "orbits at n=2..6" orbits
+    (List.map (fun pt -> pt.Mc.pt_orbits) p.Mc.par_points);
+  (match p.Mc.par_verdict with
+  | Mc.Cutoff_candidate { n0 = 2; upto = 6 } -> ()
+  | _ -> Alcotest.fail "expected a cutoff candidate from n0=2 up to 6");
+  match p.Mc.par_sym with
+  | Mc.Sym_quotient c ->
+    Alcotest.(check (list int)) "n, reps, perms at n=6" [ 6; reps; 720 ]
+      [ c.Symm.c_n; c.Symm.c_states; c.Symm.c_perms ];
+    Alcotest.(check bool) "exhaustive" true c.Symm.c_exhaustive
+  | status ->
+    Alcotest.failf "unexpected status at n=6: %a"
+      (fun ppf -> Mc.pp_sym_status ppf)
+      status
+
 (* --- the staged canonizer is the orbit minimum --- *)
 
 (* Compare Mc's staged canonizer with [Symm.canonizer_w] over the
@@ -336,6 +470,14 @@ let suite =
       test_rename_locs_non_locations;
     Alcotest.test_case "a step breaking below the start state is caught" `Quick
       test_deep_step_breaks;
+    Alcotest.test_case "a task breaking away from its representative is caught"
+      `Quick test_breaks_off_representative;
+    Alcotest.test_case "certificates and field classification are pinned" `Quick
+      test_certificates_pinned;
+    Alcotest.test_case "n=6 rung: FD-Sigma" `Quick
+      (test_n6_rung "CHK.sigma" ~orbits:[ 48; 99; 171; 256; 365 ] ~reps:365);
+    Alcotest.test_case "n=6 rung: FD-S" `Quick
+      (test_n6_rung "CHK.s" ~orbits:[ 37; 59; 81; 101; 117 ] ~reps:117);
     Alcotest.test_case "staged canonizer = Symm.canonizer_w at n=4" `Quick
       test_staged_canonizer;
     Alcotest.test_case "parametric skips raw rungs past a truncation" `Quick
