@@ -26,7 +26,8 @@
    some exploration (lint or MC) was truncated at its state budget — a
    "proved" verdict computed under a budget is about a sample, and CI
    must not mistake it for an exhaustive one.  (Usage errors — unknown
-   rule or fixture ids — also exit 2, before any report exists.) *)
+   rule or fixture ids, --profile without the MC catalog — also exit 2,
+   before any report exists.) *)
 
 let usage =
   "afd_lint [--json] [--strict] [--rule ID]... [--fixture ID] [--list-rules] \
@@ -102,12 +103,18 @@ let () =
          verdicts and JSON are identical either way" );
       ( "--profile",
         Arg.Set profile,
-        "with --mc, report per-phase wall-clock timings (explore / clause \
-         eval / lasso, plus explorer sub-phases) on stderr and in the JSON \
-         outcome" );
+        "with --mc (and no --fixture), report per-phase wall-clock timings \
+         (explore / clause eval / lasso, plus explorer sub-phases) on stderr \
+         and in the JSON outcome; a usage error otherwise" );
     ]
   in
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
+  if !profile && not (!mc && !fixture = None) then begin
+    Fmt.epr
+      "afd_lint: --profile times the MC catalog; it needs --mc without \
+       --fixture@.";
+    exit 2
+  end;
   let open Afd_analysis in
   let rule_universe =
     Rules.all @ Rules.mc @ (if !symmetry then Rules.symmetry else [])
@@ -170,7 +177,7 @@ let () =
   in
   (* Per-phase timing breakdown on stderr, never stdout: the JSON and
      table outputs stay byte-comparable across profiled runs. *)
-  if !profile && mc_results <> [] then begin
+  if !profile then begin
     Fmt.epr "afd_lint: --profile phase timings (seconds)@.";
     List.iter
       (fun r ->

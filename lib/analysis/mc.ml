@@ -88,6 +88,24 @@ type 'o outcome = {
 
 let default_max_states = 20_000
 
+(* The trace-length and output-count caps of the product identity (see
+   the interface): the catalog's Stable judges only test counts
+   [>= live_min = 1]. *)
+let len_cap = 8
+let count_cap = 1
+
+(* Phase timings are an out-parameter, never part of the outcome
+   record: a profiled run stays byte-identical to an unprofiled one.
+   [log] collects them newest first. *)
+let timed log name f =
+  match log with
+  | None -> f ()
+  | Some l ->
+    let t0 = Unix.gettimeofday () in
+    let x = f () in
+    l := (name, Unix.gettimeofday () -. t0) :: !l;
+    x
+
 (* Per-clause runtime carried in each product state.  [Fold]
    accumulators are existential (each clause brings its own ['acc]);
    packing the accumulator with its fold keeps the types aligned, the
@@ -129,8 +147,8 @@ let rt_cmp_sem a b =
     match f.fold.P.fcmp with
     | Some c -> c f.acc (Obj.magic g.acc)
     | None ->
-      (* [setup] falls back before any quotient when a fold lacks
-         [fcmp]; guessing here could only merge states wrongly. *)
+      (* [resolve_symmetry] falls back before any quotient when a fold
+         lacks [fcmp]; guessing here could only merge states wrongly. *)
       invalid_arg "Mc.rt_cmp_sem: fold clause has no semantic order (fcmp)")
   | C_always _, _ -> -1
   | _, C_always _ -> 1
@@ -147,32 +165,31 @@ exception Latch of string * string
 
 let no_perm_out = "spec declares no output transport (perm_out)"
 
-(* What [check] builds before it explores: the product of the system
-   with the safety clauses' runtime, the probe carrying the product
-   identity (with or without the liveness enrichment), and how symmetry
-   resolved — on a certificate, together with the lifted descriptor and
-   the staged canonizer that the quotient exploration and path lifting
-   share. *)
-type ('s, 'o) quotient = {
-  q_sy : (('s, 'o) pstate, 'o Fd_event.t) Probe.symmetry;
-  q_canon : ('s, 'o) pstate -> ('s, 'o) pstate * Symm.Perm.t;
+(* A closed system as the stages consume it: its automaton, its state
+   identity, how output payloads compare, and — when symmetry is
+   requested and the spec can transport outputs — the permutation
+   action on its states together with the one on output payloads. *)
+type ('s, 'o) system = {
+  sys : ('s, 'o Fd_event.t) Automaton.t;
+  equal_state : 's -> 's -> bool;
+  hash_state : 's -> int;
+  equal_out : 'o -> 'o -> bool;
+  symmetry : (('s, 'o Fd_event.t) Probe.symmetry * ((int -> int) -> 'o -> 'o)) option;
 }
 
-type ('s, 'o) setup = {
-  names : string array;  (** safety clause names, one per runtime slot *)
+(* --- stage 1, explore: clause runtime, product, identity, symmetry,
+   exploration --- *)
+
+(* The clause runtime: one slot per safety clause, stepped along every
+   product edge; the [Stable] judges are read by the liveness stage
+   only. *)
+type 'o runtime = {
+  names : string array;
+  init_rts : 'o rt array;
   stables : (string * 'o P.state_judge) list;
-  product : (('s, 'o) pstate, 'o Fd_event.t) Automaton.t;
-  probe : (('s, 'o) pstate, 'o Fd_event.t) Probe.t;
-      (** the product identity exploration merges states by *)
-  resolved :
-    [ `Off
-    | `Fallback of string
-    | `Breaking of Symm.witness
-    | `Quotient of Symm.certificate * ('s, 'o) quotient ];
 }
 
-let setup ~max_states ~por ?(len_cap = 8) ?(count_cap = 1) ?(equal_out = Stdlib.( = ))
-    ?symmetry ?perm_out ~equal_state ~hash_state ~n prop sys =
+let clause_runtime prop =
   let safety, stables =
     List.partition_map
       (fun (nm, c) ->
@@ -181,31 +198,32 @@ let setup ~max_states ~por ?(len_cap = 8) ?(count_cap = 1) ?(equal_out = Stdlib.
         | _ -> Either.Left (nm, c))
       (P.clauses prop)
   in
-  let names = Array.of_list (List.map fst safety) in
-  let init_rts =
-    Array.of_list
-      (List.map
-         (fun (_, c) ->
-           match c with
-           | P.Always chk -> C_always chk
-           | P.Until (release, check) -> C_until { release; check; released = false }
-           | P.Fold f -> C_fold { fold = f; acc = f.P.finit }
-           | P.Stable _ -> assert false)
-         safety)
+  let init = function
+    | P.Always chk -> C_always chk
+    | P.Until (release, check) -> C_until { release; check; released = false }
+    | P.Fold f -> C_fold { fold = f; acc = f.P.finit }
+    | P.Stable _ -> assert false
   in
-  let step_rt summary act = function
-    | C_always chk as c -> (
-      match chk summary act with Ok () -> c | Error r -> raise (Latch ("", r)))
-    | C_until u as c ->
-      if u.released then c
-      else if u.release summary then C_until { u with released = true }
-      else (
-        match u.check summary act with Ok () -> c | Error r -> raise (Latch ("", r)))
-    | C_fold { fold; acc } -> (
-      match fold.P.fstep summary acc act with
-      | Ok acc' -> C_fold { fold; acc = acc' }
-      | Error r -> raise (Latch ("", r)))
-  in
+  { names = Array.of_list (List.map fst safety);
+    init_rts = Array.of_list (List.map (fun (_, c) -> init c) safety);
+    stables;
+  }
+
+let step_rt summary act = function
+  | C_always chk as c -> (
+    match chk summary act with Ok () -> c | Error r -> raise (Latch ("", r)))
+  | C_until u as c ->
+    if u.released then c
+    else if u.release summary then C_until { u with released = true }
+    else (match u.check summary act with Ok () -> c | Error r -> raise (Latch ("", r)))
+  | C_fold { fold; acc } -> (
+    match fold.P.fstep summary acc act with
+    | Ok acc' -> C_fold { fold; acc = acc' }
+    | Error r -> raise (Latch ("", r)))
+
+(* The product of [sys] with the clause runtime: a clause that errors
+   on an edge latches the edge's destination as a violating sink. *)
+let product ~n rt sys =
   let pstep st act =
     match st with
     | Latched _ -> None
@@ -217,38 +235,40 @@ let setup ~max_states ~por ?(len_cap = 8) ?(count_cap = 1) ?(equal_out = Stdlib.
           Array.mapi
             (fun i c ->
               try step_rt r.summary act c
-              with Latch (_, reason) -> raise (Latch (names.(i), reason)))
+              with Latch (_, reason) -> raise (Latch (rt.names.(i), reason)))
             r.rts
         with
-        | rts ->
-          Some (Running { sys = sys'; summary = P.update r.summary act; rts })
+        | rts -> Some (Running { sys = sys'; summary = P.update r.summary act; rts })
         | exception Latch (clause, reason) -> Some (Latched { clause; reason })))
   in
-  let product =
-    { Automaton.name = sys.Automaton.name ^ "(x)prop";
-      kind = sys.Automaton.kind;
-      start = Running { sys = sys.Automaton.start; summary = P.init ~n; rts = init_rts };
-      step = pstep;
-      tasks =
-        List.map
-          (fun tk ->
-            { Automaton.task_name = tk.Automaton.task_name;
-              fair = tk.Automaton.fair;
-              enabled =
-                (function
-                | Latched _ -> None | Running r -> tk.Automaton.enabled r.sys);
-            })
-          sys.Automaton.tasks;
-    }
-  in
-  (* Product identity: exactly the fields a safety clause may read (see
-     the interface).  The trace summary is compared through the capped
-     length and the crashed set; the stored representative is the one
-     discovered first.  [tl] is whether the liveness enrichment
-     (last outputs, capped counts) joins the identity. *)
-  let pequal_gen ~rt_eq tl a b =
+  { Automaton.name = sys.Automaton.name ^ "(x)prop";
+    kind = sys.Automaton.kind;
+    start =
+      Running { sys = sys.Automaton.start; summary = P.init ~n; rts = rt.init_rts };
+    step = pstep;
+    tasks =
+      List.map
+        (fun tk ->
+          { Automaton.task_name = tk.Automaton.task_name;
+            fair = tk.Automaton.fair;
+            enabled =
+              (function Latched _ -> None | Running r -> tk.Automaton.enabled r.sys);
+          })
+        sys.Automaton.tasks;
+  }
+
+(* Product identity: exactly the fields a safety clause may read (see
+   the interface).  The trace summary is compared through the capped
+   length and the crashed set; the stored representative is the one
+   discovered first.  [tl] is whether the liveness enrichment (last
+   outputs, capped counts) joins the identity.  The equality is built
+   once, as a two-argument closure for the explorer's hot path. *)
+let pequal system ~rt_eq tl =
+  let equal_state = system.equal_state and equal_out = system.equal_out in
+  fun a b ->
     match (a, b) with
-    | Latched a, Latched b -> String.equal a.clause b.clause && String.equal a.reason b.reason
+    | Latched a, Latched b ->
+      String.equal a.clause b.clause && String.equal a.reason b.reason
     | Running a, Running b ->
       equal_state a.sys b.sys
       && min a.summary.P.len len_cap = min b.summary.P.len len_cap
@@ -260,469 +280,492 @@ let setup ~max_states ~por ?(len_cap = 8) ?(count_cap = 1) ?(equal_out = Stdlib.
                  (fun x y -> min x count_cap = min y count_cap)
                  a.summary.P.output_counts b.summary.P.output_counts)
     | Latched _, Running _ | Running _, Latched _ -> false
-  in
-  let mix h v = (h * 131) + v in
-  (* Product hash, congruent with [pequal_gen]: it reads every field the
-     equality reads, folding over sets and maps in their key order
-     rather than building lists.  [acc] is whether [Fold] accumulators
-     join: under structural identity ([rt_equal], [obj_equal]) equal
-     accumulators are structurally equal and so hash equal; quotient
-     runs compare them through [fcmp], whose classes (transported
-     accumulators of differing AVL shape) have no congruent hash, so
-     there they are skipped.  [tl] is whether the liveness enrichment
-     (last outputs, capped counts) joins the identity. *)
-  let phash_gen ~acc tl = function
-    | Latched { clause; reason } -> Hashtbl.hash (clause, reason)
+
+let mix h v = (h * 131) + v
+
+(* Product hash, congruent with [pequal]: it reads every field the
+   equality reads, folding over sets and maps in their key order rather
+   than building lists.  [acc] is whether [Fold] accumulators join:
+   under structural identity ([rt_equal], [obj_equal]) equal
+   accumulators are structurally equal and so hash equal; quotient runs
+   compare them through [fcmp], whose classes (transported accumulators
+   of differing AVL shape) have no congruent hash, so there they are
+   skipped. *)
+let phash system ~acc tl =
+  let hash_state = system.hash_state in
+  function
+  | Latched { clause; reason } -> Hashtbl.hash (clause, reason)
+  | Running r ->
+    let s = r.summary in
+    let h = mix (hash_state r.sys) (min s.P.len len_cap) in
+    let h = Loc.Set.fold (fun l h -> mix h l) s.P.crashed (mix h (-1)) in
+    let h =
+      Array.fold_left
+        (fun h c ->
+          match c with
+          | C_always _ -> h
+          | C_until u -> mix h (Bool.to_int u.released)
+          | C_fold f -> if acc then mix h (Hashtbl.hash (Obj.repr f.acc)) else h)
+        h r.rts
+    in
+    if not tl then h
+    else
+      (* [equal_out] may be coarser than structural equality on
+         payloads, so only the [last_output] domain is hashed. *)
+      let h = Loc.Map.fold (fun l _ h -> mix h l) s.P.last_output (mix h (-2)) in
+      Loc.Map.fold
+        (fun l c h -> mix (mix h l) (min c count_cap))
+        s.P.output_counts (mix h (-3))
+
+(* On a certificate: the system's symmetry lifted to product states,
+   and the staged canonizer that the quotient exploration and path
+   lifting share. *)
+type ('s, 'o) quotient = {
+  q_sy : (('s, 'o) pstate, 'o Fd_event.t) Probe.symmetry;
+  q_canon : ('s, 'o) pstate -> ('s, 'o) pstate * Symm.Perm.t;
+}
+
+let perm_rt pif = function
+  | (C_always _ | C_until _) as c -> c
+  | C_fold { fold; acc } -> (
+    match fold.P.fperm with
+    | Some fp -> C_fold { fold; acc = fp pif acc }
+    | None -> assert false)
+
+(* [pcmp] past [sys]: summaries, then runtimes. *)
+let cmp_tail (sa : _ P.state) ra (sb : _ P.state) rb =
+  let c = Stdlib.compare (min sa.P.len len_cap) (min sb.P.len len_cap) in
+  if c <> 0 then c
+  else
+    let c = Symm.cmp_set sa.P.crashed sb.P.crashed in
+    if c <> 0 then c
+    else begin
+      let res = ref 0 and i = ref 0 in
+      let la = Array.length ra in
+      while !res = 0 && !i < la do
+        res := rt_cmp_sem ra.(!i) rb.(!i);
+        incr i
+      done;
+      !res
+    end
+
+let lift_symmetry ~n (sy : (_, _ Fd_event.t) Probe.symmetry) perm_o =
+  let perm_summary pif st = P.permute pif (perm_o pif) st in
+  let pperm pif = function
+    | Latched _ as st -> st
     | Running r ->
-      let s = r.summary in
-      let h = mix (hash_state r.sys) (min s.P.len len_cap) in
-      let h = Loc.Set.fold (fun l h -> mix h l) s.P.crashed (mix h (-1)) in
-      let h =
-        Array.fold_left
-          (fun h c ->
-            match c with
-            | C_always _ -> h
-            | C_until u -> mix h (Bool.to_int u.released)
-            | C_fold f -> if acc then mix h (Hashtbl.hash (Obj.repr f.acc)) else h)
-          h r.rts
-      in
-      if not tl then h
-      else
-        (* [equal_out] may be coarser than structural equality on
-           payloads, so only the [last_output] domain is hashed. *)
-        let h = Loc.Map.fold (fun l _ h -> mix h l) s.P.last_output (mix h (-2)) in
-        Loc.Map.fold
-          (fun l c h -> mix (mix h l) (min c count_cap))
-          s.P.output_counts (mix h (-3))
+      Running
+        { sys = sy.Probe.sy_state pif r.sys;
+          summary = perm_summary pif r.summary;
+          rts = Array.map (perm_rt pif) r.rts;
+        }
   in
-  (* --- symmetry: lift the declared system action to product states,
-     certify equivariance over the quotient, or fall back --- *)
-  let resolved =
-    match (symmetry, perm_out) with
-    | None, _ -> `Off
-    | Some _, None -> `Fallback no_perm_out
-    | Some sy, Some perm_o -> (
-      match
-        List.find_map
-          (fun (nm, c) ->
-            match c with
-            | P.Fold f when f.P.fperm = None ->
-              Some (nm, "accumulator transport (fperm)")
-            | P.Fold f when f.P.fcmp = None ->
-              Some (nm, "semantic accumulator order (fcmp)")
-            | _ -> None)
-          (P.clauses prop)
-      with
-      | Some (nm, what) ->
-        `Fallback (Printf.sprintf "fold clause %s has no %s" nm what)
-      | None ->
-        let perm_summary pif st = P.permute pif (perm_o pif) st in
-        let perm_rt pif = function
-          | (C_always _ | C_until _) as c -> c
-          | C_fold { fold; acc } -> (
-            match fold.P.fperm with
-            | Some fp -> C_fold { fold; acc = fp pif acc }
-            | None -> assert false)
-        in
-        let pperm pif = function
-          | Latched _ as st -> st
-          | Running r ->
-            Running
-              { sys = sy.Probe.sy_state pif r.sys;
-                summary = perm_summary pif r.summary;
-                rts = Array.map (perm_rt pif) r.rts;
-              }
-        in
-        (* [pcmp] past [sys]: summaries, then runtimes. *)
-        let cmp_tail (sa : _ P.state) ra (sb : _ P.state) rb =
-          let c = Stdlib.compare (min sa.P.len len_cap) (min sb.P.len len_cap) in
-          if c <> 0 then c
-          else
-            let c = Symm.cmp_set sa.P.crashed sb.P.crashed in
-            if c <> 0 then c
-            else begin
-              let res = ref 0 and i = ref 0 in
-              let la = Array.length ra in
-              while !res = 0 && !i < la do
-                res := rt_cmp_sem ra.(!i) rb.(!i);
-                incr i
-              done;
-              !res
+  (* A total order congruent with [pequal ~rt_eq:rt_equal_sem false]:
+     orbit minima are canonical representatives.  The liveness
+     enrichment is deliberately absent — under a quotient, liveness is
+     not checked, exactly as under POR. *)
+  let pcmp a b =
+    match (a, b) with
+    | Latched a, Latched b -> Stdlib.compare (a.clause, a.reason) (b.clause, b.reason)
+    | Latched _, Running _ -> -1
+    | Running _, Latched _ -> 1
+    | Running a, Running b ->
+      let c = sy.Probe.sy_cmp a.sys b.sys in
+      if c <> 0 then c else cmp_tail a.summary a.rts b.summary b.rts
+  in
+  (* The orbit minimum [Symm.canonizer_w] computes over [q_sy], staged:
+     [pcmp] orders by [sys] first, so an image whose [sys] is already
+     greater than the best so far cannot win and its summary and
+     runtimes are never built.  Same permutation order, same strict
+     [<]; the identity, whose image is the state itself, is the
+     starting point. *)
+  let id = Symm.Perm.identity n in
+  let moves =
+    List.filter_map
+      (fun pi ->
+        if Symm.Perm.is_identity pi then None else Some (pi, Symm.Perm.apply pi))
+      (Symm.Perm.all ~n)
+  in
+  let canon_w = function
+    | Latched _ as st -> (st, id)
+    | Running r as st ->
+      let best = ref st and best_pi = ref id in
+      let best_sys = ref r.sys and best_summary = ref r.summary in
+      let best_rts = ref r.rts in
+      List.iter
+        (fun (pi, pif) ->
+          let sys = sy.Probe.sy_state pif r.sys in
+          let c = sy.Probe.sy_cmp sys !best_sys in
+          if c <= 0 then begin
+            let summary = perm_summary pif r.summary in
+            let rts = Array.map (perm_rt pif) r.rts in
+            if c < 0 || cmp_tail summary rts !best_summary !best_rts < 0 then begin
+              best := Running { sys; summary; rts };
+              best_pi := pi;
+              best_sys := sys;
+              best_summary := summary;
+              best_rts := rts
             end
-        in
-        (* A total order congruent with [pequal_gen false]: orbit minima
-           are canonical representatives.  The liveness enrichment is
-           deliberately absent — under a quotient, liveness is not
-           checked (see below), exactly as under POR. *)
-        let pcmp a b =
-          match (a, b) with
-          | Latched a, Latched b ->
-            Stdlib.compare (a.clause, a.reason) (b.clause, b.reason)
-          | Latched _, Running _ -> -1
-          | Running _, Latched _ -> 1
-          | Running a, Running b ->
-            let c = sy.Probe.sy_cmp a.sys b.sys in
-            if c <> 0 then c else cmp_tail a.summary a.rts b.summary b.rts
-        in
-        let psy =
-          { Probe.sy_n = n;
-            sy_state = pperm;
-            sy_action = sy.Probe.sy_action;
-            sy_cmp = pcmp;
-            sy_fields = [];
-          }
-        in
-        (* The orbit minimum [Symm.canonizer_w psy] computes, staged:
-           [pcmp] orders by [sys] first, so an image whose [sys] is
-           already greater than the best so far cannot win and its
-           summary and runtimes are never built.  Same permutation
-           order, same strict [<]; the identity, whose image is the
-           state itself, is the starting point. *)
-        let id = Symm.Perm.identity n in
-        let moves =
-          List.filter_map
-            (fun pi ->
-              if Symm.Perm.is_identity pi then None else Some (pi, Symm.Perm.apply pi))
-            (Symm.Perm.all ~n)
-        in
-        let canon_w = function
-          | Latched _ as st -> (st, id)
-          | Running r as st ->
-            let best = ref st and best_pi = ref id in
-            let best_sys = ref r.sys and best_summary = ref r.summary in
-            let best_rts = ref r.rts in
-            List.iter
-              (fun (pi, pif) ->
-                let sys = sy.Probe.sy_state pif r.sys in
-                let c = sy.Probe.sy_cmp sys !best_sys in
-                if c <= 0 then begin
-                  let summary = perm_summary pif r.summary in
-                  let rts = Array.map (perm_rt pif) r.rts in
-                  if c < 0 || cmp_tail summary rts !best_summary !best_rts < 0
-                  then begin
-                    best := Running { sys; summary; rts };
-                    best_pi := pi;
-                    best_sys := sys;
-                    best_summary := summary;
-                    best_rts := rts
-                  end
-                end)
-              moves;
-            (!best, !best_pi)
-        in
-        (* Certification sweep over the quotient product.  Latched
-           states compare by clause only: latch reasons embed permuted
-           location names, and a latch is absorbing, so the coarse
-           identity is still a bisimulation on the part that matters. *)
-        let arelax a b =
-          match (a, b) with
-          | Latched a, Latched b -> String.equal a.clause b.clause
-          | _ -> pequal_gen ~rt_eq:rt_equal_sem false a b
-        in
-        let ahash = function
-          | Latched { clause; _ } -> Hashtbl.hash clause
-          | st -> phash_gen ~acc:false false st
-        in
-        (* Event equality through [equal_out]: permuted payloads are
-           rebuilt sets/maps whose AVL shape may differ from stepped
-           ones, so structural equality would yield spurious breaking
-           witnesses. *)
-        let equal_event a b =
-          match (a, b) with
-          | Fd_event.Crash i, Fd_event.Crash j -> i = j
-          | Fd_event.Output (i, x), Fd_event.Output (j, y) ->
-            i = j && equal_out x y
-          | Fd_event.Crash _, Fd_event.Output _
-          | Fd_event.Output _, Fd_event.Crash _ -> false
-        in
-        let aprobe =
-          Probe.make ~equal_state:arelax ~hash_state:ahash
-            ~equal_action:equal_event ~max_states ~symm:psy []
-        in
-        (match Symm.analyze product aprobe with
-        | Symm.Certified cert -> `Quotient (cert, { q_sy = psy; q_canon = canon_w })
-        | Symm.Breaking w -> `Breaking w
-        | Symm.Unsupported r -> `Fallback r))
+          end)
+        moves;
+      (!best, !best_pi)
+  in
+  { q_sy =
+      { Probe.sy_n = n;
+        sy_state = pperm;
+        sy_action = sy.Probe.sy_action;
+        sy_cmp = pcmp;
+        sy_fields = [];
+      };
+    q_canon = canon_w;
+  }
+
+(* The {!Symm} equivariance sweep over the quotient product.  Latched
+   states compare by clause only: latch reasons embed permuted location
+   names, and a latch is absorbing, so the coarse identity is still a
+   bisimulation on the part that matters. *)
+let certify ~max_states system product q =
+  let equal = pequal system ~rt_eq:rt_equal_sem false in
+  let arelax a b =
+    match (a, b) with
+    | Latched a, Latched b -> String.equal a.clause b.clause
+    | _ -> equal a b
+  in
+  let hash = phash system ~acc:false false in
+  let ahash = function Latched { clause; _ } -> Hashtbl.hash clause | st -> hash st in
+  (* Event equality through [equal_out]: permuted payloads are rebuilt
+     sets/maps whose AVL shape may differ from stepped ones, so
+     structural equality would yield spurious breaking witnesses. *)
+  let equal_event a b =
+    match (a, b) with
+    | Fd_event.Crash i, Fd_event.Crash j -> i = j
+    | Fd_event.Output (i, x), Fd_event.Output (j, y) -> i = j && system.equal_out x y
+    | Fd_event.Crash _, Fd_event.Output _ | Fd_event.Output _, Fd_event.Crash _ -> false
+  in
+  let aprobe =
+    Probe.make ~equal_state:arelax ~hash_state:ahash ~equal_action:equal_event
+      ~max_states ~symm:q.q_sy []
+  in
+  match Symm.analyze product aprobe with
+  | Symm.Certified cert -> Sym_quotient cert
+  | Symm.Breaking w -> Sym_breaking w
+  | Symm.Unsupported r -> Sym_fallback r
+
+(* Lift the declared system action to product states and certify it,
+   or fall back: the quotient is returned only with a certificate. *)
+let resolve_symmetry ~max_states ~n system prop product (sy, perm_o) =
+  match
+    List.find_map
+      (fun (nm, c) ->
+        match c with
+        | P.Fold f when f.P.fperm = None ->
+          Some (nm, "accumulator transport (fperm)")
+        | P.Fold f when f.P.fcmp = None ->
+          Some (nm, "semantic accumulator order (fcmp)")
+        | _ -> None)
+      (P.clauses prop)
+  with
+  | Some (nm, what) ->
+    (Sym_fallback (Printf.sprintf "fold clause %s has no %s" nm what), None)
+  | None -> (
+    let q = lift_symmetry ~n sy perm_o in
+    match certify ~max_states system product q with
+    | Sym_quotient _ as s -> (s, Some q)
+    | s -> (s, None))
+
+(* The explore stage's hand-off to the safety and liveness stages: the
+   product and its clause runtime (clause names, [Stable] judges), the
+   explored graph, and how symmetry resolved ([quotient] is [Some]
+   exactly on a certificate). *)
+type ('s, 'o) explored = {
+  product : (('s, 'o) pstate, 'o Fd_event.t) Automaton.t;
+  runtime : 'o runtime;
+  space : (('s, 'o) pstate, 'o Fd_event.t) Space.t;
+  quotient : ('s, 'o) quotient option;
+  status : sym_status;
+}
+
+let explore ~max_states ~por ~jobs ~log ~n prop system =
+  let runtime = clause_runtime prop in
+  let product = product ~n runtime system.sys in
+  let status, quotient =
+    match system.symmetry with
+    | None -> (Sym_off, None)
+    | Some lift ->
+      timed log "symmetry" (fun () ->
+          resolve_symmetry ~max_states ~n system prop product lift)
   in
   (* Stable judges read [last_output]/[output_counts], so when liveness
-     is in scope those fields join the product identity (counts capped
-     at [count_cap] — the catalog judges only test [>= live_min = 1]).
-     Under POR the sleep sets preserve states, not edges, so fair-cycle
-     search is off and the coarser safety identity suffices; a symmetry
-     quotient merges fair cycles the same way, so liveness is off
-     there too. *)
-  let quotient = match resolved with `Quotient _ -> true | _ -> false in
-  let track_live = stables <> [] && (not por) && not quotient in
-  (* Unreduced runs keep the historical structural accumulator
-     identity (byte-identical outcomes); quotient runs need the
-     semantic one so transported accumulators merge.  The hash follows:
-     accumulators join it only under the structural identity. *)
-  let rt_eq = if quotient then rt_equal_sem else rt_equal in
+     is in scope those fields join the product identity.  Under POR the
+     sleep sets preserve states, not edges, so fair-cycle search is off
+     and the coarser safety identity suffices; a symmetry quotient
+     merges fair cycles the same way, so liveness is off there too.
+     Unreduced runs keep the structural accumulator identity; quotient
+     runs need the semantic one so transported accumulators merge, and
+     leave accumulators out of the hash. *)
+  let unreduced = Option.is_none quotient in
+  let track_live = runtime.stables <> [] && (not por) && unreduced in
+  let rt_eq = if unreduced then rt_equal else rt_equal_sem in
   let probe =
-    Probe.make ~equal_state:(pequal_gen ~rt_eq track_live)
-      ~hash_state:(phash_gen ~acc:(not quotient) track_live) ~max_states []
+    Probe.make ~equal_state:(pequal system ~rt_eq track_live)
+      ~hash_state:(phash system ~acc:unreduced track_live) ~max_states []
   in
-  { names; stables; product; probe; resolved }
-
-let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
-    ?timings ?len_cap ?count_cap ?equal_out ?symmetry ?perm_out ~equal_state
-    ~hash_state ~n prop sys =
-  (* Phase timings are an out-parameter, never part of the outcome
-     record: a profiled run stays byte-identical to an unprofiled
-     one. *)
-  let t_rec =
-    match timings with
-    | None -> fun _ _ -> ()
-    | Some r -> fun k dt -> r := !r @ [ (k, dt) ]
-  in
-  let sub_profile =
-    Option.map (fun r k dt -> r := !r @ [ ("explore." ^ k, dt) ]) timings
-  in
-  let t0s = Unix.gettimeofday () in
-  let { names; stables; product; probe; resolved } =
-    setup ~max_states ~por ?len_cap ?count_cap ?equal_out ?symmetry ?perm_out
-      ~equal_state ~hash_state ~n prop sys
-  in
-  if Option.is_some symmetry then t_rec "symmetry" (Unix.gettimeofday () -. t0s);
-  let quotient = match resolved with `Quotient (_, q) -> Some q | _ -> None in
-  let sym =
-    match resolved with
-    | `Off -> Sym_off
-    | `Fallback r -> Sym_fallback r
-    | `Breaking w -> Sym_breaking w
-    | `Quotient (cert, _) -> Sym_quotient cert
-  in
-  let symmetry_fn = Option.map (fun q s -> fst (q.q_canon s)) quotient in
   (* Pspace is structurally identical to Space at any [jobs], so every
-     verdict, counterexample, and liveness lasso below is byte-for-byte
+     verdict, counterexample, and liveness lasso is byte-for-byte
      independent of the domain count. *)
-  let t0 = Unix.gettimeofday () in
   let space =
-    Pspace.explore ~por ?symmetry:symmetry_fn ~jobs ?profile:sub_profile product probe
+    timed log "explore" (fun () ->
+        Pspace.explore ~por
+          ?symmetry:(Option.map (fun q s -> fst (q.q_canon s)) quotient)
+          ~jobs
+          ?profile:(Option.map (fun l k dt -> l := ("explore." ^ k, dt) :: !l) log)
+          product probe)
   in
-  let t1 = Unix.gettimeofday () in
-  t_rec "explore" (t1 -. t0);
-  let nstates = Array.length space.Space.states in
-  (* Fold-judge evaluation per reachable Running state. *)
-  let judge_violation = function
-    | Latched _ -> None
-    | Running r ->
-      let res = ref None in
-      Array.iteri
-        (fun i c ->
-          if Option.is_none !res then
-            match c with
-            | C_fold { fold; acc } -> (
-              match fold.P.fjudge r.summary acc with
-              | P.J_violated reason -> res := Some (names.(i), reason)
-              | P.J_sat | P.J_undecided _ -> ())
-            | C_always _ | C_until _ -> ())
-        r.rts;
-      !res
-  in
-  let judged = Array.map judge_violation space.Space.states in
-  (* A judged violation counts only if inescapable: no path from it
-     reaches a non-violated Running state.  Reverse reachability from
-     the good states over the explored edges — sound as a claim about
-     the system only under an [Exhausted] verdict. *)
-  let escapes = Array.make nstates false in
-  let inescapable_at =
-    if space.Space.verdict <> Space.Exhausted then fun _ -> false
-    else begin
-      let radj = Array.make nstates [] in
-      Array.iter
-        (fun e -> radj.(e.Space.dst) <- e.Space.src :: radj.(e.Space.dst))
-        space.Space.edges;
-      let q = Queue.create () in
-      Array.iteri
-        (fun i st ->
-          match st with
-          | Running _ when Option.is_none judged.(i) ->
-            escapes.(i) <- true;
-            Queue.add i q
-          | Running _ | Latched _ -> ())
-        space.Space.states;
-      while not (Queue.is_empty q) do
-        let j = Queue.pop q in
-        List.iter
-          (fun p ->
-            if not escapes.(p) then begin
-              escapes.(p) <- true;
-              Queue.add p q
-            end)
-          radj.(j)
-      done;
-      fun i -> Option.is_some judged.(i) && not escapes.(i)
-    end
-  in
-  (* Candidate violations in discovery order (= nondecreasing depth, no
-     seed states here), one per clause: the first is the shallowest. *)
-  let candidates = ref [] in
-  let seen_clause = Hashtbl.create 8 in
-  for i = 0 to nstates - 1 do
-    let record kind clause reason =
-      if not (Hashtbl.mem seen_clause clause) then begin
-        Hashtbl.add seen_clause clause ();
-        candidates := (i, kind, clause, reason) :: !candidates
-      end
-    in
-    (match space.Space.states.(i) with
-    | Latched { clause; reason } -> record `Edge clause reason
-    | Running _ -> ());
-    if inescapable_at i then
-      match judged.(i) with
-      | Some (clause, reason) -> record `Judgement clause reason
-      | None -> ()
-  done;
-  (* Under a quotient the stored parent edges carry representative
-     states and orbit-internal actions; stitching them together is not
-     a run of the original system.  Lift instead: walk the chain
-     maintaining the permutation [rho] with s_i = rho_i(r_i) for the
-     genuine original run s_0 s_1 ... — each emitted action is
-     rho_i(a_i), and rho advances by the canonizing permutation of the
-     raw successor.  The lifted path replays through the monitor, which
-     independently re-derives the violation. *)
-  let lift_path q i =
-    let cw = q.q_canon in
-    let rec collect j acc =
-      match space.Space.parent.(j) with
-      | None -> acc
-      | Some (p, a) -> collect p ((p, a) :: acc)
-    in
-    let steps = collect i [] in
-    let _, sigma0 = cw product.Automaton.start in
-    let rho = ref (Symm.Perm.inverse sigma0) in
-    List.map
-      (fun (j, a) ->
-        let b = q.q_sy.Probe.sy_action (Symm.Perm.apply !rho) a in
-        (match product.Automaton.step space.Space.states.(j) a with
-        | Some t ->
-          let _, sigma = cw t in
-          rho := Symm.Perm.compose !rho (Symm.Perm.inverse sigma)
-        | None -> ());
-        b)
-      steps
-  in
-  let path_of i =
-    match quotient with
-    | None -> Space.path_actions space i
-    | Some q -> lift_path q i
-  in
-  let violations =
-    List.rev_map
-      (fun (i, kind, clause, reason) ->
-        let path = path_of i in
-        let replay = Monitor.replay ~n prop path in
-        let confirmed = Verdict.is_violated replay in
-        (* A quotient-discovered latch reason names representative
-           locations; the replay of the lifted path names the real
-           ones (minus the clause prefix the monitor prepends). *)
-        let reason =
-          match (quotient, replay) with
-          | Some _, Verdict.Violated r ->
-            let prefix = clause ^ ": " in
-            let lp = String.length prefix in
-            if String.length r >= lp && String.equal (String.sub r 0 lp) prefix
-            then String.sub r lp (String.length r - lp)
-            else r
-          | _ -> reason
-        in
-        let counterexample = Counterexample.of_path ~clause ~reason path in
-        { clause; reason; kind; depth = space.Space.depth.(i); counterexample; confirmed })
-      !candidates
-    |> List.sort (fun a b -> compare a.depth b.depth)
-  in
-  let t2 = Unix.gettimeofday () in
-  t_rec "clause_eval" (t2 -. t1);
-  (* Liveness: a [Stable] clause is violated exactly when some reachable
-     [Running] state has a non-[Sat] judge and either a weakly fair
-     cycle runs through it (the judge stays non-[Sat] forever along the
-     loop — the enriched identity makes the judge a function of the
-     merged state) or it is a fair stop (a maximal fair execution ends
-     with the "eventually" still pending).  Both witnesses are positive
-     facts, so refutations are sound even on a truncated graph; the
-     {e absence} of a pivot proves the clause only under [Exhausted]. *)
-  let liveness_proved, liveness_skipped, lassos =
-    if stables = [] then ([], [], [])
-    else if por || Option.is_some quotient then ([], List.map fst stables, [])
-    else begin
-      let live = Live.analyze product space in
-      let proved = ref [] and skipped = ref [] and lassos = ref [] in
+  { product; runtime; space; quotient; status }
+
+(* --- stage 2, safety: judges, inescapability, candidates, path
+   lifting, replay --- *)
+
+(* The first violated [Fold] judge of a reachable Running state. *)
+let judge_violation names = function
+  | Latched _ -> None
+  | Running r ->
+    let res = ref None in
+    Array.iteri
+      (fun i c ->
+        if Option.is_none !res then
+          match c with
+          | C_fold { fold; acc } -> (
+            match fold.P.fjudge r.summary acc with
+            | P.J_violated reason -> res := Some (names.(i), reason)
+            | P.J_sat | P.J_undecided _ -> ())
+          | C_always _ | C_until _ -> ())
+      r.rts;
+    !res
+
+(* A judged violation counts only if inescapable: no path from it
+   reaches a non-violated Running state.  Reverse reachability from the
+   good states over the explored edges — sound as a claim about the
+   system only under an [Exhausted] verdict. *)
+let inescapable (space : _ Space.t) judged =
+  if space.Space.verdict <> Space.Exhausted then fun _ -> false
+  else begin
+    let nstates = Array.length space.Space.states in
+    let escapes = Array.make nstates false in
+    let radj = Array.make nstates [] in
+    Array.iter
+      (fun e -> radj.(e.Space.dst) <- e.Space.src :: radj.(e.Space.dst))
+      space.Space.edges;
+    let q = Queue.create () in
+    Array.iteri
+      (fun i st ->
+        match st with
+        | Running _ when Option.is_none judged.(i) ->
+          escapes.(i) <- true;
+          Queue.add i q
+        | Running _ | Latched _ -> ())
+      space.Space.states;
+    while not (Queue.is_empty q) do
       List.iter
-        (fun (cname, judge) ->
-          (* Discovery order is nondecreasing depth: the first pivot
-             found yields the shortest stem.  The graph tests go first,
-             so the judge (which formats a reason for every non-[Sat]
-             state) runs only on pivot candidates. *)
-          let pivot = ref None in
-          let i = ref 0 in
-          while !pivot = None && !i < nstates do
-            (match space.Space.states.(!i) with
-            | Latched _ -> ()
-            | Running r -> (
-              let kind =
-                if Live.fair_cycle_through live !i then Some `Cycle
-                else if Live.fair_stop_at live !i then Some `Stop
-                else None
-              in
-              match kind with
-              | None -> ()
-              | Some kind -> (
-                match judge r.summary with
-                | P.J_sat -> ()
-                | P.J_violated reason | P.J_undecided reason ->
-                  pivot := Some (!i, reason, kind))));
-            incr i
-          done;
-          match !pivot with
-          | None ->
-            if space.Space.verdict = Space.Exhausted then proved := cname :: !proved
-            else skipped := cname :: !skipped
-          | Some (pv, reason, kind) ->
-            let stem = Space.path_actions space pv in
-            let cyc =
-              match kind with
-              | `Cycle -> Live.cycle_actions space live pv
-              | `Stop -> []
-            in
-            (* Replay through the online monitor: after the stem and
-               after every unrolling of the cycle, this clause's
-               verdict must still not be [Sat]. *)
-            let unrollings = if cyc = [] then [ 0 ] else [ 1; 2; 3 ] in
-            let confirmed =
-              List.for_all
-                (fun k ->
-                  let m = Monitor.create ~n prop in
-                  List.iter (Monitor.observe m) stem;
-                  for _ = 1 to k do
-                    List.iter (Monitor.observe m) cyc
-                  done;
-                  match List.assoc_opt cname (Monitor.clause_verdicts m) with
-                  | Some Verdict.Sat | None -> false
-                  | Some (Verdict.Violated _ | Verdict.Undecided _) -> true)
-                unrollings
-            in
-            lassos :=
-              { l_clause = cname;
-                l_reason = reason;
-                l_kind = kind;
-                l_depth = space.Space.depth.(pv);
-                l_stem = stem;
-                l_cycle = cyc;
-                l_confirmed = confirmed;
-              }
-              :: !lassos)
-        stables;
-      (List.rev !proved, List.rev !skipped, List.rev !lassos)
-    end
+        (fun p ->
+          if not escapes.(p) then begin
+            escapes.(p) <- true;
+            Queue.add p q
+          end)
+        radj.(Queue.pop q)
+    done;
+    fun i -> Option.is_some judged.(i) && not escapes.(i)
+  end
+
+(* Candidate violations, one per clause, newest first; discovery order
+   is nondecreasing depth (no seed states here), so each clause's is
+   its shallowest. *)
+let candidates (space : _ Space.t) judged inescapable_at =
+  let found = ref [] in
+  let seen_clause = Hashtbl.create 8 in
+  Array.iteri
+    (fun i st ->
+      let record kind clause reason =
+        if not (Hashtbl.mem seen_clause clause) then begin
+          Hashtbl.add seen_clause clause ();
+          found := (i, kind, clause, reason) :: !found
+        end
+      in
+      (match st with
+      | Latched { clause; reason } -> record `Edge clause reason
+      | Running _ -> ());
+      if inescapable_at i then
+        match judged.(i) with
+        | Some (clause, reason) -> record `Judgement clause reason
+        | None -> ())
+    space.Space.states;
+  !found
+
+(* Under a quotient the stored parent edges carry representative states
+   and orbit-internal actions; stitching them together is not a run of
+   the original system.  Lift instead: walk the chain maintaining the
+   permutation [rho] with s_i = rho_i(r_i) for the genuine original run
+   s_0 s_1 ... — each emitted action is rho_i(a_i), and rho advances by
+   the canonizing permutation of the raw successor.  The lifted path
+   replays through the monitor, which independently re-derives the
+   violation. *)
+let lift_path ex q i =
+  let space = ex.space in
+  let rec collect j acc =
+    match space.Space.parent.(j) with
+    | None -> acc
+    | Some (p, a) -> collect p ((p, a) :: acc)
   in
-  t_rec "lasso" (Unix.gettimeofday () -. t2);
+  let _, sigma0 = q.q_canon ex.product.Automaton.start in
+  let rho = ref (Symm.Perm.inverse sigma0) in
+  List.map
+    (fun (j, a) ->
+      let b = q.q_sy.Probe.sy_action (Symm.Perm.apply !rho) a in
+      (match ex.product.Automaton.step space.Space.states.(j) a with
+      | Some t ->
+        let _, sigma = q.q_canon t in
+        rho := Symm.Perm.compose !rho (Symm.Perm.inverse sigma)
+      | None -> ());
+      b)
+    (collect i [])
+
+let safety ~n prop ex =
+  let judged = Array.map (judge_violation ex.runtime.names) ex.space.Space.states in
+  List.rev_map
+    (fun (i, kind, clause, reason) ->
+      let path =
+        match ex.quotient with
+        | None -> Space.path_actions ex.space i
+        | Some q -> lift_path ex q i
+      in
+      let replay = Monitor.replay ~n prop path in
+      (* A quotient-discovered latch reason names representative
+         locations; the replay of the lifted path names the real ones
+         (minus the clause prefix the monitor prepends). *)
+      let reason =
+        match (ex.quotient, replay) with
+        | Some _, Verdict.Violated r ->
+          let prefix = clause ^ ": " in
+          let lp = String.length prefix in
+          if String.length r >= lp && String.equal (String.sub r 0 lp) prefix then
+            String.sub r lp (String.length r - lp)
+          else r
+        | _ -> reason
+      in
+      { clause;
+        reason;
+        kind;
+        depth = ex.space.Space.depth.(i);
+        counterexample = Counterexample.of_path ~clause ~reason path;
+        confirmed = Verdict.is_violated replay;
+      })
+    (candidates ex.space judged (inescapable ex.space judged))
+  |> List.sort (fun a b -> compare a.depth b.depth)
+
+(* --- stage 3, liveness: pivot search, lasso replay --- *)
+
+(* The shallowest pivot of a [Stable] clause: a reachable Running state
+   with a non-[Sat] judge that lies on a weakly fair cycle (the judge
+   stays non-[Sat] forever along the loop — the enriched identity makes
+   the judge a function of the merged state) or is a fair stop (a
+   maximal fair execution ends with the "eventually" still pending).
+   Discovery order is nondecreasing depth, so the first pivot found
+   yields the shortest stem; the graph tests go first, so the judge
+   (which formats a reason for every non-[Sat] state) runs only on
+   pivot candidates. *)
+let find_pivot live (space : _ Space.t) judge =
+  let nstates = Array.length space.Space.states in
+  let pivot = ref None and i = ref 0 in
+  while !pivot = None && !i < nstates do
+    (match space.Space.states.(!i) with
+    | Latched _ -> ()
+    | Running r -> (
+      let kind =
+        if Live.fair_cycle_through live !i then Some `Cycle
+        else if Live.fair_stop_at live !i then Some `Stop
+        else None
+      in
+      match kind with
+      | None -> ()
+      | Some kind -> (
+        match judge r.summary with
+        | P.J_sat -> ()
+        | P.J_violated reason | P.J_undecided reason ->
+          pivot := Some (!i, reason, kind))));
+    incr i
+  done;
+  !pivot
+
+(* Replay through the online monitor: after the stem and after every
+   unrolling of the cycle, the clause's verdict must still not be
+   [Sat]. *)
+let lasso_confirmed ~n prop cname stem cyc =
+  List.for_all
+    (fun k ->
+      let m = Monitor.create ~n prop in
+      List.iter (Monitor.observe m) stem;
+      for _ = 1 to k do
+        List.iter (Monitor.observe m) cyc
+      done;
+      match List.assoc_opt cname (Monitor.clause_verdicts m) with
+      | Some Verdict.Sat | None -> false
+      | Some (Verdict.Violated _ | Verdict.Undecided _) -> true)
+    (if cyc = [] then [ 0 ] else [ 1; 2; 3 ])
+
+(* Pivots are positive facts, so refutations are sound even on a
+   truncated graph; the {e absence} of a pivot proves the clause only
+   under [Exhausted].  Returns the proved and skipped clauses and the
+   lassos. *)
+let liveness ~por ~n prop ex =
+  let stables = ex.runtime.stables in
+  if stables = [] then ([], [], [])
+  else if por || Option.is_some ex.quotient then ([], List.map fst stables, [])
+  else begin
+    let space = ex.space in
+    let live = Live.analyze ex.product space in
+    let proved = ref [] and skipped = ref [] and lassos = ref [] in
+    List.iter
+      (fun (cname, judge) ->
+        match find_pivot live space judge with
+        | None ->
+          if space.Space.verdict = Space.Exhausted then proved := cname :: !proved
+          else skipped := cname :: !skipped
+        | Some (pv, reason, kind) ->
+          let stem = Space.path_actions space pv in
+          let cyc =
+            match kind with `Cycle -> Live.cycle_actions space live pv | `Stop -> []
+          in
+          lassos :=
+            { l_clause = cname;
+              l_reason = reason;
+              l_kind = kind;
+              l_depth = space.Space.depth.(pv);
+              l_stem = stem;
+              l_cycle = cyc;
+              l_confirmed = lasso_confirmed ~n prop cname stem cyc;
+            }
+            :: !lassos)
+      stables;
+    (List.rev !proved, List.rev !skipped, List.rev !lassos)
+  end
+
+(* The three stages, timed as [explore] (and [symmetry] when a lift is
+   requested), [clause_eval] and [lasso]. *)
+let check ~max_states ~por ~jobs ~timings ~n prop system =
+  let log = Option.map (fun _ -> ref []) timings in
+  let ex = explore ~max_states ~por ~jobs ~log ~n prop system in
+  let violations = timed log "clause_eval" (fun () -> safety ~n prop ex) in
+  let liveness_proved, liveness_skipped, lassos =
+    timed log "lasso" (fun () -> liveness ~por ~n prop ex)
+  in
+  (match (timings, log) with Some r, Some l -> r := !r @ List.rev !l | _ -> ());
+  let space = ex.space in
   let safety_proved = space.Space.verdict = Space.Exhausted && violations = [] in
   { verdict = space.Space.verdict;
-    states = nstates;
+    states = Array.length space.Space.states;
     transitions = space.Space.stats.Space.transitions;
-    safety_clauses = Array.to_list names;
-    liveness_clauses = List.map fst stables;
+    safety_clauses = Array.to_list ex.runtime.names;
+    liveness_clauses = List.map fst ex.runtime.stables;
     liveness_proved;
     liveness_skipped;
     violations;
@@ -730,7 +773,7 @@ let check ?(max_states = default_max_states) ?(por = false) ?(jobs = 1)
     safety_proved;
     proved = safety_proved && liveness_skipped = [] && lassos = [];
     por;
-    sym;
+    sym = ex.status;
     stats = space.Space.stats;
   }
 
@@ -787,56 +830,53 @@ let crash_automaton ?crashable ~n () =
    pair identity through the declared semantic order (shape differences
    introduced by [ss_perm] must not split states), its hash, and the
    pair automaton. *)
-let symmetric_pair ~n dsym perm_o detector crash =
+let symmetric_system ~n spec dsym perm_o detector crash =
   let psym = sym_pair dsym sym_set in
-  let sy =
-    { Probe.sy_n = n;
-      sy_state = psym.ss_perm;
-      sy_action = Symm.perm_event perm_o;
-      sy_cmp = psym.ss_cmp;
-      sy_fields = [];
-    }
-  in
-  let equal_state a b = psym.ss_cmp a b = 0 in
-  (sy, equal_state, psym.ss_hash, pair_automaton detector crash)
+  { sys = pair_automaton detector crash;
+    equal_state = (fun a b -> psym.ss_cmp a b = 0);
+    hash_state = psym.ss_hash;
+    equal_out = spec.Afd_core.Afd.equal_out;
+    symmetry =
+      Some
+        ( { Probe.sy_n = n;
+            sy_state = psym.ss_perm;
+            sy_action = Symm.perm_event perm_o;
+            sy_cmp = psym.ss_cmp;
+            sy_fields = [];
+          },
+          perm_o );
+  }
 
-let check_spec ?max_states ?por ?jobs ?timings ?len_cap ?count_cap
+let check_spec ?(max_states = default_max_states) ?(por = false) ?(jobs = 1) ?timings
     ?crashable ?symmetry ~n spec ~detector =
   match spec.Afd_core.Afd.prop with
   | None -> Error (raw_spec_error spec)
-  | Some prop ->
+  | Some prop -> (
     let crash = crash_automaton ?crashable ~n () in
-    let unreduced ?sym () =
+    let run system = check ~max_states ~por ~jobs ~timings ~n (prop ~n) system in
+    match (symmetry, spec.Afd_core.Afd.perm_out) with
+    | Some dsym, Some perm_o ->
+      Ok (run (symmetric_system ~n spec dsym perm_o detector crash))
+    | _ ->
       let comp =
         Composition.make
           ~name:(detector.Automaton.name ^ "+crash")
           [ Component.C detector; Component.C crash ]
       in
       let o =
-        check ?max_states ?por ?jobs ?timings ?len_cap ?count_cap
-          ~equal_out:spec.Afd_core.Afd.equal_out ~equal_state:Composition.equal_state
-          ~hash_state:Composition.hash_state ~n (prop ~n)
-          (Composition.as_automaton comp)
+        run
+          { sys = Composition.as_automaton comp;
+            equal_state = Composition.equal_state;
+            hash_state = Composition.hash_state;
+            equal_out = spec.Afd_core.Afd.equal_out;
+            symmetry = None;
+          }
       in
-      match sym with None -> o | Some s -> { o with sym = s }
-    in
-    (match symmetry with
-    | None -> Ok (unreduced ())
-    | Some dsym -> (
-      match spec.Afd_core.Afd.perm_out with
-      | None ->
-        Ok
-          (unreduced
-             ~sym:(Sym_fallback no_perm_out)
-             ())
-      | Some perm_o ->
-        let sy, equal_state, hash_state, pair =
-          symmetric_pair ~n dsym perm_o detector crash
-        in
-        Ok
-          (check ?max_states ?por ?jobs ?timings ?len_cap ?count_cap
-             ~equal_out:spec.Afd_core.Afd.equal_out ~symmetry:sy ~perm_out:perm_o
-             ~equal_state ~hash_state ~n (prop ~n) pair)))
+      (* Requested, but the spec cannot transport outputs: the run
+         stays unreduced and says why. *)
+      Ok
+        (if Option.is_none symmetry then o
+         else { o with sym = Sym_fallback no_perm_out }))
 
 (* --- the quotient's canonizer, exposed for cross-checking --- *)
 
@@ -849,35 +889,30 @@ type ('s, 'o) quotient_view = {
   qv_canon : ('s, 'o) product_state -> ('s, 'o) product_state * Symm.Perm.t;
 }
 
-(* The same [setup] and exploration as [check_spec ~symmetry] on a
-   certificate (no POR, one domain, no liveness enrichment). *)
+(* The explore stage of [check_spec ~symmetry] (no POR, one domain),
+   read off on a certificate. *)
 let quotient_view ?(max_states = default_max_states) ?crashable ~symmetry ~n spec
     ~detector =
   match (spec.Afd_core.Afd.prop, spec.Afd_core.Afd.perm_out) with
   | None, _ -> Error (raw_spec_error spec)
   | Some _, None -> Error no_perm_out
   | Some prop, Some perm_o -> (
-    let sy, equal_state, hash_state, pair =
-      symmetric_pair ~n symmetry perm_o detector (crash_automaton ?crashable ~n ())
+    let system =
+      symmetric_system ~n spec symmetry perm_o detector
+        (crash_automaton ?crashable ~n ())
     in
-    let st =
-      setup ~max_states ~por:false ~equal_out:spec.Afd_core.Afd.equal_out ~symmetry:sy
-        ~perm_out:perm_o ~equal_state ~hash_state ~n (prop ~n) pair
-    in
-    match st.resolved with
-    | `Quotient (_, q) ->
-      let space =
-        Space.explore ~symmetry:(fun s -> fst (q.q_canon s)) st.product st.probe
-      in
+    let ex = explore ~max_states ~por:false ~jobs:1 ~log:None ~n (prop ~n) system in
+    match (ex.quotient, ex.status) with
+    | Some q, _ ->
       Ok
-        { qv_product = st.product;
-          qv_states = space.Space.states;
+        { qv_product = ex.product;
+          qv_states = ex.space.Space.states;
           qv_symmetry = q.q_sy;
           qv_canon = q.q_canon;
         }
-    | `Off -> Error "symmetry not engaged"
-    | `Fallback r -> Error ("uncertified: " ^ r)
-    | `Breaking w -> Error (Fmt.str "symmetry-breaking: %a" Symm.pp_witness w))
+    | None, Sym_breaking w -> Error (Fmt.str "symmetry-breaking: %a" Symm.pp_witness w)
+    | None, Sym_fallback r -> Error ("uncertified: " ^ r)
+    | None, (Sym_off | Sym_quotient _) -> Error "symmetry not engaged")
 
 (* --- parametric cutoff search --- *)
 
@@ -1006,46 +1041,6 @@ let pp_sym_status fmt = function
       (if c.Symm.c_exhaustive then "" else ", bounded")
   | Sym_breaking w -> Format.fprintf fmt "breaking: %a" Symm.pp_witness w
   | Sym_fallback r -> Format.fprintf fmt "uncertified: %s" r
-
-let pp_outcome ~pp_out fmt o =
-  Format.fprintf fmt "@[<v>%s: %d states, %d transitions (%a%s)"
-    (if o.proved then "proved"
-     else if o.violations = [] && o.lassos = [] then "no violation found"
-     else "VIOLATED")
-    o.states o.transitions Space.pp_verdict o.verdict
-    (if o.por then Printf.sprintf ", por slept %d" o.stats.Space.slept else "");
-  (match o.sym with
-  | Sym_off -> ()
-  | s -> Format.fprintf fmt "@,symmetry: %a" pp_sym_status s);
-  Format.fprintf fmt "@,safety clauses: %s" (String.concat ", " o.safety_clauses);
-  if o.liveness_proved <> [] then
-    Format.fprintf fmt "@,liveness proved (no fair violating cycle): %s"
-      (String.concat ", " o.liveness_proved);
-  if o.liveness_skipped <> [] then
-    Format.fprintf fmt "@,liveness skipped (%s): %s"
-      (if o.por then "por"
-       else match o.sym with Sym_quotient _ -> "symmetry" | _ -> "truncated")
-      (String.concat ", " o.liveness_skipped);
-  List.iter
-    (fun v ->
-      Format.fprintf fmt "@,[%s] depth %d%s: %a"
-        (match v.kind with `Edge -> "edge" | `Judgement -> "judgement")
-        v.depth
-        (if v.confirmed then ", replay-confirmed" else ", NOT confirmed by replay")
-        (Counterexample.pp pp_out) v.counterexample)
-    o.violations;
-  List.iter
-    (fun l ->
-      Format.fprintf fmt
-        "@,[lasso/%s] %s at depth %d%s: %s@,  stem (%d): %a@,  cycle (%d): %a"
-        (match l.l_kind with `Cycle -> "fair-cycle" | `Stop -> "fair-stop")
-        l.l_clause l.l_depth
-        (if l.l_confirmed then ", replay-confirmed" else ", NOT confirmed by replay")
-        l.l_reason (List.length l.l_stem)
-        (Fd_event.pp_trace pp_out) l.l_stem (List.length l.l_cycle)
-        (Fd_event.pp_trace pp_out) l.l_cycle)
-    o.lassos;
-  Format.fprintf fmt "@]"
 
 let sym_status_to_json s =
   let str = Json.string in

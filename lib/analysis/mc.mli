@@ -38,13 +38,12 @@
 
     {b Product state identity.}  Two product states are merged when
     their system states, crashed-so-far sets, trace lengths capped at
-    [len_cap] (default 8), [Until] release flags and [Fold]
-    accumulators agree.  When [Stable] clauses are in scope (and [por]
-    is off) the identity is enriched with [last_output] (modulo
-    [equal_out]) and [output_counts] capped at [count_cap] (default 1)
-    so that every Stable judge is a function of the merged state.  A
-    clause comparing [len] against a bound above [len_cap], or counts
-    above [count_cap], needs those caps raised.
+    8, [Until] release flags and [Fold] accumulators agree.  When
+    [Stable] clauses are in scope (and [por] is off) the identity is
+    enriched with [last_output] (modulo the spec's [equal_out]) and
+    [output_counts] capped at 1, so that every Stable judge is a
+    function of the merged state.  A clause comparing [len] against a
+    bound above 8, or counts above 1, needs those caps raised.
 
     The seen-set hash reads every field this equality reads: the
     system state's hash, the capped length, the crashed set, the
@@ -55,7 +54,21 @@
     fold's semantic order ([fcmp]), which has no congruent hash, so
     quotient runs (and the certification sweep) leave them out of the
     hash: states that differ only there share a bucket and are told
-    apart by the equality. *)
+    apart by the equality.
+
+    {b Stages.}  {!check_spec} composes three stages.  {e Explore}
+    builds the clause runtime (one slot per safety clause, plus the
+    [Stable] judges), the product, its identity, resolves symmetry
+    (certificate, breaking witness or fallback) and explores with
+    {!Pspace}; it hands off one record: the product, the clause
+    runtime, the {!Space.t} and, on a certificate, the quotient's
+    lifted descriptor and canonizer.  {e Safety} reads only that
+    record: [Fold] judges, inescapability, one candidate per clause,
+    quotient path lifting and monitor replay.  {e Liveness} runs pivot
+    search and lasso replay on the same graph.  The hand-off is where
+    a packed product explorer plugs in (it only has to decode to
+    {!Space.t}), and the clause runtime is the stage a closure checker
+    reuses to step the formula along its own automata. *)
 
 open Afd_ioa
 open Afd_prop
@@ -158,60 +171,11 @@ type 'o outcome = {
   stats : Space.stats;
 }
 
-val default_max_states : int
-(** 20_000 — comfortably above every catalog subject's product size. *)
-
-val check :
-  ?max_states:int ->
-  ?por:bool ->
-  ?jobs:int ->
-  ?timings:(string * float) list ref ->
-  ?len_cap:int ->
-  ?count_cap:int ->
-  ?equal_out:('o -> 'o -> bool) ->
-  ?symmetry:('s, 'o Fd_event.t) Probe.symmetry ->
-  ?perm_out:((int -> int) -> 'o -> 'o) ->
-  equal_state:('s -> 's -> bool) ->
-  hash_state:('s -> int) ->
-  n:int ->
-  'o Prop.t ->
-  ('s, 'o Fd_event.t) Automaton.t ->
-  'o outcome
-(** Model-check a formula against a closed system automaton whose
-    actions are the FD events themselves (so walking an edge {e is}
-    observing an event).  [equal_state]/[hash_state] identify system
-    states — pass {!Composition.equal_state}/{!Composition.hash_state}
-    for composed systems.  [por] (default [false]) enables the
-    sleep-set reduction; leave it off when shortest counterexamples or
-    liveness verdicts matter (liveness is skipped under POR).
-    [count_cap] (default 1) caps the per-location output counts joined
-    to the state identity for liveness; [equal_out] (default
-    structural) compares last outputs there.  [jobs > 1] (default 1)
-    explores the product on {!Pspace} across that many domains; the
-    exploration is structurally identical at any [jobs], so the
-    outcome — including counterexample paths and lassos — is too.
-    [timings], when given, accumulates per-phase wall-clock seconds
-    ([explore], [clause_eval], [lasso], plus [explore.*] sub-phases
-    from the parallel explorer) without touching the outcome.
-
-    [symmetry], when given, is the process-permutation action on
-    system states; [perm_out] the action on output payloads.  The
-    checker lifts them to product states, runs the {!Symm} equivariance
-    sweep over the quotient, and — only on a certificate — explores
-    orbit representatives instead of states.  Counterexamples found in
-    the quotient are lifted back to genuine runs of the original
-    system (and replay-confirmed as always); liveness is skipped, as
-    under [por].  [sy_cmp] in the descriptor must order exactly the
-    states [equal_state] merges ([sy_cmp x y = 0] iff
-    [equal_state x y]). *)
-
 val check_spec :
   ?max_states:int ->
   ?por:bool ->
   ?jobs:int ->
   ?timings:(string * float) list ref ->
-  ?len_cap:int ->
-  ?count_cap:int ->
   ?crashable:Loc.Set.t ->
   ?symmetry:'s state_symmetry ->
   n:int ->
@@ -220,16 +184,34 @@ val check_spec :
   ('o outcome, string) result
 (** Compose [detector] with the crash automaton over [crashable]
     (default: the full universe, i.e. {e all} fault patterns) and
-    {!check} the spec's compiled formula against it.  [Error] when the
-    spec is raw (no formula to check).
+    model-check the spec's compiled formula against it, exploring at
+    most [max_states] (default 20 000) product states.  [Error] when
+    the spec is raw (no formula to check).
+
+    [por] (default [false]) enables the sleep-set reduction; leave it
+    off when shortest counterexamples or liveness verdicts matter
+    (liveness is skipped under POR).  [jobs > 1] (default 1) explores
+    the product on {!Pspace} across that many domains; the exploration
+    is structurally identical at any [jobs], so the outcome — including
+    counterexample paths and lassos — is too.  [timings], when given,
+    gets per-phase wall-clock seconds appended, in order: [symmetry]
+    (certification, when [symmetry] is given and the spec has
+    [perm_out]), [explore]
+    (preceded by the parallel explorer's [explore.*] sub-phases at
+    [jobs > 1]), [clause_eval] and [lasso].  It never touches the
+    outcome.
 
     [symmetry], when given, is the permutation action on the
     {e detector's} state.  The detector+crash pair is then built as a
     first-order pair automaton trace-equivalent to the composition
     (whose existential component states a permutation cannot reach),
     the crash set permutes by {!sym_set}, actions by the spec's
-    [perm_out], and {!check} runs with the lifted descriptor.  A spec
-    without [perm_out] falls back to the unreduced composition with
+    [perm_out], and the explore stage certifies the lifted descriptor
+    and, on a certificate, explores orbit representatives.
+    Counterexamples found in the quotient are lifted back to genuine
+    runs of the original system (and replay-confirmed as always);
+    liveness is skipped, as under [por].  A spec without [perm_out]
+    falls back to the unreduced composition with
     [sym = Sym_fallback]. *)
 
 (** {1 The quotient's canonizer}
@@ -329,8 +311,6 @@ val pp_parametric : Format.formatter -> parametric -> unit
 val parametric_to_json : parametric -> string
 
 val pp_sym_status : Format.formatter -> sym_status -> unit
-
-val pp_outcome : pp_out:'o Fmt.t -> Format.formatter -> 'o outcome -> unit
 
 val outcome_to_json :
   ?timings:(string * float) list -> pp_out:'o Fmt.t -> 'o outcome -> string

@@ -24,6 +24,7 @@ let () =
       ("k-set", Test_kset.suite);
       ("lint", Test_lint.suite);
       ("symm", Test_symm.suite);
+      ("mc", Test_mc.suite);
       ("space", Test_space.suite);
       ("pspace", Test_pspace.suite);
       ("cspace", Test_cspace.suite);
