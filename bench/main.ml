@@ -538,98 +538,6 @@ let px_explore () =
       assert equal)
     [ 2; 4; 8 ]
 
-(* CX: the compiled explorer (Cspace: packed state keys,
-   defunctionalized step tables) against the boxed sequential one on
-   the same net compositions, single timed runs at a 200k-state budget
-   — large enough to amortize table warmup, which dominates the small
-   matrix caps.  Every compiled result is gated through Space.agree
-   before a speedup figure is printed.  A final compiled-only run
-   pushes one subject past 10^6 states to exercise the packed tables
-   at scale.  Printed under the perf gate, so `make perf` tracks the
-   compiled-vs-boxed speedup alongside the PX parallel figures. *)
-let cx_explore () =
-  let module A = Afd_analysis in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let heartbeat () =
-    (Heartbeat.net ~n:3 ~initial_timeout:2 ~crashable:(Loc.Set.singleton 2) ())
-      .Net.composition
-  in
-  let flood () =
-    (C.Flood_p.net ~n:3 ~f:1 ~crashable:(Loc.Set.singleton 2) ()).Net.composition
-  in
-  let probe ~cap acts =
-    A.Probe.make ~equal_action:Act.equal ~pp_action:Act.pp
-      ~equal_state:Composition.equal_state ~hash_state:Composition.hash_state
-      ~max_states:cap acts
-  in
-  List.iter
-    (fun (name, mk, acts) ->
-      (* Equality gate on its own (smaller, untimed) runs, dropped
-         before timing: a retained 200k-state boxed result would skew
-         whichever timed run goes second through major-GC pressure.
-         The CX matrix rows and test_cspace gate the full cap matrix. *)
-      let equal =
-        let p = probe ~cap:60_000 acts in
-        let a = Composition.as_automaton (mk ()) in
-        let seq = A.Space.explore ~por:false a p in
-        let cmp = A.Cspace.explore_composition ~por:false ~jobs:1 (mk ()) p in
-        A.Space.agree ~equal_state:Composition.equal_state
-          ~equal_action:Act.equal seq cmp
-      in
-      assert equal;
-      (* Timed runs, symmetric heap: compact first, retain nothing.
-         The container's single shared vCPU makes one-shot wall clocks
-         noisy (neighbour steal), so take the min of three repetitions
-         — the least-disturbed run of each explorer. *)
-      let states = 200_000 in
-      let p = probe ~cap:states acts in
-      let a = Composition.as_automaton (mk ()) in
-      let best f =
-        let m = ref infinity in
-        for _ = 1 to 3 do
-          Gc.compact ();
-          let (), t = time (fun () -> ignore (Sys.opaque_identity (f ()))) in
-          if t < !m then m := t
-        done;
-        !m
-      in
-      let t_seq = best (fun () -> A.Space.explore ~por:false a p) in
-      let t_cmp =
-        best (fun () ->
-            A.Cspace.explore_composition ~por:false ~jobs:1 (mk ()) p)
-      in
-      row
-        "  CX %s (%d states): boxed %.3fs (%.0f states/s) vs compiled %.3fs \
-         (%.0f states/s) = %.2fx  state-set-equal=%b@."
-        name states t_seq
-        (if t_seq > 0. then float_of_int states /. t_seq else 0.)
-        t_cmp
-        (if t_cmp > 0. then float_of_int states /. t_cmp else 0.)
-        (if t_cmp > 0. then t_seq /. t_cmp else 0.)
-        equal)
-    [ ("heartbeat-net", heartbeat, Afd_bench.Explore_bench.heartbeat_acts);
-      ("flood-net", flood, Afd_bench.Explore_bench.flood_acts);
-    ];
-  Gc.compact ();
-  let p = probe ~cap:1_000_000 Afd_bench.Explore_bench.heartbeat_acts in
-  let big, t =
-    time (fun () ->
-        A.Cspace.explore_composition ~por:false ~jobs:1 (heartbeat ()) p)
-  in
-  let states = Array.length big.A.Space.states in
-  row
-    "  CX   heartbeat-net at 10^6 states (compiled only): %d states, %d \
-     transitions, %s in %.1fs (%.0f states/s)@."
-    states big.A.Space.stats.A.Space.transitions
-    (A.Space.verdict_string big.A.Space.verdict)
-    t
-    (if t > 0. then float_of_int states /. t else 0.);
-  assert (states >= 1_000_000)
-
 let perf () =
   section "P1-P4  Performance (Bechamel, monotonic clock)";
   let open Bechamel in
@@ -677,8 +585,7 @@ let perf () =
           | _ -> row "  %-45s (no estimate)@." name)
         results)
     tests;
-  px_explore ();
-  cx_explore ()
+  px_explore ()
 
 (* ------------------------------------------------------------------ *)
 (* CLI                                                                 *)
@@ -716,6 +623,14 @@ let parse_opts () =
     }
   in
   let int_of v = match int_of_string_opt v with Some n -> n | None -> usage () in
+  let count_of flag v =
+    let n = int_of v in
+    if n < 1 then begin
+      Printf.eprintf "main.exe: %s expects a positive count, got %d\n" flag n;
+      usage ()
+    end;
+    n
+  in
   let pct_of v =
     match float_of_string_opt v with
     | Some p when p >= 0. && p < 100. -> p
@@ -723,8 +638,8 @@ let parse_opts () =
   in
   let rec go o = function
     | [] -> o
-    | "--jobs" :: v :: rest -> go { o with jobs = int_of v } rest
-    | "--seeds" :: v :: rest -> go { o with seeds = Some (int_of v) } rest
+    | "--jobs" :: v :: rest -> go { o with jobs = count_of "--jobs" v } rest
+    | "--seeds" :: v :: rest -> go { o with seeds = Some (count_of "--seeds" v) } rest
     | "--json" :: v :: rest -> go { o with json = Some v } rest
     | "--root-seed" :: v :: rest -> go { o with root_seed = int_of v } rest
     | "--smoke" :: rest -> go { o with smoke = true } rest
@@ -801,7 +716,6 @@ let () =
         "@.perf gate: %.0f transitions/s vs baseline %.0f (%s) = %.2fx (floor %.2fx)@."
         current base path ratio floor;
       px_explore ();
-      cx_explore ();
       if ratio < floor then begin
         Printf.eprintf
           "perf: aggregate throughput regressed more than %.0f%% vs %s (%.2fx)\n"

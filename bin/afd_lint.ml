@@ -32,7 +32,7 @@
 let usage =
   "afd_lint [--json] [--strict] [--rule ID]... [--fixture ID] [--list-rules] \
    [--catalog] [--mc] [--symmetry] [--max-states N] [--por on|off] [--jobs N] \
-   [--compiled] [--profile]"
+   [--profile]"
 
 let () =
   let json = ref false in
@@ -46,7 +46,6 @@ let () =
   let max_states = ref None in
   let por = ref false in
   let jobs = ref 1 in
-  let compiled = ref false in
   let profile = ref false in
   let spec =
     [ ("--json", Arg.Set json, "emit the report as JSON on stdout");
@@ -94,13 +93,6 @@ let () =
             jobs := n),
         "N explore on N domains (Pspace; default 1 — findings, verdicts and \
          JSON are identical at any N)" );
-      ( "--compiled",
-        Arg.Set compiled,
-        "explore the net compositions' lint graphs on the packed \
-         composition explorer (Cspace: per-component interned states, \
-         step tables); plain automata, orbit-quotiented explorations and \
-         the --mc model checker keep the boxed explorers — findings, \
-         verdicts and JSON are identical either way" );
       ( "--profile",
         Arg.Set profile,
         "with --mc (and no --fixture), report per-phase wall-clock timings \
@@ -162,7 +154,7 @@ let () =
   in
   let report =
     Engine.run ~rules ?max_states:!max_states ~por:!por ~jobs:!jobs
-      ~compiled:!compiled ~symmetry:!symmetry items
+      ~symmetry:!symmetry items
   in
   let mc_results =
     if !mc && !fixture = None then

@@ -1,8 +1,8 @@
-let run ?(rules = Rules.all) ?max_states ?por ?jobs ?compiled ?symmetry items =
+let run ?(rules = Rules.all) ?max_states ?por ?jobs ?symmetry items =
   let subjects =
     List.map
       (fun { Registry.origin; entry } ->
-        Subject.make ?por ?max_states ?jobs ?compiled ?symmetry ~origin entry)
+        Subject.make ?por ?max_states ?jobs ?symmetry ~origin entry)
       items
   in
   let findings =
@@ -16,6 +16,6 @@ let run ?(rules = Rules.all) ?max_states ?por ?jobs ?compiled ?symmetry items =
   Report.make ~rules_run:(List.length rules) ~subjects_checked:(List.length items)
     ~explorations findings
 
-let run_entry ?rules ?max_states ?por ?jobs ?compiled ?symmetry ~origin entry =
-  run ?rules ?max_states ?por ?jobs ?compiled ?symmetry
+let run_entry ?rules ?max_states ?por ?jobs ?symmetry ~origin entry =
+  run ?rules ?max_states ?por ?jobs ?symmetry
     [ { Registry.origin; entry } ]

@@ -10,16 +10,13 @@ val run :
   ?max_states:int ->
   ?por:bool ->
   ?jobs:int ->
-  ?compiled:bool ->
   ?symmetry:bool ->
   Registry.item list ->
   Report.t
 (** Defaults to {!Rules.all}.  [max_states] overrides every subject's
     exploration cap; [por] turns on the sleep-set reduction; [jobs]
-    spreads each subject's exploration over that many domains;
-    [compiled] routes composition subjects to {!Cspace} (see
-    {!Subject.make} — findings and reports are identical at any
-    [jobs], compiled or not);
+    spreads each subject's exploration over that many domains
+    (findings and reports are identical at any [jobs]);
     [symmetry] runs the {!Symm} equivariance analysis per subject and
     orbit-quotients certified explorations (pair it with
     {!Rules.symmetry} so the verdicts surface as findings). *)
@@ -29,7 +26,6 @@ val run_entry :
   ?max_states:int ->
   ?por:bool ->
   ?jobs:int ->
-  ?compiled:bool ->
   ?symmetry:bool ->
   origin:string ->
   Registry.entry ->

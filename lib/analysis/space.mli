@@ -14,8 +14,7 @@
     sleep sets, edges, seeds, budget cuts — exists once, in
     {!explore_with}.  {!explore} feeds it states expanded in place;
     the parallel explorer ({!Pspace}) feeds it expansions its workers
-    computed.  The compiled explorer ({!Cspace}) keeps its own packed
-    copy, checked against this one by the differential tests.
+    computed.
 
     {b Partial-order reduction.}  With [~por:true] the explorer runs a
     sleep-set reduction (Godefroid): when two task transitions commute
@@ -183,6 +182,6 @@ val agree :
 (** Structural identity of two explorations: states pointwise equal in
     the same order, edge arrays equal (order, endpoints, action, task
     label), parent trees, depths, verdicts, POR flags, and stats all
-    equal.  [Space] is the oracle: the parallel ({!Pspace}) and compiled
-    ({!Cspace}) explorers must agree with it at any [jobs], which the
-    differential tests and the PX/CX benchmark rows assert. *)
+    equal.  [Space] is the oracle: the parallel explorer ({!Pspace})
+    must agree with it at any [jobs], which the differential tests and
+    the PX benchmark rows assert. *)

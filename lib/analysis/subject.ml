@@ -18,12 +18,11 @@ type t = {
   packed : packed option;
 }
 
-let make ?(por = false) ?max_states ?(jobs = 1) ?(compiled = false)
-    ?(symmetry = false) ~origin entry =
+let make ?(por = false) ?max_states ?(jobs = 1) ?(symmetry = false) ~origin entry =
   let with_cap p =
     match max_states with None -> p | Some m -> { p with Probe.max_states = m }
   in
-  let pack ?compiled_run a p =
+  let pack a p =
     (* Orbit quotienting is gated on the analyzer's certificate: only a
        subject whose declared S_n action survives the equivariance
        check explores on representatives; breaking or undeclared
@@ -39,15 +38,7 @@ let make ?(por = false) ?max_states ?(jobs = 1) ?(compiled = false)
           | Symm.Certified _, Some sy -> Some (Symm.canonizer sy)
           | (Symm.Certified _ | Symm.Breaking _ | Symm.Unsupported _), _ -> None))
     in
-    (* The one explorer choice: a compiled composition runs packed
-       unless it is quotiented (the packed tables cannot canonize
-       across component slots); everything else runs boxed. *)
-    let space =
-      lazy
-        (match (Lazy.force canon, compiled_run) with
-        | None, Some run -> run ()
-        | symmetry, _ -> Pspace.explore ?symmetry ~por ~jobs a p)
-    in
+    let space = lazy (Pspace.explore ?symmetry:(Lazy.force canon) ~por ~jobs a p) in
     P
       { aut = a;
         probe = p;
@@ -63,8 +54,7 @@ let make ?(por = false) ?max_states ?(jobs = 1) ?(compiled = false)
     | Registry.Composition (c, p) ->
       (* Composition states hold closures, on which the probe's default
          structural equality would bail out: flatten with the
-         componentwise equality and its congruent hash.  That exact
-         pairing is also {!Cspace.explore_composition}'s precondition. *)
+         componentwise equality and its congruent hash. *)
       let a = Composition.as_automaton c in
       let p =
         with_cap
@@ -73,11 +63,7 @@ let make ?(por = false) ?max_states ?(jobs = 1) ?(compiled = false)
             hash_state = Some Composition.hash_state;
           }
       in
-      let compiled_run =
-        if compiled then Some (fun () -> Cspace.explore_composition ~por ~jobs c p)
-        else None
-      in
-      Some (pack ?compiled_run a p)
+      Some (pack a p)
     | Registry.Spec _ -> None
   in
   { origin; entry; name = Registry.entry_name entry; packed }

@@ -5,10 +5,9 @@
     ({!Composition.as_automaton}, with the componentwise state equality
     {e and} its congruent hash) and memoizes a single exploration that
     all rules share; the exploration (with its {!Space.verdict}) is
-    surfaced in the report only if some rule actually forced it.  This
-    is also the one place that picks an explorer: compiled, unquotiented
-    compositions run on {!Cspace.explore_composition}, everything else
-    on {!Pspace.explore} (which is {!Space.explore} at one job). *)
+    surfaced in the report only if some rule actually forced it.  Every
+    subject explores on {!Pspace.explore} (which is {!Space.explore} at
+    one job). *)
 
 open Afd_ioa
 
@@ -45,7 +44,6 @@ val make :
   ?por:bool ->
   ?max_states:int ->
   ?jobs:int ->
-  ?compiled:bool ->
   ?symmetry:bool ->
   origin:string ->
   Registry.entry ->
@@ -54,10 +52,7 @@ val make :
     [por] (default [false]) turns on the sleep-set reduction for the
     shared exploration (edge-granular rules then skip themselves — see
     {!Rules.mc}); [jobs > 1] (default [1]) runs the shared exploration
-    across that many domains; [compiled] (default [false]) runs
-    composition entries on the packed {!Cspace} explorer unless the
-    exploration is orbit-quotiented — it has no effect on plain
-    automata.  Same result in every combination, structurally
+    across that many domains, with the same result structurally
     ({!Space.agree}).
 
     [symmetry] (default [false]) runs the {!Symm} equivariance

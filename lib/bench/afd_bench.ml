@@ -16,7 +16,6 @@ module R = Afd_runner
 module Check = Check
 module Explore_bench = Explore_bench
 module Pspace_bench = Pspace_bench
-module Cspace_bench = Cspace_bench
 module Live_bench = Live_bench
 module Churn_bench = Churn_bench
 module Symm_bench = Symm_bench
@@ -275,9 +274,6 @@ let matrix ?(retention = Scheduler.Trace_only) () =
   (* PX: parallel exploration, differential against MX's sequential
      explorer (retention-independent: pure graph work) *)
   @ Pspace_bench.entries ()
-  (* CX: compiled exploration, differential against the boxed explorer
-     (retention-independent: pure graph work) *)
-  @ Cspace_bench.entries ()
   (* ML: liveness model checking (retention-independent: pure graph work) *)
   @ Live_bench.entries ()
   (* CN: churn simulation on the mega event-queue engine (retention-

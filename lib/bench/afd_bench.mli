@@ -18,11 +18,6 @@ module Pspace_bench = Pspace_bench
     domain-sharded explorer differential-gated against MX's sequential
     one at 1/2/4/8 domains, POR off and on. *)
 
-module Cspace_bench = Cspace_bench
-(** Compiled-exploration rows (CX) appended to {!matrix}: the packed
-    Cspace explorer differential-gated against the boxed sequential
-    one at 1/2/4 domains, POR off and on. *)
-
 module Live_bench = Live_bench
 (** Liveness model-checking rows (ML) appended to {!matrix}. *)
 
@@ -46,8 +41,7 @@ val matrix :
   Afd_runner.Matrix.entry list
 (** The 25 entries of E1-E7, plus the MX exploration-throughput rows
     ({!Explore_bench}), the PX parallel-exploration rows
-    ({!Pspace_bench}), the CX compiled-exploration rows
-    ({!Cspace_bench}), the ML liveness model-checking rows
+    ({!Pspace_bench}), the ML liveness model-checking rows
     ({!Live_bench}), the CN churn-simulation rows ({!Churn_bench}) and
     the SY orbit-reduction rows ({!Symm_bench}).  [retention] (default
     {!Afd_ioa.Scheduler.Trace_only}) is threaded into every

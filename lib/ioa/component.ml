@@ -8,7 +8,6 @@ let kind_of (C a) act = a.Automaton.kind act
 let init (C a) = I (a, Array.of_list a.Automaton.tasks, a.Automaton.start)
 
 let inst_name (I (a, _, _)) = a.Automaton.name
-let inst_kind_of (I (a, _, _)) act = a.Automaton.kind act
 
 (* Untouched components return the instance itself (physically): both
    out-of-signature actions and transitions that hand back the very

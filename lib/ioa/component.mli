@@ -20,7 +20,6 @@ val init : 'a t -> 'a inst
 (** Instance in the automaton's unique start state. *)
 
 val inst_name : 'a inst -> string
-val inst_kind_of : 'a inst -> 'a -> Automaton.kind option
 
 val step : 'a inst -> 'a -> 'a inst option
 (** Apply an action; [None] if the action is not enabled.  Actions not

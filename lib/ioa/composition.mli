@@ -103,12 +103,6 @@ val equal_state : 'a state -> 'a state -> bool
 val hash_state : 'a state -> int
 (** Structural hash consistent with {!equal_state}. *)
 
-val task_full_name : task_id -> string
-(** The composed task name, ["<component>/<task>"] — exactly the
-    [task_name] {!as_automaton} gives the flattened task, so compiled
-    explorers labelling edges by {!task_id} match the boxed view
-    byte for byte. *)
-
 val as_automaton : 'a t -> ('a state, 'a) Automaton.t
 (** View a composition as a single automaton (flattened task list),
     enabling nested composition and hiding. *)

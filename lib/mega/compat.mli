@@ -13,10 +13,7 @@
     must be {e identical} to [Afd_automata.generate_trace] — the
     qcheck differential in the test suite asserts exactly that, and
     that the spec verdicts agree, across every detector kind, seed,
-    fault pattern and step budget it generates.
-
-    The same congruence discipline gated PRs 7–8 (online ≡ offline
-    monitors, compiled ≡ boxed exploration). *)
+    fault pattern and step budget it generates. *)
 
 open Afd_ioa
 open Afd_core

@@ -2,10 +2,10 @@
 
     External process identities (arbitrary ints — initial members are
     [0..n-1], joiners get fresh large ids) are interned to dense ids
-    [0..count-1] through a {!Afd_analysis.Pack.interner}, so every
-    per-process table in the engine and the detectors is a flat array
-    indexed by dense id.  Statuses are one byte per process; nothing
-    here is O(universe) per event. *)
+    [0..count-1]: initial members keep their id, joiners are looked up
+    in one hash table.  So every per-process table in the engine and
+    the detectors is a flat array indexed by dense id.  Statuses are
+    one byte per process; nothing here is O(universe) per event. *)
 
 type t
 

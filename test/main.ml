@@ -27,7 +27,6 @@ let () =
       ("mc", Test_mc.suite);
       ("space", Test_space.suite);
       ("pspace", Test_pspace.suite);
-      ("cspace", Test_cspace.suite);
       ("live", Test_live.suite);
       ("prop", Test_prop.suite);
       ("sched-fairness", Test_sched_fairness.suite);

@@ -308,6 +308,43 @@ let sample_window_eviction () =
     ("evicted state folds into the base snapshot: " ^ Fmt.str "%a" Verdict.pp v)
     true (Verdict.is_sat v)
 
+(* {2 Process universe and latency series} *)
+
+let univ_join () =
+  let u = M.Univ.create ~cap:5 ~n:3 in
+  let counts () = (M.Univ.count u, M.Univ.live_count u) in
+  Alcotest.(check (pair int int)) "initial members" (3, 3) (counts ());
+  Alcotest.(check (option int)) "fresh id gets the next dense id" (Some 3)
+    (M.Univ.join u ~ext:1_000_003);
+  Alcotest.(check int) "external id kept" 1_000_003 (M.Univ.ext_id u 3);
+  Alcotest.(check bool) "joiner is live" true (M.Univ.is_live u 3);
+  Alcotest.(check (option int)) "duplicate joiner refused" None
+    (M.Univ.join u ~ext:1_000_003);
+  Alcotest.(check (option int)) "duplicate initial member refused" None
+    (M.Univ.join u ~ext:1);
+  Alcotest.(check (pair int int)) "refusals leave the counts" (4, 4) (counts ());
+  M.Univ.set_status u 0 M.Univ.crashed;
+  Alcotest.(check (pair int int)) "a crash lowers only live_count" (4, 3) (counts ());
+  Alcotest.(check (option int)) "last slot" (Some 4) (M.Univ.join u ~ext:(-7));
+  Alcotest.(check (option int)) "full universe refused" None (M.Univ.join u ~ext:99);
+  Alcotest.(check (pair int int)) "full refusal leaves the counts" (5, 4) (counts ());
+  Alcotest.(check (list int)) "external ids by dense id" [ 0; 1; 2; 1_000_003; -7 ]
+    (List.init 5 (M.Univ.ext_id u))
+
+let stats_percentiles () =
+  let s = M.Stats.series () in
+  Alcotest.(check (triple int int int)) "empty series" (0, 0, 0) (M.Stats.percentiles s);
+  (* 1..100 pushed out of order, past the initial capacity *)
+  for i = 0 to 99 do
+    M.Stats.add s (1 + (i * 37 mod 100))
+  done;
+  Alcotest.(check int) "count" 100 (M.Stats.count s);
+  Alcotest.(check (triple int int int)) "nearest rank on 1..100" (50, 95, 99)
+    (M.Stats.percentiles s);
+  let t = M.Stats.series () in
+  List.iter (M.Stats.add t) [ 9; 1; 5 ];
+  Alcotest.(check (triple int int int)) "three samples" (5, 5, 5) (M.Stats.percentiles t)
+
 let suite =
   [ Alcotest.test_case "calendar: same-time FIFO" `Quick calendar_fifo;
     Alcotest.test_case "calendar: wheel horizon and heap" `Quick calendar_horizon;
@@ -329,4 +366,6 @@ let suite =
     Alcotest.test_case "sample: crash + suspicion is Sat" `Quick sample_clean;
     Alcotest.test_case "sample: self pairs filtered" `Quick sample_self_suspicion_violates;
     Alcotest.test_case "sample: window eviction keeps exactness" `Quick sample_window_eviction;
+    Alcotest.test_case "univ: join interns fresh ids, refuses the rest" `Quick univ_join;
+    Alcotest.test_case "stats: nearest-rank percentiles" `Quick stats_percentiles;
   ]

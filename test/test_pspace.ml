@@ -9,13 +9,14 @@
    liveness lassos, lint reports, JSON) is then byte-identical at any
    --jobs, which the coarser-grained tests here confirm end to end.
 
-   Both explorers run Space's one BFS core, so the differential no
-   longer compares two copies of the bookkeeping.  The well-formedness
+   Both explorers run Space's one BFS core, so the differential does
+   not compare two copies of the bookkeeping.  The well-formedness
    sweep below checks the explorations against the automaton itself
    instead (edges and parents replay, states distinct, counts and
-   verdict consistent, POR-off depths are BFS distances), on Pspace and
-   on the compiled explorer, which keeps its own packed copy of the
-   bookkeeping.
+   verdict consistent, POR-off depths are BFS distances), and checks
+   the sleep-set reduction against the plain search: wherever the
+   POR-off run exhausts, the POR-on run reaches the same set of
+   states.
 
    A worker that raises mid-exploration must propagate the exception
    out of the explorer without leaking domains — the crash-safety half
@@ -32,13 +33,13 @@ module BC = Afd_bench.Check
 let chk_subjects = BC.subjects @ BC.liveness_subjects
 
 (* Close one CHK subject like Mc.check_spec does — detector composed
-   with the crash automaton over the full universe — and hand the
-   composition, its automaton and an exploration probe to [f].  The
-   GADT match and everything typed by its existentials stay inside
-   this one function. *)
+   with the crash automaton over the full universe — and hand its
+   automaton and an exploration probe to [f].  The GADT match and
+   everything typed by its existentials stay inside this one
+   function. *)
 type 'r closed = {
-  f : 'a. 'a Composition.t -> ('a Composition.state, 'a) Automaton.t ->
-      ('a Composition.state, 'a) Probe.t -> 'r;
+  f :
+    'a. ('a Composition.state, 'a) Automaton.t -> ('a Composition.state, 'a) Probe.t -> 'r;
 }
 
 let with_closed ~max_states (BC.S { n; detector; _ }) { f } =
@@ -53,13 +54,13 @@ let with_closed ~max_states (BC.S { n; detector; _ }) { f } =
     Probe.make ~equal_state:Composition.equal_state
       ~hash_state:Composition.hash_state ~max_states []
   in
-  f comp (Composition.as_automaton comp) probe
+  f (Composition.as_automaton comp) probe
 
 (* The sequential and parallel explorations agree structurally. *)
 let subject_agrees ~por ~jobs ~max_states subj =
   with_closed ~max_states subj
     { f =
-        (fun _ aut probe ->
+        (fun aut probe ->
           Space.agree ~equal_state:Composition.equal_state ~equal_action:( = )
             (Space.explore ~por aut probe)
             (Pspace.explore ~por ~jobs aut probe));
@@ -150,41 +151,74 @@ let well_formed aut probe (sp : _ Space.t) =
   end;
   !fail
 
-(* Explore one closed CHK subject with Pspace and with the compiled
-   explorer; the failures of both, labelled. *)
-let subject_well_formed ~por ~jobs ~max_states subj =
+(* Every state of [xs] has an equal one in [ys], by the composition's
+   own equality and its congruent hash. *)
+let subset xs ys =
+  let buckets = Hashtbl.create (Array.length ys) in
+  Array.iter (fun s -> Hashtbl.add buckets (Composition.hash_state s) s) ys;
+  Array.for_all
+    (fun s ->
+      List.exists (Composition.equal_state s)
+        (Hashtbl.find_all buckets (Composition.hash_state s)))
+    xs
+
+(* Explore one closed CHK subject with Pspace, POR off and on.  The
+   well-formedness failures of both runs, labelled; and, when the
+   POR-off run exhausted, whether the POR-on run reached the same
+   states and how many transitions it slept ([None] when it did not
+   exhaust). *)
+let subject_sweep ~jobs ~max_states subj =
   with_closed ~max_states subj
     { f =
-        (fun comp aut probe ->
-          List.filter_map
-            (fun (name, sp) ->
-              Option.map (fun m -> name ^ ": " ^ m) (well_formed aut probe sp))
-            [ ("Pspace", Pspace.explore ~por ~jobs aut probe);
-              ("Cspace", Cspace.explore_composition ~por ~jobs comp probe);
-            ]);
+        (fun aut probe ->
+          let off = Pspace.explore ~jobs aut probe
+          and on = Pspace.explore ~por:true ~jobs aut probe in
+          let failures =
+            List.filter_map
+              (fun (name, sp) ->
+                Option.map (fun m -> name ^ ": " ^ m) (well_formed aut probe sp))
+              [ ("por=false", off); ("por=true", on) ]
+          in
+          let same_set =
+            if off.Space.verdict <> Space.Exhausted then None
+            else
+              Some
+                ( subset off.Space.states on.Space.states
+                  && subset on.Space.states off.Space.states,
+                  on.Space.stats.Space.slept )
+          in
+          (failures, same_set));
     }
 
 let test_well_formed () =
   let runs = ref 0 in
+  (* subject id -> transitions the POR-on run slept, at 3000 states *)
+  let por_checked = Hashtbl.create 16 in
   List.iter
     (fun subj ->
       List.iter
-        (fun por ->
+        (fun max_states ->
           List.iter
-            (fun max_states ->
-              List.iter
-                (fun jobs ->
-                  incr runs;
-                  Alcotest.(check (list string))
-                    (Printf.sprintf "%s por=%b max_states=%d jobs=%d well-formed"
-                       (BC.id subj) por max_states jobs)
-                    []
-                    (subject_well_formed ~por ~jobs ~max_states subj))
-                [ 1; 2 ])
-            [ 7; 400; 3_000 ])
-        [ false; true ])
+            (fun jobs ->
+              runs := !runs + 2;
+              let label =
+                Printf.sprintf "%s max_states=%d jobs=%d" (BC.id subj) max_states jobs
+              in
+              let failures, same_set = subject_sweep ~jobs ~max_states subj in
+              Alcotest.(check (list string)) (label ^ " well-formed") [] failures;
+              match same_set with
+              | None -> ()
+              | Some (same, slept) ->
+                Alcotest.(check bool) (label ^ ": POR keeps the reachable set") true same;
+                if max_states = 3_000 then Hashtbl.replace por_checked (BC.id subj) slept)
+            [ 1; 2 ])
+        [ 7; 400; 3_000 ])
     chk_subjects;
-  Alcotest.(check int) "every combination ran" (14 * 2 * 3 * 2) !runs
+  Alcotest.(check int) "every combination ran" (14 * 2 * 3 * 2) !runs;
+  Alcotest.(check int) "subjects whose POR-off run exhausts at 3000 states" 14
+    (Hashtbl.length por_checked);
+  Alcotest.(check int) "of those, subjects where POR slept a transition" 8
+    (Hashtbl.fold (fun _ slept k -> if slept > 0 then k + 1 else k) por_checked 0)
 
 (* --- qcheck: parallel == sequential across the catalog ---
 
@@ -267,6 +301,40 @@ let test_three_explorer_congruence () =
           hashed parallel)
     (Catalog.items ());
   Alcotest.(check bool) "covered a real spread of subjects" true (!checked >= 20)
+
+(* --- the sleep-set search against a reference written apart from it ---
+
+   The POR set equality in the sweep above cannot see a lost
+   re-expansion that happens not to lose a state; the list-based
+   reference can: same states in order, same edges in order, same
+   slept count. *)
+
+let test_por_matches_reference () =
+  List.iter
+    (fun subj ->
+      List.iter
+        (fun max_states ->
+          let label = Printf.sprintf "%s max_states=%d" (BC.id subj) max_states in
+          with_closed ~max_states subj
+            { f =
+                (fun aut probe ->
+                  let sp = Space.explore ~por:true aut probe in
+                  let states, edges, slept = List_explore.list_por aut probe in
+                  Alcotest.(check int) (label ^ ": state count")
+                    (List.length states) (Array.length sp.Space.states);
+                  Alcotest.(check bool) (label ^ ": states in order") true
+                    (List.for_all2 Composition.equal_state states
+                       (Array.to_list sp.Space.states));
+                  Alcotest.(check (list (triple int int (option string))))
+                    (label ^ ": edges in order") edges
+                    (Array.to_list
+                       (Array.map (fun e -> (e.Space.src, e.Space.dst, e.Space.task))
+                          sp.Space.edges));
+                  Alcotest.(check int) (label ^ ": slept") slept
+                    sp.Space.stats.Space.slept);
+            })
+        [ 400; 3_000 ])
+    chk_subjects
 
 (* --- MC verdict byte-equality at any jobs --- *)
 
@@ -352,10 +420,13 @@ let suite =
   [ QCheck_alcotest.to_alcotest differential_prop;
     Alcotest.test_case "catalog x por x jobs: structural equality" `Quick
       test_catalog_structural_equality;
-    Alcotest.test_case "Pspace and Cspace explorations are well-formed" `Quick
+    Alcotest.test_case
+      "Pspace explorations are well-formed; POR keeps the reachable set" `Quick
       test_well_formed;
     Alcotest.test_case "list == hashed == parallel on the whole catalog" `Quick
       test_three_explorer_congruence;
+    Alcotest.test_case "POR search == list-based sleep-set reference" `Quick
+      test_por_matches_reference;
     Alcotest.test_case "MC table and JSON byte-identical at jobs 1 vs 4" `Quick
       test_mc_byte_equality;
     Alcotest.test_case "MC under POR byte-identical at jobs 1 vs 2" `Quick

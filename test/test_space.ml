@@ -327,9 +327,7 @@ let collision_prop =
      exact equality decides membership.  A congruent but deliberately
      colliding hash (every state crammed into 1..4 buckets) must
      reproduce the reference exploration bit for bit — same states in
-     the same visit order, same edges, same verdict.  This is the boxed
-     half of the invariant the compiled explorer (test_cspace) relies
-     on for its packed-key dedup. *)
+     the same visit order, same edges, same verdict. *)
   let a = Composition.as_automaton (independent_pair ()) in
   let probe ~hash_state =
     Probe.make ~pp_action:pp_act ~equal_state:Composition.equal_state
