@@ -96,15 +96,22 @@ let count_cap = 1
 
 (* Phase timings are an out-parameter, never part of the outcome
    record: a profiled run stays byte-identical to an unprofiled one.
-   [log] collects them newest first. *)
+   [log] collects them newest first; [note] adds [dt] seconds to phase
+   [name], logging it if new. *)
+let note log name dt =
+  Option.iter
+    (fun l ->
+      l :=
+        if List.mem_assoc name !l then
+          List.map (fun (k, d) -> (k, if k = name then d +. dt else d)) !l
+        else (name, dt) :: !l)
+    log
+
 let timed log name f =
-  match log with
-  | None -> f ()
-  | Some l ->
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    l := (name, Unix.gettimeofday () -. t0) :: !l;
-    x
+  let t0 = Unix.gettimeofday () in
+  let x = f () in
+  note log name (Unix.gettimeofday () -. t0);
+  x
 
 (* Per-clause runtime carried in each product state.  [Fold]
    accumulators are existential (each clause brings its own ['acc]);
@@ -317,14 +324,6 @@ let phash system ~acc tl =
         (fun l c h -> mix (mix h l) (min c count_cap))
         s.P.output_counts (mix h (-3))
 
-(* On a certificate: the system's symmetry lifted to product states,
-   and the staged canonizer that the quotient exploration and path
-   lifting share. *)
-type ('s, 'o) quotient = {
-  q_sy : (('s, 'o) pstate, 'o Fd_event.t) Probe.symmetry;
-  q_canon : ('s, 'o) pstate -> ('s, 'o) pstate * Symm.Perm.t;
-}
-
 let perm_rt pif = function
   | (C_always _ | C_until _) as c -> c
   | C_fold { fold; acc } -> (
@@ -332,31 +331,20 @@ let perm_rt pif = function
     | Some fp -> C_fold { fold; acc = fp pif acc }
     | None -> assert false)
 
-(* [pcmp] past [sys]: summaries, then runtimes. *)
-let cmp_tail (sa : _ P.state) ra (sb : _ P.state) rb =
-  let c = Stdlib.compare (min sa.P.len len_cap) (min sb.P.len len_cap) in
-  if c <> 0 then c
+let rec cmp_rts ra rb i =
+  if i = Array.length ra then 0
   else
-    let c = Symm.cmp_set sa.P.crashed sb.P.crashed in
-    if c <> 0 then c
-    else begin
-      let res = ref 0 and i = ref 0 in
-      let la = Array.length ra in
-      while !res = 0 && !i < la do
-        res := rt_cmp_sem ra.(!i) rb.(!i);
-        incr i
-      done;
-      !res
-    end
+    let c = rt_cmp_sem ra.(i) rb.(i) in
+    if c <> 0 then c else cmp_rts ra rb (i + 1)
 
-let lift_symmetry ~n (sy : (_, _ Fd_event.t) Probe.symmetry) perm_o =
-  let perm_summary pif st = P.permute pif (perm_o pif) st in
+(* The system's symmetry lifted to product states. *)
+let lift_symmetry (sy : (_, _ Fd_event.t) Probe.symmetry) perm_o =
   let pperm pif = function
     | Latched _ as st -> st
     | Running r ->
       Running
         { sys = sy.Probe.sy_state pif r.sys;
-          summary = perm_summary pif r.summary;
+          summary = P.permute pif (perm_o pif) r.summary;
           rts = Array.map (perm_rt pif) r.rts;
         }
   in
@@ -371,89 +359,34 @@ let lift_symmetry ~n (sy : (_, _ Fd_event.t) Probe.symmetry) perm_o =
     | Running _, Latched _ -> 1
     | Running a, Running b ->
       let c = sy.Probe.sy_cmp a.sys b.sys in
-      if c <> 0 then c else cmp_tail a.summary a.rts b.summary b.rts
+      if c <> 0 then c
+      else
+        let len (r : _ P.state) = min r.P.len len_cap in
+        let c = Stdlib.compare (len a.summary) (len b.summary) in
+        if c <> 0 then c
+        else
+          let c = Symm.cmp_set a.summary.P.crashed b.summary.P.crashed in
+          if c <> 0 then c else cmp_rts a.rts b.rts 0
   in
-  (* The orbit minimum [Symm.canonizer_w] computes over [q_sy], staged:
-     [pcmp] orders by [sys] first, so an image whose [sys] is already
-     greater than the best so far cannot win and its summary and
-     runtimes are never built.  Same permutation order, same strict
-     [<]; the identity, whose image is the state itself, is the
-     starting point. *)
-  let id = Symm.Perm.identity n in
-  let moves =
-    List.filter_map
-      (fun pi ->
-        if Symm.Perm.is_identity pi then None else Some (pi, Symm.Perm.apply pi))
-      (Symm.Perm.all ~n)
-  in
-  let canon_w = function
-    | Latched _ as st -> (st, id)
-    | Running r as st ->
-      let best = ref st and best_pi = ref id in
-      let best_sys = ref r.sys and best_summary = ref r.summary in
-      let best_rts = ref r.rts in
-      List.iter
-        (fun (pi, pif) ->
-          let sys = sy.Probe.sy_state pif r.sys in
-          let c = sy.Probe.sy_cmp sys !best_sys in
-          if c <= 0 then begin
-            let summary = perm_summary pif r.summary in
-            let rts = Array.map (perm_rt pif) r.rts in
-            if c < 0 || cmp_tail summary rts !best_summary !best_rts < 0 then begin
-              best := Running { sys; summary; rts };
-              best_pi := pi;
-              best_sys := sys;
-              best_summary := summary;
-              best_rts := rts
-            end
-          end)
-        moves;
-      (!best, !best_pi)
-  in
-  { q_sy =
-      { Probe.sy_n = n;
-        sy_state = pperm;
-        sy_action = sy.Probe.sy_action;
-        sy_cmp = pcmp;
-        sy_fields = [];
-      };
-    q_canon = canon_w;
+  { Probe.sy_n = sy.Probe.sy_n;
+    sy_state = pperm;
+    sy_action = sy.Probe.sy_action;
+    sy_cmp = pcmp;
+    sy_fields = [];
   }
 
-(* The {!Symm} equivariance sweep over the quotient product.  Latched
-   states compare by clause only: latch reasons embed permuted location
-   names, and a latch is absorbing, so the coarse identity is still a
-   bisimulation on the part that matters. *)
-let certify ~max_states system product q =
-  let equal = pequal system ~rt_eq:rt_equal_sem false in
-  let arelax a b =
-    match (a, b) with
-    | Latched a, Latched b -> String.equal a.clause b.clause
-    | _ -> equal a b
-  in
-  let hash = phash system ~acc:false false in
-  let ahash = function Latched { clause; _ } -> Hashtbl.hash clause | st -> hash st in
-  (* Event equality through [equal_out]: permuted payloads are rebuilt
-     sets/maps whose AVL shape may differ from stepped ones, so
-     structural equality would yield spurious breaking witnesses. *)
-  let equal_event a b =
-    match (a, b) with
-    | Fd_event.Crash i, Fd_event.Crash j -> i = j
-    | Fd_event.Output (i, x), Fd_event.Output (j, y) -> i = j && system.equal_out x y
-    | Fd_event.Crash _, Fd_event.Output _ | Fd_event.Output _, Fd_event.Crash _ -> false
-  in
-  let aprobe =
-    Probe.make ~equal_state:arelax ~hash_state:ahash ~equal_action:equal_event
-      ~max_states ~symm:q.q_sy []
-  in
-  match Symm.analyze product aprobe with
-  | Symm.Certified cert -> Sym_quotient cert
+let status_of = function
+  | Symm.Certified c -> Sym_quotient c
   | Symm.Breaking w -> Sym_breaking w
   | Symm.Unsupported r -> Sym_fallback r
 
-(* Lift the declared system action to product states and certify it,
-   or fall back: the quotient is returned only with a certificate. *)
-let resolve_symmetry ~max_states ~n system prop product (sy, perm_o) =
+(* Lift the declared system action to product states and run the
+   state-independent checks, or fall back.  The quotient's seen-set is
+   the explore stage's safety identity; the walk compares latched
+   states by clause only: latch reasons embed permuted location names,
+   and a latch is absorbing, so the coarse identity is still a
+   bisimulation on the part that matters. *)
+let prepare ~max_states system prop product (sy, perm_o) =
   match
     List.find_map
       (fun (nm, c) ->
@@ -466,12 +399,31 @@ let resolve_symmetry ~max_states ~n system prop product (sy, perm_o) =
       (P.clauses prop)
   with
   | Some (nm, what) ->
-    (Sym_fallback (Printf.sprintf "fold clause %s has no %s" nm what), None)
+    Error (Sym_fallback (Printf.sprintf "fold clause %s has no %s" nm what))
   | None -> (
-    let q = lift_symmetry ~n sy perm_o in
-    match certify ~max_states system product q with
-    | Sym_quotient _ as s -> (s, Some q)
-    | s -> (s, None))
+    let q_sy = lift_symmetry sy perm_o in
+    let equal = pequal system ~rt_eq:rt_equal_sem false in
+    let equiv a b =
+      match (a, b) with
+      | Latched a, Latched b -> String.equal a.clause b.clause
+      | _ -> equal a b
+    in
+    (* Event equality through [equal_out]: permuted payloads are rebuilt
+       sets/maps whose AVL shape may differ from stepped ones, so
+       structural equality would yield spurious breaking witnesses. *)
+    let equal_event a b =
+      match (a, b) with
+      | Fd_event.Crash i, Fd_event.Crash j -> i = j
+      | Fd_event.Output (i, x), Fd_event.Output (j, y) -> i = j && system.equal_out x y
+      | Fd_event.Crash _, Fd_event.Output _ | Fd_event.Output _, Fd_event.Crash _ -> false
+    in
+    let probe =
+      Probe.make ~equal_state:equal ~hash_state:(phash system ~acc:false false)
+        ~equal_action:equal_event ~max_states ~symm:q_sy []
+    in
+    match Symm.prepare ~equiv product probe with
+    | Ok q -> Ok (q_sy, q)
+    | Error v -> Error (status_of v))
 
 (* The explore stage's hand-off to the safety and liveness stages: the
    product and its clause runtime (clause names, [Stable] judges), the
@@ -481,47 +433,55 @@ type ('s, 'o) explored = {
   product : (('s, 'o) pstate, 'o Fd_event.t) Automaton.t;
   runtime : 'o runtime;
   space : (('s, 'o) pstate, 'o Fd_event.t) Space.t;
-  quotient : ('s, 'o) quotient option;
+  quotient : (('s, 'o) pstate, 'o Fd_event.t) Probe.symmetry option;
   status : sym_status;
 }
 
 let explore ~max_states ~por ~jobs ~log ~n prop system =
   let runtime = clause_runtime prop in
   let product = product ~n runtime system.sys in
-  let status, quotient =
-    match system.symmetry with
-    | None -> (Sym_off, None)
-    | Some lift ->
-      timed log "symmetry" (fun () ->
-          resolve_symmetry ~max_states ~n system prop product lift)
-  in
+  let profile = Option.map (fun _ k dt -> note log ("explore." ^ k) dt) log in
   (* Stable judges read [last_output]/[output_counts], so when liveness
      is in scope those fields join the product identity.  Under POR the
      sleep sets preserve states, not edges, so fair-cycle search is off
-     and the coarser safety identity suffices; a symmetry quotient
-     merges fair cycles the same way, so liveness is off there too.
-     Unreduced runs keep the structural accumulator identity; quotient
-     runs need the semantic one so transported accumulators merge, and
-     leave accumulators out of the hash. *)
-  let unreduced = Option.is_none quotient in
-  let track_live = runtime.stables <> [] && (not por) && unreduced in
-  let rt_eq = if unreduced then rt_equal else rt_equal_sem in
-  let probe =
-    Probe.make ~equal_state:(pequal system ~rt_eq track_live)
-      ~hash_state:(phash system ~acc:unreduced track_live) ~max_states []
+     and the coarser safety identity suffices.  Unreduced runs keep the
+     structural accumulator identity, and hash accumulators. *)
+  let unreduced status =
+    let track_live = runtime.stables <> [] && not por in
+    let probe =
+      Probe.make ~equal_state:(pequal system ~rt_eq:rt_equal track_live)
+        ~hash_state:(phash system ~acc:true track_live) ~max_states []
+    in
+    (* Pspace is structurally identical to Space at any [jobs], so every
+       verdict, counterexample, and liveness lasso is byte-for-byte
+       independent of the domain count. *)
+    let space =
+      timed log "explore" (fun () -> Pspace.explore ~por ~jobs ?profile product probe)
+    in
+    { product; runtime; space; quotient = None; status }
   in
-  (* Pspace is structurally identical to Space at any [jobs], so every
-     verdict, counterexample, and liveness lasso is byte-for-byte
-     independent of the domain count. *)
-  let space =
-    timed log "explore" (fun () ->
-        Pspace.explore ~por
-          ?symmetry:(Option.map (fun q s -> fst (q.q_canon s)) quotient)
-          ~jobs
-          ?profile:(Option.map (fun l k dt -> l := ("explore." ^ k, dt) :: !l) log)
-          product probe)
-  in
-  { product; runtime; space; quotient; status }
+  match system.symmetry with
+  | None -> unreduced Sym_off
+  | Some lift -> (
+    match
+      timed log "symmetry" (fun () -> prepare ~max_states system prop product lift)
+    with
+    | Error status -> unreduced status
+    | Ok (q_sy, q) -> (
+      (* The quotient run certifies as it explores: it is the explore
+         phase when it certifies, and certification cost when it
+         breaks.  A symmetry quotient merges fair cycles, so liveness
+         is off there, as under POR. *)
+      let t0 = Unix.gettimeofday () in
+      let attempt = Symm.explore ~por ~jobs ?profile q in
+      let dt = Unix.gettimeofday () -. t0 in
+      match attempt with
+      | Ok (cert, space) ->
+        note log "explore" dt;
+        { product; runtime; space; quotient = Some q_sy; status = Sym_quotient cert }
+      | Error w ->
+        note log "symmetry" dt;
+        unreduced (Sym_breaking w)))
 
 (* --- stage 2, safety: judges, inescapability, candidates, path
    lifting, replay --- *)
@@ -609,21 +569,22 @@ let candidates (space : _ Space.t) judged inescapable_at =
    the canonizing permutation of the raw successor.  The lifted path
    replays through the monitor, which independently re-derives the
    violation. *)
-let lift_path ex q i =
+let lift_path ex q_sy i =
   let space = ex.space in
   let rec collect j acc =
     match space.Space.parent.(j) with
     | None -> acc
     | Some (p, a) -> collect p ((p, a) :: acc)
   in
-  let _, sigma0 = q.q_canon ex.product.Automaton.start in
+  let canon = Symm.canonizer_w q_sy in
+  let _, sigma0 = canon ex.product.Automaton.start in
   let rho = ref (Symm.Perm.inverse sigma0) in
   List.map
     (fun (j, a) ->
-      let b = q.q_sy.Probe.sy_action (Symm.Perm.apply !rho) a in
+      let b = q_sy.Probe.sy_action (Symm.Perm.apply !rho) a in
       (match ex.product.Automaton.step space.Space.states.(j) a with
       | Some t ->
-        let _, sigma = q.q_canon t in
+        let _, sigma = canon t in
         rho := Symm.Perm.compose !rho (Symm.Perm.inverse sigma)
       | None -> ());
       b)
@@ -878,7 +839,7 @@ let check_spec ?(max_states = default_max_states) ?(por = false) ?(jobs = 1) ?ti
         (if Option.is_none symmetry then o
          else { o with sym = Sym_fallback no_perm_out }))
 
-(* --- the quotient's canonizer, exposed for cross-checking --- *)
+(* --- the quotient, exposed for cross-checking --- *)
 
 type ('s, 'o) product_state = ('s, 'o) pstate
 
@@ -886,7 +847,6 @@ type ('s, 'o) quotient_view = {
   qv_product : (('s, 'o) product_state, 'o Fd_event.t) Automaton.t;
   qv_states : ('s, 'o) product_state array;
   qv_symmetry : (('s, 'o) product_state, 'o Fd_event.t) Probe.symmetry;
-  qv_canon : ('s, 'o) product_state -> ('s, 'o) product_state * Symm.Perm.t;
 }
 
 (* The explore stage of [check_spec ~symmetry] (no POR, one domain),
@@ -903,13 +863,8 @@ let quotient_view ?(max_states = default_max_states) ?crashable ~symmetry ~n spe
     in
     let ex = explore ~max_states ~por:false ~jobs:1 ~log:None ~n (prop ~n) system in
     match (ex.quotient, ex.status) with
-    | Some q, _ ->
-      Ok
-        { qv_product = ex.product;
-          qv_states = ex.space.Space.states;
-          qv_symmetry = q.q_sy;
-          qv_canon = q.q_canon;
-        }
+    | Some q_sy, _ ->
+      Ok { qv_product = ex.product; qv_states = ex.space.Space.states; qv_symmetry = q_sy }
     | None, Sym_breaking w -> Error (Fmt.str "symmetry-breaking: %a" Symm.pp_witness w)
     | None, Sym_fallback r -> Error ("uncertified: " ^ r)
     | None, (Sym_off | Sym_quotient _) -> Error "symmetry not engaged")

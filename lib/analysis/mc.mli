@@ -52,17 +52,19 @@
     quotient, [Fold] accumulators compare structurally and are hashed
     structurally too.  Under a quotient they compare through the
     fold's semantic order ([fcmp]), which has no congruent hash, so
-    quotient runs (and the certification sweep) leave them out of the
-    hash: states that differ only there share a bucket and are told
+    quotient runs leave them out of the hash: states that differ only there share a bucket and are told
     apart by the equality.
 
     {b Stages.}  {!check_spec} composes three stages.  {e Explore}
     builds the clause runtime (one slot per safety clause, plus the
-    [Stable] judges), the product, its identity, resolves symmetry
-    (certificate, breaking witness or fallback) and explores with
-    {!Pspace}; it hands off one record: the product, the clause
-    runtime, the {!Space.t} and, on a certificate, the quotient's
-    lifted descriptor and canonizer.  {e Safety} reads only that
+    [Stable] judges), the product and its identity.  With symmetry it
+    lifts the declared action to product states and explores the orbit
+    quotient with {!Symm.explore}, which certifies as it explores; on
+    a break (or when certification is unavailable) it explores
+    unreduced with {!Pspace} instead.  It hands off one record: the
+    product, the clause runtime, the {!Space.t}, how symmetry resolved
+    (certificate, breaking witness or fallback) and, on a certificate,
+    the lifted descriptor.  {e Safety} reads only that
     record: [Fold] judges, inescapability, one candidate per clause,
     quotient path lifting and monitor replay.  {e Liveness} runs pivot
     search and lasso replay on the same graph.  The hand-off is where
@@ -195,10 +197,11 @@ val check_spec :
     is structurally identical at any [jobs], so the outcome — including
     counterexample paths and lassos — is too.  [timings], when given,
     gets per-phase wall-clock seconds appended, in order: [symmetry]
-    (certification, when [symmetry] is given and the spec has
-    [perm_out]), [explore]
-    (preceded by the parallel explorer's [explore.*] sub-phases at
-    [jobs > 1]), [clause_eval] and [lasso].  It never touches the
+    (when [symmetry] is given and the spec has [perm_out]: the
+    state-independent checks, plus the quotient exploration when it
+    breaks), [explore] (the certifying quotient exploration, or the
+    unreduced one; preceded by the parallel explorer's [explore.*]
+    sub-phases at [jobs > 1]), [clause_eval] and [lasso].  It never touches the
     outcome.
 
     [symmetry], when given, is the permutation action on the
@@ -206,23 +209,19 @@ val check_spec :
     first-order pair automaton trace-equivalent to the composition
     (whose existential component states a permutation cannot reach),
     the crash set permutes by {!sym_set}, actions by the spec's
-    [perm_out], and the explore stage certifies the lifted descriptor
-    and, on a certificate, explores orbit representatives.
+    [perm_out], and the explore stage explores orbit representatives,
+    certifying the lifted descriptor as it goes; a break falls back to
+    an unreduced run that carries the witness.
     Counterexamples found in the quotient are lifted back to genuine
     runs of the original system (and replay-confirmed as always);
     liveness is skipped, as under [por].  A spec without [perm_out]
     falls back to the unreduced composition with
     [sym = Sym_fallback]. *)
 
-(** {1 The quotient's canonizer}
+(** {1 The quotient}
 
-    Orbit canonicalization of product states is staged: [sys] is
-    permuted and compared first, and the rest of a permuted state is
-    built only when its [sys] ties with or beats the best so far.  The
-    result must be exactly the orbit minimum (and witness) that
-    {!Symm.canonizer_w} computes over the lifted descriptor; this view
-    exposes both, and the states they act on, so tests can check
-    that. *)
+    The explore stage's orbit representatives, exposed so tests can
+    check them against {!Symm.canonizer_w}. *)
 
 type ('s, 'o) product_state
 (** A state of the product of a system with a formula's clause
@@ -234,9 +233,6 @@ type ('s, 'o) quotient_view = {
       (** the quotient exploration's representatives, discovery order *)
   qv_symmetry : (('s, 'o) product_state, 'o Fd_event.t) Probe.symmetry;
       (** the system's symmetry lifted to product states *)
-  qv_canon : ('s, 'o) product_state -> ('s, 'o) product_state * Symm.Perm.t;
-      (** the staged canonizer quotient exploration and counterexample
-          lifting use *)
 }
 
 val quotient_view :
@@ -247,9 +243,8 @@ val quotient_view :
   'o Afd_core.Afd.spec ->
   detector:('s, 'o Fd_event.t) Automaton.t ->
   (('s * Loc.Set.t, 'o) quotient_view, string) result
-(** Build the product {!check_spec} builds with [symmetry], certify it,
-    and explore its orbit quotient as {!check_spec} does (no POR, one
-    domain).  [Error] when the spec is raw or has no [perm_out], or the
+(** Build the product {!check_spec} builds with [symmetry] and explore
+    its orbit quotient as {!check_spec} does (no POR, one domain).  [Error] when the spec is raw or has no [perm_out], or the
     product does not certify. *)
 
 (** {1 Parametric cutoff search}

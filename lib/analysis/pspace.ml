@@ -10,12 +10,13 @@ let fresh = -2
 (* One frontier state's expansion, computed in a worker.  Flat parallel
    arrays (codes and hashes unboxed) rather than per-move records, so a
    round's result is a handful of arrays per state, with every
-   [hash_state] call already paid in parallel.  The successor arrays
-   hold the [x_np] probe actions first (none once the state is
-   expanded), then the enabled moves.  [x_comm] is the k×k commute
-   matrix of the enabled moves (row-major, byte per pair), empty with
-   POR off: the core looks pairs up instead of computing diamonds
-   sequentially. *)
+   successor stepped and every [hash_state] call already paid in
+   parallel.  The successor arrays hold the [x_np] probe actions first
+   (none once the state is expanded), then the enabled moves.  [x_comm]
+   is the k×k commute matrix of the enabled moves (row-major, byte per
+   pair), empty with POR off: the core looks pairs up instead of
+   computing diamonds sequentially.  [x_commit] is the moves' own,
+   run by the core when it takes the expansion. *)
 type ('s, 'a) packed = {
   x_names : string array;  (* enabled task moves, task-list order *)
   x_acts : 'a array;
@@ -24,6 +25,7 @@ type ('s, 'a) packed = {
   x_dst : 's array;
   x_hash : int array;
   x_comm : Bytes.t;
+  x_commit : unit -> unit;
 }
 
 (* Fresh candidates are deduped by hash stripe: stripe = hash land smask.
@@ -39,58 +41,52 @@ let now () = Unix.gettimeofday ()
    workers expand the frontier against the frozen seen-set, the fresh
    candidates are deduped in parallel by stripe, and the core is handed
    expansions whose candidate codes resolve through the class table. *)
-let expansions pool ~por ~t_workers ~t_dedup aut probe view =
+let expansions pool ~por ~t_workers ~t_dedup moves aut probe view =
   let hash = match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0 in
   let equal = probe.Probe.equal_state in
-  let probe_acts = Array.of_list probe.Probe.actions in
-  (* Worker: expand one frontier state against the frozen prefix.  No
-     shared state is written, and workers only run inside a round's
-     producer call, while the core waits; the pool's barrier publishes
-     the core's writes before each parallel phase. *)
+  let nprobe = List.length probe.Probe.actions in
+  (* Worker: compute one frontier state's moves and resolve them
+     against the frozen prefix.  No shared state is written, and
+     workers only run inside a round's producer call, while the core
+     waits; the pool's barrier publishes the core's writes before each
+     parallel phase. *)
   let compute i =
     let s = view.Space.v_state i in
-    let marr =
-      Array.of_list
-        (List.filter_map
-           (fun tk ->
-             match tk.Automaton.enabled s with Some a -> Some (tk, a) | None -> None)
-           aut.Automaton.tasks)
+    let m = moves i s in
+    let k = Array.length m.Space.m_names in
+    let np = if view.Space.v_expanded i then 0 else nprobe in
+    let x_code = Array.make (np + k) blocked in
+    let x_dst = Array.make (np + k) s in
+    let x_hash = Array.make (np + k) 0 in
+    let resolve p = function
+      | None -> ()
+      | Some s' ->
+        let h = hash s' in
+        let j = view.Space.v_find s' h in
+        x_code.(p) <- (if j >= 0 then j else fresh);
+        x_dst.(p) <- s';
+        x_hash.(p) <- h
     in
-    let k = Array.length marr in
-    let x_acts = Array.map snd marr in
-    let acts =
-      if view.Space.v_expanded i then x_acts else Array.append probe_acts x_acts
-    in
-    let m = Array.length acts in
-    let x_code = Array.make m blocked in
-    let x_dst = Array.make m s in
-    let x_hash = Array.make m 0 in
-    Array.iteri
-      (fun p act ->
-        match aut.Automaton.step s act with
-        | None -> ()
-        | Some s' ->
-          let h = hash s' in
-          let j = view.Space.v_find s' h in
-          x_code.(p) <- (if j >= 0 then j else fresh);
-          x_dst.(p) <- s';
-          x_hash.(p) <- h)
-      acts;
+    for p = 0 to np - 1 do
+      resolve p (m.Space.m_probe p)
+    done;
+    for t = 0 to k - 1 do
+      resolve (np + t) (m.Space.m_step t)
+    done;
     let x_comm =
       if not por then Bytes.empty
       else begin
         let b = Bytes.make (k * k) '\000' in
         for u = 0 to k - 1 do
           for t = 0 to k - 1 do
-            if Space.commute aut probe s marr.(u) marr.(t) then
-              Bytes.set b ((u * k) + t) '\001'
+            if m.Space.m_commute u t then Bytes.set b ((u * k) + t) '\001'
           done
         done;
         b
       end
     in
-    { x_names = Array.map (fun (tk, _) -> tk.Automaton.task_name) marr;
-      x_acts; x_np = m - k; x_code; x_dst; x_hash; x_comm }
+    { x_names = m.Space.m_names; x_acts = m.Space.m_acts; x_np = np; x_code; x_dst;
+      x_hash; x_comm; x_commit = m.Space.m_commit }
   in
   fun round ->
     let t0 = now () in
@@ -174,6 +170,7 @@ let expansions pool ~por ~t_workers ~t_dedup aut probe view =
     in
     fun r ->
       let it = items.(r) in
+      it.x_commit ();
       let k = Array.length it.x_names in
       { Space.x_probe = (fun p -> resolve it.x_code.(p));
         x_names = it.x_names;
@@ -183,15 +180,15 @@ let expansions pool ~por ~t_workers ~t_dedup aut probe view =
         x_admit;
       }
 
-let explore ?(por = false) ?symmetry ?(jobs = 1) ?profile aut probe =
-  if jobs <= 1 then Space.explore ~por ?symmetry aut probe
+let explore_with ~por ~jobs ~profile moves aut probe =
+  if jobs <= 1 then Space.explore_with ~por (Space.sequential moves) aut probe
   else
     Afd_runner.Pool.with_pool ~jobs (fun pool ->
         let t_workers = ref 0.0 and t_dedup = ref 0.0 in
         let t0 = now () in
         let space =
-          Space.explore_with ~por ?symmetry
-            (expansions pool ~por ~t_workers ~t_dedup)
+          Space.explore_with ~por
+            (expansions pool ~por ~t_workers ~t_dedup moves)
             aut probe
         in
         Option.iter
@@ -202,3 +199,6 @@ let explore ?(por = false) ?symmetry ?(jobs = 1) ?profile aut probe =
             f "replay" (now () -. t0 -. !t_workers -. !t_dedup))
           profile;
         space)
+
+let explore ?(por = false) ?(jobs = 1) ?profile aut probe =
+  explore_with ~por ~jobs ~profile (Space.stepped aut probe) aut probe

@@ -5,11 +5,12 @@
     how a frontier state's expansion is produced: each round's states
     are expanded concurrently on a {!Afd_runner.Pool.t} (work-stealing
     over the frontier array), and the core consumes the packed results
-    in frontier order.  The result is a plain {!Space.t} — downstream
+    in frontier order.  A worker computes a state's {!Space.moves}:
+    stepped, or an orbit walk's ({!Symm.explore}).  The result is a plain {!Space.t} — downstream
     analyses ({!Live}, {!Mc}, lint rules, [path_actions]) run on it
     unchanged.
 
-    {b Determinism.}  Workers only compute {e order-free} data: the raw
+    {b Determinism.}  Workers only compute {e order-free} data: the
     successor state, its precomputed [Probe.hash_state] value, and a
     frozen-prefix dedup code per move, plus (with POR) the pairwise
     commute matrix of the enabled moves.  Everything order-dependent —
@@ -37,14 +38,14 @@
     index — so numbering, edges and cut counts are untouched by the
     sharding.
 
-    {b Crash safety.}  A probe or step function that raises inside a
-    worker propagates out of {!explore} (first failing frontier index,
-    via {!Afd_runner.Pool}'s per-index capture), the worker domains
-    are shut down, and nothing leaks. *)
+    {b Crash safety.}  A probe, step or moves function that raises
+    inside a worker propagates out of {!explore} (first failing
+    frontier index, via {!Afd_runner.Pool}'s per-index capture, which
+    is the state the sequential run fails at), the worker domains are
+    shut down, and nothing leaks. *)
 
 val explore :
   ?por:bool ->
-  ?symmetry:('s -> 's) ->
   ?jobs:int ->
   ?profile:(string -> float -> unit) ->
   ('s, 'a) Afd_ioa.Automaton.t ->
@@ -53,9 +54,22 @@ val explore :
 (** The boxed explorer at any domain count: [jobs <= 1] (the default)
     is {!Space.explore} itself, [jobs > 1] spreads the expansion work
     over that many domains.  The result is structurally identical to
-    [Space.explore ~por ?symmetry aut probe] at any [jobs].  With
-    [jobs > 1], [?profile] reports wall-clock phase timings: [workers]
-    (parallel expansion), [stripe_dedup] (the striped candidate dedup)
-    and [replay] (the core's bookkeeping, seeding and result assembly
+    [Space.explore ~por aut probe] at any [jobs].  With [jobs > 1],
+    [?profile] reports wall-clock phase timings: [workers] (parallel
+    expansion), [stripe_dedup] (the striped candidate dedup) and
+    [replay] (the core's bookkeeping, seeding and result assembly
     included); it never touches the result and stays silent at
-    [jobs <= 1]. *)
+    [jobs <= 1] and on a raise. *)
+
+val explore_with :
+  por:bool ->
+  jobs:int ->
+  profile:(string -> float -> unit) option ->
+  (int -> 's -> ('s, 'a) Space.moves) ->
+  ('s, 'a) Afd_ioa.Automaton.t ->
+  ('s, 'a) Probe.t ->
+  ('s, 'a) Space.t
+(** {!explore} on given moves ([explore] passes {!Space.stepped}):
+    [Space.explore_with (Space.sequential moves)] at [jobs <= 1].
+    Above, [moves] runs in the workers and must not write shared
+    state. *)

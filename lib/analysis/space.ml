@@ -52,29 +52,42 @@ type ('s, 'a) expansion = {
   x_admit : ('s -> int -> int) -> int;
 }
 
+type ('s, 'a) moves = {
+  m_names : string array;
+  m_acts : 'a array;
+  m_probe : int -> 's option;
+  m_step : int -> 's option;
+  m_commute : int -> int -> bool;
+  m_commit : unit -> unit;
+}
+
+(* The plain moves: every successor is stepped when asked, so a move
+   the core skips (done, slept) is never stepped. *)
+let stepped aut probe =
+  let probe_acts = Array.of_list probe.Probe.actions in
+  fun _ s ->
+    let moves =
+      Array.of_list
+        (List.filter_map
+           (fun tk ->
+             match tk.Automaton.enabled s with Some a -> Some (tk, a) | None -> None)
+           aut.Automaton.tasks)
+    in
+    let acts = Array.map snd moves in
+    { m_names = Array.map (fun (tk, _) -> tk.Automaton.task_name) moves;
+      m_acts = acts;
+      m_probe = (fun p -> aut.Automaton.step s probe_acts.(p));
+      m_step = (fun t -> aut.Automaton.step s acts.(t));
+      m_commute = (fun u t -> commute aut probe s moves.(u) moves.(t));
+      m_commit = ignore;
+    }
+
 (* The seen-set is a bucket table keyed by [probe.hash_state]: a bucket
    holds the indices of all discovered states with that hash, scanned
    with the probe's (authoritative) state equality.  When no congruent
    hash is known the table degrades to a single bucket — exactly the
    old list scan, still exact. *)
-let explore_with ?(por = false) ?symmetry expansions aut probe =
-  (* Orbit quotient as a wrapper: canonize the start state, the probe
-     seeds, and every successor the moment it is produced.  The core
-     then sees only representatives, so its seen-set is the quotient
-     for free, whichever expansion feeds it.  Enabledness and edge
-     actions are evaluated at representatives, which is sound exactly
-     when the subject carries an equivariance certificate (see Symm /
-     DESIGN.md). *)
-  let aut, probe =
-    match symmetry with
-    | None -> (aut, probe)
-    | Some canon ->
-      ( { aut with
-          Automaton.start = canon aut.Automaton.start;
-          step = (fun s a -> Option.map canon (aut.Automaton.step s a));
-        },
-        { probe with Probe.seed_states = List.map canon probe.Probe.seed_states } )
-  in
+let explore_with ?(por = false) expansions aut probe =
   let max_states = probe.Probe.max_states in
   let hash = match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0 in
   let equal = probe.Probe.equal_state in
@@ -237,47 +250,38 @@ let explore_with ?(por = false) ?symmetry expansions aut probe =
     stats = { transitions = !transitions; slept = !slept; cut = !cut; dup_seeds = !dup_seeds };
   }
 
-(* The sequential expansion: everything is computed in place, when the
-   core asks, against the live seen-set — so a move the core skips
-   (done, slept) is never stepped, and a fresh successor is parked
-   until the core admits it. *)
-let sequential aut probe view =
+(* The sequential expansion: each state's moves are asked for when the
+   core processes it, against the live seen-set, and a fresh successor
+   is parked until the core admits it. *)
+let sequential moves aut probe view =
   let hash = match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0 in
-  let probe_acts = Array.of_list probe.Probe.actions in
   let parked = ref aut.Automaton.start and parked_h = ref 0 in
   let x_admit add = add !parked !parked_h in
+  let code = function
+    | None -> -1
+    | Some s' ->
+      let h = hash s' in
+      let j = view.v_find s' h in
+      if j >= 0 then j
+      else begin
+        parked := s';
+        parked_h := h;
+        -2
+      end
+  in
   fun round r ->
-    let s = view.v_state round.(r) in
-    let code act =
-      match aut.Automaton.step s act with
-      | None -> -1
-      | Some s' ->
-        let h = hash s' in
-        let j = view.v_find s' h in
-        if j >= 0 then j
-        else begin
-          parked := s';
-          parked_h := h;
-          -2
-        end
-    in
-    let moves =
-      Array.of_list
-        (List.filter_map
-           (fun tk ->
-             match tk.Automaton.enabled s with Some a -> Some (tk, a) | None -> None)
-           aut.Automaton.tasks)
-    in
-    let x_acts = Array.map snd moves in
-    { x_probe = (fun p -> code probe_acts.(p));
-      x_names = Array.map (fun (tk, _) -> tk.Automaton.task_name) moves;
-      x_acts;
-      x_step = (fun t -> code x_acts.(t));
-      x_commute = (fun u t -> commute aut probe s moves.(u) moves.(t));
+    let i = round.(r) in
+    let m = moves i (view.v_state i) in
+    m.m_commit ();
+    { x_probe = (fun p -> code (m.m_probe p));
+      x_names = m.m_names;
+      x_acts = m.m_acts;
+      x_step = (fun t -> code (m.m_step t));
+      x_commute = m.m_commute;
       x_admit;
     }
 
-let explore ?por ?symmetry aut probe = explore_with ?por ?symmetry sequential aut probe
+let explore ?por aut probe = explore_with ?por (sequential (stepped aut probe)) aut probe
 
 let reachable t = Array.to_list t.states
 

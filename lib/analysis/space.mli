@@ -12,9 +12,11 @@
 
     {b One core.}  The BFS bookkeeping — seen-set, parent tree, depths,
     sleep sets, edges, seeds, budget cuts — exists once, in
-    {!explore_with}.  {!explore} feeds it states expanded in place;
-    the parallel explorer ({!Pspace}) feeds it expansions its workers
-    computed.
+    {!explore_with}.  Only how a state's {!moves} are produced varies:
+    {!explore} steps in place, {!Pspace} steps in its workers, and an
+    orbit quotient ({!Symm.explore}) walks the state's orbit, checking
+    equivariance, for canonical successors.  The core never canonizes
+    by itself, so no uncertified canonizer can merge states.
 
     {b Partial-order reduction.}  With [~por:true] the explorer runs a
     sleep-set reduction (Godefroid): when two task transitions commute
@@ -71,26 +73,13 @@ type ('s, 'a) t = {
   stats : stats;
 }
 
-val explore :
-  ?por:bool ->
-  ?symmetry:('s -> 's) ->
-  ('s, 'a) Afd_ioa.Automaton.t ->
-  ('s, 'a) Probe.t ->
-  ('s, 'a) t
+val explore : ?por:bool -> ('s, 'a) Afd_ioa.Automaton.t -> ('s, 'a) Probe.t -> ('s, 'a) t
 (** Enumerate reachable states breadth-first from the automaton's start
     state (followed by the probe's deduplicated [seed_states]), taking
     every probed action and every task-enabled action, up to the
     probe's [max_states].  [por] (default [false]) switches the
     sleep-set reduction on.  Visit order with POR off is the plain
-    list-scan BFS order (the differential tests keep that reference).
-
-    [symmetry] is an orbit canonicalization function (see
-    {!Symm.canonizer}): when given, the start state, every probe seed
-    and every successor are canonized on production, so the explorer
-    enumerates orbit representatives and the seen-set becomes the orbit
-    quotient.  Sound only for subjects holding a {!Symm} equivariance
-    certificate — the engine enforces that; handing an uncertified
-    canonizer here silently merges genuinely distinct states. *)
+    list-scan BFS order (the differential tests keep that reference). *)
 
 (** {1 The BFS core} *)
 
@@ -124,9 +113,36 @@ type ('s, 'a) expansion = {
           insertion function; returns the index it got *)
 }
 
+(** The moves of the state at a discovery index, with successors
+    before any seen-set lookup. *)
+type ('s, 'a) moves = {
+  m_names : string array;  (** enabled task moves, task-list order *)
+  m_acts : 'a array;  (** their actions: the edge labels *)
+  m_probe : int -> 's option;  (** successor by the [p]-th probe action *)
+  m_step : int -> 's option;  (** successor by the [t]-th enabled move *)
+  m_commute : int -> int -> bool;  (** as [x_commute] *)
+  m_commit : unit -> unit;
+      (** run on the core's domain when the core takes the expansion:
+          per-state results fold here, never from a worker *)
+}
+
+val stepped :
+  ('s, 'a) Afd_ioa.Automaton.t -> ('s, 'a) Probe.t -> int -> 's -> ('s, 'a) moves
+(** The automaton's own moves, each successor stepped when asked. *)
+
+val sequential :
+  (int -> 's -> ('s, 'a) moves) ->
+  ('s, 'a) Afd_ioa.Automaton.t ->
+  ('s, 'a) Probe.t ->
+  's view ->
+  int array ->
+  int ->
+  ('s, 'a) expansion
+(** The in-place producer: [moves i s], resolved against the live
+    seen-set. *)
+
 val explore_with :
   ?por:bool ->
-  ?symmetry:('s -> 's) ->
   (('s, 'a) Afd_ioa.Automaton.t ->
   ('s, 'a) Probe.t ->
   's view ->
@@ -136,14 +152,13 @@ val explore_with :
   ('s, 'a) Afd_ioa.Automaton.t ->
   ('s, 'a) Probe.t ->
   ('s, 'a) t
-(** [explore_with expansions aut probe] is the core: it applies the
-    [symmetry] wrapper, seeds the queue and calls
-    [expansions aut' probe' view] once, with the quotiented automaton
-    and probe.  It then drains the queue one round at a time: the
-    result is applied to each round's frontier (indices, queue order),
-    and the core asks that for the [r]-th state's expansion right
-    before processing it.  {!explore} is [explore_with] on the
-    sequential expansion. *)
+(** [explore_with expansions aut probe] is the core: it seeds the
+    queue with [aut]'s start state and the probe's seeds, calls
+    [expansions aut probe view] once, then drains the queue one round
+    at a time: the result is applied to each round's frontier
+    (indices, queue order), and the core asks that for the [r]-th
+    state's expansion right before processing it.  {!explore} is
+    [explore_with (sequential (stepped aut probe))]. *)
 
 val reachable : ('s, 'a) t -> 's list
 (** The states in discovery order; the start state is first. *)

@@ -23,29 +23,36 @@ let make ?(por = false) ?max_states ?(jobs = 1) ?(symmetry = false) ~origin entr
     match max_states with None -> p | Some m -> { p with Probe.max_states = m }
   in
   let pack a p =
-    (* Orbit quotienting is gated on the analyzer's certificate: only a
-       subject whose declared S_n action survives the equivariance
-       check explores on representatives; breaking or undeclared
-       subjects silently fall back to the unreduced exploration (and
-       the symmetry rules report why). *)
-    let symm = if symmetry then Some (lazy (Symm.analyze a p)) else None in
-    let canon =
-      lazy
-        (match symm with
-        | None -> None
-        | Some v -> (
-          match (Lazy.force v, p.Probe.symm) with
-          | Symm.Certified _, Some sy -> Some (Symm.canonizer sy)
-          | (Symm.Certified _ | Symm.Breaking _ | Symm.Unsupported _), _ -> None))
+    (* Orbit quotienting is gated on the certificate, and the quotient
+       run that certifies is the shared exploration: a breaking or
+       undeclared subject explores unreduced instead (and the symmetry
+       rules report why). *)
+    let quotient =
+      if not symmetry then None
+      else
+        Some
+          (lazy
+            (match Symm.prepare a p with
+            | Error v -> (v, None)
+            | Ok q -> (
+              match Symm.explore ~por ~jobs q with
+              | Ok (c, sp) -> (Symm.Certified c, Some sp)
+              | Error w -> (Symm.Breaking w, None))))
     in
-    let space = lazy (Pspace.explore ?symmetry:(Lazy.force canon) ~por ~jobs a p) in
+    let quotient_space = lazy (Option.bind quotient (fun q -> snd (Lazy.force q))) in
+    let space =
+      lazy
+        (match Lazy.force quotient_space with
+        | Some sp -> sp
+        | None -> Pspace.explore ~por ~jobs a p)
+    in
     P
       { aut = a;
         probe = p;
         space;
         live = lazy (Live.analyze a (Lazy.force space));
-        symm;
-        quotiented = lazy (Option.is_some (Lazy.force canon));
+        symm = Option.map (Lazy.map fst) quotient;
+        quotiented = lazy (Option.is_some (Lazy.force quotient_space));
       }
   in
   let packed =

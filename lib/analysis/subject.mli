@@ -5,9 +5,10 @@
     ({!Composition.as_automaton}, with the componentwise state equality
     {e and} its congruent hash) and memoizes a single exploration that
     all rules share; the exploration (with its {!Space.verdict}) is
-    surfaced in the report only if some rule actually forced it.  Every
+    surfaced in the report only if some rule actually forced it.  A
     subject explores on {!Pspace.explore} (which is {!Space.explore} at
-    one job). *)
+    one job), or, when its declared symmetry certifies, on the
+    {!Symm.explore} run that certified it. *)
 
 open Afd_ioa
 
@@ -22,12 +23,14 @@ type packed =
       space : ('s, 'a) Space.t Lazy.t;
       live : Live.t Lazy.t;
       symm : Symm.verdict Lazy.t option;
-          (** the equivariance analysis, when the engine ran with
-              symmetry on; forced lazily (the analyzer explores) *)
+          (** the equivariance verdict, when the engine ran with
+              symmetry on; forcing it runs the quotient exploration
+              that certifies *)
       quotiented : bool Lazy.t;
-          (** whether the shared exploration runs orbit-quotiented —
-              true exactly when the analysis certified the declared
-              symmetry.  Absence-style rules (dead-task,
+          (** whether the shared exploration is orbit-quotiented —
+              true exactly when the declared symmetry certified, and
+              then the shared exploration {e is} the run that
+              certified it.  Absence-style rules (dead-task,
               dead-transition, livelock, unsatisfiable fairness) skip
               themselves on a quotient, as under POR. *)
     }
@@ -55,21 +58,22 @@ val make :
     across that many domains, with the same result structurally
     ({!Space.agree}).
 
-    [symmetry] (default [false]) runs the {!Symm} equivariance
-    analysis on each packed subject; a certified subject's shared
-    exploration is then quotiented by orbit ({!Space.explore} with
-    [~symmetry]), an uncertified one explores unreduced and the
-    symmetry rules ({!Rules.symmetry}) report the verdict. *)
+    [symmetry] (default [false]) explores each packed subject's orbit
+    quotient with {!Symm.explore}, at the same [por] and [jobs]: a
+    subject that certifies is explored once, by that run, which is its
+    shared exploration; a breaking or undeclared one explores
+    unreduced, and the symmetry rules ({!Rules.symmetry}) report the
+    verdict. *)
 
 val symm_verdict : t -> Symm.verdict option
-(** The equivariance analysis result; [None] when the engine ran
-    without symmetry or the subject is a spec entry.  Forces the
-    (bounded) analyzer exploration. *)
+(** The equivariance verdict; [None] when the engine ran without
+    symmetry or the subject is a spec entry.  Forces the (bounded)
+    quotient exploration. *)
 
 val quotiented : t -> bool
 (** Whether the shared exploration runs on orbit representatives
-    (certified symmetry only).  Does not force the exploration
-    itself. *)
+    (certified symmetry only).  Forces the quotient exploration, not
+    an unreduced one. *)
 
 val exploration : t -> Report.exploration option
 (** The exploration summary, only if some rule forced it ([None] for

@@ -159,10 +159,6 @@ let canonizer_w (sy : ('s, 'a) Probe.symmetry) =
       perms;
     (!best, !best_pi)
 
-let canonizer sy =
-  let canon = canonizer_w sy in
-  fun s -> fst (canon s)
-
 (* ------------------------------------------------------------------ *)
 (* The analyzer                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -204,6 +200,16 @@ let pp_witness fmt w =
 
 exception Broken of witness
 
+let broken ?field ?task kind pi idx detail =
+  Broken
+    { w_kind = kind;
+      w_field = field;
+      w_task = task;
+      w_perm = Perm.to_string pi;
+      w_state = idx;
+      w_detail = detail;
+    }
+
 (* Name the declared field on which two states disagree, for witness
    reporting.  [None] when every declared field agrees (the difference
    hides outside the declared decomposition) or no fields are declared. *)
@@ -226,17 +232,24 @@ type ('s, 'a) image = {
   succs : 's option array;
 }
 
-let analyze (type s a) (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t) : verdict =
+type ('s, 'a) quotient =
+  por:bool ->
+  jobs:int ->
+  profile:(string -> float -> unit) option ->
+  (certificate * ('s, 'a) Space.t, witness) result
+
+let prepare (type s a) ?equiv (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t) :
+    ((s, a) quotient, verdict) result =
   match probe.Probe.symm with
-  | None -> Unsupported "no declared symmetry"
+  | None -> Error (Unsupported "no declared symmetry")
   | Some sy ->
       let n = sy.Probe.sy_n in
-      if n < 1 || n > 8 then Unsupported (Printf.sprintf "n = %d out of range" n)
+      if n < 1 || n > 8 then Error (Unsupported (Printf.sprintf "n = %d out of range" n))
       else begin
         let perms = Perm.all ~n in
         let nontrivial = List.filter (fun p -> not (Perm.is_identity p)) perms in
         let pp_act a = Fmt.str "%a" probe.Probe.pp_action a in
-        let equal_state = probe.Probe.equal_state in
+        let equiv = Option.value ~default:probe.Probe.equal_state equiv in
         let equal_action = probe.Probe.equal_action in
         (* State-independent checks first: signature stability and
            probe-set closure under the group. *)
@@ -249,59 +262,37 @@ let analyze (type s a) (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t) : ver
                   let a' = sy.Probe.sy_action pif a in
                   if Automaton.kind_of aut a <> Automaton.kind_of aut a' then
                     raise
-                      (Broken
-                         { w_kind = `Signature;
-                           w_field = None;
-                           w_task = None;
-                           w_perm = Perm.to_string pi;
-                           w_state = 0;
-                           w_detail =
-                             Fmt.str "kind(%s) differs from kind(%s)" (pp_act a)
-                               (pp_act a');
-                         });
+                      (broken `Signature pi 0
+                         (Fmt.str "kind(%s) differs from kind(%s)" (pp_act a)
+                            (pp_act a')));
                   if
                     not
                       (List.exists (fun b -> equal_action a' b) probe.Probe.actions)
                   then
                     raise
-                      (Broken
-                         { w_kind = `Probe;
-                           w_field = None;
-                           w_task = None;
-                           w_perm = Perm.to_string pi;
-                           w_state = 0;
-                           w_detail =
-                             Fmt.str "probe set not closed: %s has no image for %s"
-                               (pp_act a) (pp_act a');
-                         }))
+                      (broken `Probe pi 0
+                         (Fmt.str "probe set not closed: %s has no image for %s"
+                            (pp_act a) (pp_act a'))))
                 probe.Probe.actions)
             nontrivial
         in
-        (* Field classification accumulator: Invariant until observed to
-           move, Breaking (raises) when the declared transport law
-           fails. *)
-        let field_status =
-          List.map (fun (Probe.F f) -> (Probe.F f, ref `Invariant)) sy.Probe.sy_fields
-        in
-        let check_fields pi pif r r' idx =
-          List.iter
-            (fun (Probe.F f, status) ->
+        (* Field classification: a field is [`Indexed] once some check
+           sees it move, and the check raises when the declared
+           transport law fails.  Each walk marks its own [moved]
+           array; the exploration merges them per expansion. *)
+        let fields = Array.of_list sy.Probe.sy_fields in
+        let check_fields moved pi pif r r' idx =
+          Array.iteri
+            (fun k (Probe.F f) ->
               let here = f.f_proj r in
               let there = f.f_proj r' in
               if not (f.f_equal there (f.f_perm pif here)) then
                 raise
-                  (Broken
-                     { w_kind = `Field;
-                       w_field = Some f.f_name;
-                       w_task = None;
-                       w_perm = Perm.to_string pi;
-                       w_state = idx;
-                       w_detail =
-                         "declared transport law fails: field of permuted state \
-                          is not the permuted field";
-                     });
-              if not (f.f_equal there here) then status := `Indexed)
-            field_status
+                  (broken ~field:f.f_name `Field pi idx
+                     "declared transport law fails: field of permuted state is not \
+                      the permuted field");
+              if not (f.f_equal there here) then moved.(k) <- true)
+            fields
         in
         (* A state's slots: the probed actions (in probe order), then
            the tasks (in task order).  A permutation moves a probed
@@ -324,16 +315,7 @@ let analyze (type s a) (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t) : ver
           let pif = Perm.apply pi in
           let mirror (t : (s, a) Automaton.task) =
             let name' = rename_locs ~n pif t.Automaton.task_name in
-            let broken detail =
-              Broken
-                { w_kind = `Task;
-                  w_field = None;
-                  w_task = Some t.Automaton.task_name;
-                  w_perm = Perm.to_string pi;
-                  w_state = 0;
-                  w_detail = detail;
-                }
-            in
+            let broken = broken ~task:t.Automaton.task_name `Task pi 0 in
             match
               index
                 (fun (t' : (s, a) Automaton.task) ->
@@ -369,53 +351,38 @@ let analyze (type s a) (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t) : ver
         in
         (* Equivariance of one step: [x] takes [a] to [succ], and
            [x'], the image of [x] under [pi], must take [a_img] to the
-           image of [succ].  [a_img] stands for the permuted [a] — for
-           task checks it is the mirror task's own enabled action,
-           which is [equal_action]-equal to the transported one but
-           produced by the automaton itself, exactly as quotient
-           exploration produces it (transported payloads may be
-           semantically equal yet structurally distinct rebuilds).
+           image of [succ], up to [equiv].  [a_img] stands for the
+           permuted [a] — for task checks it is the mirror task's own
+           enabled action, which is [equal_action]-equal to the
+           transported one but produced by the automaton itself, exactly
+           as quotient exploration produces it (transported payloads may
+           be semantically equal yet structurally distinct rebuilds).
            Returns [x']'s successor, if any. *)
         let check_step pi pif x' idx a succ a_img =
           let s1 = Option.map (sy.Probe.sy_state pif) succ in
           let s2 = aut.Automaton.step x' a_img in
           match (s1, s2) with
           | None, None -> None
-          | Some t1, Some t2 when equal_state t1 t2 -> s2
+          | Some t1, Some t2 when equiv t1 t2 -> s2
           | Some t1, Some t2 ->
               raise
-                (Broken
-                   { w_kind = `Step;
-                     w_field = disagreeing_field sy.Probe.sy_fields t2 t1;
-                     w_task = None;
-                     w_perm = Perm.to_string pi;
-                     w_state = idx;
-                     w_detail =
-                       Fmt.str "successors of %s diverge from the permuted successor"
-                         (pp_act a);
-                   })
+                (broken ?field:(disagreeing_field sy.Probe.sy_fields t2 t1) `Step pi idx
+                   (Fmt.str "successors of %s diverge from the permuted successor"
+                      (pp_act a)))
           | Some _, None | None, Some _ ->
               raise
-                (Broken
-                   { w_kind = `Step;
-                     w_field = None;
-                     w_task = None;
-                     w_perm = Perm.to_string pi;
-                     w_state = idx;
-                     w_detail =
-                       Fmt.str "%s %s in the permuted state"
-                         (pp_act a)
-                         (if s1 = None then "becomes enabled" else "is disabled");
-                   })
+                (broken `Step pi idx
+                   (Fmt.str "%s %s in the permuted state" (pp_act a)
+                      (if s1 = None then "becomes enabled" else "is disabled")))
         in
         (* Equivariance under [pi] at [e]: the declared fields, the
            probed actions' steps, and each task's mirror (its enabled
            action is the permuted one, its successor the permuted
            successor).  Returns the image of [e], with the image's own
            actions and successors in its own slots. *)
-        let check_image pi pif slot idx e =
+        let check_image moved pi pif slot idx e =
           let y = sy.Probe.sy_state pif e.x in
-          check_fields pi pif e.x y idx;
+          check_fields moved pi pif e.x y idx;
           let src = Array.make nslots 0 in
           let acts = Array.make nslots None and succs = Array.make nslots None in
           Array.iteri
@@ -436,16 +403,9 @@ let analyze (type s a) (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t) : ver
                 | Some a, Some a' when equal_action (sy.Probe.sy_action pif a) a' -> take a a'
                 | _ ->
                     raise
-                      (Broken
-                         { w_kind = `Enabled;
-                           w_field = None;
-                           w_task = Some t.Automaton.task_name;
-                           w_perm = Perm.to_string pi;
-                           w_state = idx;
-                           w_detail =
-                             Fmt.str "task %s enabled action is not the permuted one"
-                               t'.Automaton.task_name;
-                         }))
+                      (broken ~task:t.Automaton.task_name `Enabled pi idx
+                         (Fmt.str "task %s enabled action is not the permuted one"
+                            t'.Automaton.task_name)))
             e.acts;
           { x = y; src; acts; succs }
         in
@@ -454,13 +414,14 @@ let analyze (type s a) (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t) : ver
 
           let compare = sy.Probe.sy_cmp
         end) in
-        (* Walk [r]'s orbit and return [r]'s successors, already
-           canonized.  The orbit minimum of [r]'s successor in slot [k]
-           is the minimum over the successors, at every orbit element,
-           in the slots that mirror a slot of [k]'s class under [r]'s
-           stabilizer; a generator step landing on a known element
-           yields a stabilizer element, whose slot pairs are merged. *)
-        let walk generators r idx =
+        (* Walk [r]'s orbit and return [r]'s own slots with their
+           successors already canonized.  The orbit minimum of [r]'s
+           successor in slot [k] is the minimum over the successors, at
+           every orbit element, in the slots that mirror a slot of
+           [k]'s class under [r]'s stabilizer; a generator step landing
+           on a known element yields a stabilizer element, whose slot
+           pairs are merged. *)
+        let walk moved generators r idx =
           let e = own r in
           let best = Array.copy e.succs in
           let offer k = function
@@ -483,7 +444,7 @@ let analyze (type s a) (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t) : ver
             let e = Queue.pop queue in
             List.iter
               (fun (g, gf, slot) ->
-                let img = check_image g gf slot idx e in
+                let img = check_image moved g gf slot idx e in
                 match Orbit.find_opt img.x !orbit with
                 | Some src -> Array.iter2 union img.src src
                 | None ->
@@ -493,82 +454,104 @@ let analyze (type s a) (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t) : ver
               generators
           done;
           Array.iteri (fun k s -> if find k <> k then offer (find k) s) best;
-          Array.init nslots (fun k -> best.(find k))
+          (e.acts, Array.init nslots (fun k -> best.(find k)))
         in
         (* When the walk breaks, the witness comes from every
            nontrivial permutation at [r] in [Perm.all] order, as a full
            sweep would name it; the generator's witness stands only if
            that sweep passes. *)
-        let check_rep slot_maps generators r idx =
-          try walk generators r idx
+        let check_rep moved slot_maps generators r idx =
+          try walk moved generators r idx
           with Broken w ->
             let e = own r in
             List.iter
-              (fun (pi, pif, slot) -> ignore (check_image pi pif slot idx e))
+              (fun (pi, pif, slot) -> ignore (check_image moved pi pif slot idx e))
               slot_maps;
             raise (Broken w)
         in
-        (* Bounded quotient exploration over representatives: successors
-           via probed actions and enabled tasks, canonized on insert. *)
-        try
+        match
           check_global ();
-          let slot_maps = List.map slot_map nontrivial in
-          (* The two generators of S_n: the transposition (p0 p1) and
-             the n-cycle, which coincide at n = 2.  Checked at every
-             element of a representative's orbit, they imply every
-             permutation at the representative (DESIGN.md, "Orbit
-             reduction"). *)
-          let swap = Array.init n (fun i -> if i < 2 then 1 - i else i) in
-          let cycle = Array.init n (fun i -> (i + 1) mod n) in
-          let generators =
-            List.filter (fun (pi, _, _) -> pi = swap || pi = cycle) slot_maps
-          in
-          let hash =
-            match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0
-          in
-          let seen : (int, s list) Hashtbl.t = Hashtbl.create 256 in
-          let count = ref 0 in
-          let mem s =
-            let h = hash s in
-            match Hashtbl.find_opt seen h with
-            | None -> false
-            | Some bucket -> List.exists (fun r -> equal_state r s) bucket
-          in
-          let remember s =
-            let h = hash s in
-            let bucket =
-              match Hashtbl.find_opt seen h with Some b -> b | None -> []
+          List.map slot_map nontrivial
+        with
+        | exception Broken w -> Error (Breaking w)
+        | slot_maps ->
+            (* The two generators of S_n: the transposition (p0 p1) and
+               the n-cycle, which coincide at n = 2.  Checked at every
+               element of a representative's orbit, they imply every
+               permutation at the representative (DESIGN.md, "Orbit
+               reduction"). *)
+            let swap = Array.init n (fun i -> if i < 2 then 1 - i else i) in
+            let cycle = Array.init n (fun i -> (i + 1) mod n) in
+            let generators =
+              List.filter (fun (pi, _, _) -> pi = swap || pi = cycle) slot_maps
             in
-            Hashtbl.replace seen h (s :: bucket)
-          in
-          let queue = Queue.create () in
-          let push_rep r =
-            if not (mem r) then begin
-              remember r;
-              Queue.add (r, !count) queue;
-              incr count
-            end
-          in
-          let canon = canonizer sy in
-          push_rep (canon aut.Automaton.start);
-          List.iter (fun s -> push_rep (canon s)) probe.Probe.seed_states;
-          let exhaustive = ref true in
-          let budget = probe.Probe.max_states in
-          while not (Queue.is_empty queue) do
-            let r, idx = Queue.pop queue in
-            let succs = check_rep slot_maps generators r idx in
-            if !count >= budget then exhaustive := false
-            else Array.iter (Option.iter push_rep) succs
-          done;
-          Certified
-            { c_n = n;
-              c_states = !count;
-              c_perms = List.length perms;
-              c_exhaustive = !exhaustive;
-              c_fields =
-                List.map
-                  (fun (Probe.F f, status) -> (f.f_name, !status))
-                  field_status;
-            }
-        with Broken w -> Breaking w
+            let canon =
+              let c = canonizer_w sy in
+              fun s -> fst (c s)
+            in
+            (* Diamonds are closed through canonized steps: POR compares
+               representatives, as the seen-set does. *)
+            let qaut =
+              { aut with
+                Automaton.start = canon aut.Automaton.start;
+                step = (fun s a -> Option.map canon (aut.Automaton.step s a));
+              }
+            in
+            let qprobe =
+              { probe with Probe.seed_states = List.map canon probe.Probe.seed_states }
+            in
+            (* A representative's moves: its own enabled tasks and
+               actions, each successor the class minimum the walk found.
+               The walk's field observations join the run's [moved] when
+               the core takes the expansion. *)
+            let moves moved idx r =
+              let mine = Array.make (Array.length fields) false in
+              let acts, best = check_rep mine slot_maps generators r idx in
+              let enabled =
+                Array.of_list
+                  (List.filter_map
+                     (fun j -> Option.map (fun a -> (j, a)) acts.(nprobe + j))
+                     (List.init (Array.length tasks) Fun.id))
+              in
+              let move t = (tasks.(fst enabled.(t)), snd enabled.(t)) in
+              { Space.m_names =
+                  Array.map (fun (j, _) -> tasks.(j).Automaton.task_name) enabled;
+                m_acts = Array.map snd enabled;
+                m_probe = (fun p -> best.(p));
+                m_step = (fun t -> best.(nprobe + fst enabled.(t)));
+                m_commute = (fun u t -> Space.commute qaut probe r (move u) (move t));
+                m_commit =
+                  (fun () -> Array.iteri (fun k b -> if b then moved.(k) <- true) mine);
+              }
+            in
+            Ok
+              (fun ~por ~jobs ~profile ->
+                let moved = Array.make (Array.length fields) false in
+                match
+                  Pspace.explore_with ~por ~jobs ~profile (moves moved) qaut qprobe
+                with
+                | exception Broken w -> Error w
+                | space ->
+                    Ok
+                      ( { c_n = n;
+                          c_states = Array.length space.Space.states;
+                          c_perms = List.length perms;
+                          c_exhaustive = space.Space.verdict = Space.Exhausted;
+                          c_fields =
+                            List.mapi
+                              (fun k (Probe.F f) ->
+                                (f.f_name, if moved.(k) then `Indexed else `Invariant))
+                              sy.Probe.sy_fields;
+                        },
+                        space ))
       end
+
+let explore ~por ~jobs ?profile q = q ~por ~jobs ~profile
+
+let analyze aut probe =
+  match prepare aut probe with
+  | Error v -> v
+  | Ok q -> (
+      match explore ~por:false ~jobs:1 q with
+      | Ok (c, _) -> Certified c
+      | Error w -> Breaking w)

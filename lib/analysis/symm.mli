@@ -1,38 +1,30 @@
-(** Static symmetry inference and orbit canonicalization.
+(** Static symmetry inference and orbit reduction.
 
     Failure-detector automata are (mostly) indifferent to process
     identities: permuting the location universe permutes their states
     and actions without changing behavior.  This module makes that
-    claim {e checkable} and then {e exploitable}:
-
-    - {!analyze} takes a subject (automaton + probe) whose probe
-      declares an S_n action ({!Probe.symmetry}) and checks, over a
-      bounded quotient exploration and for the whole group, that the
-      step relation, task enabledness, signature, and probe set are
-      equivariant under the declared action — classifying every
-      declared state field as
-      identity-independent, process-indexed, or symmetry-breaking.
-      The result is either a {!certificate} or a concrete breaking
-      {!witness} (the permutation, the state, the action or task, and
-      the offending field when one can be named).
-
-    - {!canonizer} turns a declared symmetry into an orbit
-      canonicalization function: the minimum of the state's orbit
-      under [sy_cmp].  Handed to [Space.explore ~symmetry] (or the
-      parallel explorer) it quotients the seen-set by orbit;
-      {!canonizer_w} additionally returns the witnessing permutation,
-      the kind of witness that lifts quotient counterexample paths back
-      to genuine runs of the unreduced system.  {!Mc} canonizes its
-      product states with a staged version of the same minimum, which
-      its tests check against {!canonizer_w}.
+    claim {e checkable} and {e exploitable} in one breadth-first run.
+    {!prepare} runs the state-independent checks on a subject whose
+    probe declares an S_n action ({!Probe.symmetry}): signature
+    stability, probe-set closure, and a mirror for every task.
+    {!explore} then explores the orbit quotient on {!Space}'s BFS core
+    (or {!Pspace}'s workers), with the {e orbit walk} as each
+    representative's expansion: it checks that steps and task
+    enabledness are equivariant, classifies every declared state field
+    as identity-independent or process-indexed, and hands the core
+    each successor's orbit minimum under [sy_cmp].  The run that
+    certifies is the exploration: it ends with a {!certificate} and the
+    explored {!Space.t}, or stops at a concrete breaking {!witness}
+    (the permutation, the state, the action or task, and the offending
+    field when one can be named).
 
     {b Soundness.}  Equivariance for {e every} permutation at {e every
     representative} the quotient exploration discovers certifies the
     quotient without ever building the unreduced space: by induction
     every reachable state [s] of the original system factors as [ρ·r]
     for a discovered representative [r], because an equivariant step
-    from [ρ·r] is [ρ]-conjugate to an explored step from [r].  The
-    analyzer establishes it by checking the two generators of S_n, the
+    from [ρ·r] is [ρ]-conjugate to an explored step from [r].  The walk
+    establishes it by checking the two generators of S_n, the
     transposition [(p0 p1)] and the n-cycle, at every element of each
     representative's orbit: chained along the orbit they imply every
     permutation at the representative, provided [step], [enabled] and
@@ -42,8 +34,9 @@
     Checking the generators at the representatives alone, or only
     sampled states, does {e not} compose.  When a generator check
     fails, the permutations are swept in {!Perm.all} order at that
-    representative, and the first failing one is the witness.
-    DESIGN.md ("Orbit reduction") spells the argument out. *)
+    representative, and the first failing one is the witness; the run
+    stops at the first failing state in discovery order, at any
+    [jobs].  DESIGN.md ("Orbit reduction") spells the argument out. *)
 
 module Perm : sig
   type t = int array
@@ -106,20 +99,21 @@ type witness = {
           disagrees on exactly one *)
   w_task : string option;
   w_perm : string;  (** rendering of the breaking permutation *)
-  w_state : int;  (** index in the analyzer's exploration *)
+  w_state : int;
+      (** discovery index of the breaking state in the quotient
+          exploration; [0] for a state-independent failure *)
   w_detail : string;
 }
 
 type certificate = {
   c_n : int;
-  c_states : int;  (** representatives the check covered *)
+  c_states : int;  (** representatives the exploration stored *)
   c_perms : int;
       (** the order of the group the check covers at each of them
-          ([n!]); the analyzer itself checks only generators *)
+          ([n!]); the walk itself checks only generators *)
   c_exhaustive : bool;
-      (** the quotient exploration finished within the probe budget —
-          only then is the certificate a proof about the whole
-          reachable space *)
+      (** the exploration exhausted within the probe budget — only then
+          is the certificate a proof about the whole reachable space *)
   c_fields : (string * [ `Indexed | `Invariant ]) list;
 }
 
@@ -132,18 +126,40 @@ type verdict =
 
 val pp_witness : witness Fmt.t
 
+type ('s, 'a) quotient
+(** A subject whose declared symmetry passed the state-independent
+    checks. *)
+
+val prepare :
+  ?equiv:('s -> 's -> bool) ->
+  ('s, 'a) Afd_ioa.Automaton.t ->
+  ('s, 'a) Probe.t ->
+  (('s, 'a) quotient, verdict) result
+(** The state-independent checks; [Error] is [Unsupported] or
+    [Breaking].  The quotient's seen-set is the probe's identity and
+    its budget the probe's.  The walk compares a transported successor
+    with a stepped one by [equiv] (default [equal_state]): coarser
+    where the identity holds data the action does not transport (the
+    model checker's latched sinks compare by clause alone). *)
+
+val explore :
+  por:bool ->
+  jobs:int ->
+  ?profile:(string -> float -> unit) ->
+  ('s, 'a) quotient ->
+  (certificate * ('s, 'a) Space.t, witness) result
+(** Explore the orbit quotient, checking equivariance as it goes.
+    States are orbit minima, edges carry the representatives' own
+    actions, [c_exhaustive] is the exploration's verdict.  With [por],
+    diamonds close through canonized steps.  [jobs > 1] walks in
+    {!Pspace}'s workers; nothing in the result depends on [jobs]. *)
+
 val analyze : ('s, 'a) Afd_ioa.Automaton.t -> ('s, 'a) Probe.t -> verdict
-(** Run the static equivariance check described above over a bounded
-    quotient exploration (the probe's [max_states] budget).  Returns
-    [Unsupported] when the probe declares no symmetry. *)
+(** {!prepare}, then {!explore} without POR on one domain. *)
 
 (** {1 Orbit canonicalization} *)
 
-val canonizer : ('s, 'a) Probe.symmetry -> 's -> 's
-(** Orbit minimum under [sy_cmp]: a representative function suitable
-    for [Space.explore ~symmetry] — constant on orbits, idempotent on
-    representatives. *)
-
 val canonizer_w : ('s, 'a) Probe.symmetry -> 's -> 's * Perm.t
-(** Same, returning the witnessing permutation [σ] with
-    [canon s = σ·s]. *)
+(** Orbit minimum under [sy_cmp] with its witnessing permutation [σ]:
+    [fst (canonizer_w sy s) = σ·s].  Every representative {!explore}
+    stores is its own minimum. *)

@@ -86,8 +86,8 @@ let sym_set = Some Afd_analysis.Mc.sym_set
 (* Noisy and flip-flop states pair the crash set with an identity-
    dependent component (scripted queues, a toggle).  Declaring that
    component rigid is a {e claim}, not a cheat: when the claim is wrong
-   the certification sweep produces a breaking witness and the run
-   stays unreduced. *)
+   the quotient run's equivariance check produces a breaking witness
+   and the run stays unreduced. *)
 let sym_noisy =
   Some Afd_analysis.Mc.(sym_pair sym_set sym_rigid)
 

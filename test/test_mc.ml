@@ -91,6 +91,41 @@ let test_lifted_counterexample () =
     Alcotest.(check string) "lifted row" golden_lifted_row
       (Mc.outcome_to_json ~pp_out:spec.Afd_core.Afd.pp_out o)
 
+(* FD-Sigma's detector against P's spec at n = 3: the output {p0,p1,p2}
+   breaks accuracy on the first edge, so the quotient reaches latched
+   sinks, which the equivariance check compares by clause alone.  The
+   violation, its lifted counterexample and the replay are the
+   unreduced run's. *)
+let golden_latched_row =
+  {|{"verdict":"exhausted","proved":false,"safety_proved":false,"states":7,"transitions":12,"por":false,"slept":0,"cut":0,"safety_clauses":["validity.safety","accuracy"],"liveness_clauses":["validity.liveness","completeness"],"liveness_proved":[],"liveness_skipped":["validity.liveness","completeness"],"violations":[{"clause":"accuracy","kind":"edge","depth":1,"reason":"output {p0,p1,p2} at p0 suspects not-yet-crashed location(s) {p0,p1,p2}","confirmed":true,"counterexample":{"index":0,"clause":"accuracy","reason":"output {p0,p1,p2} at p0 suspects not-yet-crashed location(s) {p0,p1,p2}","event":"fd({p0,p1,p2})_p0","window_start":0,"window":["fd({p0,p1,p2})_p0"]}}],"lassos":[],"sym":{"status":"certified","n":3,"reps":7,"perms":6,"exhaustive":true,"fields":[]}}|}
+
+let test_latched_sinks () =
+  let spec = Afd_core.Perfect.spec in
+  let detector = Afd_core.Afd_automata.fd_sigma ~n:3 in
+  let run symmetry =
+    match Mc.check_spec ~max_states:4_000 ?symmetry ~n:3 spec ~detector with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "raw spec: %s" e
+  in
+  let sym = run (Some Mc.sym_set) and raw = run None in
+  Alcotest.(check string) "quotient row" golden_latched_row
+    (Mc.outcome_to_json ~pp_out:spec.Afd_core.Afd.pp_out sym);
+  let cex o =
+    List.map
+      (fun v ->
+        (v.Mc.clause, v.Mc.reason, v.Mc.confirmed,
+         Afd_prop.Counterexample.to_json ~pp_out:spec.Afd_core.Afd.pp_out
+           v.Mc.counterexample))
+      o.Mc.violations
+  in
+  Alcotest.(check (list (triple string string bool)))
+    "violations match the unreduced run"
+    (List.map (fun (c, r, k, _) -> (c, r, k)) (cex raw))
+    (List.map (fun (c, r, k, _) -> (c, r, k)) (cex sym));
+  Alcotest.(check (list string)) "counterexamples match the unreduced run"
+    (List.map (fun (_, _, _, j) -> j) (cex raw))
+    (List.map (fun (_, _, _, j) -> j) (cex sym))
+
 (* --- the timings contract --- *)
 
 let names timings = List.map fst timings
@@ -155,4 +190,6 @@ let suite =
       test_durations_non_negative;
     Alcotest.test_case "timings: a profiled outcome's JSON equals the unprofiled one"
       `Quick test_profile_invisible;
+    Alcotest.test_case "a quotient reaching latched sinks: FD-Sigma vs P" `Quick
+      test_latched_sinks;
   ]

@@ -211,7 +211,7 @@ let biased_flags : (Afd_ioa.Loc.Set.t, flag) Afd_ioa.Automaton.t =
     tasks = [];
   }
 
-let test_deep_step_breaks () =
+let biased_probe =
   let module S = Afd_ioa.Loc.Set in
   let symm =
     { Probe.sy_n = 3;
@@ -221,12 +221,12 @@ let test_deep_step_breaks () =
       sy_fields = [];
     }
   in
-  let probe =
-    Probe.make ~equal_state:S.equal
-      ~hash_state:(fun s -> Hashtbl.hash (S.elements s))
-      ~symm [ Set 0; Set 1; Set 2 ]
-  in
-  match Symm.analyze biased_flags probe with
+  Probe.make ~equal_state:S.equal
+    ~hash_state:(fun s -> Hashtbl.hash (S.elements s))
+    ~symm [ Set 0; Set 1; Set 2 ]
+
+let test_deep_step_breaks () =
+  match Symm.analyze biased_flags biased_probe with
   | Symm.Breaking w ->
     Alcotest.(check bool) "a step witness" true (w.Symm.w_kind = `Step);
     Alcotest.(check bool) "below the start state" true (w.Symm.w_state > 0)
@@ -285,6 +285,87 @@ let test_breaks_off_representative () =
       (Fmt.str "%a" Symm.pp_witness w)
   | Symm.Certified _ -> Alcotest.fail "gated-pass must not certify"
   | Symm.Unsupported r -> Alcotest.failf "unsupported: %s" r
+
+(* --- witnesses and certificates do not depend on [jobs] --- *)
+
+(* The walk runs in the parallel explorer's workers at [jobs > 1]: a
+   break must still be raised at the first failing state in discovery
+   order, and field classification must merge per expansion.  The
+   lint reports (shared exploration, findings, witnesses) and the MC
+   outcomes must be equal at 1, 2 and 4 jobs, for a break at the start
+   state, a break below it, a certifying fixture and a certifying and a
+   breaking CHK subject. *)
+let test_jobs_independent () =
+  let lint entry jobs =
+    Report.to_json
+      (Engine.run_entry ~rules:(Rules.all @ Rules.mc @ Rules.symmetry) ~jobs
+         ~symmetry:true ~origin:"fixture" entry)
+  in
+  let entries =
+    List.map snd Fixtures.symmetry
+    @ [ Fixtures.symmetry_certifiable; Registry.Automaton (biased_flags, biased_probe) ]
+  in
+  List.iter
+    (fun entry ->
+      let one = lint entry 1 in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s at jobs=%d" (Registry.entry_name entry) jobs)
+            one (lint entry jobs))
+        [ 2; 4 ])
+    entries;
+  List.iter
+    (fun id ->
+      let (BC.S { n; detector; symm; spec; _ }) =
+        List.find (fun s -> BC.id s = id) chk_subjects
+      in
+      let mc jobs =
+        match Mc.check_spec ~jobs ?symmetry:symm ~n spec ~detector:(detector n) with
+        | Ok o -> Mc.outcome_to_json ~pp_out:spec.Afd_core.Afd.pp_out o
+        | Error e -> Alcotest.failf "%s: raw spec: %s" id e
+      in
+      let one = mc 1 in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string) (Printf.sprintf "%s at jobs=%d" id jobs) one (mc jobs))
+        [ 2; 4 ])
+    [ "CHK.omega"; "CHK.sigma" ]
+
+(* --- the certificate's exhaustiveness is the exploration's --- *)
+
+(* FD-P against P at n = 3 has a 30-orbit quotient.  A budget of
+   exactly 30 stores every orbit and cuts nothing, so the certificate
+   is exhaustive; at 29 one successor is cut and it is bounded. *)
+let test_budget_at_quotient_size () =
+  let run max_states =
+    match
+      Mc.check_spec ~max_states ~symmetry:Mc.sym_set ~n:3 Afd_core.Perfect.spec
+        ~detector:(Afd_core.Afd_automata.fd_perfect ~n:3)
+    with
+    | Ok o -> o
+    | Error e -> Alcotest.failf "raw spec: %s" e
+  in
+  let expect max_states ~exhausted =
+    let o = run max_states in
+    Alcotest.(check bool)
+      (Printf.sprintf "verdict exhausted at %d" max_states)
+      exhausted
+      (o.Mc.verdict = Space.Exhausted);
+    match o.Mc.sym with
+    | Mc.Sym_quotient c ->
+      Alcotest.(check int) (Printf.sprintf "reps at %d" max_states) max_states
+        c.Symm.c_states;
+      Alcotest.(check bool)
+        (Printf.sprintf "certificate exhaustive at %d" max_states)
+        exhausted c.Symm.c_exhaustive
+    | status ->
+      Alcotest.failf "unexpected status at %d: %a" max_states
+        (fun ppf -> Mc.pp_sym_status ppf)
+        status
+  in
+  expect 30 ~exhausted:true;
+  expect 29 ~exhausted:false
 
 (* --- certificates and field classification are pinned --- *)
 
@@ -367,48 +448,50 @@ let test_n6_rung id ~orbits ~reps () =
       (fun ppf -> Mc.pp_sym_status ppf)
       status
 
-(* --- the staged canonizer is the orbit minimum --- *)
+(* --- the quotient is closed under the orbit minimum --- *)
 
-(* Compare Mc's staged canonizer with [Symm.canonizer_w] over the
-   lifted descriptor on every representative of the n=4 quotient, every
-   successor of one (what exploration canonizes), and every permuted
-   image of one (so the witness is not always the identity). *)
-let staged_canonizer_agrees (BC.S { id; detector; symm; spec; _ }) =
+(* The orbit walk hands the explorer class minima: on every subject's
+   n=4 quotient, each stored representative must be its own
+   [Symm.canonizer_w] image (identity witness), and the image of each
+   of its successors must be stored. *)
+let quotient_closed (BC.S { id; detector; symm; spec; _ }) =
   match
     Mc.quotient_view ~symmetry:(Option.get symm) ~n:4 spec ~detector:(detector 4)
   with
   | Error e -> Alcotest.failf "%s: %s" id e
   | Ok qv ->
     let sy = qv.Mc.qv_symmetry in
-    let reference = Symm.canonizer_w sy in
-    let compared = ref 0 in
-    let agree s =
-      incr compared;
-      let r1, w1 = qv.Mc.qv_canon s and r2, w2 = reference s in
-      if sy.Probe.sy_cmp r1 r2 <> 0 || w1 <> w2 then
-        Alcotest.failf "%s: staged canonizer disagrees (witness %s vs %s)" id
-          (Symm.Perm.to_string w1) (Symm.Perm.to_string w2)
-    in
-    let perms = Symm.Perm.all ~n:4 in
-    Array.iter
-      (fun r ->
-        agree r;
+    let canon = Symm.canonizer_w sy in
+    let stored s = Array.exists (fun r -> sy.Probe.sy_cmp r s = 0) qv.Mc.qv_states in
+    let successors = ref 0 in
+    Array.iteri
+      (fun i r ->
+        let c, w = canon r in
+        if sy.Probe.sy_cmp c r <> 0 || not (Symm.Perm.is_identity w) then
+          Alcotest.failf "%s: representative #%d is not its orbit minimum (witness %s)"
+            id i (Symm.Perm.to_string w);
         List.iter
           (fun (t : _ Afd_ioa.Automaton.task) ->
             match t.Afd_ioa.Automaton.enabled r with
-            | Some a -> Option.iter agree (qv.Mc.qv_product.Afd_ioa.Automaton.step r a)
-            | None -> ())
-          qv.Mc.qv_product.Afd_ioa.Automaton.tasks;
-        List.iter (fun pi -> agree (sy.Probe.sy_state (Symm.Perm.apply pi) r)) perms)
+            | None -> ()
+            | Some a ->
+              Option.iter
+                (fun s ->
+                  incr successors;
+                  if not (stored (fst (canon s))) then
+                    Alcotest.failf "%s: a successor of #%d has no stored orbit minimum"
+                      id i)
+                (qv.Mc.qv_product.Afd_ioa.Automaton.step r a))
+          qv.Mc.qv_product.Afd_ioa.Automaton.tasks)
       qv.Mc.qv_states;
     Alcotest.(check bool)
-      (Printf.sprintf "%s: compared %d states" id !compared)
+      (Printf.sprintf "%s: checked %d successors" id !successors)
       true
-      (!compared > Array.length qv.Mc.qv_states)
+      (!successors > Array.length qv.Mc.qv_states)
 
-let test_staged_canonizer () =
+let test_quotient_closed () =
   List.iter
-    (fun id -> staged_canonizer_agrees (List.find (fun s -> BC.id s = id) chk_subjects))
+    (fun id -> quotient_closed (List.find (fun s -> BC.id s = id) chk_subjects))
     [ "CHK.p"; "CHK.s"; "CHK.sigma"; "CHK.dk" ]
 
 (* --- the ladder skips unreduced rungs past the first truncation --- *)
@@ -474,12 +557,16 @@ let suite =
       `Quick test_breaks_off_representative;
     Alcotest.test_case "certificates and field classification are pinned" `Quick
       test_certificates_pinned;
+    Alcotest.test_case "witnesses and certificates are equal at jobs 1, 2, 4" `Quick
+      test_jobs_independent;
+    Alcotest.test_case "a budget equal to the quotient size certifies exhaustive"
+      `Quick test_budget_at_quotient_size;
     Alcotest.test_case "n=6 rung: FD-Sigma" `Quick
       (test_n6_rung "CHK.sigma" ~orbits:[ 48; 99; 171; 256; 365 ] ~reps:365);
     Alcotest.test_case "n=6 rung: FD-S" `Quick
       (test_n6_rung "CHK.s" ~orbits:[ 37; 59; 81; 101; 117 ] ~reps:117);
-    Alcotest.test_case "staged canonizer = Symm.canonizer_w at n=4" `Quick
-      test_staged_canonizer;
+    Alcotest.test_case "quotient closed under the orbit minimum at n=4" `Quick
+      test_quotient_closed;
     Alcotest.test_case "parametric skips raw rungs past a truncation" `Quick
       test_parametric_skips_raw_rungs;
   ]
