@@ -297,16 +297,6 @@ let path_actions t i =
   in
   walk i []
 
-let find t pred =
-  let n = Array.length t.states in
-  let rec go i = if i >= n then None else if pred t.states.(i) then Some i else go (i + 1) in
-  go 0
-
-let out_degree t =
-  let deg = Array.make (Array.length t.states) 0 in
-  Array.iter (fun e -> deg.(e.src) <- deg.(e.src) + 1) t.edges;
-  deg
-
 let agree ~equal_state ~equal_action a b =
   let arr eq x y = Array.length x = Array.length y && Array.for_all2 eq x y in
   let edge_eq e f =

@@ -168,12 +168,6 @@ val path_actions : ('s, 'a) t -> int -> 'a list
     start state to state [i], in execution order.  Raises
     [Invalid_argument] for a seed state not reached from the start. *)
 
-val find : ('s, 'a) t -> ('s -> bool) -> int option
-(** First state (in discovery order) satisfying the predicate. *)
-
-val out_degree : ('s, 'a) t -> int array
-(** Number of outgoing edges per state. *)
-
 val commute :
   ('s, 'a) Afd_ioa.Automaton.t ->
   ('s, 'a) Probe.t ->

@@ -76,18 +76,11 @@ module Perm = struct
     end
 end
 
-(* Container actions.  [Set.map]/[Map] rebuilds re-balance the AVL
-   trees, so permuted containers have deterministic shape; the [cmp_*]
-   orders below compare element lists and stay congruent with the
-   semantic equalities regardless. *)
+(* Container actions.  [Set.map] rebuilds re-balance the AVL trees, so
+   permuted sets have deterministic shape; [cmp_set] below compares
+   element lists and stays congruent with set equality regardless. *)
 
 let perm_set pi s = Loc.Set.map pi s
-
-let perm_map_keys pi m =
-  Loc.Map.fold (fun k v acc -> Loc.Map.add (pi k) v acc) m Loc.Map.empty
-
-let perm_map pi pv m =
-  Loc.Map.fold (fun k v acc -> Loc.Map.add (pi k) (pv pi v) acc) m Loc.Map.empty
 
 let perm_event perm_o pi = function
   | Afd_prop.Fd_event.Crash i -> Afd_prop.Fd_event.Crash (pi i)
@@ -125,21 +118,6 @@ let rename_locs ~n pi name =
 
 let cmp_set a b =
   Stdlib.compare (Loc.Set.elements a) (Loc.Set.elements b)
-
-let cmp_map cmp_v a b =
-  let rec go xs ys =
-    match (xs, ys) with
-    | [], [] -> 0
-    | [], _ :: _ -> -1
-    | _ :: _, [] -> 1
-    | (ka, va) :: xs, (kb, vb) :: ys ->
-        let c = Loc.compare ka kb in
-        if c <> 0 then c
-        else
-          let c = cmp_v va vb in
-          if c <> 0 then c else go xs ys
-  in
-  go (Loc.Map.bindings a) (Loc.Map.bindings b)
 
 (* ------------------------------------------------------------------ *)
 (* Orbit canonicalization                                              *)

@@ -63,12 +63,6 @@ end
     containers. *)
 
 val perm_set : (int -> int) -> Afd_ioa.Loc.Set.t -> Afd_ioa.Loc.Set.t
-val perm_map_keys : (int -> int) -> 'v Afd_ioa.Loc.Map.t -> 'v Afd_ioa.Loc.Map.t
-
-val perm_map :
-  (int -> int) -> ((int -> int) -> 'v -> 'v) -> 'v Afd_ioa.Loc.Map.t -> 'v Afd_ioa.Loc.Map.t
-(** Permute both the keys and (via the given action) the values. *)
-
 val perm_event :
   ((int -> int) -> 'o -> 'o) ->
   (int -> int) ->
@@ -86,9 +80,6 @@ val rename_locs : n:int -> (int -> int) -> string -> string
 val cmp_set : Afd_ioa.Loc.Set.t -> Afd_ioa.Loc.Set.t -> int
 (** Total order on location sets congruent with [Loc.Set.equal]
     (element lists compared — AVL tree shape never leaks). *)
-
-val cmp_map : ('v -> 'v -> int) -> 'v Afd_ioa.Loc.Map.t -> 'v Afd_ioa.Loc.Map.t -> int
-(** Same for maps, with a value comparison. *)
 
 (** {1 The analyzer} *)
 

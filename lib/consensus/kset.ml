@@ -4,32 +4,6 @@ open Afd_core
 
 let detector_name = "Psi"
 
-(* --- per-instance Synod state over location values --- *)
-
-type phase = Idle | Phase1 | Phase2
-
-type inst_st = {
-  ballot : int;
-  phase : phase;
-  promises : (Loc.t * (int * Loc.t) option) list;
-  max_seen : int;
-  promised : int;
-  accepted : (int * Loc.t) option;
-  learned : ((int * Loc.t) * Loc.Set.t) list;
-  chosen : Loc.t option;
-}
-
-let inst_init =
-  { ballot = -1;
-    phase = Idle;
-    promises = [];
-    max_seen = -1;
-    promised = -1;
-    accepted = None;
-    learned = [];
-    chosen = None;
-  }
-
 module Int_map = Map.Make (Int)
 
 type st = {
@@ -37,7 +11,7 @@ type st = {
   k : int;
   self : Loc.t;
   leaders : Loc.t list;  (* latest Psi_k output, sorted ascending *)
-  insts : inst_st Int_map.t;
+  insts : Loc.t Synod.t Int_map.t;
   decided : Loc.t option;
   decide_emitted : bool;
   outbox : Process.Outbox.t;
@@ -54,130 +28,66 @@ let init ~n ~k ~self =
     outbox = Process.Outbox.empty;
   }
 
-let inst_of st j =
-  match Int_map.find_opt j st.insts with Some s -> s | None -> inst_init
+let inst_of st j = Option.value (Int_map.find_opt j st.insts) ~default:Synod.init
 
-let set_inst st j is = { st with insts = Int_map.add j is st.insts }
+let majority st voters = Loc.Set.cardinal voters >= (st.n / 2) + 1
 
-let majority st = (st.n / 2) + 1
+let to_msg inst = function
+  | Synod.Prepare bal -> Msg.Kprepare { inst; bal }
+  | Synod.Promise (bal, accepted) -> Msg.Kpromise { inst; bal; accepted }
+  | Synod.Nack bal -> Msg.Knack { inst; bal }
+  | Synod.Accept (bal, v) -> Msg.Kaccept { inst; bal; v }
+  | Synod.Accepted (bal, v) -> Msg.Kaccepted { inst; bal; v }
 
-let send st dst msg =
-  { st with outbox = Process.Outbox.push st.outbox (Process.Send { dst; msg }) }
+(* Store instance [j] and the first value any instance chooses; queue
+   the emission, delivering our own copy synchronously. *)
+let rec emit st j ~src (is, out) =
+  let decided = if st.decided = None then is.Synod.chosen else st.decided in
+  let st = { st with insts = Int_map.add j is st.insts; decided } in
+  match out with
+  | None -> st
+  | Some (Synod.Reply m) when Loc.equal src st.self -> receive st j ~src m
+  | Some (Synod.Reply m) ->
+    let send = Process.Send { dst = src; msg = to_msg j m } in
+    { st with outbox = Process.Outbox.push st.outbox send }
+  | Some (Synod.Broadcast m) ->
+    let msg = to_msg j m in
+    receive
+      { st with outbox = Process.Outbox.broadcast st.outbox ~n:st.n ~self:st.self msg }
+      j ~src:st.self m
 
-let leads st j =
-  (* does this location hold the proposer role of instance j? *)
-  match List.nth_opt st.leaders j with
-  | Some l -> Loc.equal l st.self
-  | None -> false
-
-let next_ballot st is =
-  let floor = max is.max_seen is.ballot in
-  (((floor / st.n) + 1) * st.n) + st.self
-
-let rec deliver st ~src msg =
-  match msg with
-  | Msg.Kprepare { inst; bal } ->
-    let is = inst_of st inst in
-    let is = { is with max_seen = max is.max_seen bal } in
-    if bal > is.promised then
-      respond
-        (set_inst st inst { is with promised = bal })
-        ~dst:src
-        (Msg.Kpromise { inst; bal; accepted = is.accepted })
-    else respond (set_inst st inst is) ~dst:src (Msg.Knack { inst; bal })
-  | Msg.Kpromise { inst; bal; accepted } ->
-    let is = inst_of st inst in
-    let is = { is with max_seen = max is.max_seen bal } in
-    if is.phase = Phase1 && bal = is.ballot then begin
-      let is =
-        if List.exists (fun (j, _) -> Loc.equal j src) is.promises then is
-        else { is with promises = (src, accepted) :: is.promises }
-      in
-      if List.length is.promises >= majority st then
-        let v =
-          let best =
-            List.fold_left
-              (fun best (_, acc) ->
-                match (best, acc) with
-                | None, x -> x
-                | Some _, None -> best
-                | Some (b1, _), Some (b2, _) -> if b2 > b1 then acc else best)
-              None is.promises
-          in
-          match best with Some (_, v) -> v | None -> st.self
-        in
-        broadcast
-          (set_inst st inst { is with phase = Phase2 })
-          (Msg.Kaccept { inst; bal = is.ballot; v })
-      else set_inst st inst is
-    end
-    else set_inst st inst is
-  | Msg.Knack { inst; bal } ->
-    let is = inst_of st inst in
-    let is = { is with max_seen = max is.max_seen bal } in
-    if bal = is.ballot && is.phase <> Idle then set_inst st inst { is with phase = Idle }
-    else set_inst st inst is
-  | Msg.Kaccept { inst; bal; v } ->
-    let is = inst_of st inst in
-    let is = { is with max_seen = max is.max_seen bal } in
-    if bal >= is.promised then
-      broadcast
-        (set_inst st inst { is with promised = bal; accepted = Some (bal, v) })
-        (Msg.Kaccepted { inst; bal; v })
-    else respond (set_inst st inst is) ~dst:src (Msg.Knack { inst; bal })
-  | Msg.Kaccepted { inst; bal; v } ->
-    let is = inst_of st inst in
-    let key = (bal, v) in
-    let voters =
-      match List.assoc_opt key is.learned with
-      | None -> Loc.Set.singleton src
-      | Some s -> Loc.Set.add src s
-    in
-    let is = { is with learned = (key, voters) :: List.remove_assoc key is.learned } in
-    let is =
-      if Loc.Set.cardinal voters >= majority st && is.chosen = None then
-        { is with chosen = Some v }
-      else is
-    in
-    let st = set_inst st inst is in
-    if st.decided = None && is.chosen <> None then { st with decided = is.chosen }
-    else st
-  | Msg.Flood _ | Msg.Prepare _ | Msg.Promise _ | Msg.Nack _ | Msg.Accept _
-  | Msg.Accepted _ | Msg.Decided _ | Msg.Ping _ | Msg.Fd_relay _ -> st
-
-and respond st ~dst msg =
-  if Loc.equal dst st.self then deliver st ~src:st.self msg else send st dst msg
-
-and broadcast st msg =
-  let st =
-    { st with outbox = Process.Outbox.broadcast st.outbox ~n:st.n ~self:st.self msg }
-  in
-  deliver st ~src:st.self msg
-
-let start_ballot st j =
+and receive st j ~src m =
   let is = inst_of st j in
-  let b = next_ballot st is in
-  let st = set_inst st j { is with ballot = b; phase = Phase1; promises = [] } in
-  broadcast st (Msg.Kprepare { inst = j; bal = b })
+  emit st j ~src (Synod.receive ~quorum:(majority st) ~propose:st.self ~src m is)
 
 (* On every Psi_k output: refresh the proposer roles; (re)start any
-   instance this location now leads that is idle or preempted. *)
+   instance this location now leads (the j-th smallest leader holds the
+   proposer role of instance j) that is idle or preempted. *)
 let on_leaders st set =
-  let leaders = Loc.Set.elements set in
-  let st = { st with leaders } in
+  let st = { st with leaders = Loc.Set.elements set } in
   if st.decided <> None then st
   else
     List.fold_left
       (fun st j ->
-        if leads st j then
-          let is = inst_of st j in
-          if is.phase = Idle || is.max_seen > is.ballot then start_ballot st j else st
+        if List.nth_opt st.leaders j = Some st.self && Synod.stalled (inst_of st j)
+        then
+          let is, out = Synod.start ~n:st.n ~self:st.self (inst_of st j) in
+          emit st j ~src:st.self (is, Some out)
         else st)
       st
       (List.init st.k Fun.id)
 
 let handle st = function
-  | Process.Receive { src; msg } -> deliver st ~src msg
+  | Process.Receive { src; msg } -> (
+    match msg with
+    | Msg.Kprepare { inst; bal } -> receive st inst ~src (Synod.Prepare bal)
+    | Msg.Kpromise { inst; bal; accepted } ->
+      receive st inst ~src (Synod.Promise (bal, accepted))
+    | Msg.Knack { inst; bal } -> receive st inst ~src (Synod.Nack bal)
+    | Msg.Kaccept { inst; bal; v } -> receive st inst ~src (Synod.Accept (bal, v))
+    | Msg.Kaccepted { inst; bal; v } -> receive st inst ~src (Synod.Accepted (bal, v))
+    | Msg.Flood _ | Msg.Prepare _ | Msg.Promise _ | Msg.Nack _ | Msg.Accept _
+    | Msg.Accepted _ | Msg.Decided _ | Msg.Ping _ | Msg.Fd_relay _ -> st)
   | Process.Fd { detector; payload = Act.Pset set }
     when String.equal detector detector_name ->
     on_leaders st set
@@ -232,17 +142,12 @@ let process ~n ~k ~loc =
     | _ -> inner.Automaton.step s (hide_back act)
   in
   let task t =
-    { Automaton.task_name = t.Automaton.task_name;
-      fair = t.Automaton.fair;
-      enabled = (fun s -> Option.map (fun a -> reveal a s) (t.Automaton.enabled s));
+    { t with
+      Automaton.enabled =
+        (fun s -> Option.map (fun a -> reveal a s) (t.Automaton.enabled s));
     }
   in
-  { Automaton.name = inner.Automaton.name;
-    kind;
-    start = inner.Automaton.start;
-    step;
-    tasks = List.map task inner.Automaton.tasks;
-  }
+  { inner with Automaton.kind; step; tasks = List.map task inner.Automaton.tasks }
 
 let processes ~n ~k =
   List.map (fun i -> Component.C (process ~n ~k ~loc:i)) (Loc.universe ~n)

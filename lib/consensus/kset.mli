@@ -3,10 +3,11 @@
 
     Each location proposes its own ID (location-valued proposals make
     the k-bound meaningful: binary k-set agreement is trivial for
-    k ≥ 2).  The protocol runs [k] {e parallel Synod instances} over
-    location values; the proposer role of instance [j] belongs, at each
-    location, to the [j]-th smallest member of the Ψk output there.  A
-    location decides the first value any instance chooses.
+    k ≥ 2).  The protocol drives [k] {e parallel {!Synod} instances}
+    over location values, with majority quorums; the proposer role of
+    instance [j] belongs, at each location, to the [j]-th smallest
+    member of the Ψk output there.  A location decides the first value
+    any instance chooses.
 
     - {e k-agreement}: each Synod instance is safe, so at most [k]
       distinct values are decided;

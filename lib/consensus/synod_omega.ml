@@ -4,153 +4,104 @@ open Afd_core
 
 let detector_name = "Omega"
 
-type phase = Idle | Phase1 | Phase2
-
 type st = {
   n : int;
   self : Loc.t;
   proposal : bool option;
-  (* proposer *)
-  ballot : int;  (* current ballot; -1 before the first attempt *)
-  phase : phase;
-  promises : (Loc.t * (int * bool) option) list;  (* for the current ballot *)
-  max_seen : int;  (* highest ballot observed anywhere *)
-  (* acceptor *)
-  promised : int;  (* -1 = none *)
-  accepted : (int * bool) option;
-  (* learner: acceptors heard per (ballot, value) *)
-  learned : ((int * bool) * Loc.Set.t) list;
-  decided : bool option;
+  quorum : Loc.Set.t option;  (* latest Σ output here; None under majority quorums *)
+  inst : bool Synod.t;
   decide_emitted : bool;
   outbox : Process.Outbox.t;
 }
-
-let ballot st = st.ballot
-let has_decided st = st.decide_emitted
-let promised st = st.promised
-let accepted st = st.accepted
 
 let init ~n ~self =
   { n;
     self;
     proposal = None;
-    ballot = -1;
-    phase = Idle;
-    promises = [];
-    max_seen = -1;
-    promised = -1;
-    accepted = None;
-    learned = [];
-    decided = None;
+    quorum = None;
+    inst = Synod.init;
     decide_emitted = false;
     outbox = Process.Outbox.empty;
   }
 
-let majority st = (st.n / 2) + 1
+(* The acknowledgement test: a majority, or, with the Σ detector
+   [sigma], a cover of the quorum Σ last output here.  Any two quorums
+   output by Σ anywhere, at any times, intersect — which is all the
+   Paxos safety argument needs of its "majorities". *)
+let covered ~sigma st responders =
+  match (sigma, st.quorum) with
+  | None, _ -> Loc.Set.cardinal responders >= (st.n / 2) + 1
+  | Some _, Some q -> Loc.Set.subset q responders
+  | Some _, None -> false
 
-let see st b = { st with max_seen = max st.max_seen b }
+(* we only start a ballot with a proposal *)
+let propose st = Option.value st.proposal ~default:false
 
-let next_ballot st =
-  (* smallest ballot congruent to [self] mod n strictly above max_seen
-     (and above our own current ballot) *)
-  let floor = max st.max_seen st.ballot in
-  let k = (floor / st.n) + 1 in
-  (k * st.n) + st.self
+let to_msg = function
+  | Synod.Prepare bal -> Msg.Prepare { bal }
+  | Synod.Promise (bal, accepted) -> Msg.Promise { bal; accepted }
+  | Synod.Nack bal -> Msg.Nack { bal }
+  | Synod.Accept (bal, v) -> Msg.Accept { bal; v }
+  | Synod.Accepted (bal, v) -> Msg.Accepted { bal; v }
 
-let send st dst msg = { st with outbox = Process.Outbox.push st.outbox (Process.Send { dst; msg }) }
+(* Queue the instance's emission; the copy addressed to ourselves is
+   delivered synchronously (channels only connect distinct locations). *)
+let rec emit ~sigma st ~src = function
+  | None -> st
+  | Some (Synod.Reply m) when Loc.equal src st.self -> receive ~sigma st ~src m
+  | Some (Synod.Reply m) ->
+    let send = Process.Send { dst = src; msg = to_msg m } in
+    { st with outbox = Process.Outbox.push st.outbox send }
+  | Some (Synod.Broadcast m) ->
+    let outbox = Process.Outbox.broadcast st.outbox ~n:st.n ~self:st.self (to_msg m) in
+    receive ~sigma { st with outbox } ~src:st.self m
 
-(* Deliver a message to our own acceptor/learner roles synchronously
-   (channels only connect distinct locations). *)
-let rec deliver st ~src msg =
-  match msg with
-  | Msg.Prepare { bal } ->
-    let st = see st bal in
-    if bal > st.promised then
-      let st = { st with promised = bal } in
-      respond st ~dst:src (Msg.Promise { bal; accepted = st.accepted })
-    else respond st ~dst:src (Msg.Nack { bal })
-  | Msg.Promise { bal; accepted } ->
-    let st = see st bal in
-    if st.phase = Phase1 && bal = st.ballot then begin
-      let st =
-        if List.exists (fun (j, _) -> Loc.equal j src) st.promises then st
-        else { st with promises = (src, accepted) :: st.promises }
-      in
-      if List.length st.promises >= majority st then
-        let v =
-          let best =
-            List.fold_left
-              (fun best (_, acc) ->
-                match (best, acc) with
-                | None, x -> x
-                | Some _, None -> best
-                | Some (b1, _), Some (b2, _) -> if b2 > b1 then acc else best)
-              None st.promises
-          in
-          match (best, st.proposal) with
-          | Some (_, v), _ -> v
-          | None, Some v -> v
-          | None, None -> false (* unreachable: we only start with a proposal *)
-        in
-        let st = { st with phase = Phase2 } in
-        broadcast st (Msg.Accept { bal = st.ballot; v })
-      else st
-    end
-    else st
-  | Msg.Nack { bal } ->
-    let st = see st bal in
-    if bal = st.ballot && st.phase <> Idle then { st with phase = Idle } else st
-  | Msg.Accept { bal; v } ->
-    let st = see st bal in
-    if bal >= st.promised then
-      let st = { st with promised = bal; accepted = Some (bal, v) } in
-      broadcast st (Msg.Accepted { bal; v })
-    else respond st ~dst:src (Msg.Nack { bal })
-  | Msg.Accepted { bal; v } ->
-    let st = see st bal in
-    let key = (bal, v) in
-    let voters =
-      match List.assoc_opt key st.learned with
-      | None -> Loc.Set.singleton src
-      | Some s -> Loc.Set.add src s
-    in
-    let st = { st with learned = (key, voters) :: List.remove_assoc key st.learned } in
-    if Loc.Set.cardinal voters >= majority st && st.decided = None then
-      { st with decided = Some v }
-    else st
-  | Msg.Decided { v } -> if st.decided = None then { st with decided = Some v } else st
-  | Msg.Flood _ | Msg.Ping _ | Msg.Fd_relay _ | Msg.Kprepare _ | Msg.Kpromise _
-  | Msg.Knack _ | Msg.Kaccept _ | Msg.Kaccepted _ -> st
+and receive ~sigma st ~src m =
+  let inst, out =
+    Synod.receive ~quorum:(covered ~sigma st) ~propose:(propose st) ~src m st.inst
+  in
+  emit ~sigma { st with inst } ~src out
 
-and respond st ~dst msg =
-  if Loc.equal dst st.self then deliver st ~src:st.self msg else send st dst msg
-
-and broadcast st msg =
-  let st = { st with outbox = Process.Outbox.broadcast st.outbox ~n:st.n ~self:st.self msg } in
-  deliver st ~src:st.self msg
-
-let start_ballot st =
-  let b = next_ballot st in
-  let st = { st with ballot = b; phase = Phase1; promises = [] } in
-  broadcast st (Msg.Prepare { bal = b })
-
-let handle st = function
+let handle ~sigma st = function
   | Process.Propose v ->
     if st.proposal = None then { st with proposal = Some v } else st
-  | Process.Receive { src; msg } -> deliver st ~src msg
-  | Process.Fd { payload = Act.Pleader l; _ } ->
+  | Process.Receive { src; msg } -> (
+    match msg with
+    | Msg.Prepare { bal } -> receive ~sigma st ~src (Synod.Prepare bal)
+    | Msg.Promise { bal; accepted } ->
+      receive ~sigma st ~src (Synod.Promise (bal, accepted))
+    | Msg.Nack { bal } -> receive ~sigma st ~src (Synod.Nack bal)
+    | Msg.Accept { bal; v } -> receive ~sigma st ~src (Synod.Accept (bal, v))
+    | Msg.Accepted { bal; v } -> receive ~sigma st ~src (Synod.Accepted (bal, v))
+    | Msg.Decided { v } when st.inst.Synod.chosen = None ->
+      { st with inst = { st.inst with Synod.chosen = Some v } }
+    | Msg.Decided _ | Msg.Flood _ | Msg.Ping _ | Msg.Fd_relay _ | Msg.Kprepare _
+    | Msg.Kpromise _ | Msg.Knack _ | Msg.Kaccept _ | Msg.Kaccepted _ -> st)
+  | Process.Fd { detector; payload = Act.Pleader l }
+    when String.equal detector detector_name ->
     if
-      Loc.equal l st.self && st.proposal <> None && st.decided = None
-      && (st.phase = Idle || st.max_seen > st.ballot)
-    then start_ballot st
+      Loc.equal l st.self && st.proposal <> None && st.inst.Synod.chosen = None
+      && (sigma = None || st.quorum <> None)
+      && Synod.stalled st.inst
+    then
+      let inst, out = Synod.start ~n:st.n ~self:st.self st.inst in
+      emit ~sigma { st with inst } ~src:st.self (Some out)
     else st
-  | Process.Fd { payload = Act.Pset _; _ } -> st
+  | Process.Fd { detector; payload = Act.Pset q } when sigma = Some detector ->
+    (* a fresh quorum can complete a pending phase 1 or a decision *)
+    let st = { st with quorum = Some q } in
+    let inst, out =
+      Synod.phase2 ~quorum:(covered ~sigma st) ~propose:(propose st) st.inst
+    in
+    let st = emit ~sigma { st with inst } ~src:st.self out in
+    { st with inst = Synod.learn ~quorum:(covered ~sigma st) st.inst }
+  | Process.Fd _ -> st
 
 let output st =
   match Process.Outbox.peek st.outbox with
   | Some o -> Some o
   | None -> (
-    match st.decided with
+    match st.inst.Synod.chosen with
     | Some v when not st.decide_emitted -> Some (Process.Decide v)
     | Some _ | None -> None)
 
@@ -159,24 +110,24 @@ let after_output st = function
   | Process.Decide _ -> { st with decide_emitted = true }
   | Process.Internal _ -> st
 
+let def ~sigma ~n ~self =
+  { Process.init = init ~n ~self; handle = handle ~sigma; output; after_output }
+
 let process ~n ~loc =
   Process.automaton ~name:"synod" ~loc ~fd_names:[ detector_name ]
-    { Process.init = init ~n ~self:loc; handle; output; after_output }
+    (def ~sigma:None ~n ~self:loc)
 
 let processes ~n =
   List.map (fun i -> Component.C (process ~n ~loc:i)) (Loc.universe ~n)
 
-let net ~n ?values ?detector ~crashable () =
-  let detector =
-    match detector with
-    | Some d -> d
-    | None ->
-      Component.C (Fd_bridge.lift_leader ~detector:detector_name (Afd_automata.fd_omega ~n))
+let net ~n ?values ~crashable () =
+  let omega =
+    Fd_bridge.lift_leader ~detector:detector_name (Afd_automata.fd_omega ~n)
   in
   let environment =
     match values with
     | Some vs -> Environment.scripted ~values:vs
     | None -> Environment.consensus ~n
   in
-  Net.assemble ~n ~detectors:[ detector ] ~environment ~crashable
+  Net.assemble ~n ~detectors:[ Component.C omega ] ~environment ~crashable
     ~processes:(processes ~n) ()

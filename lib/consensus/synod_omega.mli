@@ -1,16 +1,11 @@
-(** Ballot-based consensus using the leader oracle Ω (the Synod
-    protocol of Paxos, with Ω as the leader-election module).
+(** Ballot-based consensus using the leader oracle Ω: the Synod
+    protocol of Paxos ({!Synod}) with Ω as the leader-election module
+    and majority quorums.
 
-    Every location plays all three roles:
-    - {e proposer}: when Ω names it and it is idle (or preempted), it
-      starts a fresh ballot [b] (ballots at location [i] are the
-      integers congruent to [i] mod [n], so ballots never collide),
-      collects promises from a majority, picks the value of the
-      highest-ballot acceptance among them (or its own proposal), and
-      broadcasts accept requests;
-    - {e acceptor}: standard promise/accept with ballot comparisons;
-    - {e learner}: decides when a majority of acceptors have accepted
-      one ballot.
+    A location starts a fresh ballot of its {!Synod} instance when Ω
+    names it and it holds a proposal, has not decided, and its instance
+    is idle or preempted.  It decides the value its instance chooses,
+    or the value of a [Decided] announcement.
 
     Safety (agreement, validity) holds under any scheduling and any
     crashes; termination needs a live majority ([f < n/2]) and relies
@@ -27,21 +22,16 @@ val detector_name : string
 
 type st
 
-val ballot : st -> int
-val has_decided : st -> bool
-val promised : st -> int
-val accepted : st -> (int * bool) option
-
 val process : n:int -> loc:Loc.t -> (st * bool, Act.t) Automaton.t
 val processes : n:int -> Act.t Component.t list
 
-val net :
-  n:int ->
-  ?values:bool list ->
-  ?detector:Act.t Component.t ->
-  crashable:Loc.Set.t ->
-  unit ->
-  Net.t
-(** Full system.  Default detector is Algorithm 1's FD-Ω lifted into
-    the system; pass [detector] to substitute another Ω source (e.g.
-    the ◇P→Ω transformer pipeline of the Via_reduction module). *)
+val def : sigma:string option -> n:int -> self:Loc.t -> st Process.def
+(** The binary driver, shared with {!Synod_sigma}.  With [~sigma:None]
+    it waits for majorities; with [~sigma:(Some d)] it waits until the
+    responders cover the quorum that detector [d] last output here, and
+    starts no ballot before the first such output. *)
+
+val net : n:int -> ?values:bool list -> crashable:Loc.Set.t -> unit -> Net.t
+(** Full system: processes, channels, crash automaton, Algorithm 1's
+    FD-Ω lifted into the system, and the environment ([values]
+    scripts the proposals). *)

@@ -5,183 +5,11 @@ open Afd_core
 let sigma_name = "Sigma"
 let omega_name = Synod_omega.detector_name
 
-type phase = Idle | Phase1 | Phase2
-
-type st = {
-  n : int;
-  self : Loc.t;
-  proposal : bool option;
-  quorum : Loc.Set.t option;  (* latest Σ output here *)
-  (* proposer *)
-  ballot : int;
-  phase : phase;
-  promises : (Loc.t * (int * bool) option) list;
-  max_seen : int;
-  (* acceptor *)
-  promised : int;
-  accepted : (int * bool) option;
-  (* learner *)
-  learned : ((int * bool) * Loc.Set.t) list;
-  decided : bool option;
-  decide_emitted : bool;
-  outbox : Process.Outbox.t;
-}
-
-let init ~n ~self =
-  { n;
-    self;
-    proposal = None;
-    quorum = None;
-    ballot = -1;
-    phase = Idle;
-    promises = [];
-    max_seen = -1;
-    promised = -1;
-    accepted = None;
-    learned = [];
-    decided = None;
-    decide_emitted = false;
-    outbox = Process.Outbox.empty;
-  }
-
-(* The Σ-based acknowledgement test: the responders cover some quorum
-   currently output by Σ at this location.  Any two quorums output by Σ
-   anywhere, at any times, intersect — which is all the Paxos safety
-   argument needs of its "majorities". *)
-let covered st responders =
-  match st.quorum with
-  | Some q -> Loc.Set.subset q responders
-  | None -> false
-
-let see st b = { st with max_seen = max st.max_seen b }
-
-let next_ballot st =
-  let floor = max st.max_seen st.ballot in
-  let k = (floor / st.n) + 1 in
-  (k * st.n) + st.self
-
-let send st dst msg =
-  { st with outbox = Process.Outbox.push st.outbox (Process.Send { dst; msg }) }
-
-let promise_set st =
-  List.fold_left (fun acc (j, _) -> Loc.Set.add j acc) Loc.Set.empty st.promises
-
-let rec deliver st ~src msg =
-  match msg with
-  | Msg.Prepare { bal } ->
-    let st = see st bal in
-    if bal > st.promised then
-      let st = { st with promised = bal } in
-      respond st ~dst:src (Msg.Promise { bal; accepted = st.accepted })
-    else respond st ~dst:src (Msg.Nack { bal })
-  | Msg.Promise { bal; accepted } ->
-    let st = see st bal in
-    if st.phase = Phase1 && bal = st.ballot then
-      let st =
-        if List.exists (fun (j, _) -> Loc.equal j src) st.promises then st
-        else { st with promises = (src, accepted) :: st.promises }
-      in
-      try_phase2 st
-    else st
-  | Msg.Nack { bal } ->
-    let st = see st bal in
-    if bal = st.ballot && st.phase <> Idle then { st with phase = Idle } else st
-  | Msg.Accept { bal; v } ->
-    let st = see st bal in
-    if bal >= st.promised then
-      let st = { st with promised = bal; accepted = Some (bal, v) } in
-      broadcast st (Msg.Accepted { bal; v })
-    else respond st ~dst:src (Msg.Nack { bal })
-  | Msg.Accepted { bal; v } ->
-    let st = see st bal in
-    let key = (bal, v) in
-    let voters =
-      match List.assoc_opt key st.learned with
-      | None -> Loc.Set.singleton src
-      | Some s -> Loc.Set.add src s
-    in
-    let st = { st with learned = (key, voters) :: List.remove_assoc key st.learned } in
-    try_decide st
-  | Msg.Decided { v } -> if st.decided = None then { st with decided = Some v } else st
-  | Msg.Flood _ | Msg.Ping _ | Msg.Fd_relay _ | Msg.Kprepare _ | Msg.Kpromise _
-  | Msg.Knack _ | Msg.Kaccept _ | Msg.Kaccepted _ -> st
-
-and try_phase2 st =
-  if st.phase = Phase1 && covered st (promise_set st) then
-    let v =
-      let best =
-        List.fold_left
-          (fun best (_, acc) ->
-            match (best, acc) with
-            | None, x -> x
-            | Some _, None -> best
-            | Some (b1, _), Some (b2, _) -> if b2 > b1 then acc else best)
-          None st.promises
-      in
-      match (best, st.proposal) with
-      | Some (_, v), _ -> v
-      | None, Some v -> v
-      | None, None -> false
-    in
-    broadcast { st with phase = Phase2 } (Msg.Accept { bal = st.ballot; v })
-  else st
-
-and try_decide st =
-  if st.decided <> None then st
-  else
-    let winner =
-      List.find_opt (fun (_, voters) -> covered st voters) st.learned
-    in
-    match winner with
-    | Some ((_, v), _) -> { st with decided = Some v }
-    | None -> st
-
-and respond st ~dst msg =
-  if Loc.equal dst st.self then deliver st ~src:st.self msg else send st dst msg
-
-and broadcast st msg =
-  let st =
-    { st with outbox = Process.Outbox.broadcast st.outbox ~n:st.n ~self:st.self msg }
-  in
-  deliver st ~src:st.self msg
-
-let start_ballot st =
-  let b = next_ballot st in
-  let st = { st with ballot = b; phase = Phase1; promises = [] } in
-  broadcast st (Msg.Prepare { bal = b })
-
-let handle st = function
-  | Process.Propose v -> if st.proposal = None then { st with proposal = Some v } else st
-  | Process.Receive { src; msg } -> deliver st ~src msg
-  | Process.Fd { detector; payload = Act.Pleader l } when String.equal detector omega_name
-    ->
-    if
-      Loc.equal l st.self && st.proposal <> None && st.decided = None
-      && st.quorum <> None
-      && (st.phase = Idle || st.max_seen > st.ballot)
-    then start_ballot st
-    else st
-  | Process.Fd { detector; payload = Act.Pset q } when String.equal detector sigma_name ->
-    (* a fresh quorum can complete a pending phase-1 or a decision *)
-    try_decide (try_phase2 { st with quorum = Some q })
-  | Process.Fd _ -> st
-
-let output st =
-  match Process.Outbox.peek st.outbox with
-  | Some o -> Some o
-  | None -> (
-    match st.decided with
-    | Some v when not st.decide_emitted -> Some (Process.Decide v)
-    | Some _ | None -> None)
-
-let after_output st = function
-  | Process.Send _ -> { st with outbox = Process.Outbox.pop st.outbox }
-  | Process.Decide _ -> { st with decide_emitted = true }
-  | Process.Internal _ -> st
+type st = Synod_omega.st
 
 let process ~n ~loc =
   Process.automaton ~name:"synodsig" ~loc ~fd_names:[ sigma_name; omega_name ]
-    { Process.init = init ~n ~self:loc; handle; output; after_output }
+    (Synod_omega.def ~sigma:(Some sigma_name) ~n ~self:loc)
 
 let processes ~n =
   List.map (fun i -> Component.C (process ~n ~loc:i)) (Loc.universe ~n)

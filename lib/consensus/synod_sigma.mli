@@ -5,9 +5,9 @@
     Σ (the quorum detector) and Ω together are a weakest pair for
     consensus in systems with any number of crashes (Delporte-Gallet,
     Fauconnier, Guerraoui; the paper cites Σ in its AFD catalog).  The
-    algorithm is {!Synod_omega} with every "wait for a majority"
-    replaced by "wait until the responders contain some quorum
-    currently output by Σ here":
+    algorithm is {!Synod_omega}'s driver with the {!Synod} instance's
+    quorum argument "the responders contain the quorum Σ last output
+    here" in place of "a majority":
 
     - safety needs only Σ's {e intersection} property — any two quorums
       used in any two ballots intersect, which is exactly what the

@@ -2,8 +2,8 @@
 
     One closed union of every protocol message used in this repository:
     flooding consensus (Section 9-style experiments), the Synod
-    protocol driven by Ω, and generic probes used by examples and
-    tests. *)
+    protocol driven by Ω or by Σ + Ω, its k-set variant, and generic
+    probes used by examples and tests. *)
 
 open Afd_ioa
 
@@ -32,9 +32,10 @@ type t =
   | Fd_relay of { about : Loc.t; crashed : bool }
       (** gossip of detector information, used by message-based
           detector implementations *)
-  (* Synod over location-valued proposals, tagged with a parallel
-     instance index — the k-set-agreement protocol (one Synod instance
-     per slot of the Ψk leader set). *)
+  (* The same five Synod messages over location-valued proposals,
+     tagged with an instance index — the k-set-agreement protocol runs
+     one Synod instance per slot of the Ψk leader set.  Both families
+     are translations of one core's messages (Afd_consensus.Synod). *)
   | Kprepare of { inst : int; bal : int }
   | Kpromise of { inst : int; bal : int; accepted : (int * Loc.t) option }
   | Knack of { inst : int; bal : int }

@@ -36,4 +36,5 @@ let () =
       ("runner", Test_runner.suite);
       ("mega", Test_mega.suite);
       ("heartbeat-loss", Test_heartbeat_loss.suite);
+      ("synod-pin", Test_synod_pin.suite);
     ]
