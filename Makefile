@@ -27,8 +27,8 @@ mc:
 	dune exec bin/afd_lint.exe -- --mc $(if $(MAX_STATES),--max-states $(MAX_STATES),) $(if $(JOBS),--jobs $(JOBS),) $(if $(SYMMETRY),--symmetry,)
 
 # online property monitors vs offline trace checks over the detector
-# catalog, streaming under windowed retention (smoke mode also runs as
-# part of `dune runtest`)
+# catalog, streaming with no trace materialized (smoke mode also runs
+# as part of `dune runtest`)
 check:
 	dune exec bin/afd_sim.exe -- check $(if $(JOBS),--jobs $(JOBS),)
 

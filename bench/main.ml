@@ -27,8 +27,7 @@ let verdict_str = Afd_bench.verdict_str
    per cell from --root-seed (splitmix64, Scheduler.Seed), runs the
    cells on --jobs domains, and renders the historical rows.  The
    verdict table is identical for any --jobs by construction.  The
-   matrix itself lives in lib/bench so the test suite can re-run it
-   under every retention policy. *)
+   matrix itself lives in lib/bench so the test suite can re-run it. *)
 
 module R = Afd_runner
 
@@ -54,7 +53,7 @@ let e8 () =
         forced = Crash.forces crash_at;
       }
     in
-    let t = Execution.schedule (Scheduler.run comp cfg).Scheduler.execution in
+    let t = List.map snd (Scheduler.run comp cfg).Scheduler.fired in
     C.Spec.environment_well_formedness ~n t
   in
   let ok =
@@ -185,17 +184,17 @@ let e13 () =
   let net = Heartbeat.net ~n ~initial_timeout:2 ~crashable:Loc.Set.empty () in
   let starved =
     trace_of
-      (Execution.schedule
+      (List.map snd
          (Scheduler.run_custom net.Net.composition ~max_steps:1500
-            ~choose:(Adversary.starve_channel ~seed:9 ~src:1 ~dst:0)).Scheduler.execution)
+            ~choose:(Adversary.starve_channel ~seed:9 ~src:1 ~dst:0)).Scheduler.fired)
   in
   row "  starved channel p1->p0:                %s@."
     (verdict_str (Afd.check Ev_perfect.spec ~n starved));
   let delayed =
     trace_of
-      (Execution.schedule
+      (List.map snd
          (Scheduler.run_custom net.Net.composition ~max_steps:4000
-            ~choose:(Adversary.delay_channel ~seed:9 ~src:1 ~dst:0 ~period:97)).Scheduler.execution)
+            ~choose:(Adversary.delay_channel ~seed:9 ~src:1 ~dst:0 ~period:97)).Scheduler.fired)
   in
   let false_suspicions =
     List.length

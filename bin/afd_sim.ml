@@ -31,14 +31,31 @@ module R = Afd_runner
 
 (* --- shared argument parsing --- *)
 
+(* Counts are checked at parse time, so a bad one is a usage error
+   (cmdliner's exit 124) rather than an exception from deep inside a
+   run or a silently empty run. *)
+let count_conv ~min ~what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s count, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = count_conv ~min:1 ~what:"positive"
+let non_negative_int = count_conv ~min:0 ~what:"non-negative"
+
 let n_arg =
-  Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Number of locations.")
+  Arg.(
+    value & opt positive_int 3 & info [ "n" ] ~docv:"N" ~doc:"Number of locations.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Scheduler random seed.")
 
 let steps_arg =
-  Arg.(value & opt int 2000 & info [ "steps" ] ~docv:"K" ~doc:"Scheduler step budget.")
+  Arg.(
+    value & opt non_negative_int 2000
+    & info [ "steps" ] ~docv:"K" ~doc:"Scheduler step budget.")
 
 let crash_conv =
   let parse s =
@@ -61,37 +78,6 @@ let crash_arg =
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print the full event trace.")
 
-let retention_conv =
-  let parse s =
-    match s with
-    | "full" -> Ok Scheduler.Full
-    | "trace" -> Ok Scheduler.Trace_only
-    | _ -> (
-      match String.split_on_char ':' s with
-      | [ "window"; w ] -> (
-        match int_of_string_opt w with
-        | Some w -> Ok (Scheduler.Window w)
-        | None -> Error (`Msg "expected full | trace | window:N"))
-      | _ -> Error (`Msg "expected full | trace | window:N"))
-  in
-  let print fmt = function
-    | Scheduler.Full -> Format.fprintf fmt "full"
-    | Scheduler.Trace_only -> Format.fprintf fmt "trace"
-    | Scheduler.Window w -> Format.fprintf fmt "window:%d" w
-  in
-  Arg.conv (parse, print)
-
-let retention_arg =
-  Arg.(
-    value
-    & opt retention_conv Scheduler.Trace_only
-    & info [ "retention" ] ~docv:"POLICY"
-        ~doc:
-          "Execution retention: $(b,trace) (default; keep only the fired trace, O(1) \
-           memory per step), $(b,full) (keep every intermediate state), or \
-           $(b,window:N) (keep the last N steps in O(N) memory).  Verdicts are \
-           identical under every policy.")
-
 let crashable_of crash_at =
   List.fold_left (fun acc (_, i) -> Loc.Set.add i acc) Loc.Set.empty crash_at
 
@@ -108,7 +94,7 @@ let detector_cmd =
   let fd_arg =
     Arg.(value & opt fd_conv P_fd & info [ "fd" ] ~docv:"FD" ~doc:"Detector: omega, p, or evp.")
   in
-  let run which n seed steps crash_at retention verbose =
+  let run which n seed steps crash_at verbose =
     let check_and_print pp spec trace =
       if verbose then
         List.iter (fun e -> Format.printf "  %a@." (Fd_event.pp pp) e) trace;
@@ -123,14 +109,14 @@ let detector_cmd =
     (match which with
     | Omega_fd ->
       let t =
-        Afd_automata.generate_trace_with ~retention
-          ~detector:(Afd_automata.fd_omega ~n) ~n ~seed ~crash_at ~steps
+        Afd_automata.generate_trace ~detector:(Afd_automata.fd_omega ~n) ~n ~seed
+          ~crash_at ~steps
       in
       check_and_print Loc.pp Omega.spec t
     | P_fd ->
       let t =
-        Afd_automata.generate_trace_with ~retention
-          ~detector:(Afd_automata.fd_perfect ~n) ~n ~seed ~crash_at ~steps
+        Afd_automata.generate_trace ~detector:(Afd_automata.fd_perfect ~n) ~n ~seed
+          ~crash_at ~steps
       in
       check_and_print Loc.pp_set Perfect.spec t
     | Evp_noisy_fd ->
@@ -139,7 +125,7 @@ let detector_cmd =
           (List.map (fun i -> (i, Loc.Set.singleton ((i + 1) mod n))) (Loc.universe ~n))
       in
       let t =
-        Afd_automata.generate_trace_with ~retention
+        Afd_automata.generate_trace
           ~detector:(Afd_automata.fd_ev_perfect_noisy ~n ~noise) ~n ~seed ~crash_at
           ~steps
       in
@@ -148,8 +134,7 @@ let detector_cmd =
   in
   let term =
     Term.(
-      const run $ fd_arg $ n_arg $ seed_arg $ steps_arg $ crash_arg $ retention_arg
-      $ verbose_arg)
+      const run $ fd_arg $ n_arg $ seed_arg $ steps_arg $ crash_arg $ verbose_arg)
   in
   Cmd.v (Cmd.info "detector" ~doc:"Run a failure-detector automaton and check its trace.") term
 
@@ -172,7 +157,7 @@ let consensus_cmd =
   let f_arg =
     Arg.(value & opt (some int) None & info [ "f" ] ~docv:"F" ~doc:"Crash tolerance (default: algorithm-specific).")
   in
-  let run algo n f seed steps crash_at retention verbose =
+  let run algo n f seed steps crash_at verbose =
     let crashable = crashable_of crash_at in
     let f =
       match (f, algo) with
@@ -187,7 +172,7 @@ let consensus_cmd =
       | Via_evp -> C.Via_reduction.net ~n ~crashable ()
       | Sigma_omega -> C.Synod_sigma.net ~n ~crashable ()
     in
-    let r = Net.run ~retention net ~seed ~crash_at ~steps in
+    let r = Net.run net ~seed ~crash_at ~steps in
     if verbose then
       List.iter
         (fun a ->
@@ -208,7 +193,7 @@ let consensus_cmd =
   let term =
     Term.(
       const run $ algo_arg $ n_arg $ f_arg $ seed_arg $ steps_arg $ crash_arg
-      $ retention_arg $ verbose_arg)
+      $ verbose_arg)
   in
   Cmd.v (Cmd.info "consensus" ~doc:"Run a consensus algorithm over an AFD.") term
 
@@ -218,7 +203,7 @@ let selfimpl_cmd =
   let fd_arg =
     Arg.(value & opt fd_conv Omega_fd & info [ "fd" ] ~docv:"FD" ~doc:"Detector to self-implement.")
   in
-  let run which n seed steps crash_at retention =
+  let run which n seed steps crash_at =
     let report name r =
       match r with
       | Ok () -> Format.printf "theorem 13 holds for %s@." name; 0
@@ -227,21 +212,21 @@ let selfimpl_cmd =
     (match which with
     | Omega_fd ->
       report "Omega"
-        (Self_impl.check_theorem13_with ~retention ~spec:Omega.spec
+        (Self_impl.check_theorem13 ~spec:Omega.spec
            ~detector:(Afd_automata.fd_omega ~n) ~n ~seed ~crash_at ~steps)
     | P_fd ->
       report "P"
-        (Self_impl.check_theorem13_with ~retention ~spec:Perfect.spec
+        (Self_impl.check_theorem13 ~spec:Perfect.spec
            ~detector:(Afd_automata.fd_perfect ~n) ~n ~seed ~crash_at ~steps)
     | Evp_noisy_fd ->
       let noise = Afd_automata.noise_of_list [ (0, Loc.Set.singleton 1) ] in
       report "EvP"
-        (Self_impl.check_theorem13_with ~retention ~spec:Ev_perfect.spec
+        (Self_impl.check_theorem13 ~spec:Ev_perfect.spec
            ~detector:(Afd_automata.fd_ev_perfect_noisy ~n ~noise) ~n ~seed ~crash_at
            ~steps))
   in
   let term =
-    Term.(const run $ fd_arg $ n_arg $ seed_arg $ steps_arg $ crash_arg $ retention_arg)
+    Term.(const run $ fd_arg $ n_arg $ seed_arg $ steps_arg $ crash_arg)
   in
   Cmd.v (Cmd.info "selfimpl" ~doc:"Run Algorithm 3 and verify Theorem 13.") term
 
@@ -316,7 +301,9 @@ let sweep_cmd =
     Arg.(value & opt fd_conv P_fd & info [ "fd" ] ~docv:"FD" ~doc:"Detector: omega, p, or evp.")
   in
   let seeds_arg =
-    Arg.(value & opt int 8 & info [ "seeds" ] ~docv:"N" ~doc:"Seeded runs per fault pattern.")
+    Arg.(
+      value & opt positive_int 8
+      & info [ "seeds" ] ~docv:"N" ~doc:"Seeded runs per fault pattern.")
   in
   let jobs_arg =
     Arg.(
@@ -384,7 +371,7 @@ let sweep_cmd =
 
 let check_cmd =
   let seeds_arg =
-    Arg.(value & opt int 3 & info [ "seeds" ] ~docv:"N" ~doc:"Seeded runs per subject.")
+    Arg.(value & opt positive_int 3 & info [ "seeds" ] ~docv:"N" ~doc:"Seeded runs per subject.")
   in
   let jobs_arg =
     Arg.(
@@ -406,96 +393,30 @@ let check_cmd =
       value & opt int 16
       & info [ "window" ] ~docv:"W" ~doc:"Counterexample witness-window size (events of context kept around a violation).")
   in
-  let check_retention_arg =
-    Arg.(
-      value
-      & opt retention_conv (Scheduler.Window 64)
-      & info [ "retention" ] ~docv:"POLICY"
-          ~doc:
-            "Scheduler retention for the monitored runs (default $(b,window:64)): the \
-             monitors stream events, so nothing forces full retention.  Verdicts are \
-             identical under every policy.")
-  in
   let smoke_arg =
     Arg.(value & flag & info [ "smoke" ] ~doc:"One seed per subject, sequential — the fast path wired into dune runtest.")
   in
-  let mc_arg =
-    Arg.(
-      value & flag
-      & info [ "mc" ]
-          ~doc:
-            "Model-check the catalog exhaustively instead of sampling seeded \
-             schedules: each detector is composed with the crash automaton and \
-             its spec's safety + liveness clauses are proved or refuted over \
-             every reachable product state ($(b,--jobs) domains explore via \
-             Pspace; the table is identical at any job count).")
-  in
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "expected a positive count, got %S" s))
+  let run seeds jobs root json window smoke =
+    let seeds = if smoke then 1 else seeds in
+    let jobs =
+      if smoke then 1 else if jobs <= 0 then Domain.recommended_domain_count () else jobs
     in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  let max_states_arg =
-    Arg.(
-      value & opt (some positive_int) None
-      & info [ "max-states" ] ~docv:"N"
-          ~doc:"State budget per product exploration (with $(b,--mc)).")
-  in
-  let run seeds jobs root json window retention smoke mc max_states =
-    if mc then begin
-      let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
-      let results = Afd_bench.Check.mc_all ?max_states ~jobs () in
-      Format.printf "MC  exhaustive safety + liveness check (%d domains)@." jobs;
-      List.iter
-        (fun r ->
-          let open Afd_bench.Check in
-          let status =
-            if not r.mc_ok then "FAIL"
-            else if r.mc_expect_violated then "violated (expected)"
-            else "proved"
-          in
-          Format.printf "  %-14s %-40s %-14s %5d states %6d transitions  %s@."
-            r.mc_id r.mc_label r.mc_verdict r.mc_states r.mc_transitions status)
-        results;
-      (match json with
-      | Some path ->
-        let oc = open_out path in
-        output_string oc
-          ("[" ^ String.concat ","
-                   (List.map (fun r -> r.Afd_bench.Check.mc_json) results)
-           ^ "]\n");
-        close_out oc
-      | None -> ());
-      if List.exists (fun r -> not r.Afd_bench.Check.mc_ok) results then 1 else 0
-    end
-    else begin
-      let seeds = if smoke then 1 else seeds in
-      let jobs =
-        if smoke then 1
-        else if jobs <= 0 then Domain.recommended_domain_count ()
-        else jobs
-      in
-      let entries = Afd_bench.Check.matrix ~window ~seeds ~retention () in
-      let r =
-        R.Engine.run { R.Engine.jobs; root_seed = root; seeds_override = None } entries
-      in
-      Format.printf "%a@." R.Engine.pp r;
-      (match json with Some path -> R.Report.write ~path r | None -> ());
-      if
-        List.exists
-          (fun e -> (R.Metrics.exp_counts e).R.Metrics.violated > 0)
-          r.R.Engine.exps
-      then 1
-      else 0
-    end
+    let entries = Afd_bench.Check.matrix ~window ~seeds () in
+    let r =
+      R.Engine.run { R.Engine.jobs; root_seed = root; seeds_override = None } entries
+    in
+    Format.printf "%a@." R.Engine.pp r;
+    (match json with Some path -> R.Report.write ~path r | None -> ());
+    if
+      List.exists
+        (fun e -> (R.Metrics.exp_counts e).R.Metrics.violated > 0)
+        r.R.Engine.exps
+    then 1
+    else 0
   in
   let term =
     Term.(
-      const run $ seeds_arg $ jobs_arg $ root_arg $ json_arg $ window_arg
-      $ check_retention_arg $ smoke_arg $ mc_arg $ max_states_arg)
+      const run $ seeds_arg $ jobs_arg $ root_arg $ json_arg $ window_arg $ smoke_arg)
   in
   Cmd.v
     (Cmd.info "check"

@@ -45,14 +45,14 @@ let () =
       ~choose:(Adversary.starve_channel ~seed:9 ~src:1 ~dst:0)
   in
   describe "adversary starves channel p1 -> p0 forever"
-    (fd_stream (Execution.schedule starved.Scheduler.execution));
+    (fd_stream (List.map snd starved.Scheduler.fired));
 
   let delayed =
     Scheduler.run_custom net.Net.composition ~max_steps:4000
       ~choose:(Adversary.delay_channel ~seed:9 ~src:1 ~dst:0 ~period:97)
   in
   describe "adversary delays channel p1 -> p0 in long bursts"
-    (fd_stream (Execution.schedule delayed.Scheduler.execution));
+    (fd_stream (List.map snd delayed.Scheduler.fired));
 
   Format.printf
     "@.Moral: the heartbeat automaton implements EvP exactly on the schedules@.";

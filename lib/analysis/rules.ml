@@ -398,8 +398,8 @@ let prop_based_spec =
               [ mkf ~rule:"prop-based-spec" ~severity:Report.Error
                   ~origin:subj.Subject.origin ~name
                   "spec checks traces by scanning a raw Fd_event.t list instead of \
-                   an Afd_prop formula: it cannot be monitored online under \
-                   windowed retention (build it with Afd.of_prop, or allowlist a \
+                   an Afd_prop formula: it cannot be monitored online \
+                   (build it with Afd.of_prop, or allowlist a \
                    deliberate legacy wrapper)"
               ]));
   }

@@ -2,9 +2,7 @@
 
     Exposed so the test suite can run the exact matrix the harness
     runs: the determinism tests compare its verdict tables across
-    domain counts, and the retention-equivalence regression re-runs
-    every cell under each {!Afd_ioa.Scheduler.retention} policy and
-    demands identical (timing-free) results. *)
+    domain counts. *)
 
 module Check = Check
 (** Online/offline differential checking of the detector catalog (the
@@ -35,14 +33,9 @@ val verdict_str : Afd_core.Verdict.t -> string
 val ok_str : ('a, string) result -> string
 (** ["ok"] or ["FAIL: ..."]. *)
 
-val matrix :
-  ?retention:Afd_ioa.Scheduler.retention ->
-  unit ->
-  Afd_runner.Matrix.entry list
+val matrix : unit -> Afd_runner.Matrix.entry list
 (** The 25 entries of E1-E7, plus the MX exploration-throughput rows
     ({!Explore_bench}), the PX parallel-exploration rows
     ({!Pspace_bench}), the ML liveness model-checking rows
     ({!Live_bench}), the CN churn-simulation rows ({!Churn_bench}) and
-    the SY orbit-reduction rows ({!Symm_bench}).  [retention] (default
-    {!Afd_ioa.Scheduler.Trace_only}) is threaded into every
-    scheduler-driven cell body; verdicts must not depend on it. *)
+    the SY orbit-reduction rows ({!Symm_bench}). *)

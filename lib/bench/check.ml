@@ -6,8 +6,7 @@
    once materializing the full trace and replaying the legacy [check].
    Since [Afd.of_prop] makes [check] the offline replay of the very
    formula the monitor compiles, the two verdicts must agree
-   structurally on every subject, every seed, every retention policy —
-   that equality is the meta-verdict each matrix cell reports.
+   structurally on every subject and every seed — that equality is the meta-verdict each matrix cell reports.
 
    Two subjects are deliberate mismatches of detector and spec
    ([expect_violated]): their cells additionally demand a [Violated]
@@ -50,7 +49,7 @@ let verdict_equal a b =
     -> String.equal x y
   | _ -> false
 
-let run_subject ?window ~retention ~seed (S s) =
+let run_subject ?window ~seed (S s) =
   let m =
     match Afd.monitor ?window s.spec ~n:s.n with
     | Some m -> m
@@ -58,15 +57,15 @@ let run_subject ?window ~retention ~seed (S s) =
   in
   let events = ref 0 in
   let _outcome =
-    Afd_automata.run_monitored ~retention
+    Afd_automata.run_monitored
       ~observe:(fun e ->
         incr events;
         M.observe m e)
       ~detector:(s.detector s.n) ~n:s.n ~seed ~crash_at:s.crash_at ~steps:s.steps ()
   in
   let t =
-    Afd_automata.generate_trace_with ~retention:Scheduler.Trace_only
-      ~detector:(s.detector s.n) ~n:s.n ~seed ~crash_at:s.crash_at ~steps:s.steps
+    Afd_automata.generate_trace ~detector:(s.detector s.n) ~n:s.n ~seed
+      ~crash_at:s.crash_at ~steps:s.steps
   in
   { online = M.verdict m;
     offline = Afd.check s.spec ~n:s.n t;
@@ -153,9 +152,9 @@ let vstr = function
 
 let section = "CHECK  Online property monitors vs offline trace checks"
 
-let cell ?window ~retention subj ~seed =
+let cell ?window subj ~seed =
   let (S s) = subj in
-  let r = run_subject ?window ~retention ~seed subj in
+  let r = run_subject ?window ~seed subj in
   let agree = verdict_equal r.online r.offline in
   let expected =
     if s.expect_violated then Verdict.is_violated r.online
@@ -182,17 +181,16 @@ let cell ?window ~retention subj ~seed =
   R.Metrics.outcome ~steps:r.events ~detail ?counterexample:r.counterexample
     ~clauses:r.clauses verdict
 
-let entry ?window ?(seeds = 3) ~retention subj =
+let entry ?window ?(seeds = 3) subj =
   let (S s) = subj in
   let label =
     if s.expect_violated then s.label ^ " [expect violated]" else s.label
   in
   R.Matrix.entry ~id:s.id ~section ~label ~seeds ~faults:[ s.crash_at ]
     ~show:(R.Matrix.show_detail ~label)
-    (fun ~seed ~faults:_ -> cell ?window ~retention subj ~seed)
+    (fun ~seed ~faults:_ -> cell ?window subj ~seed)
 
-let matrix ?window ?seeds ?(retention = Scheduler.Window 64) () =
-  List.map (entry ?window ?seeds ~retention) subjects
+let matrix ?window ?seeds () = List.map (entry ?window ?seeds) subjects
 
 (* --- exhaustive model checking of the same subjects --- *)
 

@@ -55,29 +55,19 @@ type outcome = {
 val verdict_equal : Verdict.t -> Verdict.t -> bool
 (** Structural equality, reasons included. *)
 
-val run_subject :
-  ?window:int -> retention:Scheduler.retention -> seed:int -> subject -> outcome
-(** Run one subject under one seed: online under [retention] (with
-    [record_fired:false] — no trace is materialized on that run), then
-    offline on the regenerated trace.  Raises [Invalid_argument] on a
+val run_subject : ?window:int -> seed:int -> subject -> outcome
+(** Run one subject under one seed: online (with [record_fired:false]
+    — no trace is materialized on that run), then offline on the
+    regenerated trace.  Raises [Invalid_argument] on a
     raw (non-prop) spec; the shipped {!subjects} are all compiled. *)
 
 val section : string
 
-val entry :
-  ?window:int -> ?seeds:int -> retention:Scheduler.retention -> subject ->
-  Afd_runner.Matrix.entry
+val entry : ?window:int -> ?seeds:int -> subject -> Afd_runner.Matrix.entry
 (** A matrix row for one subject; [seeds] defaults to 3. *)
 
-val matrix :
-  ?window:int ->
-  ?seeds:int ->
-  ?retention:Scheduler.retention ->
-  unit ->
-  Afd_runner.Matrix.entry list
-(** One row per {!subjects} entry.  [retention] defaults to
-    [Scheduler.Window 64]: the monitors' verdicts must not depend on
-    what the scheduler retains. *)
+val matrix : ?window:int -> ?seeds:int -> unit -> Afd_runner.Matrix.entry list
+(** One row per {!subjects} entry. *)
 
 (** {1 Exhaustive model checking}
 

@@ -8,7 +8,7 @@
    so the perf gate (`make perf`, aggregate transitions/sec vs
    BENCH_baseline.json) tracks exploration throughput alongside the
    simulator's.  Timing never appears in the rendered row: the verdict
-   table stays byte-identical across retentions and domain counts.
+   table stays byte-identical across domain counts.
 
    The wall-clock comparison against the legacy list-scan seen-set
    lives in the harness's perf section (bench/main.ml, P5), not here. *)

@@ -6,7 +6,7 @@
    parametric cutoff ladder.  The cell's [steps] is the total product
    states explored (quotient + unreduced), so the perf gate tracks the
    reduction machinery's throughput alongside the explorers'.  Rows
-   are deterministic: pure graph work, retention-independent. *)
+   are deterministic: pure graph work. *)
 
 module R = Afd_runner
 module A = Afd_analysis

@@ -69,13 +69,13 @@ let quiescence_step trace =
     trace;
   !last + 1
 
-let run_with ~retention ~n ~target ~candidate ~late_crash ~seed ~steps =
+let run ~n ~target ~candidate ~late_crash ~seed ~steps =
   let values = List.init n (fun i -> i mod 2 = 0) in
   let net_a = Flood_p.net ~n ~f:1 ~values ~crashable:Loc.Set.empty () in
-  let run_a = Net.run ~retention net_a ~seed ~crash_at:[] ~steps in
+  let run_a = Net.run net_a ~seed ~crash_at:[] ~steps in
   let q = quiescence_step run_a.Net.trace in
   let net_b = Flood_p.net ~n ~f:1 ~values ~crashable:(Loc.Set.singleton late_crash) () in
-  let run_b = Net.run ~retention net_b ~seed ~crash_at:[ (q + 5, late_crash) ] ~steps in
+  let run_b = Net.run net_b ~seed ~crash_at:[ (q + 5, late_crash) ] ~steps in
   let observations_equal =
     List.for_all
       (fun i ->
@@ -91,7 +91,3 @@ let run_with ~retention ~n ~target ~candidate ~late_crash ~seed ~steps =
     verdict_b;
     refuted = not (Verdict.is_sat verdict_a && Verdict.is_sat verdict_b);
   }
-
-let run ~n ~target ~candidate ~late_crash ~seed ~steps =
-  run_with ~retention:Afd_ioa.Scheduler.Trace_only ~n ~target ~candidate ~late_crash
-    ~seed ~steps

@@ -59,15 +59,3 @@ val run :
     candidate's outputs (sampled after every observation and repeated
     at the end — the limit extension) into both consensus traces and
     check [target] on both. *)
-
-val run_with :
-  retention:Afd_ioa.Scheduler.retention ->
-  n:int ->
-  target:(Loc.Set.t Afd.spec) ->
-  candidate:candidate ->
-  late_crash:Loc.t ->
-  seed:int ->
-  steps:int ->
-  result
-(** {!run} under an explicit retention policy (the result is
-    retention-invariant). *)

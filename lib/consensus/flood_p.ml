@@ -101,11 +101,7 @@ let net ~n ~f ?values ~crashable () =
   let detector =
     Fd_bridge.lift_set ~detector:detector_name (Afd_automata.fd_perfect ~n)
   in
-  let environment =
-    match values with
-    | Some vs -> Environment.scripted ~values:vs
-    | None -> Environment.consensus ~n
-  in
+  let environment = Environment.of_values ~n values in
   Net.assemble ~n
     ~detectors:[ Component.C detector ]
     ~environment ~crashable ~processes:(processes ~n ~f) ()

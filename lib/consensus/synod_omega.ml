@@ -124,10 +124,6 @@ let net ~n ?values ~crashable () =
   let omega =
     Fd_bridge.lift_leader ~detector:detector_name (Afd_automata.fd_omega ~n)
   in
-  let environment =
-    match values with
-    | Some vs -> Environment.scripted ~values:vs
-    | None -> Environment.consensus ~n
-  in
+  let environment = Environment.of_values ~n values in
   Net.assemble ~n ~detectors:[ Component.C omega ] ~environment ~crashable
     ~processes:(processes ~n) ()

@@ -17,11 +17,7 @@ let processes ~n =
 let net ~n ?values ~crashable () =
   let sigma = Fd_bridge.lift_set ~detector:sigma_name (Afd_automata.fd_sigma ~n) in
   let omega = Fd_bridge.lift_leader ~detector:omega_name (Afd_automata.fd_omega ~n) in
-  let environment =
-    match values with
-    | Some vs -> Environment.scripted ~values:vs
-    | None -> Environment.consensus ~n
-  in
+  let environment = Environment.of_values ~n values in
   Net.assemble ~n
     ~detectors:[ Component.C sigma; Component.C omega ]
     ~environment ~crashable ~processes:(processes ~n) ()

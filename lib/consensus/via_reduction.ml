@@ -28,11 +28,7 @@ let net ~n ?values ?noise ~crashable () =
              ~f:(leader_of_suspects ~n)))
       (Loc.universe ~n)
   in
-  let environment =
-    match values with
-    | Some vs -> Environment.scripted ~values:vs
-    | None -> Environment.consensus ~n
-  in
+  let environment = Environment.of_values ~n values in
   Net.assemble ~n
     ~detectors:[ Component.C evp ]
     ~environment ~extras:transformers ~crashable

@@ -47,7 +47,7 @@ let automaton ~n =
 
 let output_bound ~n = n
 
-let sample_traces_with ~retention ~n ~seeds ~steps =
+let sample_traces ~n ~seeds ~steps =
   List.map
     (fun seed ->
       let crash_at = if seed mod 2 = 0 then [ (4, seed mod n) ] else [] in
@@ -67,8 +67,5 @@ let sample_traces_with ~retention ~n ~seeds ~steps =
           forced = Crash.forces crash_at;
         }
       in
-      List.map snd (Scheduler.run ~retention comp cfg).Scheduler.fired)
+      List.map snd (Scheduler.run comp cfg).Scheduler.fired)
     seeds
-
-let sample_traces ~n ~seeds ~steps =
-  sample_traces_with ~retention:Scheduler.Trace_only ~n ~seeds ~steps

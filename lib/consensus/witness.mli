@@ -23,9 +23,3 @@ val output_bound : n:int -> int
 val sample_traces : n:int -> seeds:int list -> steps:int -> Act.t list list
 (** Fair traces of U composed with the crash automaton and E_C, for
     feeding the {!Afd_core.Bounded_problem} checkers. *)
-
-val sample_traces_with :
-  retention:Afd_ioa.Scheduler.retention ->
-  n:int -> seeds:int list -> steps:int -> Act.t list list
-(** {!sample_traces} under an explicit retention policy (traces are
-    retention-invariant). *)

@@ -216,7 +216,7 @@ let fd_ev_perfect_noisy ~n ~noise =
   noisy ~name:"FD-EvP-noisy" ~n ~equal_out:Loc.Set.equal ~noise
     ~output:(fun crashset _i -> Some crashset)
 
-let run_system ?(record_fired = true) ?observer ~retention ~detector ~n ~seed
+let run_system ?(record_fired = true) ?observer ~detector ~n ~seed
     ~crash_at ~steps () =
   let crashable =
     List.fold_left (fun acc (_, i) -> Loc.Set.add i acc) Loc.Set.empty crash_at
@@ -240,20 +240,14 @@ let run_system ?(record_fired = true) ?observer ~retention ~detector ~n ~seed
       forced;
     }
   in
-  Scheduler.run ~retention ?observer ~record_fired comp cfg
-
-let generate_trace_with ~retention ~detector ~n ~seed ~crash_at ~steps =
-  (* Traces come from the fired sequence, which every retention policy
-     keeps in full: no per-step state snapshots are retained. *)
-  let outcome = run_system ~retention ~detector ~n ~seed ~crash_at ~steps () in
-  List.map snd outcome.Scheduler.fired
-
-let run_monitored ?(record_fired = false) ~retention ~observe ~detector ~n ~seed
-    ~crash_at ~steps () =
-  run_system ~record_fired
-    ~observer:(fun ~step:_ _tid act ~touched:_ _st -> observe act)
-    ~retention ~detector ~n ~seed ~crash_at ~steps ()
+  Scheduler.run ?observer ~record_fired comp cfg
 
 let generate_trace ~detector ~n ~seed ~crash_at ~steps =
-  generate_trace_with ~retention:Scheduler.Trace_only ~detector ~n ~seed ~crash_at
-    ~steps
+  let outcome = run_system ~detector ~n ~seed ~crash_at ~steps () in
+  List.map snd outcome.Scheduler.fired
+
+let run_monitored ?(record_fired = false) ~observe ~detector ~n ~seed ~crash_at
+    ~steps () =
+  run_system ~record_fired
+    ~observer:(fun ~step:_ _tid act ~touched:_ _st -> observe act)
+    ~detector ~n ~seed ~crash_at ~steps ()

@@ -111,26 +111,10 @@ val generate_trace :
 (** Compose the detector with the crash automaton, run a fair random
     schedule of [steps] steps with the given fault pattern (location
     [i] is crashed at global step [k] for each [(k, i)]), and return
-    the resulting FD trace.  Retains no per-step states
-    ({!Scheduler.Trace_only}): the trace is read off the fired
-    sequence. *)
-
-val generate_trace_with :
-  retention:Scheduler.retention ->
-  detector:('s, 'o Fd_event.t) Automaton.t ->
-  n:int ->
-  seed:int ->
-  crash_at:(int * Loc.t) list ->
-  steps:int ->
-  'o Fd_event.t list
-(** {!generate_trace} under an explicit retention policy.  The trace is
-    retention-invariant by construction; the knob exists so the
-    retention-equivalence regression suite can drive the whole
-    experiment matrix under each policy. *)
+    the resulting FD trace, read off the fired sequence. *)
 
 val run_monitored :
   ?record_fired:bool ->
-  retention:Scheduler.retention ->
   observe:('o Fd_event.t -> unit) ->
   detector:('s, 'o Fd_event.t) Automaton.t ->
   n:int ->
@@ -139,10 +123,10 @@ val run_monitored :
   steps:int ->
   unit ->
   'o Fd_event.t Scheduler.outcome
-(** The same composed system and schedule as {!generate_trace_with},
-    but streaming: [observe] is called with each FD event as it fires
+(** The same composed system and schedule as {!generate_trace}, but
+    streaming: [observe] is called with each FD event as it fires
     (e.g. [Afd_prop.Monitor.observe m]), in exactly the order
-    {!generate_trace_with} would list it — online monitor verdicts
+    {!generate_trace} would list it — online monitor verdicts
     therefore coincide with offline replay of the generated trace.
-    [record_fired] defaults to [false], so with a windowed retention
-    the run keeps O(window) live memory regardless of [steps]. *)
+    [record_fired] defaults to [false], so the run's live memory
+    beyond the observer's own does not grow with [steps]. *)

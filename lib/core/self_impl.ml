@@ -49,7 +49,7 @@ type 'o run = {
   renamed : 'o Fd_event.t list;
 }
 
-let run_with ~retention ~detector ~n ~seed ~crash_at ~steps =
+let run ~detector ~n ~seed ~crash_at ~steps =
   let crashable =
     List.fold_left (fun acc (_, i) -> Loc.Set.add i acc) Loc.Set.empty crash_at
   in
@@ -78,7 +78,7 @@ let run_with ~retention ~detector ~n ~seed ~crash_at ~steps =
       forced;
     }
   in
-  let outcome = Scheduler.run ~retention comp cfg in
+  let outcome = Scheduler.run comp cfg in
   let combined = List.map snd outcome.Scheduler.fired in
   let original = List.filter_map (function Orig e -> Some e | Renamed _ -> None) combined in
   let renamed =
@@ -91,11 +91,8 @@ let run_with ~retention ~detector ~n ~seed ~crash_at ~steps =
   in
   { combined; original; renamed }
 
-let run ~detector ~n ~seed ~crash_at ~steps =
-  run_with ~retention:Scheduler.Trace_only ~detector ~n ~seed ~crash_at ~steps
-
-let check_theorem13_with ~retention ~spec ~detector ~n ~seed ~crash_at ~steps =
-  let r = run_with ~retention ~detector ~n ~seed ~crash_at ~steps in
+let check_theorem13 ~spec ~detector ~n ~seed ~crash_at ~steps =
+  let r = run ~detector ~n ~seed ~crash_at ~steps in
   match Afd.check spec ~n r.original with
   | Verdict.Violated reason ->
     Error (Printf.sprintf "detector trace not in T_D (%s): theorem hypothesis broken" reason)
@@ -109,7 +106,3 @@ let check_theorem13_with ~retention ~spec ~detector ~n ~seed ~crash_at ~steps =
         (Fmt.str "renamed trace not in T_D': %a (renamed trace: %a)" Verdict.pp v
            (Fd_event.pp_trace spec.Afd.pp_out)
            r.renamed))
-
-let check_theorem13 ~spec ~detector ~n ~seed ~crash_at ~steps =
-  check_theorem13_with ~retention:Scheduler.Trace_only ~spec ~detector ~n ~seed
-    ~crash_at ~steps

@@ -42,17 +42,6 @@ val run :
     automata; drive a fair random schedule with the given fault
     pattern; return the two projections of Theorem 13. *)
 
-val run_with :
-  retention:Afd_ioa.Scheduler.retention ->
-  detector:('s, 'o Fd_event.t) Automaton.t ->
-  n:int ->
-  seed:int ->
-  crash_at:(int * Loc.t) list ->
-  steps:int ->
-  'o run
-(** {!run} under an explicit retention policy (projections are
-    retention-invariant; see {!Afd_automata.generate_trace_with}). *)
-
 val check_theorem13 :
   spec:'o Afd.spec ->
   detector:('s, 'o Fd_event.t) Automaton.t ->
@@ -63,14 +52,3 @@ val check_theorem13 :
   (unit, string) result
 (** Run and verify: if the original projection is accepted by [spec],
     the renamed projection must be too. *)
-
-val check_theorem13_with :
-  retention:Afd_ioa.Scheduler.retention ->
-  spec:'o Afd.spec ->
-  detector:('s, 'o Fd_event.t) Automaton.t ->
-  n:int ->
-  seed:int ->
-  crash_at:(int * Loc.t) list ->
-  steps:int ->
-  (unit, string) result
-(** {!check_theorem13} under an explicit retention policy. *)

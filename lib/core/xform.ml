@@ -44,7 +44,7 @@ type ('i, 'o) run = {
   target : 'o Fd_event.t list;
 }
 
-let run_with ~retention ~detector ~f ~name ~n ~seed ~crash_at ~steps =
+let run ~detector ~f ~name ~n ~seed ~crash_at ~steps =
   let crashable =
     List.fold_left (fun acc (_, i) -> Loc.Set.add i acc) Loc.Set.empty crash_at
   in
@@ -75,7 +75,7 @@ let run_with ~retention ~detector ~f ~name ~n ~seed ~crash_at ~steps =
       forced;
     }
   in
-  let outcome = Scheduler.run ~retention comp cfg in
+  let outcome = Scheduler.run comp cfg in
   let combined = List.map snd outcome.Scheduler.fired in
   let source = List.filter_map (function In e -> Some e | Out _ -> None) combined in
   let target =
@@ -87,9 +87,6 @@ let run_with ~retention ~detector ~f ~name ~n ~seed ~crash_at ~steps =
       combined
   in
   { source; target }
-
-let run ~detector ~f ~name ~n ~seed ~crash_at ~steps =
-  run_with ~retention:Scheduler.Trace_only ~detector ~f ~name ~n ~seed ~crash_at ~steps
 
 let apply_to_trace ~f t =
   List.map

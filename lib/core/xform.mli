@@ -46,19 +46,6 @@ val run :
     [n] transformers; run a fair random schedule with the given fault
     pattern; project out both detectors' traces. *)
 
-val run_with :
-  retention:Afd_ioa.Scheduler.retention ->
-  detector:('s, 'i Fd_event.t) Automaton.t ->
-  f:(Loc.t -> 'i -> 'o) ->
-  name:string ->
-  n:int ->
-  seed:int ->
-  crash_at:(int * Loc.t) list ->
-  steps:int ->
-  ('i, 'o) run
-(** {!run} under an explicit retention policy (projections are
-    retention-invariant). *)
-
 val apply_to_trace : f:(Loc.t -> 'i -> 'o) -> 'i Fd_event.t list -> 'o Fd_event.t list
 (** Pure form used by spec-level tests: map every output event through
     [f] (crash events pass through).  This is the trace the transformer

@@ -5,7 +5,6 @@ type ('s, 'a) t = { start : 's; rev : ('a * 's) list; count : int }
 
 let init s = { start = s; rev = []; count = 0 }
 let extend e a s = { e with rev = (a, s) :: e.rev; count = e.count + 1 }
-let of_rev_steps start rev = { start; rev; count = List.length rev }
 let length e = e.count
 let start e = e.start
 let steps e = List.rev e.rev

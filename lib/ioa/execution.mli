@@ -8,7 +8,7 @@
 
     The representation is abstract: steps are kept newest-first with a
     materialized length, so {!extend}, {!length} and {!final} are O(1)
-    and the simulator's hot loop never pays a list append. *)
+    and building a run step by step never pays a list append. *)
 
 type ('s, 'a) t
 
@@ -17,9 +17,6 @@ val init : 's -> ('s, 'a) t
 
 val extend : ('s, 'a) t -> 'a -> 's -> ('s, 'a) t
 (** Append one step.  O(1). *)
-
-val of_rev_steps : 's -> ('a * 's) list -> ('s, 'a) t
-(** Build from steps accumulated in reverse order. *)
 
 val length : ('s, 'a) t -> int
 (** Number of steps.  O(1). *)

@@ -12,8 +12,6 @@ type cfg = {
 let default_cfg =
   { policy = Round_robin; max_steps = 1000; stop_when_quiescent = true; forced = [] }
 
-type retention = Full | Trace_only | Window of int
-
 type 'a observer =
   step:int ->
   Composition.task_id ->
@@ -23,7 +21,6 @@ type 'a observer =
   unit
 
 type 'a outcome = {
-  execution : ('a Composition.state, 'a) Execution.t;
   fired : (Composition.task_id * 'a) list;
   quiescent : bool;
   stopped_idle : bool;
@@ -106,59 +103,9 @@ module Seed = struct
     Int64.to_int (Int64.logand (mix64 (mix64 z)) 0x3fffffffffffffffL)
 end
 
-(* --- streaming step recorders (one per retention policy) --- *)
-
-type ('s, 'a) recorder = {
-  push : 'a -> 's -> unit;
-  capture : unit -> ('s, 'a) Execution.t;
-}
-
-let make_recorder retention start =
-  match retention with
-  | Full ->
-    let rev = ref [] in
-    { push = (fun a s -> rev := (a, s) :: !rev);
-      capture = (fun () -> Execution.of_rev_steps start !rev);
-    }
-  | Trace_only ->
-    { push = (fun _ _ -> ()); capture = (fun () -> Execution.init start) }
-  | Window w when w <= 0 ->
-    (* Degenerate window: retain only the running final state. *)
-    let last = ref start in
-    { push = (fun _ s -> last := s); capture = (fun () -> Execution.init !last) }
-  | Window w ->
-    (* Ring buffer of the last [w] steps plus the state preceding the
-       oldest retained step, so the captured suffix is itself a valid
-       execution fragment.  O(w) memory however long the run. *)
-    let buf = Array.make w None in
-    let count = ref 0 in
-    let win_start = ref start in
-    { push =
-        (fun a s ->
-          let slot = !count mod w in
-          (if !count >= w then
-             match buf.(slot) with
-             | Some (_, evicted) -> win_start := evicted
-             | None -> ());
-          buf.(slot) <- Some (a, s);
-          incr count);
-      capture =
-        (fun () ->
-          let kept = min !count w in
-          let rev = ref [] in
-          for i = 0 to kept - 1 do
-            (* oldest first *)
-            let slot = (!count - kept + i) mod w in
-            match buf.(slot) with
-            | Some step -> rev := step :: !rev
-            | None -> ()
-          done;
-          Execution.of_rev_steps !win_start !rev);
-    }
-
 let no_observer ~step:_ _ _ ~touched:_ _ = ()
 
-let run ?(retention = Full) ?(observer = no_observer) ?(record_fired = true) comp cfg =
+let run ?(observer = no_observer) ?(record_fired = true) comp cfg =
   let tasks = Composition.tasks_array comp in
   let by_comp = Composition.comp_task_indices comp in
   let ntasks = Array.length tasks in
@@ -175,8 +122,7 @@ let run ?(retention = Full) ?(observer = no_observer) ?(record_fired = true) com
   in
   let starving = Array.make (max 1 ntasks) 0 in
   let rr_cursor = ref 0 in
-  let start = Composition.start comp in
-  let state = ref start in
+  let state = ref (Composition.start comp) in
   (* Incremental enabledness: [enabled.(k)] is task [k]'s enabled
      action in the current state.  A task's enabledness depends only on
      its own component's instance, so after a step only the tasks of
@@ -186,7 +132,6 @@ let run ?(retention = Full) ?(observer = no_observer) ?(record_fired = true) com
   for k = 0 to ntasks - 1 do
     refresh_task k
   done;
-  let recorder = make_recorder retention start in
   let fired = ref [] in
   let pending_forced =
     ref
@@ -202,7 +147,6 @@ let run ?(retention = Full) ?(observer = no_observer) ?(record_fired = true) com
     | Some (st', touched) ->
       state := st';
       List.iter (fun ci -> Array.iter refresh_task by_comp.(ci)) touched;
-      recorder.push act st';
       if record_fired then fired := (tid, act) :: !fired;
       observer ~step:!step tid act ~touched st'
     | None -> invalid_arg "Scheduler.run: enabled action failed to step")
@@ -322,18 +266,15 @@ let run ?(retention = Full) ?(observer = no_observer) ?(record_fired = true) com
            identical to the old one-step-at-a-time spin. *)
         step := max (!step + 1) (min at_step cfg.max_steps))
   done;
-  { execution = recorder.capture ();
-    fired = List.rev !fired;
+  { fired = List.rev !fired;
     quiescent = !quiescent;
     stopped_idle = !stopped_idle;
     final_state = !state;
     steps_taken = !step;
   }
 
-let run_custom ?(retention = Full) comp ~max_steps ~choose =
-  let start = Composition.start comp in
-  let state = ref start in
-  let recorder = make_recorder retention start in
+let run_custom comp ~max_steps ~choose =
+  let state = ref (Composition.start comp) in
   let fired = ref [] in
   let continue = ref true in
   let step = ref 0 in
@@ -346,12 +287,10 @@ let run_custom ?(retention = Full) comp ~max_steps ~choose =
       | None -> invalid_arg "Scheduler.run_custom: chosen action not enabled"
       | Some st' ->
         state := st';
-        recorder.push act st';
         fired := (tid, act) :: !fired;
         incr step)
   done;
-  { execution = recorder.capture ();
-    fired = List.rev !fired;
+  { fired = List.rev !fired;
     quiescent = false;
     stopped_idle = false;
     final_state = !state;

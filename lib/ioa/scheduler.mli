@@ -74,24 +74,14 @@ module Seed : sig
       seeds (up to the 2^-62 truncation collision probability). *)
 end
 
-(** {1 Retention and observation}
+(** {1 Outcomes and observation}
 
-    Long runs need not retain every intermediate state.  The retention
-    policy controls what {!outcome}'s [execution] holds; the [fired]
-    task/action sequence and the final state are always complete, so
-    verdicts that fold over the trace are unaffected.  Monitors that
-    need per-step states stream them through an {!observer} instead of
-    replaying a retained execution. *)
-
-type retention =
-  | Full  (** Retain every step: [execution] is the whole run. *)
-  | Trace_only
-      (** Retain no steps: [execution] is the empty execution from the
-          start state; use [fired] and [final_state]. *)
-  | Window of int
-      (** Retain only the last [n] steps in O(n) memory; [execution] is
-          the run's suffix, whose {!Execution.start} is the state
-          preceding the oldest retained step. *)
+    A run keeps no intermediate states: the [fired] task/action
+    sequence and the final state are the whole outcome, and every
+    verdict is a fold over the fired sequence (a trace is a projection
+    of the schedule, Section 2.2).  Monitors that need per-step states
+    stream them through an {!observer}; a test that wants the states
+    back rebuilds them from [fired] with {!Execution.apply_schedule}. *)
 
 type 'a observer =
   step:int ->
@@ -107,8 +97,6 @@ type 'a observer =
     composition. *)
 
 type 'a outcome = {
-  execution : ('a Composition.state, 'a) Execution.t;
-      (** Per the retention policy; the whole run under [Full]. *)
   fired : (Composition.task_id * 'a) list;
       (** in firing order; [[]] when the run was started with
           [~record_fired:false] *)
@@ -119,29 +107,24 @@ type 'a outcome = {
       (** Quiescent, but some non-fair task (e.g. an unforced crash)
           was still enabled when the run stopped — the system went
           idle rather than terminally silent. *)
-  final_state : 'a Composition.state;
-      (** Last reached state, under every retention policy. *)
+  final_state : 'a Composition.state;  (** Last reached state. *)
   steps_taken : int;
       (** Global step counter at stop (counts idle fault-injection
           waiting steps as well as fired ones). *)
 }
 
 val run :
-  ?retention:retention ->
   ?observer:'a observer ->
   ?record_fired:bool ->
   'a Composition.t ->
   cfg ->
   'a outcome
-(** Run the scheduler.  [retention] defaults to [Full]; [observer]
-    defaults to a no-op.  The fired sequence, final state and verdict
-    flags are identical across retention policies.  [record_fired]
-    (default [true]) controls whether the fired list is accumulated:
-    pass [false] for streaming runs whose only consumer is the
-    observer, making live memory independent of the run length. *)
+(** Run the scheduler.  [observer] defaults to a no-op.
+    [record_fired] (default [true]) controls whether the fired list is
+    accumulated: pass [false] for streaming runs whose only consumer is
+    the observer, making live memory independent of the run length. *)
 
 val run_custom :
-  ?retention:retention ->
   'a Composition.t ->
   max_steps:int ->
   choose:(step:int -> (Composition.task_id * 'a) list -> (Composition.task_id * 'a) option) ->

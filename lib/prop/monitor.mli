@@ -2,8 +2,8 @@
 
     A monitor consumes one event at a time ({!observe}) in O(1)
     amortized and keeps O(window) live memory in the trace length, so
-    it can be fed from [Scheduler.run ~observer] under windowed
-    retention.  Safety clauses ([Always]/[Until]/[Fold] steps) latch
+    it can be fed from [Scheduler.run ~observer ~record_fired:false]
+    however long the run.  Safety clauses ([Always]/[Until]/[Fold] steps) latch
     the first violation with its trace index; [Stable] clauses are
     re-judged on the current summary and may flip (the limit-extension
     reading of eventual properties is inherently non-monotone on

@@ -10,8 +10,8 @@
     last output forever), stateful [folding] clauses, and conjunction.
     {!Monitor} compiles a formula to an incremental monitor consuming
     one event in O(1) amortized time and O(1) memory in the trace
-    length, so properties can be checked online under windowed
-    retention. *)
+    length, so properties can be checked online over runs of any
+    length. *)
 
 open Afd_ioa
 

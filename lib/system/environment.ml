@@ -53,3 +53,7 @@ let scripted_at loc ~value =
 
 let scripted ~values =
   List.mapi (fun i v -> Component.C (scripted_at i ~value:v)) values
+
+let of_values ~n = function
+  | Some values -> scripted ~values
+  | None -> consensus ~n

@@ -30,3 +30,7 @@ val scripted_at : Loc.t -> value:bool -> (state, Act.t) Automaton.t
 val scripted : values:bool list -> Act.t Component.t list
 (** One scripted environment automaton per location; [values] must
     have length [n]. *)
+
+val of_values : n:int -> bool list option -> Act.t Component.t list
+(** The environment of a consensus net: [scripted ~values:vs] for
+    [Some vs], the full E_C ([consensus ~n]) for [None]. *)

@@ -21,13 +21,10 @@ type run = {
   trace : Act.t list;
 }
 
-(* The trace is the fired action sequence, which the scheduler keeps in
-   full under every retention policy; only [outcome.execution]'s
-   retained state snapshots vary with [retention]. *)
 let finish outcome =
   { outcome; trace = List.map snd outcome.Scheduler.fired }
 
-let run ?(retention = Scheduler.Trace_only) t ~seed ~crash_at ~steps =
+let run t ~seed ~crash_at ~steps =
   let cfg =
     { Scheduler.policy = Scheduler.Random seed;
       max_steps = steps;
@@ -35,9 +32,9 @@ let run ?(retention = Scheduler.Trace_only) t ~seed ~crash_at ~steps =
       forced = Crash.forces crash_at;
     }
   in
-  finish (Scheduler.run ~retention t.composition cfg)
+  finish (Scheduler.run t.composition cfg)
 
-let run_round_robin ?(retention = Scheduler.Trace_only) t ~crash_at ~steps =
+let run_round_robin t ~crash_at ~steps =
   let cfg =
     { Scheduler.policy = Scheduler.Round_robin;
       max_steps = steps;
@@ -45,7 +42,7 @@ let run_round_robin ?(retention = Scheduler.Trace_only) t ~crash_at ~steps =
       forced = Crash.forces crash_at;
     }
   in
-  finish (Scheduler.run ~retention t.composition cfg)
+  finish (Scheduler.run t.composition cfg)
 
 let decisions trace =
   List.filter_map

@@ -33,16 +33,11 @@ type run = {
   trace : Act.t list;  (** the full schedule of the run *)
 }
 
-val run :
-  ?retention:Scheduler.retention ->
-  t -> seed:int -> crash_at:(int * Loc.t) list -> steps:int -> run
-(** Fair random schedule with the given fault pattern.  [trace] is
-    always the complete schedule; [retention] (default
-    {!Scheduler.Trace_only}) controls only how much per-step state
-    [outcome.execution] retains — pass [Full] to replay states. *)
+val run : t -> seed:int -> crash_at:(int * Loc.t) list -> steps:int -> run
+(** Fair random schedule with the given fault pattern.  [trace] is the
+    complete schedule. *)
 
 val run_round_robin :
-  ?retention:Scheduler.retention ->
   t -> crash_at:(int * Loc.t) list -> steps:int -> run
 
 val decisions : Act.t list -> (Loc.t * bool) list

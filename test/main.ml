@@ -31,7 +31,6 @@ let () =
       ("prop", Test_prop.suite);
       ("sched-fairness", Test_sched_fairness.suite);
       ("sched-stream", Test_sched_stream.suite);
-      ("retention-matrix", Test_retention_matrix.suite);
       ("seed-derive", Test_seed_derive.suite);
       ("runner", Test_runner.suite);
       ("mega", Test_mega.suite);

@@ -81,7 +81,7 @@ let test_composition_runs () =
       [ Component.C (counter ~name:"c" ~limit:3); Component.C (observer ()) ]
   in
   let outcome = Scheduler.run comp Scheduler.default_cfg in
-  let sched = Execution.schedule outcome.Scheduler.execution in
+  let sched = List.map snd outcome.Scheduler.fired in
   Alcotest.(check (list int))
     "observer saw all ticks in order"
     [ 1; 2; 3 ]
@@ -179,7 +179,7 @@ let test_scheduler_random_fair () =
   in
   let cfg = { Scheduler.default_cfg with policy = Scheduler.Random 7; max_steps = 100 } in
   let outcome = Scheduler.run comp cfg in
-  let report = Fairness.analyze comp outcome.Scheduler.execution in
+  let report = Fairness.analyze comp (Rebuild.execution comp outcome) in
   Alcotest.(check bool) "fair prefix" true report.Fairness.fair_prefix;
   Alcotest.(check bool) "both progressed" true
     (List.for_all (fun (_, c) -> c > 0) report.Fairness.firings)
@@ -196,7 +196,7 @@ let test_scheduler_forced () =
     }
   in
   let outcome = Scheduler.run comp cfg in
-  Alcotest.(check int) "ran to step budget" 10 (Execution.length outcome.Scheduler.execution)
+  Alcotest.(check int) "ran to step budget" 10 (List.length outcome.Scheduler.fired)
 
 let test_run_custom () =
   let comp =
@@ -206,7 +206,7 @@ let test_run_custom () =
     Scheduler.run_custom comp ~max_steps:5 ~choose:(fun ~step:_ enabled ->
         match enabled with [] -> None | c :: _ -> Some c)
   in
-  Alcotest.(check int) "custom ran 5" 5 (Execution.length outcome.Scheduler.execution)
+  Alcotest.(check int) "custom ran 5" 5 (List.length outcome.Scheduler.fired)
 
 let test_loc () =
   Alcotest.(check (list int)) "universe" [ 0; 1; 2 ] (Loc.universe ~n:3);

@@ -4,8 +4,8 @@
 
    The load-bearing property is the last one: for every catalog
    subject, every seed and every witness-window size, the verdict of
-   the incremental monitor fed event-by-event from the scheduler
-   (window retention, no trace materialized) is structurally equal —
+   the incremental monitor fed event-by-event from the scheduler (no
+   trace materialized) is structurally equal —
    reasons included — to the legacy full-trace [Afd.check] replay. *)
 
 open Afd_ioa
@@ -160,8 +160,8 @@ let test_replay_equals_offline_check () =
 (* Online == offline over the catalog                                  *)
 (* ------------------------------------------------------------------ *)
 
-let check_subject ~window ~retention ~seed subj =
-  let r = Check.run_subject ~window ~retention ~seed subj in
+let check_subject ~window ~seed subj =
+  let r = Check.run_subject ~window ~seed subj in
   if not (Check.verdict_equal r.Check.online r.Check.offline) then
     Alcotest.failf "%s seed %d window %d: online %a <> offline %a"
       (Check.id subj) seed window Verdict.pp r.Check.online Verdict.pp
@@ -184,12 +184,7 @@ let prop_online_equals_offline =
     ~count:20
     QCheck2.Gen.(pair (int_bound 10_000) (oneofl [ 1; 8; 64 ]))
     (fun (seed, window) ->
-      List.iter
-        (fun subj ->
-          List.iter
-            (fun retention -> check_subject ~window ~retention ~seed subj)
-            [ Scheduler.Trace_only; Scheduler.Window 16 ])
-        Check.subjects;
+      List.iter (fun subj -> check_subject ~window ~seed subj) Check.subjects;
       true)
 
 let test_matrix_smoke () =

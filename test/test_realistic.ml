@@ -12,8 +12,8 @@ let hb_trace net run =
     | `Fair (seed, crash_at, steps) ->
       (Net.run net ~seed ~crash_at ~steps).Net.trace
     | `Custom (choose, steps) ->
-      Execution.schedule
-        (Scheduler.run_custom net.Net.composition ~max_steps:steps ~choose).Scheduler.execution)
+      List.map snd
+        (Scheduler.run_custom net.Net.composition ~max_steps:steps ~choose).Scheduler.fired)
 
 let test_fair_no_crash () =
   let n = 3 in

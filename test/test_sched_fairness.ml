@@ -24,10 +24,12 @@ let clocks n =
 
 (* Replay the outcome: for each step, every fair task that is enabled
    in the pre-state and does not fire accrues one step of wait; firing
-   or being disabled resets it.  Returns the worst wait observed. *)
+   or being disabled resets it.  Returns the worst wait observed.  The
+   pre-states come from the fired schedule replayed on the composition
+   ({!Rebuild}). *)
 let max_wait comp outcome =
   let tasks = Array.of_list (Composition.tasks comp) in
-  let states = Array.of_list (Execution.states outcome.Scheduler.execution) in
+  let states = Array.of_list (Execution.states (Rebuild.execution comp outcome)) in
   let waits = Array.make (Array.length tasks) 0 in
   let worst = ref 0 in
   List.iteri

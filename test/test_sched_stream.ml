@@ -9,7 +9,7 @@
    pick, one-step idle spin) against the public [Composition] API and
    checks — over qcheck-generated component catalogs, policies, seeds
    and fault patterns — that fired sequences, final states and
-   quiescence flags are identical, for every retention policy.
+   quiescence flags are identical.
 
    The same treatment covers the other rewritten samplers:
    [Scheduler.contains] (KMP) against the quadratic substring spec, and
@@ -277,52 +277,29 @@ let naive_run comp (cfg : Scheduler.cfg) =
 (* Differential property: cached scheduler == naive scheduler          *)
 (* ------------------------------------------------------------------ *)
 
-let last n l =
-  let len = List.length l in
-  List.filteri (fun i _ -> i >= len - n) l
-
 let check_catalog cat =
   let comp = build cat in
   let cfg = cfg_of cat in
   let reference = naive_run comp cfg in
-  List.iter
-    (fun retention ->
-      let o = Scheduler.run ~retention comp cfg in
-      if o.Scheduler.fired <> reference.n_fired then
-        Alcotest.fail "fired sequence differs from the naive scheduler";
-      if not (Composition.equal_state o.Scheduler.final_state reference.n_final)
-      then Alcotest.fail "final state differs from the naive scheduler";
-      if o.Scheduler.quiescent <> reference.n_quiescent then
-        Alcotest.fail "quiescence flag differs from the naive scheduler";
-      (* Execution-vs-fired invariants per retention policy. *)
-      let acts = List.map snd o.Scheduler.fired in
-      let exe = o.Scheduler.execution in
-      match retention with
-      | Scheduler.Full ->
-        if Execution.schedule exe <> acts then
-          Alcotest.fail "Full: execution schedule <> fired actions";
-        if not (Composition.equal_state (Execution.final exe) o.Scheduler.final_state)
-        then Alcotest.fail "Full: execution final <> final_state"
-      | Scheduler.Trace_only ->
-        if Execution.length exe <> 0 then Alcotest.fail "Trace_only retained steps"
-      | Scheduler.Window w ->
-        let kept = min w (List.length acts) in
-        if Execution.length exe <> kept then
-          Alcotest.failf "Window %d: retained %d steps, expected %d" w
-            (Execution.length exe) kept;
-        if Execution.schedule exe <> last kept acts then
-          Alcotest.fail "Window: retained schedule is not the run's suffix";
-        if
-          kept > 0
-          && not
-               (Composition.equal_state (Execution.final exe)
-                  o.Scheduler.final_state)
-        then Alcotest.fail "Window: execution final <> final_state")
-    [ Scheduler.Full; Scheduler.Trace_only; Scheduler.Window 5; Scheduler.Window 1 ];
+  let o = Scheduler.run comp cfg in
+  if o.Scheduler.fired <> reference.n_fired then
+    Alcotest.fail "fired sequence differs from the naive scheduler";
+  if not (Composition.equal_state o.Scheduler.final_state reference.n_final)
+  then Alcotest.fail "final state differs from the naive scheduler";
+  if o.Scheduler.quiescent <> reference.n_quiescent then
+    Alcotest.fail "quiescence flag differs from the naive scheduler";
+  (* The fired schedule, replayed on the composition, ends in the
+     reported final state. *)
+  if
+    not
+      (Composition.equal_state
+         (Execution.final (Rebuild.execution comp o))
+         o.Scheduler.final_state)
+  then Alcotest.fail "replayed fired schedule does not end in final_state";
   true
 
 let prop_differential =
-  QCheck2.Test.make ~name:"cached scheduler == naive scheduler (all retentions)"
+  QCheck2.Test.make ~name:"cached scheduler == naive scheduler"
     ~count:300 catalog_gen check_catalog
 
 (* ------------------------------------------------------------------ *)
@@ -430,16 +407,17 @@ let test_observer_streams_every_step () =
       Alcotest.(check int) "step indices follow firing order" i step;
       if tid <> tid' || act <> act' then Alcotest.fail "observer saw a different step")
     (List.combine o.Scheduler.fired seen);
-  (* post-states streamed to the observer are the execution's states *)
-  let exe_states = List.map snd (Execution.steps o.Scheduler.execution) in
+  (* post-states streamed to the observer are the states of the fired
+     schedule replayed on the composition *)
+  let exe_states = List.map snd (Execution.steps (Rebuild.execution comp o)) in
   List.iter2
     (fun st (_, _, _, st') ->
       if not (Composition.equal_state st st') then
-        Alcotest.fail "observer post-state differs from retained execution")
+        Alcotest.fail "observer post-state differs from the replayed execution")
     exe_states seen
 
 (* Streaming fairness: a monitor fed from the observer hook must agree
-   with the offline [Fairness.analyze] of the retained execution (the
+   with the offline [Fairness.analyze] of the replayed execution (the
    two paths share accounting but detect touched components
    differently: indices from the scheduler vs physical diff). *)
 let test_fairness_streaming_equals_offline () =
@@ -464,67 +442,22 @@ let test_fairness_streaming_equals_offline () =
       in
       let o = Scheduler.run ~observer comp (cfg_of cat) in
       let streamed = Fairness.finalize mon in
-      let offline = Fairness.analyze comp o.Scheduler.execution in
+      let offline = Fairness.analyze comp (Rebuild.execution comp o) in
       if streamed <> offline then
         Alcotest.failf "seed %d: streamed fairness report differs from offline" seed)
     [ 1; 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
-(* Window retention: long runs in bounded memory                       *)
+(* Long runs in bounded memory                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_window_bounds_memory () =
-  (* A million-step run retaining a 32-step window: the recorder must
-     hold exactly the suffix (ring buffer), never the whole run. *)
-  let cat =
-    { workers =
-        [ { limit = max_int; listens = [ 1 ]; with_crash = false };
-          { limit = max_int; listens = [ 0 ]; with_crash = false };
-        ];
-      policy = Scheduler.Random 11;
-      forced = [];
-      max_steps = 1_000_000;
-      stop_when_quiescent = true;
-    }
-  in
-  let comp = build cat in
-  let w = 32 in
-  let o = Scheduler.run ~retention:(Scheduler.Window w) comp (cfg_of cat) in
-  Alcotest.(check int) "ran the full budget" 1_000_000 o.Scheduler.steps_taken;
-  Alcotest.(check int) "retained exactly the window" w
-    (Execution.length o.Scheduler.execution);
-  Alcotest.(check bool) "window final state is the run's final state" true
-    (Composition.equal_state
-       (Execution.final o.Scheduler.execution)
-       o.Scheduler.final_state);
-  Alcotest.(check (list int)) "window holds the run's suffix"
-    (last w (List.map snd o.Scheduler.fired))
-    (Execution.schedule o.Scheduler.execution)
-
-let test_window_zero_keeps_final_state () =
-  let cat =
-    { workers = [ { limit = 7; listens = []; with_crash = false } ];
-      policy = Scheduler.Round_robin;
-      forced = [];
-      max_steps = 100;
-      stop_when_quiescent = true;
-    }
-  in
-  let comp = build cat in
-  let o = Scheduler.run ~retention:(Scheduler.Window 0) comp (cfg_of cat) in
-  Alcotest.(check int) "no steps retained" 0 (Execution.length o.Scheduler.execution);
-  Alcotest.(check bool) "degenerate window tracks the final state" true
-    (Composition.equal_state
-       (Execution.start o.Scheduler.execution)
-       o.Scheduler.final_state)
-
 (* A property-checked streaming run must live in O(window) memory: the
-   scheduler retains a bounded window, [record_fired:false] drops the
+   scheduler keeps no per-step states, [record_fired:false] drops the
    fired-trace accumulator, and the monitor keeps only its summary,
    witness ring and fold accumulators.  A million-step run therefore
    may not grow the live heap by anything near what the materialized
    trace would cost (>= 5M words); the bound below leaves an order of
-   magnitude of slack while still catching any O(steps) retention. *)
+   magnitude of slack while still catching any O(steps) growth. *)
 let test_monitored_run_bounded_memory () =
   let live_words () =
     Gc.full_major ();
@@ -539,7 +472,6 @@ let test_monitored_run_bounded_memory () =
   let before = live_words () in
   let o =
     Afd_automata.run_monitored
-      ~retention:(Scheduler.Window 32)
       ~observe:(fun e ->
         incr events;
         Afd_prop.Monitor.observe m e)
@@ -613,10 +545,6 @@ let suite =
         test_observer_streams_every_step;
       Alcotest.test_case "streaming fairness == offline analyze" `Quick
         test_fairness_streaming_equals_offline;
-      Alcotest.test_case "Window retains a bounded suffix of a 10^6-step run" `Quick
-        test_window_bounds_memory;
-      Alcotest.test_case "Window 0 tracks only the final state" `Quick
-        test_window_zero_keeps_final_state;
       Alcotest.test_case "monitored 10^6-step run stays in O(window) memory" `Quick
         test_monitored_run_bounded_memory;
       Alcotest.test_case "quiescent vs stopped-idle stall flags" `Quick

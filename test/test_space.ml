@@ -283,21 +283,14 @@ let containment_prop =
   in
   let gen =
     QCheck2.Gen.(
-      triple (int_bound 10_000)
+      pair (int_bound 10_000)
         (list_size (int_bound 3)
-           (map2 (fun step loc -> (step, loc mod n)) (int_bound 40) (int_bound (n - 1))))
-        (int_bound 2))
+           (map2 (fun step loc -> (step, loc mod n)) (int_bound 40) (int_bound (n - 1)))))
   in
   QCheck2.Test.make
     ~name:"every state of a random execution is in the exhaustive reachable set"
     ~count:200 gen
-    (fun (seed, crash_at, retention_ix) ->
-      let retention =
-        match retention_ix with
-        | 0 -> Scheduler.Full
-        | 1 -> Scheduler.Trace_only
-        | _ -> Scheduler.Window 4
-      in
+    (fun (seed, crash_at) ->
       let forced =
         List.map
           (fun (at_step, i) ->
@@ -313,7 +306,7 @@ let containment_prop =
       in
       let contained = ref true in
       let outcome =
-        Scheduler.run ~retention ~record_fired:false
+        Scheduler.run ~record_fired:false
           ~observer:(fun ~step:_ _ _ ~touched:_ st ->
             if not (mem st) then contained := false)
           (comp ()) cfg

@@ -72,7 +72,7 @@ let env_trace ~seed ~crash_at ~steps ~n =
       forced = Crash.forces crash_at;
     }
   in
-  Execution.schedule (Scheduler.run comp cfg).Scheduler.execution
+  List.map snd (Scheduler.run comp cfg).Scheduler.fired
 
 let test_theorem44 () =
   (* E_C is a well-formed environment: all three claims on random fair

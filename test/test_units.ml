@@ -122,7 +122,7 @@ let test_fairness_quiescent () =
   in
   let comp = Composition.make ~name:"q" [ Component.C one_shot ] in
   let outcome = Scheduler.run comp Scheduler.default_cfg in
-  let report = Fairness.analyze comp outcome.Scheduler.execution in
+  let report = Fairness.analyze comp (Rebuild.execution comp outcome) in
   Alcotest.(check bool) "quiescent end" true report.Fairness.quiescent_end;
   Alcotest.(check bool) "fair prefix" true report.Fairness.fair_prefix;
   Alcotest.(check (list (pair string int))) "one firing" [ ("oneshot/t", 1) ] report.Fairness.firings
