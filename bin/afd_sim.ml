@@ -34,16 +34,16 @@ module R = Afd_runner
 (* Counts are checked at parse time, so a bad one is a usage error
    (cmdliner's exit 124) rather than an exception from deep inside a
    run or a silently empty run. *)
-let count_conv ~min ~what =
+let count_conv ~min ~max ~what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= min -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a %s count, got %S" what s))
+    | Some n when n >= min && n <= max -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let positive_int = count_conv ~min:1 ~what:"positive"
-let non_negative_int = count_conv ~min:0 ~what:"non-negative"
+let positive_int = count_conv ~min:1 ~max:max_int ~what:"a positive count"
+let non_negative_int = count_conv ~min:0 ~max:max_int ~what:"a non-negative count"
 
 let n_arg =
   Arg.(
@@ -75,6 +75,25 @@ let crash_arg =
     & opt_all crash_conv []
     & info [ "crash" ] ~docv:"STEP:LOC" ~doc:"Crash location $(i,LOC) at step $(i,STEP); repeatable.")
 
+(* Locations are checked against -n at parse time too: a crash, a
+   sender or a set-agreement parameter outside the universe is a usage
+   error (exit 124), not a run that silently drops or misreads it.
+   These terms read -n themselves and hand it on with what they
+   checked. *)
+let in_universe ~n ~what i =
+  if i >= 0 && i < n then Ok ()
+  else Error (Printf.sprintf "%s: location %d is outside 0..%d (-n %d)" what i (n - 1) n)
+
+let n_crash_arg =
+  let check n crash_at =
+    List.fold_left
+      (fun acc (k, i) ->
+        Result.bind acc (fun () -> in_universe ~n ~what:(Printf.sprintf "--crash %d:%d" k i) i))
+      (Ok ()) crash_at
+    |> Result.map (fun () -> (n, crash_at))
+  in
+  Term.(term_result' ~usage:true (const check $ n_arg $ crash_arg))
+
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print the full event trace.")
 
@@ -94,7 +113,7 @@ let detector_cmd =
   let fd_arg =
     Arg.(value & opt fd_conv P_fd & info [ "fd" ] ~docv:"FD" ~doc:"Detector: omega, p, or evp.")
   in
-  let run which n seed steps crash_at verbose =
+  let run which (n, crash_at) seed steps verbose =
     let check_and_print pp spec trace =
       if verbose then
         List.iter (fun e -> Format.printf "  %a@." (Fd_event.pp pp) e) trace;
@@ -134,7 +153,7 @@ let detector_cmd =
   in
   let term =
     Term.(
-      const run $ fd_arg $ n_arg $ seed_arg $ steps_arg $ crash_arg $ verbose_arg)
+      const run $ fd_arg $ n_crash_arg $ seed_arg $ steps_arg $ verbose_arg)
   in
   Cmd.v (Cmd.info "detector" ~doc:"Run a failure-detector automaton and check its trace.") term
 
@@ -157,7 +176,7 @@ let consensus_cmd =
   let f_arg =
     Arg.(value & opt (some int) None & info [ "f" ] ~docv:"F" ~doc:"Crash tolerance (default: algorithm-specific).")
   in
-  let run algo n f seed steps crash_at verbose =
+  let run algo (n, crash_at) f seed steps verbose =
     let crashable = crashable_of crash_at in
     let f =
       match (f, algo) with
@@ -192,8 +211,7 @@ let consensus_cmd =
   in
   let term =
     Term.(
-      const run $ algo_arg $ n_arg $ f_arg $ seed_arg $ steps_arg $ crash_arg
-      $ verbose_arg)
+      const run $ algo_arg $ n_crash_arg $ f_arg $ seed_arg $ steps_arg $ verbose_arg)
   in
   Cmd.v (Cmd.info "consensus" ~doc:"Run a consensus algorithm over an AFD.") term
 
@@ -203,7 +221,7 @@ let selfimpl_cmd =
   let fd_arg =
     Arg.(value & opt fd_conv Omega_fd & info [ "fd" ] ~docv:"FD" ~doc:"Detector to self-implement.")
   in
-  let run which n seed steps crash_at =
+  let run which (n, crash_at) seed steps =
     let report name r =
       match r with
       | Ok () -> Format.printf "theorem 13 holds for %s@." name; 0
@@ -226,7 +244,7 @@ let selfimpl_cmd =
            ~steps))
   in
   let term =
-    Term.(const run $ fd_arg $ n_arg $ seed_arg $ steps_arg $ crash_arg)
+    Term.(const run $ fd_arg $ n_crash_arg $ seed_arg $ steps_arg)
   in
   Cmd.v (Cmd.info "selfimpl" ~doc:"Run Algorithm 3 and verify Theorem 13.") term
 
@@ -241,7 +259,15 @@ let tree_cmd =
   let max_nodes_arg =
     Arg.(value & opt int 3_000_000 & info [ "max-nodes" ] ~docv:"B" ~doc:"Quotient-node budget.")
   in
-  let run n crash_loc max_nodes =
+  let n_crash_loc_arg =
+    let check n crash_loc =
+      match crash_loc with
+      | Some c -> Result.map (fun () -> (n, crash_loc)) (in_universe ~n ~what:"--crash-loc" c)
+      | None -> Ok (n, crash_loc)
+    in
+    Term.(term_result' ~usage:true (const check $ n_arg $ crash_loc_arg))
+  in
+  let run (n, crash_loc) max_nodes =
     let f = 1 in
     let td =
       match crash_loc with
@@ -270,14 +296,23 @@ let tree_cmd =
         (List.filter_map T.Hook.critical_location hooks |> List.sort_uniq Loc.compare);
       if bad = [] then 0 else 1
   in
-  let term = Term.(const run $ n_arg $ crash_loc_arg $ max_nodes_arg) in
+  let term = Term.(const run $ n_crash_loc_arg $ max_nodes_arg) in
   Cmd.v (Cmd.info "tree" ~doc:"Build the tagged execution tree; verify Theorem 59.") term
 
 (* --- kset subcommand --- *)
 
 let kset_cmd =
-  let k_arg = Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc:"Set-agreement parameter.") in
-  let run n k seed steps crash_at =
+  let k_arg =
+    Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc:"Set-agreement parameter, 1 <= K <= N.")
+  in
+  let n_crash_k_arg =
+    let check (n, crash_at) k =
+      if k >= 1 && k <= n then Ok (n, crash_at, k)
+      else Error (Printf.sprintf "-k %d: expected 1 <= K <= %d (-n %d)" k n n)
+    in
+    Term.(term_result' ~usage:true (const check $ n_crash_arg $ k_arg))
+  in
+  let run (n, crash_at, k) seed steps =
     let crashable = crashable_of crash_at in
     let net = C.Kset.net ~n ~k ~crashable in
     let r = Net.run net ~seed ~crash_at ~steps in
@@ -291,7 +326,7 @@ let kset_cmd =
     print_verdict "k-set spec:" (C.Kset.check ~n ~k r.Net.trace);
     (match C.Kset.check ~n ~k r.Net.trace with Verdict.Violated _ -> 1 | _ -> 0)
   in
-  let term = Term.(const run $ n_arg $ k_arg $ seed_arg $ steps_arg $ crash_arg) in
+  let term = Term.(const run $ n_crash_k_arg $ seed_arg $ steps_arg) in
   Cmd.v (Cmd.info "kset" ~doc:"Run k-set agreement over Psi_k.") term
 
 (* --- sweep subcommand --- *)
@@ -320,7 +355,7 @@ let sweep_cmd =
       value & opt (some string) None
       & info [ "json" ] ~docv:"PATH" ~doc:"Also write the BENCH.json report to $(i,PATH).")
   in
-  let run which n steps crash_at seeds jobs root json =
+  let run which (n, crash_at) steps seeds jobs root json =
     let mk name detector spec =
       R.Matrix.entry
         ~id:("sweep." ^ name)
@@ -359,7 +394,7 @@ let sweep_cmd =
   in
   let term =
     Term.(
-      const run $ fd_arg $ n_arg $ steps_arg $ crash_arg $ seeds_arg $ jobs_arg $ root_arg
+      const run $ fd_arg $ n_crash_arg $ steps_arg $ seeds_arg $ jobs_arg $ root_arg
       $ json_arg)
   in
   Cmd.v
@@ -435,7 +470,13 @@ let trb_cmd =
   let value_arg =
     Arg.(value & opt bool true & info [ "value" ] ~docv:"BOOL" ~doc:"Broadcast value.")
   in
-  let run n sender value seed steps crash_at =
+  let n_crash_sender_arg =
+    let check (n, crash_at) sender =
+      Result.map (fun () -> (n, crash_at, sender)) (in_universe ~n ~what:"--sender" sender)
+    in
+    Term.(term_result' ~usage:true (const check $ n_crash_arg $ sender_arg))
+  in
+  let run (n, crash_at, sender) value seed steps =
     let crashable = crashable_of crash_at in
     let net = C.Trb.net ~n ~sender ~value ~crashable in
     let r = Net.run net ~seed ~crash_at ~steps in
@@ -447,7 +488,7 @@ let trb_cmd =
     print_verdict "TRB spec:" (C.Trb.check ~n ~sender r.Net.trace);
     (match C.Trb.check ~n ~sender r.Net.trace with Verdict.Violated _ -> 1 | _ -> 0)
   in
-  let term = Term.(const run $ n_arg $ sender_arg $ value_arg $ seed_arg $ steps_arg $ crash_arg) in
+  let term = Term.(const run $ n_crash_sender_arg $ value_arg $ seed_arg $ steps_arg) in
   Cmd.v (Cmd.info "trb" ~doc:"Run terminating reliable broadcast over P.") term
 
 (* --- churn subcommand --- *)
@@ -456,12 +497,13 @@ let churn_cmd =
   let module M = Afd_mega in
   let procs_arg =
     Arg.(
-      value & opt int 10_000
+      value
+      & opt (count_conv ~min:1 ~max:1_500_000 ~what:"a process count in 1..1500000") 10_000
       & info [ "procs" ] ~docv:"N" ~doc:"Initial universe size (up to ~10^6).")
   in
   let events_arg =
     Arg.(
-      value & opt int 1_000_000
+      value & opt non_negative_int 1_000_000
       & info [ "events" ] ~docv:"E" ~doc:"Event budget: stop after this many calendar pops.")
   in
   let churn_rate_arg =

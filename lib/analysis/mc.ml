@@ -3,7 +3,6 @@ module P = Afd_prop.Prop
 module Fd_event = Afd_prop.Fd_event
 module Counterexample = Afd_prop.Counterexample
 module Monitor = Afd_prop.Monitor
-module Verdict = Afd_prop.Verdict
 
 type 'o violation = {
   clause : string;
@@ -173,14 +172,15 @@ exception Latch of string * string
 let no_perm_out = "spec declares no output transport (perm_out)"
 
 (* A closed system as the stages consume it: its automaton, its state
-   identity, how output payloads compare, and — when symmetry is
-   requested and the spec can transport outputs — the permutation
+   identity, how output payloads compare and hash, and — when symmetry
+   is requested and the spec can transport outputs — the permutation
    action on its states together with the one on output payloads. *)
 type ('s, 'o) system = {
   sys : ('s, 'o Fd_event.t) Automaton.t;
   equal_state : 's -> 's -> bool;
   hash_state : 's -> int;
   equal_out : 'o -> 'o -> bool;
+  hash_out : 'o -> int;
   symmetry : (('s, 'o Fd_event.t) Probe.symmetry * ((int -> int) -> 'o -> 'o)) option;
 }
 
@@ -292,14 +292,16 @@ let mix h v = (h * 131) + v
 
 (* Product hash, congruent with [pequal]: it reads every field the
    equality reads, folding over sets and maps in their key order rather
-   than building lists.  [acc] is whether [Fold] accumulators join:
-   under structural identity ([rt_equal], [obj_equal]) equal
-   accumulators are structurally equal and so hash equal; quotient runs
-   compare them through [fcmp], whose classes (transported accumulators
-   of differing AVL shape) have no congruent hash, so there they are
-   skipped. *)
+   than building lists; [last_output] payloads go through the spec's
+   [hash_out], congruent with its [equal_out].  [acc] is whether [Fold]
+   accumulators join: under structural identity ([rt_equal],
+   [obj_equal]) equal accumulators are structurally equal and so hash
+   equal; quotient runs compare them through [fcmp], whose classes
+   (transported accumulators of differing AVL shape) have no congruent
+   hash, so there they are skipped. *)
 let phash system ~acc tl =
-  let hash_state = system.hash_state in
+  let hash_state = system.hash_state and hash_out = system.hash_out in
+  let mix_out l o h = mix (mix h l) (hash_out o) in
   function
   | Latched { clause; reason } -> Hashtbl.hash (clause, reason)
   | Running r ->
@@ -317,9 +319,7 @@ let phash system ~acc tl =
     in
     if not tl then h
     else
-      (* [equal_out] may be coarser than structural equality on
-         payloads, so only the [last_output] domain is hashed. *)
-      let h = Loc.Map.fold (fun l _ h -> mix h l) s.P.last_output (mix h (-2)) in
+      let h = Loc.Map.fold mix_out s.P.last_output (mix h (-2)) in
       Loc.Map.fold
         (fun l c h -> mix (mix h l) (min c count_cap))
         s.P.output_counts (mix h (-3))
@@ -486,8 +486,9 @@ let explore ~max_states ~por ~jobs ~log ~n prop system =
 (* --- stage 2, safety: judges, inescapability, candidates, path
    lifting, replay --- *)
 
-(* The first violated [Fold] judge of a reachable Running state. *)
-let judge_violation names = function
+(* The first violated [Fold] judge of a reachable Running state: its
+   clause slot and its (lazy) reason. *)
+let judge_violation = function
   | Latched _ -> None
   | Running r ->
     let res = ref None in
@@ -497,11 +498,16 @@ let judge_violation names = function
           match c with
           | C_fold { fold; acc } -> (
             match fold.P.fjudge r.summary acc with
-            | P.J_violated reason -> res := Some (names.(i), reason)
+            | P.J_violated reason -> res := Some (i, reason)
             | P.J_sat | P.J_undecided _ -> ())
           | C_always _ | C_until _ -> ())
       r.rts;
     !res
+
+(* Every state's first violated clause slot, or -1.  Reasons are not
+   kept: the few that are printed are re-judged by [candidates]. *)
+let judge_all states =
+  Array.map (fun st -> match judge_violation st with Some (i, _) -> i | None -> -1) states
 
 (* A judged violation counts only if inescapable: no path from it
    reaches a non-violated Running state.  Reverse reachability from the
@@ -520,7 +526,7 @@ let inescapable (space : _ Space.t) judged =
     Array.iteri
       (fun i st ->
         match st with
-        | Running _ when Option.is_none judged.(i) ->
+        | Running _ when judged.(i) < 0 ->
           escapes.(i) <- true;
           Queue.add i q
         | Running _ | Latched _ -> ())
@@ -534,13 +540,14 @@ let inescapable (space : _ Space.t) judged =
           end)
         radj.(Queue.pop q)
     done;
-    fun i -> Option.is_some judged.(i) && not escapes.(i)
+    fun i -> judged.(i) >= 0 && not escapes.(i)
   end
 
 (* Candidate violations, one per clause, newest first; discovery order
    is nondecreasing depth (no seed states here), so each clause's is
-   its shallowest. *)
-let candidates (space : _ Space.t) judged inescapable_at =
+   its shallowest.  A judged reason is formatted only here, for the
+   candidate recorded: its state is judged again. *)
+let candidates names (space : _ Space.t) judged inescapable_at =
   let found = ref [] in
   let seen_clause = Hashtbl.create 8 in
   Array.iteri
@@ -548,16 +555,17 @@ let candidates (space : _ Space.t) judged inescapable_at =
       let record kind clause reason =
         if not (Hashtbl.mem seen_clause clause) then begin
           Hashtbl.add seen_clause clause ();
-          found := (i, kind, clause, reason) :: !found
+          found := (i, kind, clause, reason ()) :: !found
         end
       in
       (match st with
-      | Latched { clause; reason } -> record `Edge clause reason
+      | Latched { clause; reason } -> record `Edge clause (fun () -> reason)
       | Running _ -> ());
       if inescapable_at i then
-        match judged.(i) with
-        | Some (clause, reason) -> record `Judgement clause reason
-        | None -> ())
+        record `Judgement names.(judged.(i)) (fun () ->
+            match judge_violation st with
+            | Some (_, reason) -> Lazy.force reason
+            | None -> assert false))
     space.Space.states;
   !found
 
@@ -591,7 +599,7 @@ let lift_path ex q_sy i =
     (collect i [])
 
 let safety ~n prop ex =
-  let judged = Array.map (judge_violation ex.runtime.names) ex.space.Space.states in
+  let judged = judge_all ex.space.Space.states in
   List.rev_map
     (fun (i, kind, clause, reason) ->
       let path =
@@ -599,13 +607,17 @@ let safety ~n prop ex =
         | None -> Space.path_actions ex.space i
         | Some q -> lift_path ex q i
       in
-      let replay = Monitor.replay ~n prop path in
+      let m = Monitor.create ~n prop in
+      List.iter (Monitor.observe m) path;
+      let replay = Monitor.judgement m in
       (* A quotient-discovered latch reason names representative
          locations; the replay of the lifted path names the real ones
-         (minus the clause prefix the monitor prepends). *)
+         (minus the clause prefix the monitor prepends).  Unreduced
+         runs read only the replay's class, so format no reason. *)
       let reason =
         match (ex.quotient, replay) with
-        | Some _, Verdict.Violated r ->
+        | Some _, P.J_violated r ->
+          let r = Lazy.force r in
           let prefix = clause ^ ": " in
           let lp = String.length prefix in
           if String.length r >= lp && String.equal (String.sub r 0 lp) prefix then
@@ -618,9 +630,10 @@ let safety ~n prop ex =
         kind;
         depth = ex.space.Space.depth.(i);
         counterexample = Counterexample.of_path ~clause ~reason path;
-        confirmed = Verdict.is_violated replay;
+        confirmed =
+          (match replay with P.J_violated _ -> true | P.J_sat | P.J_undecided _ -> false);
       })
-    (candidates ex.space judged (inescapable ex.space judged))
+    (candidates ex.runtime.names ex.space judged (inescapable ex.space judged))
   |> List.sort (fun a b -> compare a.depth b.depth)
 
 (* --- stage 3, liveness: pivot search, lasso replay --- *)
@@ -632,8 +645,8 @@ let safety ~n prop ex =
    maximal fair execution ends with the "eventually" still pending).
    Discovery order is nondecreasing depth, so the first pivot found
    yields the shortest stem; the graph tests go first, so the judge
-   (which formats a reason for every non-[Sat] state) runs only on
-   pivot candidates. *)
+   runs only on pivot candidates, and only the returned pivot's reason
+   is formatted. *)
 let find_pivot live (space : _ Space.t) judge =
   let nstates = Array.length space.Space.states in
   let pivot = ref None and i = ref 0 in
@@ -652,7 +665,7 @@ let find_pivot live (space : _ Space.t) judge =
         match judge r.summary with
         | P.J_sat -> ()
         | P.J_violated reason | P.J_undecided reason ->
-          pivot := Some (!i, reason, kind))));
+          pivot := Some (!i, Lazy.force reason, kind))));
     incr i
   done;
   !pivot
@@ -668,9 +681,9 @@ let lasso_confirmed ~n prop cname stem cyc =
       for _ = 1 to k do
         List.iter (Monitor.observe m) cyc
       done;
-      match List.assoc_opt cname (Monitor.clause_verdicts m) with
-      | Some Verdict.Sat | None -> false
-      | Some (Verdict.Violated _ | Verdict.Undecided _) -> true)
+      match List.assoc_opt cname (Monitor.clause_judgements m) with
+      | Some P.J_sat | None -> false
+      | Some (P.J_violated _ | P.J_undecided _) -> true)
     (if cyc = [] then [ 0 ] else [ 1; 2; 3 ])
 
 (* Pivots are positive facts, so refutations are sound even on a
@@ -797,6 +810,7 @@ let symmetric_system ~n spec dsym perm_o detector crash =
     equal_state = (fun a b -> psym.ss_cmp a b = 0);
     hash_state = psym.ss_hash;
     equal_out = spec.Afd_core.Afd.equal_out;
+    hash_out = spec.Afd_core.Afd.hash_out;
     symmetry =
       Some
         ( { Probe.sy_n = n;
@@ -830,6 +844,7 @@ let check_spec ?(max_states = default_max_states) ?(por = false) ?(jobs = 1) ?ti
             equal_state = Composition.equal_state;
             hash_state = Composition.hash_state;
             equal_out = spec.Afd_core.Afd.equal_out;
+            hash_out = spec.Afd_core.Afd.hash_out;
             symmetry = None;
           }
       in

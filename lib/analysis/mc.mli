@@ -18,8 +18,9 @@
     destination as a violating sink, so its BFS depth is the minimal
     violating prefix.  [Fold] clauses are stepped along every edge
     (latching on step errors) and their judges are evaluated in every
-    reachable product state; a [J_violated] judgement is reported only
-    when it is {e inescapable} — no path leads back to a non-violated
+    reachable product state (their reasons stay lazy, and only a
+    reported violation's is formatted); a [J_violated] judgement is
+    reported only when it is {e inescapable} — no path leads back to a non-violated
     state — which under an [Exhausted] verdict means every infinite
     extension stays violated.
 
@@ -47,13 +48,15 @@
 
     The seen-set hash reads every field this equality reads: the
     system state's hash, the capped length, the crashed set, the
-    [Until] flags and, with liveness in scope, the [last_output]
-    domain and the capped counts.  Without a certified symmetry
+    [Until] flags and, with liveness in scope, every [last_output]
+    entry — its location and the spec's [hash_out] of its payload,
+    which {!Afd_core.Afd.spec} requires congruent with [equal_out] —
+    and the capped counts.  Without a certified symmetry
     quotient, [Fold] accumulators compare structurally and are hashed
     structurally too.  Under a quotient they compare through the
     fold's semantic order ([fcmp]), which has no congruent hash, so
-    quotient runs leave them out of the hash: states that differ only there share a bucket and are told
-    apart by the equality.
+    quotient runs leave them out of the hash: states that differ only
+    there share a hash and are told apart by the equality.
 
     {b Stages.}  {!check_spec} composes three stages.  {e Explore}
     builds the clause runtime (one slot per safety clause, plus the

@@ -82,11 +82,16 @@ let stepped aut probe =
       m_commit = ignore;
     }
 
-(* The seen-set is a bucket table keyed by [probe.hash_state]: a bucket
-   holds the indices of all discovered states with that hash, scanned
-   with the probe's (authoritative) state equality.  When no congruent
-   hash is known the table degrades to a single bucket — exactly the
-   old list scan, still exact. *)
+(* The seen-set is an open-addressed table of state indices (linear
+   probing, at most half full), slotted by the top bits of the scrambled
+   [probe.hash_state].  Each state's full hash is kept alongside it, so
+   a probe calls the probe's (authoritative) state equality only on a
+   full-hash match.  When no congruent hash is known every state hashes
+   to 0 and a probe scans them all — the old list scan, still exact.
+   Only [add_state], on the core, grows the table: workers run [find]
+   while the core waits. *)
+let slot bits h = (h * 0x4F1BBCDCBFA53E0B) lsr (Sys.int_size - bits)
+
 let explore_with ?(por = false) expansions aut probe =
   let max_states = probe.Probe.max_states in
   let hash = match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0 in
@@ -94,10 +99,11 @@ let explore_with ?(por = false) expansions aut probe =
   let probe_acts = Array.of_list probe.Probe.actions in
   (* Parallel growable arrays indexed by discovery order. *)
   let states = ref [||] and n = ref 0 in
-  let parent = ref [||] and depth = ref [||] in
+  let parent = ref [||] and depth = ref [||] and hashes = ref [||] in
   let sleep = ref [||] and done_moves = ref [||] in
   let expanded = ref [||] and queued = ref [||] in
-  let buckets : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  let bits = ref 4 in
+  let table = ref (Array.make (1 lsl !bits) (-1)) in
   let edges = ref [||] and transitions = ref 0 in
   let slept = ref 0 and cut = ref 0 and dup_seeds = ref 0 in
   let queue = Queue.create () in
@@ -113,19 +119,33 @@ let explore_with ?(por = false) expansions aut probe =
       grow states aut.Automaton.start;
       grow parent None;
       grow depth max_int;
+      grow hashes 0;
       grow sleep [];
-      grow done_moves [];
+      if por then grow done_moves [];
       grow expanded false;
       grow queued false
     end
   in
+  (* The probe loop allocates nothing: no closure, no option. *)
   let find s h =
-    match Hashtbl.find_opt buckets h with
-    | None -> -1
-    | Some bucket -> (
-      match List.find_opt (fun i -> equal (!states).(i) s) bucket with
-      | Some i -> i
-      | None -> -1)
+    let table = !table and hashes = !hashes and states = !states in
+    let mask = Array.length table - 1 in
+    let k = ref (slot !bits h) and res = ref (-2) in
+    while !res = -2 do
+      let j = table.(!k) in
+      if j < 0 then res := -1
+      else if hashes.(j) = h && equal states.(j) s then res := j
+      else k := (!k + 1) land mask
+    done;
+    !res
+  in
+  let insert table i =
+    let mask = Array.length table - 1 in
+    let k = ref (slot !bits (!hashes).(i)) in
+    while table.(!k) >= 0 do
+      k := (!k + 1) land mask
+    done;
+    table.(!k) <- i
   in
   let add_state s h ~par ~d ~sl =
     ensure ();
@@ -133,10 +153,18 @@ let explore_with ?(por = false) expansions aut probe =
     (!states).(i) <- s;
     (!parent).(i) <- par;
     (!depth).(i) <- d;
+    (!hashes).(i) <- h;
     (!sleep).(i) <- sl;
     (!queued).(i) <- true;
     incr n;
-    Hashtbl.replace buckets h (i :: Option.value ~default:[] (Hashtbl.find_opt buckets h));
+    if 2 * !n > Array.length !table then begin
+      incr bits;
+      table := Array.make (1 lsl !bits) (-1);
+      for j = 0 to i - 1 do
+        insert !table j
+      done
+    end;
+    insert !table i;
     Queue.add i queue;
     i
   in
@@ -218,9 +246,13 @@ let explore_with ?(por = false) expansions aut probe =
           let rec go v = if v >= k then -1 else if names.(v) = u then v else go (v + 1) in
           go 0
         in
+        (* The moves taken from [i].  With POR off a state is expanded
+           exactly once, so they are kept for this expansion only; under
+           POR a re-expansion reads the earlier ones back. *)
+        let done_here = ref (if por then (!done_moves).(i) else []) in
         for t = 0 to k - 1 do
           let name = names.(t) in
-          if not (List.mem name (!done_moves).(i)) then begin
+          if not (List.mem name !done_here) then begin
             if por && List.mem name (!sleep).(i) then incr slept
             else begin
               let sl' =
@@ -231,13 +263,14 @@ let explore_with ?(por = false) expansions aut probe =
                     (fun u ->
                       let v = index_of u in
                       v >= 0 && x.x_commute v t)
-                    (List.sort_uniq Stdlib.compare ((!sleep).(i) @ (!done_moves).(i)))
+                    (List.sort_uniq Stdlib.compare ((!sleep).(i) @ !done_here))
               in
-              (!done_moves).(i) <- name :: (!done_moves).(i);
+              done_here := name :: !done_here;
               take x i x.x_acts.(t) (Some name) sl' (x.x_step t)
             end
           end
-        done)
+        done;
+        if por then (!done_moves).(i) <- !done_here)
       round
   done;
   {

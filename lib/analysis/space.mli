@@ -18,6 +18,15 @@
     equivariance, for canonical successors.  The core never canonizes
     by itself, so no uncertified canonizer can merge states.
 
+    {b The seen-set} is an open-addressed table of discovery indices
+    (linear probing, at most half full) slotted by the scrambled
+    [hash_state], with every state's full hash kept beside it: a
+    lookup runs the probe's [equal_state] only on a full-hash match,
+    and allocates nothing.  Only the core's insertion grows the table.
+    A missing or weak hash stays exact, only slower.  The moves already
+    taken from a state are kept only under POR, the one case where a
+    state is expanded more than once.
+
     {b Partial-order reduction.}  With [~por:true] the explorer runs a
     sleep-set reduction (Godefroid): when two task transitions commute
     at a state — both orders are defined and converge to the same state

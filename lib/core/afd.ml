@@ -2,18 +2,17 @@ type 'o spec = {
   name : string;
   pp_out : 'o Fmt.t;
   equal_out : 'o -> 'o -> bool;
+  hash_out : 'o -> int;
   check : n:int -> 'o Fd_event.t list -> Verdict.t;
   prop : (n:int -> 'o Afd_prop.Prop.t) option;
   perm_out : ((int -> int) -> 'o -> 'o) option;
 }
 
-let raw ?perm_out ~name ~pp_out ~equal_out check =
-  { name; pp_out; equal_out; check; prop = None; perm_out }
-
-let of_prop ?perm_out ~name ~pp_out ~equal_out prop =
+let of_prop ?perm_out ~name ~pp_out ~equal_out ~hash_out prop =
   { name;
     pp_out;
     equal_out;
+    hash_out;
     check = (fun ~n t -> Afd_prop.Monitor.replay ~n (prop ~n) t);
     prop = Some prop;
     perm_out;

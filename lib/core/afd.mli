@@ -20,6 +20,15 @@ type 'o spec = {
   name : string;
   pp_out : 'o Fmt.t;
   equal_out : 'o -> 'o -> bool;
+  hash_out : 'o -> int;
+      (** a hash congruent with [equal_out]: [equal_out a b] implies
+          [hash_out a = hash_out b].  Like [equal_out] it is a declared
+          property of the payload type, not an option: the model
+          checker's seen-set hashes every live location's last output
+          with it ({!Afd_analysis.Mc}), so an incongruent hash splits
+          states that should merge.  Use [Loc.hash] for leader outputs
+          and [Loc.hash_set] for suspect sets — never [Hashtbl.hash] on
+          a set, which reads its tree shape. *)
   check : n:int -> 'o Fd_event.t list -> Verdict.t;
       (** membership of the (finite, limit-extended) trace in [T_D];
           must include the validity check. *)
@@ -40,22 +49,12 @@ val of_prop :
   name:string ->
   pp_out:'o Fmt.t ->
   equal_out:('o -> 'o -> bool) ->
+  hash_out:('o -> int) ->
   (n:int -> 'o Afd_prop.Prop.t) ->
   'o spec
 (** Build a spec from a temporal formula; [check] becomes
     [Afd_prop.Monitor.replay] of the formula.  The formula must
     include the validity clauses (use {!Afd_prop.Prop.validity}). *)
-
-val raw :
-  ?perm_out:((int -> int) -> 'o -> 'o) ->
-  name:string ->
-  pp_out:'o Fmt.t ->
-  equal_out:('o -> 'o -> bool) ->
-  (n:int -> 'o Fd_event.t list -> Verdict.t) ->
-  'o spec
-(** Build a spec from a bare full-trace scan ([prop = None]); only for
-    predicates genuinely outside the DSL — the lint rule
-    [prop-based-spec] flags raw detector specs. *)
 
 val check : 'o spec -> n:int -> 'o Fd_event.t list -> Verdict.t
 
@@ -64,8 +63,9 @@ type style = Prop_compiled | Raw_scan
 val style : 'o spec -> style
 
 val monitor : ?window:int -> 'o spec -> n:int -> 'o Afd_prop.Monitor.t option
-(** A fresh online monitor for the spec's formula; [None] for
-    {!raw} specs.  [window] sizes the counterexample witness window. *)
+(** A fresh online monitor for the spec's formula; [None] for a
+    spec record built without one ([prop = None]).  [window] sizes
+    the counterexample witness window. *)
 
 type closure_failure = {
   original : string;  (** formatted original trace *)

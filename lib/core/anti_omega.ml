@@ -6,7 +6,7 @@ type out = Loc.t
 let spared =
   P.eventually_stable ~name:"spared-location" (fun st ->
       match P.last_outputs st with
-      | Error u -> P.J_undecided u
+      | Error u -> P.J_undecided (lazy u)
       | Ok (last, live) ->
         if Loc.Set.is_empty live then P.J_sat
         else
@@ -15,8 +15,10 @@ let spared =
           in
           let spared = Loc.Set.diff live named in
           if Loc.Set.is_empty spared then
-            P.J_undecided "every live location is still being output"
+            P.J_undecided (lazy "every live location is still being output")
           else P.J_sat)
 
 let prop ~n:_ = P.conj [ P.validity (); spared ]
-let spec = Afd.of_prop ~perm_out:(fun pi i -> pi i) ~name:"anti-Omega" ~pp_out:Loc.pp ~equal_out:Loc.equal prop
+let spec =
+  Afd.of_prop ~perm_out:(fun pi i -> pi i) ~name:"anti-Omega" ~pp_out:Loc.pp
+    ~equal_out:Loc.equal ~hash_out:Loc.hash prop

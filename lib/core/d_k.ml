@@ -22,7 +22,7 @@ let accuracy_after_k ~k =
 let completeness =
   P.eventually_stable ~name:"completeness" (fun st ->
       match P.last_outputs st with
-      | Error u -> P.J_undecided u
+      | Error u -> P.J_undecided (lazy u)
       | Ok (last, _live) ->
         let faulty = st.P.crashed in
         Loc.Map.fold
@@ -31,7 +31,7 @@ let completeness =
             else
               P.j_and acc
                 (P.J_undecided
-                   (Fmt.str "last output at %a misses faulty %a" Loc.pp i
+                   (P.reasonf "last output at %a misses faulty %a" Loc.pp i
                       Loc.pp_set (Loc.Set.diff faulty s))))
           last P.J_sat)
 
@@ -41,7 +41,8 @@ let spec ~k =
   Afd.of_prop
     ~perm_out:(fun pi -> Loc.Set.map pi)
     ~name:(Printf.sprintf "D_%d" k)
-    ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal (prop ~k)
+    ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set
+    (prop ~k)
 
 (* Witness for non-closure under constrained reordering, n = 2, no
    crashes.  Original trace ([k-1] padding outputs at p0, then):

@@ -9,7 +9,7 @@ type out = Loc.Set.t
 let convergence =
   P.eventually_stable ~name:"convergence" (fun st ->
       match P.last_outputs st with
-      | Error u -> P.J_undecided u
+      | Error u -> P.J_undecided (lazy u)
       | Ok (last, live) ->
         let faulty = st.P.crashed in
         Loc.Map.fold
@@ -18,15 +18,17 @@ let convergence =
             if not (Loc.Set.is_empty trust_violation) then
               P.j_and acc
                 (P.J_undecided
-                   (Fmt.str "last output at %a still suspects live %a" Loc.pp i
+                   (P.reasonf "last output at %a still suspects live %a" Loc.pp i
                       Loc.pp_set trust_violation))
             else if not (Loc.Set.subset faulty s) then
               P.j_and acc
                 (P.J_undecided
-                   (Fmt.str "last output at %a misses faulty %a" Loc.pp i
+                   (P.reasonf "last output at %a misses faulty %a" Loc.pp i
                       Loc.pp_set (Loc.Set.diff faulty s)))
             else acc)
           last P.J_sat)
 
 let prop ~n:_ = P.conj [ P.validity (); convergence ]
-let spec = Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"EvP" ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal prop
+let spec =
+  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"EvP" ~pp_out:Loc.pp_set
+    ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set prop

@@ -25,19 +25,22 @@ let exactness =
         if List.exists (fun (s', _) -> Loc.Set.equal s s') seen then Ok seen
         else Ok (seen @ [ (s, i) ]))
     ~judge:(fun st seen ->
+      (* One reason for all the offending payloads, joined as [P.j_and]
+         would join theirs: the judge runs on every reachable state. *)
       let faulty = st.P.crashed in
-      List.fold_left
-        (fun acc (s, i) ->
-          if Loc.Set.equal s faulty then acc
-          else
-            P.j_and acc
-              (P.J_violated
-                 (Fmt.str "output %a at %a differs from final faulty set %a"
-                    Loc.pp_set s Loc.pp i Loc.pp_set faulty)))
-        P.J_sat seen)
+      match List.filter (fun (s, _) -> not (Loc.Set.equal s faulty)) seen with
+      | [] -> P.J_sat
+      | wrong ->
+        let differs ppf (s, i) =
+          Format.fprintf ppf "output %a at %a differs from final faulty set %a"
+            Loc.pp_set s Loc.pp i Loc.pp_set faulty
+        in
+        P.J_violated (P.reasonf "%a" Fmt.(list ~sep:(any "; ") differs) wrong))
 
 let prop ~n:_ = P.conj [ P.validity (); exactness ]
-let spec = Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"Marabout" ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal prop
+let spec =
+  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"Marabout" ~pp_out:Loc.pp_set
+    ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set prop
 
 type refutation = {
   pattern_a : Loc.Set.t;

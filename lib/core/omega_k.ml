@@ -15,7 +15,7 @@ let shape ~k =
 let common_live =
   P.eventually_stable ~name:"common-live" (fun st ->
       match P.last_outputs st with
-      | Error u -> P.J_undecided u
+      | Error u -> P.J_undecided (lazy u)
       | Ok (last, live) ->
         if Loc.Set.is_empty live then P.J_sat
         else
@@ -26,7 +26,7 @@ let common_live =
               (Loc.set_of_universe ~n:st.P.n)
           in
           if Loc.Set.is_empty (Loc.Set.inter common live) then
-            P.J_undecided "stable outputs share no common live location"
+            P.J_undecided (lazy "stable outputs share no common live location")
           else P.J_sat)
 
 let prop ~k ~n:_ = P.conj [ P.validity (); shape ~k; common_live ]
@@ -36,4 +36,5 @@ let spec ~k =
   Afd.of_prop
     ~perm_out:(fun pi -> Loc.Set.map pi)
     ~name:(Printf.sprintf "Omega_%d" k)
-    ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal (prop ~k)
+    ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set
+    (prop ~k)

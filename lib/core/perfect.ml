@@ -20,7 +20,7 @@ let accuracy =
 let completeness =
   P.eventually_stable ~name:"completeness" (fun st ->
       match P.last_outputs st with
-      | Error u -> P.J_undecided u
+      | Error u -> P.J_undecided (lazy u)
       | Ok (last, _live) ->
         let faulty = st.P.crashed in
         Loc.Map.fold
@@ -29,9 +29,11 @@ let completeness =
             else
               P.j_and acc
                 (P.J_undecided
-                   (Fmt.str "last output at %a (%a) misses faulty %a" Loc.pp i
+                   (P.reasonf "last output at %a (%a) misses faulty %a" Loc.pp i
                       Loc.pp_set s Loc.pp_set (Loc.Set.diff faulty s))))
           last P.J_sat)
 
 let prop ~n:_ = P.conj [ P.validity (); accuracy; completeness ]
-let spec = Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"P" ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal prop
+let spec =
+  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"P" ~pp_out:Loc.pp_set
+    ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set prop

@@ -15,7 +15,7 @@ let shape ~k =
 let convergence =
   P.eventually_stable ~name:"convergence" (fun st ->
       match P.last_outputs st with
-      | Error u -> P.J_undecided u
+      | Error u -> P.J_undecided (lazy u)
       | Ok (last, live) ->
         if Loc.Set.is_empty live then P.J_sat
         else
@@ -26,11 +26,11 @@ let convergence =
             | s0 :: rest -> List.for_all (Loc.Set.equal s0) rest
           in
           if not all_equal then
-            P.J_undecided "live locations have not converged on one set"
+            P.J_undecided (lazy "live locations have not converged on one set")
           else
             let k0 = List.hd sets in
             if Loc.Set.is_empty (Loc.Set.inter k0 live) then
-              P.J_undecided "converged set contains no live location"
+              P.J_undecided (lazy "converged set contains no live location")
             else P.J_sat)
 
 let prop ~k ~n:_ = P.conj [ P.validity (); shape ~k; convergence ]
@@ -40,4 +40,5 @@ let spec ~k =
   Afd.of_prop
     ~perm_out:(fun pi -> Loc.Set.map pi)
     ~name:(Printf.sprintf "Psi_%d" k)
-    ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal (prop ~k)
+    ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set
+    (prop ~k)

@@ -29,7 +29,7 @@ let intersection =
 let completeness =
   P.eventually_stable ~name:"completeness" (fun st ->
       match P.last_outputs st with
-      | Error u -> P.J_undecided u
+      | Error u -> P.J_undecided (lazy u)
       | Ok (last, live) ->
         Loc.Map.fold
           (fun i q acc ->
@@ -37,9 +37,11 @@ let completeness =
             else
               P.j_and acc
                 (P.J_undecided
-                   (Fmt.str "last quorum at %a contains faulty %a" Loc.pp i
+                   (P.reasonf "last quorum at %a contains faulty %a" Loc.pp i
                       Loc.pp_set (Loc.Set.diff q live))))
           last P.J_sat)
 
 let prop ~n:_ = P.conj [ P.validity (); intersection; completeness ]
-let spec = Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"Sigma" ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal prop
+let spec =
+  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"Sigma" ~pp_out:Loc.pp_set
+    ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set prop

@@ -19,13 +19,13 @@ let weak_accuracy =
       let live = P.live st in
       if Loc.Set.is_empty live then P.J_sat
       else if Loc.Set.is_empty (Loc.Set.diff live suspected) then
-        P.J_violated "every live location has been suspected at least once"
+        P.J_violated (lazy "every live location has been suspected at least once")
       else P.J_sat)
 
 let completeness =
   P.eventually_stable ~name:"completeness" (fun st ->
       match P.last_outputs st with
-      | Error u -> P.J_undecided u
+      | Error u -> P.J_undecided (lazy u)
       | Ok (last, _live) ->
         let faulty = st.P.crashed in
         Loc.Map.fold
@@ -34,9 +34,11 @@ let completeness =
             else
               P.j_and acc
                 (P.J_undecided
-                   (Fmt.str "last output at %a misses faulty %a" Loc.pp i
+                   (P.reasonf "last output at %a misses faulty %a" Loc.pp i
                       Loc.pp_set (Loc.Set.diff faulty s))))
           last P.J_sat)
 
 let prop ~n:_ = P.conj [ P.validity (); weak_accuracy; completeness ]
-let spec = Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"S" ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal prop
+let spec =
+  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"S" ~pp_out:Loc.pp_set
+    ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set prop

@@ -18,6 +18,8 @@ let min_not_in ~n excluded =
 module Set = Set.Make (Int)
 module Map = Map.Make (Int)
 
+let hash_set s = Set.fold (fun i h -> (h * 31) + i + 1) s 0
+
 let set_of_universe ~n = Set.of_list (universe ~n)
 
 let pp_set fmt s =

@@ -28,5 +28,11 @@ val min_not_in : n:int -> (t -> bool) -> t option
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
+val hash_set : Set.t -> int
+(** A hash congruent with [Set.equal]: it folds over the elements in
+    increasing order, so two sets with the same elements hash alike
+    whatever the shape of their trees (unlike [Hashtbl.hash], which
+    reads the tree). *)
+
 val set_of_universe : n:int -> Set.t
 val pp_set : Format.formatter -> Set.t -> unit

@@ -108,22 +108,35 @@ let observe m e =
 let length m = m.st.Prop.len
 let state m = m.st
 
-let runner_verdict m r =
+let runner_judgement m r =
   match r.latched with
-  | Some (_, reason) -> Verdict.Violated reason
+  | Some (_, reason) -> Prop.J_violated (Lazy.from_val reason)
   | None -> (
     match r.kind with
-    | K_always _ | K_until _ -> Verdict.Sat
-    | K_stable judge -> Prop.to_verdict (judge m.st)
-    | K_fold f -> Prop.to_verdict (f.fold.Prop.fjudge m.st f.acc))
+    | K_always _ | K_until _ -> Prop.J_sat
+    | K_stable judge -> judge m.st
+    | K_fold f -> f.fold.Prop.fjudge m.st f.acc)
+
+let runner_verdict m r = Prop.to_verdict (runner_judgement m r)
+
+let clause_judgements m =
+  Array.to_list (Array.map (fun r -> (r.cname, runner_judgement m r)) m.runners)
 
 let clause_verdicts m =
-  Array.to_list (Array.map (fun r -> (r.cname, runner_verdict m r)) m.runners)
+  List.map (fun (c, j) -> (c, Prop.to_verdict j)) (clause_judgements m)
 
-let verdict m =
+(* [Verdict.tag] on a lazy reason. *)
+let tag name = function
+  | Prop.J_sat -> Prop.J_sat
+  | Prop.J_violated r -> Prop.J_violated (lazy (name ^ ": " ^ Lazy.force r))
+  | Prop.J_undecided r -> Prop.J_undecided (lazy (name ^ ": " ^ Lazy.force r))
+
+let judgement m =
   Array.fold_left
-    (fun acc r -> Verdict.(acc &&& tag r.cname (runner_verdict m r)))
-    Verdict.Sat m.runners
+    (fun acc r -> Prop.j_and acc (tag r.cname (runner_judgement m r)))
+    Prop.J_sat m.runners
+
+let verdict m = Prop.to_verdict (judgement m)
 
 let counterexample m =
   match m.first with

@@ -36,6 +36,13 @@ val verdict : 'o t -> Verdict.t
 val clause_verdicts : 'o t -> (string * Verdict.t) list
 (** Per-clause verdicts, in formula order, reasons untagged. *)
 
+val judgement : 'o t -> Prop.judgement
+val clause_judgements : 'o t -> (string * Prop.judgement) list
+(** {!verdict} and {!clause_verdicts} with the reasons still lazy
+    ([verdict m = Prop.to_verdict (judgement m)]): a caller that reads
+    only a verdict's class (sat, violated, undecided) formats no
+    reason. *)
+
 val counterexample : 'o t -> 'o Counterexample.t option
 (** The earliest latched violation (minimal violating prefix index,
     with the offending event and witness window); when the verdict is

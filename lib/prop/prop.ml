@@ -68,23 +68,29 @@ let last_outputs st =
 
 (* --- stable-suffix judgements --- *)
 
-type judgement = J_sat | J_violated of string | J_undecided of string
+(* Reasons are lazy: the model checker judges every reachable state but
+   prints the reason of at most one per clause, so a judge captures its
+   format arguments and formats nothing until a reason is forced. *)
+type judgement = J_sat | J_violated of string Lazy.t | J_undecided of string Lazy.t
+
+let reasonf fmt = Format.kdprintf (fun pr -> lazy (Format.asprintf "%t" pr)) fmt
+let join r1 r2 = lazy (Lazy.force r1 ^ "; " ^ Lazy.force r2)
 
 let j_and a b =
   match (a, b) with
-  | J_violated r1, J_violated r2 -> J_violated (r1 ^ "; " ^ r2)
+  | J_violated r1, J_violated r2 -> J_violated (join r1 r2)
   | (J_violated _ as v), _ | _, (J_violated _ as v) -> v
-  | J_undecided r1, J_undecided r2 -> J_undecided (r1 ^ "; " ^ r2)
+  | J_undecided r1, J_undecided r2 -> J_undecided (join r1 r2)
   | (J_undecided _ as u), _ | _, (J_undecided _ as u) -> u
   | J_sat, J_sat -> J_sat
 
 let j_all js = List.fold_left j_and J_sat js
-let j_of_bool ~undecided b = if b then J_sat else J_undecided undecided
+let j_of_bool ~undecided b = if b then J_sat else J_undecided (Lazy.from_val undecided)
 
 let to_verdict = function
   | J_sat -> Verdict.Sat
-  | J_violated r -> Verdict.Violated r
-  | J_undecided r -> Verdict.Undecided r
+  | J_violated r -> Verdict.Violated (Lazy.force r)
+  | J_undecided r -> Verdict.Undecided (Lazy.force r)
 
 let for_locs locs f = Loc.Set.fold (fun i acc -> j_and acc (f i)) locs J_sat
 let for_live st f = for_locs (live st) f
@@ -151,9 +157,8 @@ let validity ?(live_min = 1) () =
       eventually_stable ~name:"validity.liveness" (fun st ->
           for_live st (fun i ->
               let c = output_count st i in
-              j_of_bool
-                ~undecided:
-                  (Printf.sprintf "live location %s has %d < %d outputs"
-                     (Loc.to_string i) c live_min)
-                (c >= live_min)));
+              if c >= live_min then J_sat
+              else
+                J_undecided
+                  (reasonf "live location %a has %d < %d outputs" Loc.pp i c live_min)));
     ]

@@ -46,14 +46,27 @@ val last_outputs : 'o state -> ('o Loc.Map.t * Loc.Set.t, string) result
 
 (** {1 Stable-suffix judgements} *)
 
-type judgement = J_sat | J_violated of string | J_undecided of string
+type judgement = J_sat | J_violated of string Lazy.t | J_undecided of string Lazy.t
+(** Reasons are lazy.  The model checker ({!Afd_analysis.Mc}) judges
+    every reachable state, yet prints the reason of at most one state
+    per clause, so a judge should build its reason with {!reasonf},
+    which captures the arguments and formats nothing.  Reasons are
+    forced only where they are printed: by {!to_verdict} (hence by the
+    {!Monitor} verdicts), and in the model checker when it records a
+    clause's first violation or its liveness pivot. *)
+
+val reasonf : ('a, Format.formatter, unit, string Lazy.t) format4 -> 'a
+(** [reasonf fmt args] is the reason [Fmt.str fmt args], formatted
+    when forced ([Format.kdprintf] underneath). *)
 
 val j_and : judgement -> judgement -> judgement
-(** Same dominance and reason accumulation as {!Verdict.( &&& )}. *)
+(** Same dominance and reason accumulation as {!Verdict.( &&& )}; the
+    joined reason is formatted only when forced. *)
 
 val j_all : judgement list -> judgement
 val j_of_bool : undecided:string -> bool -> judgement
 val to_verdict : judgement -> Verdict.t
+(** Forces the reason. *)
 
 val for_locs : Loc.Set.t -> (Loc.t -> judgement) -> judgement
 (** Per-location lifting: conjunction of [f i] over the set, ascending. *)

@@ -176,6 +176,58 @@ let test_profile_invisible () =
     [ ("CHK.p", false, 1); ("CHK.marabout", true, 1); ("CHK.marabout", false, 2);
       ("CHK.flipflop", false, 1); ("CHK.omega", true, 2) ]
 
+(* --- lazy reasons --- *)
+
+(* Judges run on every reachable state, but only the reported
+   violation's and lasso's reasons are printed, so only those are
+   formatted.  The two counted clauses hold until p0 crashes (the fold
+   judge) or until some live location suspects someone (the stable
+   judge); after that both fail in every state, so a checker that
+   formats eagerly counts one format per such state.  FD-P at n = 3
+   makes both fail in hundreds of states. *)
+let test_reasons_formatted_when_reported () =
+  let module P = Afd_prop.Prop in
+  let module Loc = Afd_ioa.Loc in
+  let formatted = ref 0 in
+  let counted ppf () =
+    incr formatted;
+    Format.pp_print_string ppf "counted"
+  in
+  let p0_never_crashes =
+    P.folding ?perm:None ?cmp:None ~name:"p0-never-crashes" ~init:()
+      ~step:(fun _ () _ -> Ok ())
+      ~judge:(fun st () ->
+        if Loc.Set.mem 0 st.P.crashed then
+          P.J_violated (P.reasonf "p0 crashed (%a)" counted ())
+        else P.J_sat)
+  in
+  let suspects_nobody =
+    P.eventually_stable ~name:"suspects-nobody" (fun st ->
+        if Loc.Map.for_all (fun _ s -> Loc.Set.is_empty s) st.P.last_output then P.J_sat
+        else P.J_undecided (P.reasonf "someone is suspected (%a)" counted ()))
+  in
+  let spec =
+    Afd_core.Afd.of_prop ~name:"counted" ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal
+      ~hash_out:Loc.hash_set (fun ~n:_ ->
+        P.conj [ P.validity (); p0_never_crashes; suspects_nobody ])
+  in
+  match
+    Mc.check_spec ~n:3 spec ~detector:(Afd_core.Afd_automata.fd_perfect ~n:3)
+  with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+    let counted_clause c = c = "p0-never-crashes" || c = "suspects-nobody" in
+    let violations = List.filter (fun v -> counted_clause v.Mc.clause) o.Mc.violations in
+    let lassos = List.filter (fun l -> counted_clause l.Mc.l_clause) o.Mc.lassos in
+    Alcotest.(check int) "one fold violation reported" 1 (List.length violations);
+    Alcotest.(check int) "one lasso reported" 1 (List.length lassos);
+    Alcotest.(check bool) "both replay-confirmed" true
+      (List.for_all (fun v -> v.Mc.confirmed) violations
+      && List.for_all (fun l -> l.Mc.l_confirmed) lassos);
+    Alcotest.(check int) "reasons formatted = violations + lassos"
+      (List.length violations + List.length lassos)
+      !formatted
+
 let suite =
   [ Alcotest.test_case "quotient outcomes match the golden JSON" `Quick
       test_quotient_golden;
@@ -192,4 +244,6 @@ let suite =
       `Quick test_profile_invisible;
     Alcotest.test_case "a quotient reaching latched sinks: FD-Sigma vs P" `Quick
       test_latched_sinks;
+    Alcotest.test_case "judges' reasons are formatted only when reported" `Quick
+      test_reasons_formatted_when_reported;
   ]
