@@ -43,7 +43,8 @@ churn:
 bench:
 	dune exec bench/main.exe -- $(if $(JOBS),--jobs $(JOBS),)
 
-# same, plus the machine-readable BENCH.json for cross-PR perf diffing
+# same, plus the machine-readable BENCH.json (deterministic: the same
+# bytes at any JOBS, so verdict changes diff cleanly across commits)
 bench-json:
 	dune exec bench/main.exe -- $(if $(JOBS),--jobs $(JOBS),) --json BENCH.json
 
@@ -52,11 +53,42 @@ bench-json:
 bench-smoke:
 	dune exec bench/main.exe
 
-# throughput gate: re-run the experiment matrix and fail (exit 1) if
-# the aggregate transitions/sec regressed more than MAX_REGRESSION
-# percent (default 30) against the checked-in baseline
+# same-host A/B of the repository benchmark (BENCHMARK.json): builds
+# HEAD~1 in a git worktree, runs 5 pairs of
+# `benchmark/main.exe --all --seconds 10` (parent and change, the
+# order alternating from pair to pair), merges each side's runs into
+# .perf/parent.json and .perf/change.json, and fails when
+# `benchmark/main.exe --compare` flags a workload whose end-to-end
+# metric is worse than its bound or a deterministic count that
+# differs (log in .perf/compare.log).  About 10 minutes on 2 cores.
+# Both binaries run from paths of one length: the executable's path
+# is allocated at start-up, and that alone moved churn's peak_heap_mb
+# by 6% between byte-identical binaries.
 perf:
-	dune exec bench/main.exe -- --smoke $(if $(JOBS),--jobs $(JOBS),) --baseline BENCH_baseline.json $(if $(MAX_REGRESSION),--max-regression $(MAX_REGRESSION),)
+	dune build benchmark/main.exe
+	git worktree remove --force .perf/parent 2>/dev/null || true
+	rm -rf .perf && git worktree prune && mkdir .perf
+	git worktree add --detach .perf/parent HEAD~1
+	cd .perf/parent && dune build --root . benchmark/main.exe
+	cp .perf/parent/_build/default/benchmark/main.exe .perf/parent.exe
+	cp _build/default/benchmark/main.exe .perf/change.exe
+	git worktree remove --force .perf/parent
+	set -e; for i in 1 2 3 4 5; do \
+	  if [ $$((i % 2)) = 1 ]; then order="parent change"; else order="change parent"; fi; \
+	  for side in $$order; do \
+	    echo "perf: pair $$i, $$side"; \
+	    .perf/$$side.exe --all --seconds 10 --runs 1 --json .perf/$$side-$$i.json \
+	      > .perf/$$side-$$i.log; \
+	  done; \
+	done
+	for side in parent change; do \
+	  { printf '{"runs":['; \
+	    for i in 1 2 3 4 5; do sed -e 's/^{"runs":\[//' -e 's/\]}$$//' .perf/$$side-$$i.json; echo; done \
+	      | paste -sd, - | tr -d "\n"; \
+	    printf ']}'; } > .perf/$$side.json; \
+	done
+	.perf/change.exe --compare .perf/parent.json .perf/change.json > .perf/compare.log; \
+	  status=$$?; cat .perf/compare.log; exit $$status
 
 clean:
 	dune clean

@@ -2,9 +2,9 @@
 
    The paper (PODC'12 theory) has no measurement tables; its "results"
    are algorithms and theorems.  This harness regenerates each of them
-   as an experiment row (E1-E12, F1 of DESIGN.md), then times the
-   simulator and monitors with Bechamel (P1-P4).  EXPERIMENTS.md
-   records the expected output. *)
+   as an experiment row (E1-E18, A1-A5, F1 of DESIGN.md) whose cell is
+   a verdict.  EXPERIMENTS.md records the expected output.  Nothing
+   here is timed: performance is measured by benchmark/main.exe. *)
 
 open Afd_ioa
 open Afd_core
@@ -485,108 +485,6 @@ let f1 () =
     (verdict_str (C.Spec.check ~n ~f:1 r.Net.trace))
 
 (* ------------------------------------------------------------------ *)
-(* P1-P4: performance benches                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* PX: the domain-sharded parallel explorer against the sequential one
-   on the same largest catalog subject, single timed runs at 2/4/8
-   domains.  Every parallel result is gated through Space.agree — a
-   speedup figure is only printed for a structurally identical state
-   space.  Printed under the perf gate too, so `make perf` tracks
-   parallel exploration throughput alongside the sequential figures.
-   Speedup tops out at the machine's core count (single-core CI
-   containers will honestly print ~1.0x). *)
-let px_explore () =
-  let module A = Afd_analysis in
-  let comp =
-    (Heartbeat.net ~n:3 ~initial_timeout:2 ~crashable:(Loc.Set.singleton 2) ())
-      .Net.composition
-  in
-  let a = Composition.as_automaton comp in
-  let probe =
-    A.Probe.make ~equal_action:Act.equal ~pp_action:Act.pp
-      ~equal_state:Composition.equal_state ~hash_state:Composition.hash_state
-      ~max_states:6_000 Afd_bench.Explore_bench.heartbeat_acts
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let seq, t_seq = time (fun () -> A.Space.explore ~por:false a probe) in
-  row
-    "  PX explore heartbeat-net (%d states, %d transitions): sequential %.3fs \
-     (%.0f transitions/s)@."
-    (Array.length seq.A.Space.states)
-    seq.A.Space.stats.A.Space.transitions t_seq
-    (if t_seq > 0. then float_of_int seq.A.Space.stats.A.Space.transitions /. t_seq
-     else 0.);
-  List.iter
-    (fun jobs ->
-      let par, t_par = time (fun () -> A.Pspace.explore ~por:false ~jobs a probe) in
-      let equal =
-        A.Space.agree ~equal_state:Composition.equal_state ~equal_action:Act.equal
-          seq par
-      in
-      row "  PX   %d domains: %.3fs (%.0f transitions/s)  speedup=%.2fx  state-set-equal=%b@."
-        jobs t_par
-        (if t_par > 0. then float_of_int par.A.Space.stats.A.Space.transitions /. t_par
-         else 0.)
-        (if t_par > 0. then t_seq /. t_par else 0.)
-        equal;
-      assert equal)
-    [ 2; 4; 8 ]
-
-let perf () =
-  section "P1-P4  Performance (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let p_trace_200 =
-    Afd_automata.generate_trace ~detector:(Afd_automata.fd_perfect ~n:4) ~n:4 ~seed:3
-      ~crash_at:[ (20, 1) ] ~steps:200
-  in
-  let rng = Random.State.make [| 5 |] in
-  let synod_net = C.Synod_omega.net ~n:3 ~crashable:Loc.Set.empty () in
-  let tree_sys = T.Tree_system.flood_system ~n:2 ~f:1 in
-  let td = T.Tree_system.td_one_crash ~n:2 ~crash:1 ~pre:1 ~post:2 in
-  let tests =
-    [ Test.make ~name:"P1 simulator: synod n=3, 500 steps"
-        (Staged.stage (fun () -> ignore (Net.run synod_net ~seed:1 ~crash_at:[] ~steps:500)));
-      Test.make ~name:"P2 monitor: P spec on 200-event trace"
-        (Staged.stage (fun () -> ignore (Afd.check Perfect.spec ~n:4 p_trace_200)));
-      Test.make ~name:"P3 gen: sampling of 200-event trace"
-        (Staged.stage (fun () -> ignore (Trace_ops.gen_sampling rng p_trace_200)));
-      Test.make ~name:"P3 gen: reordering of 200-event trace"
-        (Staged.stage (fun () -> ignore (Trace_ops.gen_reordering rng p_trace_200)));
-      Test.make ~name:"P4 tree: build+classify n=2 quotient"
-        (Staged.stage (fun () ->
-             match
-               T.Tagged_tree.build ~system:tree_sys ~detector:C.Flood_p.detector_name
-                 ~td ~max_nodes:1_000_000
-             with
-             | Ok tree -> ignore (T.Valence.classify tree)
-             | Error e -> failwith e));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      Hashtbl.iter
-        (fun name raw ->
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> row "  %-45s %12.1f ns/run@." name t
-          | _ -> row "  %-45s (no estimate)@." name)
-        results)
-    tests;
-  px_explore ()
-
-(* ------------------------------------------------------------------ *)
 (* CLI                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -596,18 +494,11 @@ type opts = {
   json : string option;
   root_seed : int;
   smoke : bool;  (** matrix only (E1-E7), nonzero exit on violation *)
-  baseline : string option;
-      (** compare aggregate transitions/sec against a checked-in
-          BENCH_*.json; nonzero exit on a regression beyond
-          [max_regression] *)
-  max_regression : float;
-      (** the perf-gate tolerance, in percent (default 30): fail when
-          current throughput drops below (1 - pct/100) x baseline *)
 }
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--jobs N] [--seeds N] [--json PATH] [--root-seed N] [--smoke] [--baseline PATH] [--max-regression PCT]";
+    "usage: main.exe [--jobs N] [--seeds N] [--json PATH] [--root-seed N] [--smoke]";
   exit 2
 
 let parse_opts () =
@@ -617,8 +508,6 @@ let parse_opts () =
       json = None;
       root_seed = 1;
       smoke = false;
-      baseline = None;
-      max_regression = 30.;
     }
   in
   let int_of v = match int_of_string_opt v with Some n -> n | None -> usage () in
@@ -630,11 +519,6 @@ let parse_opts () =
     end;
     n
   in
-  let pct_of v =
-    match float_of_string_opt v with
-    | Some p when p >= 0. && p < 100. -> p
-    | _ -> usage ()
-  in
   let rec go o = function
     | [] -> o
     | "--jobs" :: v :: rest -> go { o with jobs = count_of "--jobs" v } rest
@@ -642,50 +526,9 @@ let parse_opts () =
     | "--json" :: v :: rest -> go { o with json = Some v } rest
     | "--root-seed" :: v :: rest -> go { o with root_seed = int_of v } rest
     | "--smoke" :: rest -> go { o with smoke = true } rest
-    | "--baseline" :: v :: rest -> go { o with baseline = Some v } rest
-    | "--max-regression" :: v :: rest -> go { o with max_regression = pct_of v } rest
     | _ -> usage ()
   in
   go defaults (List.tl (Array.to_list Sys.argv))
-
-(* Aggregate transitions/sec of a checked-in bench JSON, recovered by
-   string-scanning the per-cell fields (the repo has no JSON reader).
-   Cells carry ["steps":N] and ["seconds":X]; neither key occurs
-   elsewhere ("steps_fired" and "total_steps" don't match the quoted
-   key, and header/exp timings use "wall_clock_s"). *)
-let baseline_tps path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let scan key parse acc0 add =
-    let k = Printf.sprintf "\"%s\":" key in
-    let klen = String.length k in
-    let acc = ref acc0 in
-    let n = String.length s in
-    let pos = ref 0 in
-    while !pos + klen <= n do
-      if String.sub s !pos klen = k then begin
-        let j = ref (!pos + klen) in
-        while
-          !j < n
-          && (match s.[!j] with '0' .. '9' | '.' | '-' | 'e' | '+' -> true | _ -> false)
-        do
-          incr j
-        done;
-        (match parse (String.sub s (!pos + klen) (!j - !pos - klen)) with
-        | Some v -> acc := add !acc v
-        | None -> ());
-        pos := !j
-      end
-      else incr pos
-    done;
-    !acc
-  in
-  let steps = scan "steps" int_of_string_opt 0 ( + ) in
-  let seconds = scan "seconds" float_of_string_opt 0. ( +. ) in
-  if steps = 0 || seconds <= 0. then None
-  else Some (float_of_int steps /. seconds)
 
 let () =
   let o = parse_opts () in
@@ -700,27 +543,6 @@ let () =
   | Some path ->
     R.Report.write ~path run;
     Format.printf "wrote %s@." path
-  | None -> ());
-  (match o.baseline with
-  | Some path -> (
-    let current = R.Engine.aggregate_transitions_per_sec run in
-    match baseline_tps path with
-    | None ->
-      Printf.eprintf "perf: could not read a throughput figure from %s\n" path;
-      exit 1
-    | Some base ->
-      let ratio = if base > 0. then current /. base else infinity in
-      let floor = 1. -. (o.max_regression /. 100.) in
-      Format.printf
-        "@.perf gate: %.0f transitions/s vs baseline %.0f (%s) = %.2fx (floor %.2fx)@."
-        current base path ratio floor;
-      px_explore ();
-      if ratio < floor then begin
-        Printf.eprintf
-          "perf: aggregate throughput regressed more than %.0f%% vs %s (%.2fx)\n"
-          o.max_regression path ratio;
-        exit 1
-      end)
   | None -> ());
   if o.smoke then begin
     let violated =
@@ -750,6 +572,5 @@ let () =
     a4 ();
     a5 ();
     f1 ();
-    perf ();
     Format.printf "@.done.@."
   end

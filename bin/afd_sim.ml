@@ -62,7 +62,8 @@ let crash_conv =
     match String.split_on_char ':' s with
     | [ step; loc ] -> (
       match (int_of_string_opt step, int_of_string_opt loc) with
-      | Some k, Some i -> Ok (k, i)
+      | Some k, Some i when k >= 0 -> Ok (k, i)
+      | Some k, Some _ -> Error (`Msg (Printf.sprintf "step %d is negative" k))
       | _ -> Error (`Msg "expected STEP:LOC"))
     | _ -> Error (`Msg "expected STEP:LOC")
   in
@@ -174,9 +175,18 @@ let consensus_cmd =
           ~doc:"Algorithm: flood (uses P), synod (uses Omega), via-evp (EvP->Omega->synod), sigma-omega (dynamic quorums, f <= n-1).")
   in
   let f_arg =
-    Arg.(value & opt (some int) None & info [ "f" ] ~docv:"F" ~doc:"Crash tolerance (default: algorithm-specific).")
+    Arg.(value & opt (some int) None & info [ "f" ] ~docv:"F" ~doc:"Crash tolerance, 0 <= F <= N-1 (default: algorithm-specific).")
   in
-  let run algo (n, crash_at) f seed steps verbose =
+  let n_crash_f_arg =
+    let check (n, crash_at) f =
+      match f with
+      | Some f when f < 0 || f >= n ->
+        Error (Printf.sprintf "-f %d: expected 0 <= F <= %d (-n %d)" f (n - 1) n)
+      | _ -> Ok (n, crash_at, f)
+    in
+    Term.(term_result' ~usage:true (const check $ n_crash_arg $ f_arg))
+  in
+  let run algo (n, crash_at, f) seed steps verbose =
     let crashable = crashable_of crash_at in
     let f =
       match (f, algo) with
@@ -211,7 +221,7 @@ let consensus_cmd =
   in
   let term =
     Term.(
-      const run $ algo_arg $ n_crash_arg $ f_arg $ seed_arg $ steps_arg $ verbose_arg)
+      const run $ algo_arg $ n_crash_f_arg $ seed_arg $ steps_arg $ verbose_arg)
   in
   Cmd.v (Cmd.info "consensus" ~doc:"Run a consensus algorithm over an AFD.") term
 
@@ -506,9 +516,17 @@ let churn_cmd =
       value & opt non_negative_int 1_000_000
       & info [ "events" ] ~docv:"E" ~doc:"Event budget: stop after this many calendar pops.")
   in
+  let rate_conv =
+    let parse s =
+      match float_of_string_opt s with
+      | Some r when Float.is_finite r && r >= 0. -> Ok r
+      | _ -> Error (`Msg (Printf.sprintf "expected a finite non-negative rate, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
   let churn_rate_arg =
     Arg.(
-      value & opt float 5.0
+      value & opt rate_conv 5.0
       & info [ "churn-rate" ] ~docv:"R"
           ~doc:
             "Churn actions (crash, recover, join, leave, link failure, partition) per \
@@ -546,18 +564,16 @@ let churn_cmd =
             "Fixed smoke matrix — 10^4 processes, 10^5 events, both catalog detectors — \
              the fast path wired into dune runtest and CI; exits nonzero on any failure.")
   in
-  let report_row ~seed cfg =
+  let report_row cfg =
     let r = M.Engine.run cfg in
     Format.printf "%a@." M.Engine.pp_report r;
-    let ok = M.Engine.ok r in
-    if not ok then
-      Format.printf "  GATE FAILED: %s@."
-        (match r.M.Engine.monitor_verdict with
-        | Verdict.Violated e -> "monitor violated: " ^ e
-        | _ -> "faults injected but none detected");
-    ignore seed;
-    (r, ok)
+    let outcome = Afd_bench.Churn_bench.outcome r in
+    (match outcome.R.Metrics.verdict with
+    | Verdict.Violated e -> Format.printf "  GATE FAILED: %s@." e
+    | _ -> ());
+    outcome
   in
+  let passed o = Verdict.is_sat o.R.Metrics.verdict in
   let run procs events churn_rate topology detector seed json smoke =
     if smoke then begin
       let ok =
@@ -568,14 +584,14 @@ let churn_cmd =
                 ~detector:det ~seed ()
             in
             Format.printf "-- smoke: %s on %s --@." det (M.Topology.to_string topo);
-            snd (report_row ~seed cfg))
+            passed (report_row cfg))
           [ ("hb-pc", M.Topology.Ring 2); ("vcube", M.Topology.Hypercube) ]
       in
       if ok then 0 else 1
     end
     else begin
       let cfg = M.Engine.cfg ~procs ~events ~churn_rate ~topology ~detector ~seed () in
-      let r, ok = report_row ~seed cfg in
+      let outcome = report_row cfg in
       (match json with
       | Some path ->
         (* one CN row through the runner so the JSON shape matches the
@@ -586,22 +602,14 @@ let churn_cmd =
               (Printf.sprintf "CN %s/%s procs=%d churn=%g" detector
                  (M.Topology.to_string topology) procs churn_rate)
             ~show:(R.Matrix.show_detail ~label:"CN churn run")
-            (fun ~seed:_ ~faults:_ ->
-              R.Metrics.outcome ~steps:r.M.Engine.processed ~quiescent:false
-                ~detail:(M.Engine.deterministic_summary r)
-                ~clauses:r.M.Engine.monitor_clauses
-                (if ok then Verdict.Sat
-                 else
-                   match r.M.Engine.monitor_verdict with
-                   | Verdict.Violated _ as v -> v
-                   | _ -> Verdict.Violated "faults injected but none detected"))
+            (fun ~seed:_ ~faults:_ -> outcome)
         in
         let rep =
           R.Engine.run { R.Engine.jobs = 1; root_seed = seed; seeds_override = None } [ entry ]
         in
         R.Report.write ~path rep
       | None -> ());
-      if ok then 0 else 1
+      if passed outcome then 0 else 1
     end
   in
   let term =

@@ -12,21 +12,23 @@ module M = Afd_mega
 
 let section = "CN  Churn simulation (event calendar, sparse state, 10^3..10^4 procs)"
 
+let outcome r =
+  let verdict =
+    if M.Engine.ok r then Verdict.Sat
+    else
+      match r.M.Engine.monitor_verdict with
+      | Verdict.Violated _ as v -> v
+      | _ -> Verdict.Violated "faults injected but none detected"
+  in
+  R.Metrics.outcome ~steps:r.M.Engine.processed ~quiescent:false
+    ~detail:(M.Engine.deterministic_summary r)
+    ~clauses:r.M.Engine.monitor_clauses verdict
+
 let row ~id ~label ~procs ~events ~churn_rate ~topology ~detector =
   R.Matrix.entry ~id ~section ~label ~show:(R.Matrix.show_detail ~label)
     (fun ~seed ~faults:_ ->
-      let cfg = M.Engine.cfg ~procs ~events ~churn_rate ~topology ~detector ~seed () in
-      let r = M.Engine.run cfg in
-      let verdict =
-        if M.Engine.ok r then Verdict.Sat
-        else
-          match r.M.Engine.monitor_verdict with
-          | Verdict.Violated _ as v -> v
-          | _ -> Verdict.Violated "faults injected but none detected"
-      in
-      R.Metrics.outcome ~steps:r.M.Engine.processed ~quiescent:false
-        ~detail:(M.Engine.deterministic_summary r)
-        ~clauses:r.M.Engine.monitor_clauses verdict)
+      outcome
+        (M.Engine.run (M.Engine.cfg ~procs ~events ~churn_rate ~topology ~detector ~seed ())))
 
 let entries () =
   [ row ~id:"CN.hb-ring" ~label:"CN heartbeat/ring 4k procs, churn 5"

@@ -4,14 +4,10 @@
    subjects) twice with the hashed Space explorer — POR off and POR on
    — and reports the deterministic shape of the result: state count,
    edge counts, the POR edge-reduction factor and the completeness
-   verdict.  The cell's [steps] is the number of transitions explored,
-   so the perf gate (`make perf`, aggregate transitions/sec vs
-   BENCH_baseline.json) tracks exploration throughput alongside the
-   simulator's.  Timing never appears in the rendered row: the verdict
-   table stays byte-identical across domain counts.
-
-   The wall-clock comparison against the legacy list-scan seen-set
-   lives in the harness's perf section (bench/main.ml, P5), not here. *)
+   verdict.  The cell's [steps] is the number of transitions explored.
+   Timing never appears in the rendered row: the verdict table stays
+   byte-identical across domain counts.  The mc-catalog and mc-deep
+   workloads of benchmark/main.exe time the same explorer. *)
 
 open Afd_ioa
 open Afd_system

@@ -4,11 +4,9 @@
    reports only its deterministic shape: product states, transitions,
    which Stable clauses were proved (no fair violating cycle under an
    exhausted exploration) or refuted (replay-confirmed lasso).  The
-   cell's [steps] is the number of product transitions explored, so
-   the perf gate (`make perf`, aggregate transitions/sec vs
-   BENCH_baseline.json) tracks fair-cycle throughput alongside the
-   simulator's and the explorer's.  Timing never appears in the
-   rendered row. *)
+   cell's [steps] is the number of product transitions explored.
+   Timing never appears in the rendered row; the mc-catalog workload
+   of benchmark/main.exe times the same liveness pass. *)
 
 open Afd_ioa
 open Afd_core

@@ -4,9 +4,7 @@
     end to end and renders only deterministic shape: two truthful
     pairings proved (safety and every [Stable] clause, over all fault
     patterns at n=3), the two liveness-broken detectors refuted with
-    replay-confirmed lassos, and a raw SCC-condensation row.  The
-    product transitions explored feed the aggregate transitions/sec
-    the perf gate tracks. *)
+    replay-confirmed lassos, and a raw SCC-condensation row. *)
 
 val entries : unit -> Afd_runner.Matrix.entry list
 (** [ML.omega], [ML.p], [ML.flipflop], [ML.silent], [ML.scc] — all

@@ -7,12 +7,9 @@
    depths, verdict, stats) to the sequential Space.explore references.
    The rendered detail carries only deterministic shape, so the verdict
    table stays byte-identical at any --jobs and any domain count; the
-   cell's [steps] counts the transitions explored, feeding the same
-   aggregate transitions/sec the perf gate tracks for MX.
-
-   Wall-clock speedup is measured in the harness's perf section
-   (bench/main.ml, PX timing), not here: matrix rows must never render
-   timing. *)
+   cell's [steps] counts the transitions explored.  Matrix rows never
+   render timing, and no benchmark workload times the parallel
+   explorer. *)
 
 open Afd_ioa
 open Afd_system

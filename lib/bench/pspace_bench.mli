@@ -6,12 +6,8 @@
     verdict is [Sat] iff both parallel explorations are structurally
     identical ({!Afd_analysis.Space.agree}) to the sequential
     {!Afd_analysis.Space.explore} references.  The rendered detail is
-    deterministic shape only — the verdict table is byte-identical at
-    any [--jobs] — and the transitions explored feed the aggregate
-    transitions/sec the perf gate tracks.
-
-    Wall-clock speedup is measured in the harness's perf section
-    (bench/main.ml, PX timing), never in matrix rows. *)
+    deterministic shape only: the verdict table is byte-identical at
+    any [--jobs].  Nothing times these explorations. *)
 
 val entries : unit -> Afd_runner.Matrix.entry list
 (** [PX.heartbeat.jN] and [PX.flood.jN] for N in 1, 2, 4, 8, all

@@ -4,9 +4,9 @@
    the unreduced and orbit-quotiented model-checking runs must claim
    the same things, and certified subjects additionally climb the
    parametric cutoff ladder.  The cell's [steps] is the total product
-   states explored (quotient + unreduced), so the perf gate tracks the
-   reduction machinery's throughput alongside the explorers'.  Rows
-   are deterministic: pure graph work. *)
+   states explored (quotient + unreduced).  Rows are deterministic:
+   pure graph work.  The parametric workload of benchmark/main.exe
+   times the same re-verification. *)
 
 module R = Afd_runner
 module A = Afd_analysis

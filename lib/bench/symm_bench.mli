@@ -5,8 +5,7 @@
     things, certification outcomes are pinned (a subject that must
     certify going breaking — or vice versa — fails the row), and the
     certified rows climb the {!Afd_analysis.Mc.parametric} cutoff
-    ladder.  The states explored feed the aggregate throughput the
-    perf gate tracks. *)
+    ladder. *)
 
 val entries : unit -> Afd_runner.Matrix.entry list
 (** [SY.p], [SY.s], [SY.sigma], [SY.marabout] (certified — cutoff or

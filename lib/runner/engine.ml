@@ -4,7 +4,7 @@ type cfg = { jobs : int; root_seed : int; seeds_override : int option }
 
 let default_cfg = { jobs = 1; root_seed = 1; seeds_override = None }
 
-type run = { cfg : cfg; exps : Metrics.exp list; wall_seconds : float }
+type run = { cfg : cfg; exps : Metrics.exp list }
 
 let cell_seed ~root ~id ~fault_index ~seed_index =
   Afd_ioa.Scheduler.Seed.derive ~root
@@ -44,22 +44,18 @@ let expand cfg entries =
 
 let run_cell task =
   let faults = List.nth task.entry.Matrix.faults task.fault_index in
-  let t0 = Unix.gettimeofday () in
   let outcome =
     try task.entry.Matrix.body ~seed:task.scheduler_seed ~faults
     with e ->
       Metrics.outcome (Verdict.Violated ("exception: " ^ Printexc.to_string e))
   in
-  let seconds = Unix.gettimeofday () -. t0 in
   { Metrics.seed_index = task.seed_index;
     fault_index = task.fault_index;
     scheduler_seed = task.scheduler_seed;
     outcome;
-    seconds;
   }
 
 let run cfg entries =
-  let t0 = Unix.gettimeofday () in
   let tasks = Array.of_list (expand cfg entries) in
   let cells = Pool.map ~jobs:cfg.jobs run_cell tasks in
   (* Reassemble per entry, in matrix order: results were stored by cell
@@ -84,17 +80,7 @@ let run cfg entries =
         })
       entries
   in
-  { cfg; exps; wall_seconds = Unix.gettimeofday () -. t0 }
-
-let total_steps r =
-  List.fold_left (fun acc e -> acc + Metrics.exp_steps e) 0 r.exps
-
-let total_seconds r =
-  List.fold_left (fun acc e -> acc +. Metrics.exp_seconds e) 0. r.exps
-
-let aggregate_transitions_per_sec r =
-  let s = total_seconds r in
-  if s <= 0. then 0. else float_of_int (total_steps r) /. s
+  { cfg; exps }
 
 let verdict_table r =
   let buf = Buffer.create 4096 in
@@ -115,7 +101,5 @@ let pp fmt r =
   let cells =
     List.fold_left (fun acc e -> acc + List.length e.Metrics.cells) 0 r.exps
   in
-  Format.fprintf fmt
-    "(matrix: %d experiments, %d cells, jobs=%d, %.2fs, %.0f transitions/s)@."
-    (List.length r.exps) cells r.cfg.jobs r.wall_seconds
-    (aggregate_transitions_per_sec r)
+  Format.fprintf fmt "(matrix: %d experiments, %d cells, jobs=%d)@."
+    (List.length r.exps) cells r.cfg.jobs

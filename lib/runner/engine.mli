@@ -22,7 +22,6 @@ val default_cfg : cfg
 type run = {
   cfg : cfg;
   exps : Metrics.exp list;  (** in entry order, regardless of [jobs] *)
-  wall_seconds : float;  (** wall-clock of the whole matrix *)
 }
 
 val cell_seed : root:int -> id:string -> fault_index:int -> seed_index:int -> int
@@ -31,17 +30,6 @@ val cell_seed : root:int -> id:string -> fault_index:int -> seed_index:int -> in
 
 val run : cfg -> Matrix.entry list -> run
 
-val total_steps : run -> int
-(** Sum of [steps_fired] over every cell of every experiment. *)
-
-val total_seconds : run -> float
-(** Sum of per-cell wall-clock over every cell (CPU-time-like: cells
-    running on different domains are summed, not overlapped). *)
-
-val aggregate_transitions_per_sec : run -> float
-(** [total_steps / total_seconds]; [0.] when no time was observed.
-    The throughput figure [make perf] gates on. *)
-
 val verdict_table : run -> string
 (** Section headers plus every rendered row, newline-separated — the
     byte-comparable artifact of the determinism tests.  Contains no
@@ -49,4 +37,4 @@ val verdict_table : run -> string
 
 val pp : Format.formatter -> run -> unit
 (** Prints {!verdict_table} followed by a one-line matrix summary
-    (cells, jobs, wall-clock). *)
+    (experiments, cells, jobs). *)

@@ -36,7 +36,6 @@ type cell = {
   fault_index : int;
   scheduler_seed : int;
   outcome : outcome;
-  seconds : float;
 }
 
 type exp = {
@@ -49,8 +48,3 @@ type exp = {
 
 let exp_counts e = counts (List.map (fun c -> c.outcome) e.cells)
 let exp_steps e = List.fold_left (fun acc c -> acc + c.outcome.steps_fired) 0 e.cells
-let exp_seconds e = List.fold_left (fun acc c -> acc +. c.seconds) 0. e.cells
-
-let transitions_per_sec e =
-  let s = exp_seconds e in
-  if s <= 0. then 0. else float_of_int (exp_steps e) /. s

@@ -1,11 +1,10 @@
 (** Typed per-run metrics collected by the parallel experiment engine.
 
     Every matrix cell (one seeded run of one experiment under one fault
-    pattern) produces an {!outcome}; the engine times it into a {!cell}
-    and aggregates cells into an {!exp} row.  Nothing here depends on
-    wall-clock except the explicitly-named [seconds] fields, so two
-    runs with the same root seed compare byte-for-byte once timings are
-    stripped (see [Report.to_json ~timings:false]). *)
+    pattern) produces an {!outcome}; the engine places it in a {!cell}
+    and groups cells into an {!exp} row.  Nothing here reads a clock,
+    so two runs with the same root seed compare byte-for-byte (see
+    [Report.to_json]). *)
 
 open Afd_core
 
@@ -47,7 +46,6 @@ type cell = {
   fault_index : int;
   scheduler_seed : int;  (** derived via [Scheduler.Seed.derive] *)
   outcome : outcome;
-  seconds : float;  (** wall-clock of this cell alone *)
 }
 
 type exp = {
@@ -60,7 +58,3 @@ type exp = {
 
 val exp_counts : exp -> counts
 val exp_steps : exp -> int
-val exp_seconds : exp -> float
-
-val transitions_per_sec : exp -> float
-(** [exp_steps / exp_seconds]; [0.] when no time was observed. *)

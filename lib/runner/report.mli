@@ -1,6 +1,5 @@
 (** BENCH.json emission — the machine-readable counterpart of the
-    pretty verdict table, so the perf trajectory is diffable across
-    PRs.
+    pretty verdict table.
 
     The JSON is hand-rolled (the repo deliberately has no JSON
     dependency, same as [Afd_analysis.Report]).  Schema, informally:
@@ -8,8 +7,6 @@
     {v
     { "schema": "afd-bench/1",
       "root_seed": int, "seeds_override": int|null,
-      "run_id": str, "git": str, "jobs": int,        -- timings only
-      "wall_clock_s": float,                          -- timings only
       "experiments": [
         { "id": str, "section": str, "label": str,
           "cells": int, "steps_fired": int,
@@ -22,24 +19,15 @@
                                                      -- prefix index
                       "clauses": [ { "clause": str,  -- property-checked
                                      "verdict": str, -- runs only
-                                     "reason": str|null } ],
-                      "seconds": float } ],          -- timings only
-          "wall_clock_s": float,                      -- timings only
-          "transitions_per_sec": float } ] }          -- timings only
+                                     "reason": str|null } ] } ] } ] }
     v}
 
-    With [~timings:false] every field that can vary between two runs of
-    the same root seed (wall-clock, throughput, job count, git state,
-    run id) is omitted, so determinism tests can compare the emitted
-    strings byte-for-byte. *)
+    Every field is a pure function of the matrix and its root seed: the
+    report holds no clock, job count or repository state, so two runs
+    of the same root seed emit the same bytes at any [--jobs].  Timing
+    is the repository benchmark's job ([benchmark/main.exe]). *)
 
-val git_describe : unit -> string
-(** [git describe --always --dirty], or ["unknown"] when git or the
-    repository is unavailable. *)
-
-val to_json : ?timings:bool -> ?git:string -> Engine.run -> string
-(** [timings] defaults to [true]; [git] defaults to {!git_describe}
-    (only consulted when [timings]). *)
+val to_json : Engine.run -> string
 
 val write : path:string -> Engine.run -> unit
-(** Write [to_json ~timings:true] to [path]. *)
+(** Write {!to_json} to [path]. *)

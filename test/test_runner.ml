@@ -1,8 +1,8 @@
 (* Parallel-vs-sequential equivalence for the experiment runner: for a
-   fixed root seed the verdict table and the timing-stripped BENCH.json
-   must be byte-identical whatever the domain count — run order must
-   not leak into results — and reruns with the same root seed must
-   reproduce the same rows. *)
+   fixed root seed the verdict table and the BENCH.json report must be
+   byte-identical whatever the domain count — run order must not leak
+   into results — and reruns with the same root seed must reproduce
+   the same rows. *)
 
 open Afd_core
 module R = Afd_runner
@@ -35,14 +35,12 @@ let test_jobs_equivalence () =
   Alcotest.(check string) "verdict table jobs=1 vs jobs=4"
     (R.Engine.verdict_table r1) (R.Engine.verdict_table r4);
   Alcotest.(check string) "BENCH.json rows jobs=1 vs jobs=4"
-    (R.Report.to_json ~timings:false r1)
-    (R.Report.to_json ~timings:false r4)
+    (R.Report.to_json r1) (R.Report.to_json r4)
 
 let test_rerun_identical () =
   let a = run ~jobs:2 ~root:11 and b = run ~jobs:2 ~root:11 in
   Alcotest.(check string) "same root seed, same rows"
-    (R.Report.to_json ~timings:false a)
-    (R.Report.to_json ~timings:false b)
+    (R.Report.to_json a) (R.Report.to_json b)
 
 let scheduler_seeds r =
   List.concat_map
