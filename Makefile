@@ -18,13 +18,12 @@ lint:
 # exhaustive mode: graph lint rules over every reachable state, plus
 # the safety model checker proving the catalog specs on the closed
 # detector+crash product (a smoke pass also runs in `dune runtest`);
-# JOBS=n shards the frontier across n domains with identical verdicts;
 # SYMMETRY=1 runs the equivariance analyzer (certified subjects
 # explore orbit representatives, breaking ones get a named witness)
 # and re-verifies every CHK subject under its declared quotient,
 # climbing the parametric cutoff ladder for certified ones
 mc:
-	dune exec bin/afd_lint.exe -- --mc $(if $(MAX_STATES),--max-states $(MAX_STATES),) $(if $(JOBS),--jobs $(JOBS),) $(if $(SYMMETRY),--symmetry,)
+	dune exec bin/afd_lint.exe -- --mc $(if $(MAX_STATES),--max-states $(MAX_STATES),) $(if $(SYMMETRY),--symmetry,)
 
 # online property monitors vs offline trace checks over the detector
 # catalog, streaming with no trace materialized (smoke mode also runs

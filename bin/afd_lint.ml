@@ -31,8 +31,7 @@
 
 let usage =
   "afd_lint [--json] [--strict] [--rule ID]... [--fixture ID] [--list-rules] \
-   [--catalog] [--mc] [--symmetry] [--max-states N] [--por on|off] [--jobs N] \
-   [--profile]"
+   [--catalog] [--mc] [--symmetry] [--max-states N] [--por on|off] [--profile]"
 
 let () =
   let json = ref false in
@@ -45,7 +44,6 @@ let () =
   let symmetry = ref false in
   let max_states = ref None in
   let por = ref false in
-  let jobs = ref 1 in
   let profile = ref false in
   let spec =
     [ ("--json", Arg.Set json, "emit the report as JSON on stdout");
@@ -86,18 +84,11 @@ let () =
             | s -> raise (Arg.Bad ("--por expects on|off, got " ^ s))),
         "on|off sleep-set partial-order reduction for the explorations \
          (default off: shortest counterexamples)" );
-      ( "--jobs",
-        Arg.Int
-          (fun n ->
-            if n < 1 then raise (Arg.Bad "--jobs expects a positive count");
-            jobs := n),
-        "N explore on N domains (Pspace; default 1 — findings, verdicts and \
-         JSON are identical at any N)" );
       ( "--profile",
         Arg.Set profile,
         "with --mc (and no --fixture), report per-phase wall-clock timings \
-         (explore / clause eval / lasso, plus explorer sub-phases) on stderr \
-         and in the JSON outcome; a usage error otherwise" );
+         (explore / clause eval / lasso) on stderr and in the JSON outcome; a \
+         usage error otherwise" );
     ]
   in
   Arg.parse spec (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
@@ -153,13 +144,11 @@ let () =
         (List.rev ids)
   in
   let report =
-    Engine.run ~rules ?max_states:!max_states ~por:!por ~jobs:!jobs
-      ~symmetry:!symmetry items
+    Engine.run ~rules ?max_states:!max_states ~por:!por ~symmetry:!symmetry items
   in
   let mc_results =
     if !mc && !fixture = None then
-      Afd_bench.Check.mc_all ?max_states:!max_states ~por:!por ~jobs:!jobs
-        ~profile:!profile ()
+      Afd_bench.Check.mc_all ?max_states:!max_states ~por:!por ~profile:!profile ()
     else []
   in
   let sy_results =

@@ -267,7 +267,9 @@ let tree_cmd =
       & info [ "crash-loc" ] ~docv:"LOC" ~doc:"Location crashed in t_D (omit for crash-free).")
   in
   let max_nodes_arg =
-    Arg.(value & opt int 3_000_000 & info [ "max-nodes" ] ~docv:"B" ~doc:"Quotient-node budget.")
+    Arg.(
+      value & opt positive_int 3_000_000
+      & info [ "max-nodes" ] ~docv:"B" ~doc:"Quotient-node budget.")
   in
   let n_crash_loc_arg =
     let check n crash_loc =
@@ -352,7 +354,7 @@ let sweep_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 0
+      value & opt (some positive_int) None
       & info [ "jobs" ] ~docv:"J" ~doc:"Domains to run on (default: all cores).")
   in
   let root_arg =
@@ -392,7 +394,7 @@ let sweep_cmd =
           (fun () -> Afd_automata.fd_ev_perfect_noisy ~n ~noise:(noise ()))
           Ev_perfect.spec
     in
-    let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
+    let jobs = Option.value jobs ~default:(Domain.recommended_domain_count ()) in
     let r =
       R.Engine.run { R.Engine.jobs; root_seed = root; seeds_override = None } [ entry ]
     in
@@ -420,7 +422,7 @@ let check_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 0
+      value & opt (some positive_int) None
       & info [ "jobs" ] ~docv:"J" ~doc:"Domains to run on (default: all cores).")
   in
   let root_arg =
@@ -444,7 +446,7 @@ let check_cmd =
   let run seeds jobs root json window smoke =
     let seeds = if smoke then 1 else seeds in
     let jobs =
-      if smoke then 1 else if jobs <= 0 then Domain.recommended_domain_count () else jobs
+      if smoke then 1 else Option.value jobs ~default:(Domain.recommended_domain_count ())
     in
     let entries = Afd_bench.Check.matrix ~window ~seeds () in
     let r =

@@ -1,8 +1,8 @@
-let run ?(rules = Rules.all) ?max_states ?por ?jobs ?symmetry items =
+let run ?(rules = Rules.all) ?max_states ?por ?symmetry items =
   let subjects =
     List.map
       (fun { Registry.origin; entry } ->
-        Subject.make ?por ?max_states ?jobs ?symmetry ~origin entry)
+        Subject.make ?por ?max_states ?symmetry ~origin entry)
       items
   in
   let findings =
@@ -16,6 +16,5 @@ let run ?(rules = Rules.all) ?max_states ?por ?jobs ?symmetry items =
   Report.make ~rules_run:(List.length rules) ~subjects_checked:(List.length items)
     ~explorations findings
 
-let run_entry ?rules ?max_states ?por ?jobs ?symmetry ~origin entry =
-  run ?rules ?max_states ?por ?jobs ?symmetry
-    [ { Registry.origin; entry } ]
+let run_entry ?rules ?max_states ?por ?symmetry ~origin entry =
+  run ?rules ?max_states ?por ?symmetry [ { Registry.origin; entry } ]

@@ -9,14 +9,11 @@ val run :
   ?rules:Rule.t list ->
   ?max_states:int ->
   ?por:bool ->
-  ?jobs:int ->
   ?symmetry:bool ->
   Registry.item list ->
   Report.t
 (** Defaults to {!Rules.all}.  [max_states] overrides every subject's
-    exploration cap; [por] turns on the sleep-set reduction; [jobs]
-    spreads each subject's exploration over that many domains
-    (findings and reports are identical at any [jobs]);
+    exploration cap; [por] turns on the sleep-set reduction;
     [symmetry] runs the {!Symm} equivariance analysis per subject and
     orbit-quotients certified explorations (pair it with
     {!Rules.symmetry} so the verdicts surface as findings). *)
@@ -25,7 +22,6 @@ val run_entry :
   ?rules:Rule.t list ->
   ?max_states:int ->
   ?por:bool ->
-  ?jobs:int ->
   ?symmetry:bool ->
   origin:string ->
   Registry.entry ->

@@ -437,10 +437,9 @@ type ('s, 'o) explored = {
   status : sym_status;
 }
 
-let explore ~max_states ~por ~jobs ~log ~n prop system =
+let explore ~max_states ~por ~log ~n prop system =
   let runtime = clause_runtime prop in
   let product = product ~n runtime system.sys in
-  let profile = Option.map (fun _ k dt -> note log ("explore." ^ k) dt) log in
   (* Stable judges read [last_output]/[output_counts], so when liveness
      is in scope those fields join the product identity.  Under POR the
      sleep sets preserve states, not edges, so fair-cycle search is off
@@ -452,12 +451,7 @@ let explore ~max_states ~por ~jobs ~log ~n prop system =
       Probe.make ~equal_state:(pequal system ~rt_eq:rt_equal track_live)
         ~hash_state:(phash system ~acc:true track_live) ~max_states []
     in
-    (* Pspace is structurally identical to Space at any [jobs], so every
-       verdict, counterexample, and liveness lasso is byte-for-byte
-       independent of the domain count. *)
-    let space =
-      timed log "explore" (fun () -> Pspace.explore ~por ~jobs ?profile product probe)
-    in
+    let space = timed log "explore" (fun () -> Space.explore ~por product probe) in
     { product; runtime; space; quotient = None; status }
   in
   match system.symmetry with
@@ -473,7 +467,7 @@ let explore ~max_states ~por ~jobs ~log ~n prop system =
          breaks.  A symmetry quotient merges fair cycles, so liveness
          is off there, as under POR. *)
       let t0 = Unix.gettimeofday () in
-      let attempt = Symm.explore ~por ~jobs ?profile q in
+      let attempt = Symm.explore ~por q in
       let dt = Unix.gettimeofday () -. t0 in
       match attempt with
       | Ok (cert, space) ->
@@ -725,9 +719,9 @@ let liveness ~por ~n prop ex =
 
 (* The three stages, timed as [explore] (and [symmetry] when a lift is
    requested), [clause_eval] and [lasso]. *)
-let check ~max_states ~por ~jobs ~timings ~n prop system =
+let check ~max_states ~por ~timings ~n prop system =
   let log = Option.map (fun _ -> ref []) timings in
-  let ex = explore ~max_states ~por ~jobs ~log ~n prop system in
+  let ex = explore ~max_states ~por ~log ~n prop system in
   let violations = timed log "clause_eval" (fun () -> safety ~n prop ex) in
   let liveness_proved, liveness_skipped, lassos =
     timed log "lasso" (fun () -> liveness ~por ~n prop ex)
@@ -822,13 +816,13 @@ let symmetric_system ~n spec dsym perm_o detector crash =
           perm_o );
   }
 
-let check_spec ?(max_states = default_max_states) ?(por = false) ?(jobs = 1) ?timings
-    ?crashable ?symmetry ~n spec ~detector =
+let check_spec ?(max_states = default_max_states) ?(por = false) ?timings ?crashable
+    ?symmetry ~n spec ~detector =
   match spec.Afd_core.Afd.prop with
   | None -> Error (raw_spec_error spec)
   | Some prop -> (
     let crash = crash_automaton ?crashable ~n () in
-    let run system = check ~max_states ~por ~jobs ~timings ~n (prop ~n) system in
+    let run system = check ~max_states ~por ~timings ~n (prop ~n) system in
     match (symmetry, spec.Afd_core.Afd.perm_out) with
     | Some dsym, Some perm_o ->
       Ok (run (symmetric_system ~n spec dsym perm_o detector crash))
@@ -864,8 +858,8 @@ type ('s, 'o) quotient_view = {
   qv_symmetry : (('s, 'o) product_state, 'o Fd_event.t) Probe.symmetry;
 }
 
-(* The explore stage of [check_spec ~symmetry] (no POR, one domain),
-   read off on a certificate. *)
+(* The explore stage of [check_spec ~symmetry] (no POR), read off on a
+   certificate. *)
 let quotient_view ?(max_states = default_max_states) ?crashable ~symmetry ~n spec
     ~detector =
   match (spec.Afd_core.Afd.prop, spec.Afd_core.Afd.perm_out) with
@@ -876,7 +870,7 @@ let quotient_view ?(max_states = default_max_states) ?crashable ~symmetry ~n spe
       symmetric_system ~n spec symmetry perm_o detector
         (crash_automaton ?crashable ~n ())
     in
-    let ex = explore ~max_states ~por:false ~jobs:1 ~log:None ~n (prop ~n) system in
+    let ex = explore ~max_states ~por:false ~log:None ~n (prop ~n) system in
     match (ex.quotient, ex.status) with
     | Some q_sy, _ ->
       Ok { qv_product = ex.product; qv_states = ex.space.Space.states; qv_symmetry = q_sy }

@@ -64,7 +64,7 @@
     lifts the declared action to product states and explores the orbit
     quotient with {!Symm.explore}, which certifies as it explores; on
     a break (or when certification is unavailable) it explores
-    unreduced with {!Pspace} instead.  It hands off one record: the
+    unreduced with {!Space.explore} instead.  It hands off one record: the
     product, the clause runtime, the {!Space.t}, how symmetry resolved
     (certificate, breaking witness or fallback) and, on a certificate,
     the lifted descriptor.  {e Safety} reads only that
@@ -179,7 +179,6 @@ type 'o outcome = {
 val check_spec :
   ?max_states:int ->
   ?por:bool ->
-  ?jobs:int ->
   ?timings:(string * float) list ref ->
   ?crashable:Loc.Set.t ->
   ?symmetry:'s state_symmetry ->
@@ -195,16 +194,12 @@ val check_spec :
 
     [por] (default [false]) enables the sleep-set reduction; leave it
     off when shortest counterexamples or liveness verdicts matter
-    (liveness is skipped under POR).  [jobs > 1] (default 1) explores
-    the product on {!Pspace} across that many domains; the exploration
-    is structurally identical at any [jobs], so the outcome — including
-    counterexample paths and lassos — is too.  [timings], when given,
+    (liveness is skipped under POR).  [timings], when given,
     gets per-phase wall-clock seconds appended, in order: [symmetry]
     (when [symmetry] is given and the spec has [perm_out]: the
     state-independent checks, plus the quotient exploration when it
     breaks), [explore] (the certifying quotient exploration, or the
-    unreduced one; preceded by the parallel explorer's [explore.*]
-    sub-phases at [jobs > 1]), [clause_eval] and [lasso].  It never touches the
+    unreduced one), [clause_eval] and [lasso].  It never touches the
     outcome.
 
     [symmetry], when given, is the permutation action on the
@@ -247,8 +242,9 @@ val quotient_view :
   detector:('s, 'o Fd_event.t) Automaton.t ->
   (('s * Loc.Set.t, 'o) quotient_view, string) result
 (** Build the product {!check_spec} builds with [symmetry] and explore
-    its orbit quotient as {!check_spec} does (no POR, one domain).  [Error] when the spec is raw or has no [perm_out], or the
-    product does not certify. *)
+    its orbit quotient as {!check_spec} does (no POR).  [Error] when
+    the spec is raw or has no [perm_out], or the product does not
+    certify. *)
 
 (** {1 Parametric cutoff search}
 

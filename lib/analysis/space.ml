@@ -37,49 +37,33 @@ let commute aut probe s (tk_u, act_u) (tk_t, act_t) =
     | _ -> false)
   | _ -> false
 
-type 's view = {
-  v_state : int -> 's;
-  v_find : 's -> int -> int;
-  v_expanded : int -> bool;
-}
-
-type ('s, 'a) expansion = {
-  x_probe : int -> int;
-  x_names : string array;
-  x_acts : 'a array;
-  x_step : int -> int;
-  x_commute : int -> int -> bool;
-  x_admit : ('s -> int -> int) -> int;
-}
-
 type ('s, 'a) moves = {
-  m_names : string array;
+  m_tasks : int array;
   m_acts : 'a array;
   m_probe : int -> 's option;
   m_step : int -> 's option;
   m_commute : int -> int -> bool;
-  m_commit : unit -> unit;
 }
 
 (* The plain moves: every successor is stepped when asked, so a move
    the core skips (done, slept) is never stepped. *)
 let stepped aut probe =
   let probe_acts = Array.of_list probe.Probe.actions in
+  let tasks = List.mapi (fun j tk -> (j, tk)) aut.Automaton.tasks in
   fun _ s ->
-    let moves =
+    let enabled =
       Array.of_list
         (List.filter_map
-           (fun tk ->
-             match tk.Automaton.enabled s with Some a -> Some (tk, a) | None -> None)
-           aut.Automaton.tasks)
+           (fun (j, tk) ->
+             match tk.Automaton.enabled s with Some a -> Some (j, (tk, a)) | None -> None)
+           tasks)
     in
-    let acts = Array.map snd moves in
-    { m_names = Array.map (fun (tk, _) -> tk.Automaton.task_name) moves;
+    let acts = Array.map (fun (_, (_, a)) -> a) enabled in
+    { m_tasks = Array.map fst enabled;
       m_acts = acts;
       m_probe = (fun p -> aut.Automaton.step s probe_acts.(p));
       m_step = (fun t -> aut.Automaton.step s acts.(t));
-      m_commute = (fun u t -> commute aut probe s moves.(u) moves.(t));
-      m_commit = ignore;
+      m_commute = (fun u t -> commute aut probe s (snd enabled.(u)) (snd enabled.(t)));
     }
 
 (* The seen-set is an open-addressed table of state indices (linear
@@ -87,16 +71,18 @@ let stepped aut probe =
    [probe.hash_state].  Each state's full hash is kept alongside it, so
    a probe calls the probe's (authoritative) state equality only on a
    full-hash match.  When no congruent hash is known every state hashes
-   to 0 and a probe scans them all — the old list scan, still exact.
-   Only [add_state], on the core, grows the table: workers run [find]
-   while the core waits. *)
+   to 0 and a probe scans them all — the old list scan, still exact. *)
 let slot bits h = (h * 0x4F1BBCDCBFA53E0B) lsr (Sys.int_size - bits)
 
-let explore_with ?(por = false) expansions aut probe =
+let explore_with ?(por = false) moves aut probe =
   let max_states = probe.Probe.max_states in
   let hash = match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0 in
   let equal = probe.Probe.equal_state in
   let probe_acts = Array.of_list probe.Probe.actions in
+  (* One [Some name] per task, shared by every edge the task labels. *)
+  let task_labels =
+    Array.of_list (List.map (fun tk -> Some tk.Automaton.task_name) aut.Automaton.tasks)
+  in
   (* Parallel growable arrays indexed by discovery order. *)
   let states = ref [||] and n = ref 0 in
   let parent = ref [||] and depth = ref [||] and hashes = ref [||] in
@@ -179,36 +165,37 @@ let explore_with ?(por = false) expansions aut probe =
     (!edges).(!transitions) <- e;
     incr transitions
   in
-  (* Take the transition [act] from state [i], whose successor the
-     expansion resolved to [code]; [sl] is the sleep set the successor
-     inherits (always [] with POR off). *)
-  let take x i act task sl code =
-    if code >= 0 then begin
-      let j = code in
-      record_edge i j act task;
-      if por then begin
-        (* Re-reaching a state with a smaller sleep set re-opens the
-           moves the earlier visit was allowed to skip: shrink to the
-           intersection and re-expand, so sleeping prunes transitions
-           but never states. *)
-        let inter = List.filter (fun u -> List.mem u sl) (!sleep).(j) in
-        if List.length inter < List.length (!sleep).(j) then begin
-          (!sleep).(j) <- inter;
-          if not (!queued).(j) then begin
-            (!queued).(j) <- true;
-            Queue.add j queue
+  (* Take the transition [act] from state [i] to the given successor
+     ([None]: blocked); [sl] is the sleep set the successor inherits
+     (always [] with POR off). *)
+  let take i act task sl = function
+    | None -> ()
+    | Some s' ->
+      let h = hash s' in
+      let j = find s' h in
+      if j >= 0 then begin
+        record_edge i j act task;
+        if por then begin
+          (* Re-reaching a state with a smaller sleep set re-opens the
+             moves the earlier visit was allowed to skip: shrink to the
+             intersection and re-expand, so sleeping prunes transitions
+             but never states. *)
+          let inter = List.filter (fun u -> List.mem u sl) (!sleep).(j) in
+          if List.length inter < List.length (!sleep).(j) then begin
+            (!sleep).(j) <- inter;
+            if not (!queued).(j) then begin
+              (!queued).(j) <- true;
+              Queue.add j queue
+            end
           end
         end
       end
-    end
-    else if code = -2 then begin
-      if !n < max_states then begin
+      else if !n < max_states then begin
         let d = if (!depth).(i) = max_int then max_int else (!depth).(i) + 1 in
-        let j = x.x_admit (fun s h -> add_state s h ~par:(Some (i, act)) ~d ~sl) in
+        let j = add_state s' h ~par:(Some (i, act)) ~d ~sl in
         record_edge i j act task
       end
       else incr cut
-    end
   in
   let seed s ~d =
     let h = hash s in
@@ -218,60 +205,47 @@ let explore_with ?(por = false) expansions aut probe =
   in
   seed aut.Automaton.start ~d:0;
   List.iter (seed ~d:max_int) probe.Probe.seed_states;
-  let view =
-    { v_state = (fun i -> (!states).(i));
-      v_find = find;
-      v_expanded = (fun i -> (!expanded).(i));
-    }
-  in
-  let expansions = expansions aut probe view in
   while not (Queue.is_empty queue) do
-    (* One round = the whole queue: FIFO order is the concatenation of
-       rounds, and states requeued or admitted below join the next. *)
-    let round = Array.init (Queue.length queue) (fun _ -> Queue.pop queue) in
-    let get = expansions round in
-    Array.iteri
-      (fun r i ->
-        let x = get r in
-        (!queued).(i) <- false;
-        if not (!expanded).(i) then begin
-          (* Probed (environment) actions are never reduced and are
-             taken once, on the first expansion. *)
-          (!expanded).(i) <- true;
-          Array.iteri (fun p act -> take x i act None [] (x.x_probe p)) probe_acts
-        end;
-        let names = x.x_names in
-        let k = Array.length names in
-        let index_of u =
-          let rec go v = if v >= k then -1 else if names.(v) = u then v else go (v + 1) in
-          go 0
-        in
-        (* The moves taken from [i].  With POR off a state is expanded
-           exactly once, so they are kept for this expansion only; under
-           POR a re-expansion reads the earlier ones back. *)
-        let done_here = ref (if por then (!done_moves).(i) else []) in
-        for t = 0 to k - 1 do
-          let name = names.(t) in
-          if not (List.mem name !done_here) then begin
-            if por && List.mem name (!sleep).(i) then incr slept
-            else begin
-              let sl' =
-                if not por then []
-                else
-                  (* Sleep' = { u ∈ Sleep ∪ Done : independent(u, move, s) } *)
-                  List.filter
-                    (fun u ->
-                      let v = index_of u in
-                      v >= 0 && x.x_commute v t)
-                    (List.sort_uniq Stdlib.compare ((!sleep).(i) @ !done_here))
-              in
-              done_here := name :: !done_here;
-              take x i x.x_acts.(t) (Some name) sl' (x.x_step t)
-            end
-          end
-        done;
-        if por then (!done_moves).(i) <- !done_here)
-      round
+    let i = Queue.pop queue in
+    (!queued).(i) <- false;
+    let m = moves i (!states).(i) in
+    if not (!expanded).(i) then begin
+      (* Probed (environment) actions are never reduced and are taken
+         once, on the first expansion. *)
+      (!expanded).(i) <- true;
+      Array.iteri (fun p act -> take i act None [] (m.m_probe p)) probe_acts
+    end;
+    let tasks = m.m_tasks in
+    let k = Array.length tasks in
+    let index_of u =
+      let rec go v = if v >= k then -1 else if tasks.(v) = u then v else go (v + 1) in
+      go 0
+    in
+    (* The moves taken from [i].  With POR off a state is expanded
+       exactly once, so they are kept for this expansion only; under
+       POR a re-expansion reads the earlier ones back. *)
+    let done_here = ref (if por then (!done_moves).(i) else []) in
+    for t = 0 to k - 1 do
+      let j = tasks.(t) in
+      if not (List.mem j !done_here) then begin
+        if por && List.mem j (!sleep).(i) then incr slept
+        else begin
+          let sl' =
+            if not por then []
+            else
+              (* Sleep' = { u ∈ Sleep ∪ Done : independent(u, move, s) } *)
+              List.filter
+                (fun u ->
+                  let v = index_of u in
+                  v >= 0 && m.m_commute v t)
+                (List.sort_uniq Int.compare ((!sleep).(i) @ !done_here))
+          in
+          done_here := j :: !done_here;
+          take i m.m_acts.(t) task_labels.(j) sl' (m.m_step t)
+        end
+      end
+    done;
+    if por then (!done_moves).(i) <- !done_here
   done;
   {
     states = Array.sub !states 0 !n;
@@ -283,38 +257,7 @@ let explore_with ?(por = false) expansions aut probe =
     stats = { transitions = !transitions; slept = !slept; cut = !cut; dup_seeds = !dup_seeds };
   }
 
-(* The sequential expansion: each state's moves are asked for when the
-   core processes it, against the live seen-set, and a fresh successor
-   is parked until the core admits it. *)
-let sequential moves aut probe view =
-  let hash = match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0 in
-  let parked = ref aut.Automaton.start and parked_h = ref 0 in
-  let x_admit add = add !parked !parked_h in
-  let code = function
-    | None -> -1
-    | Some s' ->
-      let h = hash s' in
-      let j = view.v_find s' h in
-      if j >= 0 then j
-      else begin
-        parked := s';
-        parked_h := h;
-        -2
-      end
-  in
-  fun round r ->
-    let i = round.(r) in
-    let m = moves i (view.v_state i) in
-    m.m_commit ();
-    { x_probe = (fun p -> code (m.m_probe p));
-      x_names = m.m_names;
-      x_acts = m.m_acts;
-      x_step = (fun t -> code (m.m_step t));
-      x_commute = m.m_commute;
-      x_admit;
-    }
-
-let explore ?por aut probe = explore_with ?por (sequential (stepped aut probe)) aut probe
+let explore ?por aut probe = explore_with ?por (stepped aut probe) aut probe
 
 let reachable t = Array.to_list t.states
 
@@ -329,20 +272,3 @@ let path_actions t i =
     | Some (j, act) -> walk j (act :: acc)
   in
   walk i []
-
-let agree ~equal_state ~equal_action a b =
-  let arr eq x y = Array.length x = Array.length y && Array.for_all2 eq x y in
-  let edge_eq e f =
-    e.src = f.src && e.dst = f.dst && equal_action e.act f.act && e.task = f.task
-  in
-  let parent_eq p q =
-    match (p, q) with
-    | None, None -> true
-    | Some (i, a), Some (j, b) -> i = j && equal_action a b
-    | _ -> false
-  in
-  a.verdict = b.verdict && a.por = b.por && a.stats = b.stats
-  && arr equal_state a.states b.states
-  && arr edge_eq a.edges b.edges
-  && arr parent_eq a.parent b.parent
-  && arr ( = ) a.depth b.depth

@@ -18,7 +18,7 @@ type t = {
   packed : packed option;
 }
 
-let make ?(por = false) ?max_states ?(jobs = 1) ?(symmetry = false) ~origin entry =
+let make ?(por = false) ?max_states ?(symmetry = false) ~origin entry =
   let with_cap p =
     match max_states with None -> p | Some m -> { p with Probe.max_states = m }
   in
@@ -35,7 +35,7 @@ let make ?(por = false) ?max_states ?(jobs = 1) ?(symmetry = false) ~origin entr
             (match Symm.prepare a p with
             | Error v -> (v, None)
             | Ok q -> (
-              match Symm.explore ~por ~jobs q with
+              match Symm.explore ~por q with
               | Ok (c, sp) -> (Symm.Certified c, Some sp)
               | Error w -> (Symm.Breaking w, None))))
     in
@@ -44,7 +44,7 @@ let make ?(por = false) ?max_states ?(jobs = 1) ?(symmetry = false) ~origin entr
       lazy
         (match Lazy.force quotient_space with
         | Some sp -> sp
-        | None -> Pspace.explore ~por ~jobs a p)
+        | None -> Space.explore ~por a p)
     in
     P
       { aut = a;

@@ -6,8 +6,7 @@
     {e and} its congruent hash) and memoizes a single exploration that
     all rules share; the exploration (with its {!Space.verdict}) is
     surfaced in the report only if some rule actually forced it.  A
-    subject explores on {!Pspace.explore} (which is {!Space.explore} at
-    one job), or, when its declared symmetry certifies, on the
+    subject explores on {!Space.explore}, or, when its declared symmetry certifies, on the
     {!Symm.explore} run that certified it. *)
 
 open Afd_ioa
@@ -46,7 +45,6 @@ type t = {
 val make :
   ?por:bool ->
   ?max_states:int ->
-  ?jobs:int ->
   ?symmetry:bool ->
   origin:string ->
   Registry.entry ->
@@ -54,16 +52,13 @@ val make :
 (** [max_states] overrides the probe's own exploration cap;
     [por] (default [false]) turns on the sleep-set reduction for the
     shared exploration (edge-granular rules then skip themselves — see
-    {!Rules.mc}); [jobs > 1] (default [1]) runs the shared exploration
-    across that many domains, with the same result structurally
-    ({!Space.agree}).
+    {!Rules.mc}).
 
     [symmetry] (default [false]) explores each packed subject's orbit
-    quotient with {!Symm.explore}, at the same [por] and [jobs]: a
-    subject that certifies is explored once, by that run, which is its
-    shared exploration; a breaking or undeclared one explores
-    unreduced, and the symmetry rules ({!Rules.symmetry}) report the
-    verdict. *)
+    quotient with {!Symm.explore}, at the same [por]: a subject that
+    certifies is explored once, by that run, which is its shared
+    exploration; a breaking or undeclared one explores unreduced, and
+    the symmetry rules ({!Rules.symmetry}) report the verdict. *)
 
 val symm_verdict : t -> Symm.verdict option
 (** The equivariance verdict; [None] when the engine ran without

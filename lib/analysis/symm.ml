@@ -210,11 +210,7 @@ type ('s, 'a) image = {
   succs : 's option array;
 }
 
-type ('s, 'a) quotient =
-  por:bool ->
-  jobs:int ->
-  profile:(string -> float -> unit) option ->
-  (certificate * ('s, 'a) Space.t, witness) result
+type ('s, 'a) quotient = por:bool -> (certificate * ('s, 'a) Space.t, witness) result
 
 let prepare (type s a) ?equiv (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t) :
     ((s, a) quotient, verdict) result =
@@ -256,8 +252,7 @@ let prepare (type s a) ?equiv (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t
         in
         (* Field classification: a field is [`Indexed] once some check
            sees it move, and the check raises when the declared
-           transport law fails.  Each walk marks its own [moved]
-           array; the exploration merges them per expansion. *)
+           transport law fails.  Every walk marks the run's [moved]. *)
         let fields = Array.of_list sy.Probe.sy_fields in
         let check_fields moved pi pif r r' idx =
           Array.iteri
@@ -479,12 +474,9 @@ let prepare (type s a) ?equiv (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t
               { probe with Probe.seed_states = List.map canon probe.Probe.seed_states }
             in
             (* A representative's moves: its own enabled tasks and
-               actions, each successor the class minimum the walk found.
-               The walk's field observations join the run's [moved] when
-               the core takes the expansion. *)
+               actions, each successor the class minimum the walk found. *)
             let moves moved idx r =
-              let mine = Array.make (Array.length fields) false in
-              let acts, best = check_rep mine slot_maps generators r idx in
+              let acts, best = check_rep moved slot_maps generators r idx in
               let enabled =
                 Array.of_list
                   (List.filter_map
@@ -492,22 +484,17 @@ let prepare (type s a) ?equiv (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t
                      (List.init (Array.length tasks) Fun.id))
               in
               let move t = (tasks.(fst enabled.(t)), snd enabled.(t)) in
-              { Space.m_names =
-                  Array.map (fun (j, _) -> tasks.(j).Automaton.task_name) enabled;
+              { Space.m_tasks = Array.map fst enabled;
                 m_acts = Array.map snd enabled;
                 m_probe = (fun p -> best.(p));
                 m_step = (fun t -> best.(nprobe + fst enabled.(t)));
                 m_commute = (fun u t -> Space.commute qaut probe r (move u) (move t));
-                m_commit =
-                  (fun () -> Array.iteri (fun k b -> if b then moved.(k) <- true) mine);
               }
             in
             Ok
-              (fun ~por ~jobs ~profile ->
+              (fun ~por ->
                 let moved = Array.make (Array.length fields) false in
-                match
-                  Pspace.explore_with ~por ~jobs ~profile (moves moved) qaut qprobe
-                with
+                match Space.explore_with ~por (moves moved) qaut qprobe with
                 | exception Broken w -> Error w
                 | space ->
                     Ok
@@ -524,12 +511,12 @@ let prepare (type s a) ?equiv (aut : (s, a) Automaton.t) (probe : (s, a) Probe.t
                         space ))
       end
 
-let explore ~por ~jobs ?profile q = q ~por ~jobs ~profile
+let explore ~por q = q ~por
 
 let analyze aut probe =
   match prepare aut probe with
   | Error v -> v
   | Ok q -> (
-      match explore ~por:false ~jobs:1 q with
+      match explore ~por:false q with
       | Ok (c, _) -> Certified c
       | Error w -> Breaking w)

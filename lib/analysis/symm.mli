@@ -7,9 +7,8 @@
     {!prepare} runs the state-independent checks on a subject whose
     probe declares an S_n action ({!Probe.symmetry}): signature
     stability, probe-set closure, and a mirror for every task.
-    {!explore} then explores the orbit quotient on {!Space}'s BFS core
-    (or {!Pspace}'s workers), with the {e orbit walk} as each
-    representative's expansion: it checks that steps and task
+    {!explore} then explores the orbit quotient on {!Space}'s BFS core,
+    with the {e orbit walk} producing each representative's moves: it checks that steps and task
     enabledness are equivariant, classifies every declared state field
     as identity-independent or process-indexed, and hands the core
     each successor's orbit minimum under [sy_cmp].  The run that
@@ -35,8 +34,7 @@
     sampled states, does {e not} compose.  When a generator check
     fails, the permutations are swept in {!Perm.all} order at that
     representative, and the first failing one is the witness; the run
-    stops at the first failing state in discovery order, at any
-    [jobs].  DESIGN.md ("Orbit reduction") spells the argument out. *)
+    stops at the first failing state in discovery order.  DESIGN.md ("Orbit reduction") spells the argument out. *)
 
 module Perm : sig
   type t = int array
@@ -135,18 +133,15 @@ val prepare :
 
 val explore :
   por:bool ->
-  jobs:int ->
-  ?profile:(string -> float -> unit) ->
   ('s, 'a) quotient ->
   (certificate * ('s, 'a) Space.t, witness) result
 (** Explore the orbit quotient, checking equivariance as it goes.
     States are orbit minima, edges carry the representatives' own
     actions, [c_exhaustive] is the exploration's verdict.  With [por],
-    diamonds close through canonized steps.  [jobs > 1] walks in
-    {!Pspace}'s workers; nothing in the result depends on [jobs]. *)
+    diamonds close through canonized steps. *)
 
 val analyze : ('s, 'a) Afd_ioa.Automaton.t -> ('s, 'a) Probe.t -> verdict
-(** {!prepare}, then {!explore} without POR on one domain. *)
+(** {!prepare}, then {!explore} without POR. *)
 
 (** {1 Orbit canonicalization} *)
 

@@ -14,7 +14,6 @@ module C = Afd_consensus
 module R = Afd_runner
 module Check = Check
 module Explore_bench = Explore_bench
-module Pspace_bench = Pspace_bench
 module Live_bench = Live_bench
 module Churn_bench = Churn_bench
 module Symm_bench = Symm_bench
@@ -270,9 +269,6 @@ let matrix () =
   ]
   (* MX: exploration throughput *)
   @ Explore_bench.entries ()
-  (* PX: parallel exploration, differential against MX's sequential
-     explorer *)
-  @ Pspace_bench.entries ()
   (* ML: liveness model checking *)
   @ Live_bench.entries ()
   (* CN: churn simulation on the mega event-queue engine (it never

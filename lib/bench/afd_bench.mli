@@ -11,11 +11,6 @@ module Check = Check
 module Explore_bench = Explore_bench
 (** Exploration-throughput rows (MX) appended to {!matrix}. *)
 
-module Pspace_bench = Pspace_bench
-(** Parallel-exploration rows (PX) appended to {!matrix}: the
-    domain-sharded explorer differential-gated against MX's sequential
-    one at 1/2/4/8 domains, POR off and on. *)
-
 module Live_bench = Live_bench
 (** Liveness model-checking rows (ML) appended to {!matrix}. *)
 
@@ -35,7 +30,6 @@ val ok_str : ('a, string) result -> string
 
 val matrix : unit -> Afd_runner.Matrix.entry list
 (** The 25 entries of E1-E7, plus the MX exploration-throughput rows
-    ({!Explore_bench}), the PX parallel-exploration rows
-    ({!Pspace_bench}), the ML liveness model-checking rows
+    ({!Explore_bench}), the ML liveness model-checking rows
     ({!Live_bench}), the CN churn-simulation rows ({!Churn_bench}) and
     the SY orbit-reduction rows ({!Symm_bench}). *)

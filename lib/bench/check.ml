@@ -248,12 +248,11 @@ let liveness_subjects =
         spec = Perfect.spec; expect_violated = true };
   ]
 
-let mc_subject ?max_states ?(por = false) ?jobs ?(profile = false) (S s) =
+let mc_subject ?max_states ?(por = false) ?(profile = false) (S s) =
   let open Afd_analysis in
   let timings = if profile then Some (ref []) else None in
   match
-    Mc.check_spec ?max_states ~por ?jobs ?timings ~n:s.n s.spec
-      ~detector:(s.detector s.n)
+    Mc.check_spec ?max_states ~por ?timings ~n:s.n s.spec ~detector:(s.detector s.n)
   with
   | Error e -> Error e
   | Ok o ->
@@ -326,13 +325,13 @@ let mc_subject ?max_states ?(por = false) ?jobs ?(profile = false) (S s) =
             ~pp_out o;
       }
 
-let mc_all ?max_states ?(por = false) ?jobs ?profile () =
+let mc_all ?max_states ?(por = false) ?profile () =
   (* The limit-broken extras are refutable only by the fair-cycle pass,
      which POR disables — under POR they would fail vacuously. *)
   let all = if por then subjects else subjects @ liveness_subjects in
   List.map
     (fun subj ->
-      match mc_subject ?max_states ~por ?jobs ?profile subj with
+      match mc_subject ?max_states ~por ?profile subj with
       | Ok r -> r
       | Error e ->
         (* every shipped subject is prop-compiled; a raw spec here is a

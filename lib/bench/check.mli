@@ -137,20 +137,16 @@ type mc_result = {
 val mc_subject :
   ?max_states:int ->
   ?por:bool ->
-  ?jobs:int ->
   ?profile:bool ->
   subject ->
   (mc_result, string) result
-(** Model-check one subject; [Error] for raw specs.  [jobs > 1] runs
-    the product exploration on {!Afd_analysis.Pspace} — the result
-    (JSON included) is byte-identical at any [jobs].  [profile] (default
+(** Model-check one subject; [Error] for raw specs.  [profile] (default
     [false]) collects per-phase timings into the JSON's ["profile"]
     field (and only then — unprofiled JSON is unchanged). *)
 
 val mc_all :
   ?max_states:int ->
   ?por:bool ->
-  ?jobs:int ->
   ?profile:bool ->
   unit ->
   mc_result list

@@ -7,11 +7,3 @@
 
 val entries : unit -> Afd_runner.Matrix.entry list
 (** [MX.heartbeat] and [MX.flood], both capped at 6000 states. *)
-
-val heartbeat_acts : Afd_system.Act.t list
-(** The probe actions of the heartbeat rows — shared with the PX rows
-    ({!Pspace_bench}) so both explore the identical state space. *)
-
-val flood_acts : Afd_system.Act.t list
-(** The probe actions of the flood-consensus rows — shared with the PX
-    rows ({!Pspace_bench}). *)

@@ -1,13 +1,6 @@
-(* Re-raise the first failure in index order, so error reporting does
-   not depend on domain interleaving. *)
-let unwrap results =
-  Array.iter (function Some (Error e) -> raise e | Some (Ok _) | None -> ()) results;
-  Array.map (function Some (Ok v) -> v | Some (Error _) | None -> assert false) results
-
-(* A round: claim indices from [next] until exhausted.  The task
-   closure itself catches whatever the user function raises (storing
-   it in the result slot), so running a round never lets an exception
-   escape into a worker's control loop. *)
+(* Claim indices from [next] until exhausted.  The task closure itself
+   catches whatever the user function raises (storing it in the result
+   slot), so a worker never lets an exception escape before its join. *)
 let steal next n task =
   let rec go () =
     let i = Atomic.fetch_and_add next 1 in
@@ -18,132 +11,23 @@ let steal next n task =
   in
   go ()
 
-type t = {
-  jobs : int;
-  mutex : Mutex.t;
-  wake : Condition.t;  (* workers wait here for a new round (or stop) *)
-  idle : Condition.t;  (* the driver waits here for round completion *)
-  mutable round : int;  (* bumped once per map_pool: the wake signal *)
-  mutable current : (int -> unit) option;  (* the round's index task *)
-  next : int Atomic.t;  (* shared claim counter of the round *)
-  limit : int Atomic.t;  (* input length of the round *)
-  mutable working : int;  (* workers still inside the round *)
-  mutable stop : bool;
-  mutable domains : unit Domain.t array;  (* [||] once shut down *)
-}
-
-(* Worker control loop.  The barrier discipline is what the crash
-   tests pin: a worker ALWAYS decrements [working] after a round, even
-   if the round's task misbehaved ([steal] cannot raise, because the
-   task closure catches — but Fun.protect guards the decrement against
-   asynchronous exceptions anyway), so the driver can never be left
-   waiting on [idle] forever and the pool survives into later rounds. *)
-let worker t =
-  let rec loop seen =
-    Mutex.lock t.mutex;
-    while (not t.stop) && t.round = seen do
-      Condition.wait t.wake t.mutex
-    done;
-    if t.stop then Mutex.unlock t.mutex
-    else begin
-      let round = t.round in
-      let task = match t.current with Some f -> f | None -> assert false in
-      Mutex.unlock t.mutex;
-      Fun.protect
-        ~finally:(fun () ->
-          Mutex.lock t.mutex;
-          t.working <- t.working - 1;
-          if t.working = 0 then Condition.signal t.idle;
-          Mutex.unlock t.mutex)
-        (fun () -> steal t.next (Atomic.get t.limit) task);
-      loop round
-    end
-  in
-  loop 0
-
-let jobs t = t.jobs
-
-let shutdown t =
-  let ds = t.domains in
-  if Array.length ds > 0 then begin
-    t.domains <- [||];
-    Mutex.lock t.mutex;
-    t.stop <- true;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.mutex;
-    Array.iter Domain.join ds
-  end
-  else begin
-    (* jobs = 1 pools have no workers but must still refuse further
-       rounds after shutdown, like any other pool *)
-    Mutex.lock t.mutex;
-    t.stop <- true;
-    Mutex.unlock t.mutex
-  end
-
-let create ~jobs =
-  let jobs = max 1 jobs in
-  let t =
-    { jobs;
-      mutex = Mutex.create ();
-      wake = Condition.create ();
-      idle = Condition.create ();
-      round = 0;
-      current = None;
-      next = Atomic.make 0;
-      limit = Atomic.make 0;
-      working = 0;
-      stop = false;
-      domains = [||];
-    }
-  in
-  (match
-     Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t))
-   with
-  | ds -> t.domains <- ds
-  | exception e ->
-    (* a partial spawn (domain limit) must not leak what did start;
-       Array.init already discarded the partial array, so the spawned
-       domains exit through the stop flag on their own *)
-    Mutex.lock t.mutex;
-    t.stop <- true;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.mutex;
-    raise e);
-  t
-
-let map_pool t f arr =
-  if t.stop then invalid_arg "Pool.map_pool: pool was shut down";
-  let n = Array.length arr in
-  if t.jobs = 1 || Array.length t.domains = 0 || n <= 1 then Array.map f arr
-  else begin
-    let results = Array.make n None in
-    let task i = results.(i) <- Some (try Ok (f arr.(i)) with e -> Error e) in
-    Atomic.set t.next 0;
-    Atomic.set t.limit n;
-    Mutex.lock t.mutex;
-    t.current <- Some task;
-    t.working <- Array.length t.domains;
-    t.round <- t.round + 1;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.mutex;
-    (* the driver is a worker too *)
-    steal t.next n task;
-    Mutex.lock t.mutex;
-    while t.working > 0 do
-      Condition.wait t.idle t.mutex
-    done;
-    t.current <- None;
-    Mutex.unlock t.mutex;
-    unwrap results
-  end
-
-let with_pool ~jobs body =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> body t)
-
 let map ~jobs f arr =
   let n = Array.length arr in
   let jobs = max 1 (min jobs n) in
   if jobs = 1 then Array.map f arr
-  else with_pool ~jobs (fun t -> map_pool t f arr)
+  else begin
+    let results = Array.make n None in
+    let task i = results.(i) <- Some (try Ok (f arr.(i)) with e -> Error e) in
+    let next = Atomic.make 0 in
+    let domains =
+      Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> steal next n task))
+    in
+    (* the caller is a worker too *)
+    steal next n task;
+    Array.iter Domain.join domains;
+    (* Re-raise the first failure in index order, so error reporting
+       does not depend on domain interleaving. *)
+    Array.map
+      (function Some (Ok v) -> v | Some (Error e) -> raise e | None -> assert false)
+      results
+  end

@@ -1,61 +1,19 @@
-(** A fixed-size Domain work pool.
+(** A one-shot Domain map.
 
-    Two layers:
+    [map ~jobs f arr] applies [f] to every element of [arr] using up to
+    [jobs] domains (the calling domain included) and returns the
+    results {e in input order}: each worker claims the next unclaimed
+    index from a shared atomic counter and writes its result into that
+    slot, so the output array is independent of how work interleaves
+    across domains.  [jobs <= 1] degenerates to a plain sequential map
+    with no domain spawned.
 
-    {b One-shot maps.}  [map ~jobs f arr] applies [f] to every element
-    of [arr] using up to [jobs] domains (the calling domain included)
-    and returns the results {e in input order}: each worker claims the
-    next unclaimed index from a shared atomic counter and writes its
-    result into that slot, so the output array is independent of how
-    work interleaves across domains.  [jobs <= 1] degenerates to a
-    plain sequential map with no domain spawned.
-
-    {b Persistent pools.}  Round-structured algorithms (the parallel
-    state-space explorer {!Afd_analysis.Pspace} runs one parallel
-    phase per BFS round) would pay a domain spawn+join per round under
-    [map].  [create ~jobs] spawns the worker domains {e once}; each
-    {!map_pool} call wakes them for one input array and blocks until
-    every index is processed, and {!shutdown} retires them.  Results
-    are in input order, exactly as with [map].
-
-    {b Crash safety.}  A task that raises does not deadlock the pool
-    or poison later rounds: exceptions are caught per index, every
-    index of the round is still claimed and completed, all workers
-    return to the idle barrier, and the {e first} exception in index
-    order is re-raised to the caller after the round's barrier — so
-    error reporting never depends on domain interleaving, and the same
-    pool object accepts further [map_pool] calls afterwards.  [map]
-    inherits the same contract (its domains are additionally joined
-    before the re-raise, so no domain ever leaks, even on failure). *)
+    {b Crash safety.}  Exceptions are caught per index, so every index
+    is still claimed and completed, and every spawned domain is joined
+    before the {e first} exception in index order is re-raised — error
+    reporting never depends on domain interleaving, and no domain
+    outlives the call. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** If [f] raises, the first exception in index order is re-raised
     after all domains have been joined. *)
-
-type t
-(** A persistent pool: [jobs - 1] idle worker domains plus the calling
-    domain.  Not itself thread-safe: drive each pool from the single
-    domain that created it. *)
-
-val create : jobs:int -> t
-(** Spawn the workers ([max 1 jobs] - 1 domains; [jobs <= 1] spawns
-    none and every [map_pool] runs inline).  If a worker domain fails
-    to spawn, the ones already spawned are shut down before the
-    exception propagates. *)
-
-val jobs : t -> int
-(** The domain count the pool was created with (including the caller),
-    clamped to at least 1. *)
-
-val map_pool : t -> ('a -> 'b) -> 'a array -> 'b array
-(** One parallel round over [arr]; results in input order.  The first
-    exception in index order is re-raised after the round completes —
-    the pool stays usable.  Raises [Invalid_argument] on a pool that
-    was already {!shutdown}. *)
-
-val shutdown : t -> unit
-(** Signal the workers to exit and join them.  Idempotent. *)
-
-val with_pool : jobs:int -> (t -> 'r) -> 'r
-(** [create], run the body, and {!shutdown} — also on exceptions, so
-    worker domains never outlive the call. *)

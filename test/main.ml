@@ -26,7 +26,6 @@ let () =
       ("symm", Test_symm.suite);
       ("mc", Test_mc.suite);
       ("space", Test_space.suite);
-      ("pspace", Test_pspace.suite);
       ("live", Test_live.suite);
       ("prop", Test_prop.suite);
       ("sched-fairness", Test_sched_fairness.suite);

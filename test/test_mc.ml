@@ -15,13 +15,12 @@ let subject id = List.find (fun s -> BC.id s = id) chk_subjects
 (* One run of a CHK subject at its own n and a 4 000-state budget: the
    outcome's JSON (without timings) and the phase timings collected
    when [profile] is set. *)
-let run ~symmetric ~jobs ~profile subj =
+let run ~symmetric ~profile subj =
   let (BC.S { n; detector; symm; spec; _ }) = subj in
   let timings = if profile then Some (ref []) else None in
   let symmetry = if symmetric then symm else None in
   match
-    Mc.check_spec ~max_states:4_000 ~jobs ?timings ?symmetry ~n spec
-      ~detector:(detector n)
+    Mc.check_spec ~max_states:4_000 ?timings ?symmetry ~n spec ~detector:(detector n)
   with
   | Error e -> Alcotest.failf "%s: raw spec: %s" (BC.id subj) e
   | Ok o ->
@@ -70,7 +69,7 @@ let golden_quotient_rows =
 let test_quotient_golden () =
   List.iter
     (fun (id, golden) ->
-      let json, _ = run ~symmetric:true ~jobs:1 ~profile:false (subject id) in
+      let json, _ = run ~symmetric:true ~profile:false (subject id) in
       Alcotest.(check string) id golden json)
     golden_quotient_rows
 
@@ -131,50 +130,36 @@ let test_latched_sinks () =
 let names timings = List.map fst timings
 
 let test_unreduced_phases () =
-  let _, t = run ~symmetric:false ~jobs:1 ~profile:true (subject "CHK.p") in
+  let _, t = run ~symmetric:false ~profile:true (subject "CHK.p") in
   Alcotest.(check (list string)) "phases" [ "explore"; "clause_eval"; "lasso" ] (names t)
 
 let test_symmetry_first () =
   List.iter
     (fun id ->
-      let _, t = run ~symmetric:true ~jobs:1 ~profile:true (subject id) in
+      let _, t = run ~symmetric:true ~profile:true (subject id) in
       Alcotest.(check (list string))
         (id ^ " phases")
         [ "symmetry"; "explore"; "clause_eval"; "lasso" ]
         (names t))
     [ "CHK.p"; "CHK.omega" ]
 
-let test_jobs_sub_phases () =
-  let _, t = run ~symmetric:false ~jobs:2 ~profile:true (subject "CHK.p") in
-  let top, sub = List.partition (fun (k, _) -> not (String.contains k '.')) t in
-  Alcotest.(check (list string)) "top-level phases" [ "explore"; "clause_eval"; "lasso" ]
-    (names top);
-  Alcotest.(check bool) "explore.* sub-phases reported" true (sub <> []);
-  List.iter
-    (fun (k, _) ->
-      Alcotest.(check bool) (k ^ " is an explore sub-phase") true
-        (String.starts_with ~prefix:"explore." k))
-    sub
-
 let test_durations_non_negative () =
   List.iter
-    (fun (id, symmetric, jobs) ->
-      let _, t = run ~symmetric ~jobs ~profile:true (subject id) in
+    (fun (id, symmetric) ->
+      let _, t = run ~symmetric ~profile:true (subject id) in
       List.iter
         (fun (k, dt) -> Alcotest.(check bool) (id ^ " " ^ k ^ " >= 0") true (dt >= 0.))
         t)
-    [ ("CHK.p", false, 1); ("CHK.p", true, 2); ("CHK.flipflop", false, 2) ]
+    [ ("CHK.p", false); ("CHK.p", true); ("CHK.flipflop", false) ]
 
 let test_profile_invisible () =
   List.iter
-    (fun (id, symmetric, jobs) ->
-      let plain, _ = run ~symmetric ~jobs ~profile:false (subject id) in
-      let profiled, _ = run ~symmetric ~jobs ~profile:true (subject id) in
-      Alcotest.(check string)
-        (Printf.sprintf "%s symmetric=%b jobs=%d" id symmetric jobs)
-        plain profiled)
-    [ ("CHK.p", false, 1); ("CHK.marabout", true, 1); ("CHK.marabout", false, 2);
-      ("CHK.flipflop", false, 1); ("CHK.omega", true, 2) ]
+    (fun (id, symmetric) ->
+      let plain, _ = run ~symmetric ~profile:false (subject id) in
+      let profiled, _ = run ~symmetric ~profile:true (subject id) in
+      Alcotest.(check string) (Printf.sprintf "%s symmetric=%b" id symmetric) plain profiled)
+    [ ("CHK.p", false); ("CHK.marabout", true); ("CHK.marabout", false);
+      ("CHK.flipflop", false); ("CHK.omega", true) ]
 
 (* --- lazy reasons --- *)
 
@@ -236,8 +221,6 @@ let suite =
     Alcotest.test_case "timings: unreduced phases in order" `Quick test_unreduced_phases;
     Alcotest.test_case "timings: symmetric runs time symmetry first" `Quick
       test_symmetry_first;
-    Alcotest.test_case "timings: jobs 2 adds explore.* sub-phases" `Quick
-      test_jobs_sub_phases;
     Alcotest.test_case "timings: every duration is non-negative" `Quick
       test_durations_non_negative;
     Alcotest.test_case "timings: a profiled outcome's JSON equals the unprofiled one"

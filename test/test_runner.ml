@@ -74,73 +74,6 @@ let test_pool_propagates_exceptions () =
   | exception Failure m -> Alcotest.(check string) "first failure re-raised" "boom" m
   | _ -> Alcotest.fail "expected the worker exception to propagate"
 
-(* --- persistent pool: crash / determinism hardening ---
-
-   The contract Pspace leans on: a task that raises must neither
-   deadlock the round barrier nor poison later rounds; the FIRST
-   exception in index order is the one re-raised, independent of how
-   domains interleave; shutdown is idempotent and map_pool afterwards
-   is a clean Invalid_argument, not a hang. *)
-
-let test_persistent_pool_rounds () =
-  R.Pool.with_pool ~jobs:4 (fun p ->
-      Alcotest.(check int) "job count recorded" 4 (R.Pool.jobs p);
-      for round = 1 to 20 do
-        let input = Array.init 97 (fun i -> i) in
-        let out = R.Pool.map_pool p (fun i -> (i * round) + 1) input in
-        Alcotest.(check (array int))
-          (Printf.sprintf "round %d results in input order" round)
-          (Array.map (fun i -> (i * round) + 1) input)
-          out
-      done)
-
-exception Kaboom of int
-
-let test_persistent_pool_survives_raises () =
-  R.Pool.with_pool ~jobs:4 (fun p ->
-      (* alternate raising and clean rounds under contention: every
-         raising round must re-raise the first failing index, every
-         clean round must still produce exact results *)
-      for round = 0 to 29 do
-        let input = Array.init 200 (fun i -> i) in
-        if round mod 2 = 0 then begin
-          match
-            R.Pool.map_pool p
-              (fun i -> if i mod 17 = 3 then raise (Kaboom i) else i)
-              input
-          with
-          | exception Kaboom i ->
-            Alcotest.(check int)
-              (Printf.sprintf "round %d: first failing index wins" round)
-              3 i
-          | _ -> Alcotest.fail "expected Kaboom to propagate"
-        end
-        else
-          Alcotest.(check (array int))
-            (Printf.sprintf "round %d clean after a raising round" round)
-            (Array.map (fun i -> i * 2) input)
-            (R.Pool.map_pool p (fun i -> i * 2) input)
-      done)
-
-let test_pool_shutdown_semantics () =
-  let p = R.Pool.create ~jobs:3 in
-  let out = R.Pool.map_pool p (fun i -> i + 1) (Array.init 10 (fun i -> i)) in
-  Alcotest.(check (array int)) "live pool works" (Array.init 10 (fun i -> i + 1)) out;
-  R.Pool.shutdown p;
-  R.Pool.shutdown p;
-  (* idempotent *)
-  (match R.Pool.map_pool p (fun i -> i) [| 1; 2; 3 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "map_pool after shutdown must raise Invalid_argument");
-  (* with_pool shuts down even when the body raises *)
-  match
-    R.Pool.with_pool ~jobs:2 (fun p ->
-        ignore (R.Pool.map_pool p (fun i -> i) [| 1 |]);
-        failwith "body")
-  with
-  | exception Failure m -> Alcotest.(check string) "body exception surfaces" "body" m
-  | _ -> Alcotest.fail "expected the body exception to propagate"
-
 let suite =
   [ Alcotest.test_case "jobs=1 equals jobs=4 byte-for-byte" `Quick test_jobs_equivalence;
     Alcotest.test_case "rerun with same root is identical" `Quick test_rerun_identical;
@@ -148,10 +81,4 @@ let suite =
     Alcotest.test_case "fixture rows are green" `Quick test_fixture_green;
     Alcotest.test_case "pool preserves input order" `Quick test_pool_preserves_order;
     Alcotest.test_case "pool propagates exceptions" `Quick test_pool_propagates_exceptions;
-    Alcotest.test_case "persistent pool: 20 rounds, exact results" `Quick
-      test_persistent_pool_rounds;
-    Alcotest.test_case "persistent pool survives raising rounds under contention"
-      `Quick test_persistent_pool_survives_raises;
-    Alcotest.test_case "pool shutdown: idempotent, refuses further rounds" `Quick
-      test_pool_shutdown_semantics;
   ]

@@ -349,6 +349,227 @@ let collision_prop =
              && e.Space.task = r.Space.task)
            sp.Space.edges reference.Space.edges)
 
+(* --- well-formedness and POR on the closed CHK subjects ---
+
+   The sweep checks explorations against the automaton itself (edges
+   and parents replay, states distinct, counts and verdict consistent,
+   POR-off depths are BFS distances), and the sleep-set reduction
+   against the plain search: wherever the POR-off run exhausts, the
+   POR-on run reaches the same set of states. *)
+
+module BC = Afd_bench.Check
+
+(* The full CHK catalog (12 seeded subjects + 2 limit-broken liveness
+   subjects), each closed like Mc.check_spec closes them: detector
+   composed with the crash automaton over the full universe. *)
+let chk_subjects = BC.subjects @ BC.liveness_subjects
+
+(* Close one CHK subject like Mc.check_spec does — detector composed
+   with the crash automaton over the full universe — and hand its
+   automaton and an exploration probe to [f].  The GADT match and
+   everything typed by its existentials stay inside this one
+   function. *)
+type 'r closed = {
+  f :
+    'a. ('a Composition.state, 'a) Automaton.t -> ('a Composition.state, 'a) Probe.t -> 'r;
+}
+
+let with_closed ~max_states (BC.S { n; detector; _ }) { f } =
+  let crashable = Loc.set_of_universe ~n in
+  let comp =
+    Composition.make ~name:"chk-closed"
+      [ Component.C (detector n);
+        Component.C (Afd_automata.crash_automaton ~n ~crashable);
+      ]
+  in
+  let probe =
+    Probe.make ~equal_state:Composition.equal_state
+      ~hash_state:Composition.hash_state ~max_states []
+  in
+  f (Composition.as_automaton comp) probe
+
+(* --- well-formedness, independent of the explorer code ---
+
+   What any exploration of [aut] must satisfy, checked against the
+   automaton and the probe alone: the first violation, if any. *)
+let well_formed aut probe (sp : _ Space.t) =
+  let eq = probe.Probe.equal_state in
+  let n = Array.length sp.Space.states in
+  let replays src act dst =
+    match aut.Automaton.step sp.Space.states.(src) act with
+    | Some s' -> eq s' sp.Space.states.(dst)
+    | None -> false
+  in
+  let fail = ref None in
+  let check ok msg = if !fail = None && not ok then fail := Some (Lazy.force msg) in
+  Array.iteri
+    (fun e { Space.src; dst; act; _ } ->
+      check (replays src act dst) (lazy (Printf.sprintf "edge %d does not replay" e)))
+    sp.Space.edges;
+  let edge_set = Hashtbl.create 64 in
+  Array.iter
+    (fun { Space.src; dst; act; _ } -> Hashtbl.replace edge_set (src, dst, act) ())
+    sp.Space.edges;
+  Array.iteri
+    (fun i par ->
+      match par with
+      | None -> ()
+      | Some (p, act) ->
+        check (replays p act i) (lazy (Printf.sprintf "parent of %d does not replay" i));
+        check
+          (Hashtbl.mem edge_set (p, i, act))
+          (lazy (Printf.sprintf "parent edge of %d not recorded" i));
+        let dp = sp.Space.depth.(p) in
+        check
+          (sp.Space.depth.(i) = if dp = max_int then max_int else dp + 1)
+          (lazy (Printf.sprintf "depth of %d is not its parent's + 1" i)))
+    sp.Space.parent;
+  let hash = Option.value ~default:(fun _ -> 0) probe.Probe.hash_state in
+  let buckets = Hashtbl.create 64 in
+  Array.iteri
+    (fun i s ->
+      let h = hash s in
+      let b = Option.value ~default:[] (Hashtbl.find_opt buckets h) in
+      List.iter
+        (fun j ->
+          check (not (eq sp.Space.states.(j) s))
+            (lazy (Printf.sprintf "states %d and %d are equal" j i)))
+        b;
+      Hashtbl.replace buckets h (i :: b))
+    sp.Space.states;
+  check
+    (sp.Space.stats.Space.transitions = Array.length sp.Space.edges)
+    (lazy "transitions <> |edges|");
+  check (n <= probe.Probe.max_states) (lazy "more states than max_states");
+  check
+    ((sp.Space.verdict = Space.Exhausted) = (sp.Space.stats.Space.cut = 0))
+    (lazy "verdict disagrees with the cut count");
+  if not sp.Space.por then begin
+    (* BFS distances from state 0 over the recorded edges *)
+    let dist = Array.make n max_int in
+    let adj = Array.make n [] in
+    Array.iter (fun { Space.src; dst; _ } -> adj.(src) <- dst :: adj.(src)) sp.Space.edges;
+    let q = Queue.create () in
+    if n > 0 then begin
+      dist.(0) <- 0;
+      Queue.add 0 q
+    end;
+    while not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      List.iter
+        (fun v ->
+          if dist.(v) = max_int then begin
+            dist.(v) <- dist.(u) + 1;
+            Queue.add v q
+          end)
+        adj.(u)
+    done;
+    Array.iteri
+      (fun i d ->
+        if d <> max_int then
+          check (d = dist.(i))
+            (lazy (Printf.sprintf "depth of %d is not its BFS distance" i)))
+      sp.Space.depth
+  end;
+  !fail
+
+(* Every state of [xs] has an equal one in [ys], by the composition's
+   own equality and its congruent hash. *)
+let subset xs ys =
+  let buckets = Hashtbl.create (Array.length ys) in
+  Array.iter (fun s -> Hashtbl.add buckets (Composition.hash_state s) s) ys;
+  Array.for_all
+    (fun s ->
+      List.exists (Composition.equal_state s)
+        (Hashtbl.find_all buckets (Composition.hash_state s)))
+    xs
+
+(* Explore one closed CHK subject, POR off and on.  The
+   well-formedness failures of both runs, labelled; and, when the
+   POR-off run exhausted, whether the POR-on run reached the same
+   states and how many transitions it slept ([None] when it did not
+   exhaust). *)
+let subject_sweep ~max_states subj =
+  with_closed ~max_states subj
+    { f =
+        (fun aut probe ->
+          let off = Space.explore aut probe and on = Space.explore ~por:true aut probe in
+          let failures =
+            List.filter_map
+              (fun (name, sp) ->
+                Option.map (fun m -> name ^ ": " ^ m) (well_formed aut probe sp))
+              [ ("por=false", off); ("por=true", on) ]
+          in
+          let same_set =
+            if off.Space.verdict <> Space.Exhausted then None
+            else
+              Some
+                ( subset off.Space.states on.Space.states
+                  && subset on.Space.states off.Space.states,
+                  on.Space.stats.Space.slept )
+          in
+          (failures, same_set));
+    }
+
+let test_well_formed () =
+  let runs = ref 0 in
+  (* subject id -> transitions the POR-on run slept, at 3000 states *)
+  let por_checked = Hashtbl.create 16 in
+  List.iter
+    (fun subj ->
+      List.iter
+        (fun max_states ->
+          runs := !runs + 2;
+          let label = Printf.sprintf "%s max_states=%d" (BC.id subj) max_states in
+          let failures, same_set = subject_sweep ~max_states subj in
+          Alcotest.(check (list string)) (label ^ " well-formed") [] failures;
+          match same_set with
+          | None -> ()
+          | Some (same, slept) ->
+            Alcotest.(check bool) (label ^ ": POR keeps the reachable set") true same;
+            if max_states = 3_000 then Hashtbl.replace por_checked (BC.id subj) slept)
+        [ 7; 400; 3_000 ])
+    chk_subjects;
+  Alcotest.(check int) "every combination ran" (14 * 2 * 3) !runs;
+  Alcotest.(check int) "subjects whose POR-off run exhausts at 3000 states" 14
+    (Hashtbl.length por_checked);
+  Alcotest.(check int) "of those, subjects where POR slept a transition" 8
+    (Hashtbl.fold (fun _ slept k -> if slept > 0 then k + 1 else k) por_checked 0)
+
+(* --- the sleep-set search against a reference written apart from it ---
+
+   The POR set equality in the sweep above cannot see a lost
+   re-expansion that happens not to lose a state; the list-based
+   reference can: same states in order, same edges in order, same
+   slept count. *)
+
+let test_por_matches_reference () =
+  List.iter
+    (fun subj ->
+      List.iter
+        (fun max_states ->
+          let label = Printf.sprintf "%s max_states=%d" (BC.id subj) max_states in
+          with_closed ~max_states subj
+            { f =
+                (fun aut probe ->
+                  let sp = Space.explore ~por:true aut probe in
+                  let states, edges, slept = List_explore.list_por aut probe in
+                  Alcotest.(check int) (label ^ ": state count")
+                    (List.length states) (Array.length sp.Space.states);
+                  Alcotest.(check bool) (label ^ ": states in order") true
+                    (List.for_all2 Composition.equal_state states
+                       (Array.to_list sp.Space.states));
+                  Alcotest.(check (list (triple int int (option string))))
+                    (label ^ ": edges in order") edges
+                    (Array.to_list
+                       (Array.map (fun e -> (e.Space.src, e.Space.dst, e.Space.task))
+                          sp.Space.edges));
+                  Alcotest.(check int) (label ^ ": slept") slept
+                    sp.Space.stats.Space.slept);
+            })
+        [ 400; 3_000 ])
+    chk_subjects
+
 let suite =
   [ Alcotest.test_case "hashed explorer == list scan on the whole catalog" `Quick
       test_differential_vs_list;
@@ -368,4 +589,8 @@ let suite =
       test_mc_fold_subjects_n4;
     QCheck_alcotest.to_alcotest containment_prop;
     QCheck_alcotest.to_alcotest collision_prop;
+    Alcotest.test_case "explorations are well-formed; POR keeps the reachable set"
+      `Quick test_well_formed;
+    Alcotest.test_case "POR search == list-based sleep-set reference" `Quick
+      test_por_matches_reference;
   ]

@@ -19,18 +19,16 @@ let chk_subjects = BC.subjects @ BC.liveness_subjects
    instance size [n]; both runs must exhaust and claim the same things.
    The GADT match and everything typed by its existentials stay inside
    this one function. *)
-let claims_agree ~por ~jobs ~n (BC.S { detector; symm; spec; _ }) =
+let claims_agree ~por ~n (BC.S { detector; symm; spec; _ }) =
   match symm with
   | None -> true
   | Some kit ->
     let run use_sym =
       let r =
         if use_sym then
-          Mc.check_spec ~max_states:20_000 ~por ~jobs ~symmetry:kit ~n spec
+          Mc.check_spec ~max_states:20_000 ~por ~symmetry:kit ~n spec
             ~detector:(detector n)
-        else
-          Mc.check_spec ~max_states:20_000 ~por ~jobs ~n spec
-            ~detector:(detector n)
+        else Mc.check_spec ~max_states:20_000 ~por ~n spec ~detector:(detector n)
       in
       match r with
       | Ok o -> o
@@ -54,20 +52,15 @@ let differential_prop =
     QCheck2.Gen.(
       let* subj_ix = int_bound (List.length chk_subjects - 1) in
       let* por = bool in
-      let* jobs = oneofl [ 1; 2; 4 ] in
       let* n = oneofl [ 2; 3 ] in
-      return (subj_ix, por, jobs, n))
+      return (subj_ix, por, n))
   in
   QCheck2.Test.make
-    ~name:"Mc quotient == unreduced claims on CHK subjects x por x jobs x n"
-    ~count:40
-    ~print:(fun (i, por, jobs, n) ->
-      Printf.sprintf "subject=%s por=%b jobs=%d n=%d"
-        (BC.id (List.nth chk_subjects i))
-        por jobs n)
+    ~name:"Mc quotient == unreduced claims on CHK subjects x por x n" ~count:40
+    ~print:(fun (i, por, n) ->
+      Printf.sprintf "subject=%s por=%b n=%d" (BC.id (List.nth chk_subjects i)) por n)
     gen
-    (fun (subj_ix, por, jobs, n) ->
-      claims_agree ~por ~jobs ~n (List.nth chk_subjects subj_ix))
+    (fun (subj_ix, por, n) -> claims_agree ~por ~n (List.nth chk_subjects subj_ix))
 
 (* --- deterministic pins --- *)
 
@@ -76,7 +69,7 @@ let differential_prop =
 let test_quotient_at_n4 () =
   let subj = List.find (fun s -> BC.id s = "CHK.p") chk_subjects in
   Alcotest.(check bool) "CHK.p claims agree at n=4" true
-    (claims_agree ~por:false ~jobs:1 ~n:4 subj)
+    (claims_agree ~por:false ~n:4 subj)
 
 let statuses =
   [ ("CHK.p", `Certified); ("CHK.evp", `Breaking); ("CHK.s", `Certified);
@@ -285,52 +278,6 @@ let test_breaks_off_representative () =
       (Fmt.str "%a" Symm.pp_witness w)
   | Symm.Certified _ -> Alcotest.fail "gated-pass must not certify"
   | Symm.Unsupported r -> Alcotest.failf "unsupported: %s" r
-
-(* --- witnesses and certificates do not depend on [jobs] --- *)
-
-(* The walk runs in the parallel explorer's workers at [jobs > 1]: a
-   break must still be raised at the first failing state in discovery
-   order, and field classification must merge per expansion.  The
-   lint reports (shared exploration, findings, witnesses) and the MC
-   outcomes must be equal at 1, 2 and 4 jobs, for a break at the start
-   state, a break below it, a certifying fixture and a certifying and a
-   breaking CHK subject. *)
-let test_jobs_independent () =
-  let lint entry jobs =
-    Report.to_json
-      (Engine.run_entry ~rules:(Rules.all @ Rules.mc @ Rules.symmetry) ~jobs
-         ~symmetry:true ~origin:"fixture" entry)
-  in
-  let entries =
-    List.map snd Fixtures.symmetry
-    @ [ Fixtures.symmetry_certifiable; Registry.Automaton (biased_flags, biased_probe) ]
-  in
-  List.iter
-    (fun entry ->
-      let one = lint entry 1 in
-      List.iter
-        (fun jobs ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s at jobs=%d" (Registry.entry_name entry) jobs)
-            one (lint entry jobs))
-        [ 2; 4 ])
-    entries;
-  List.iter
-    (fun id ->
-      let (BC.S { n; detector; symm; spec; _ }) =
-        List.find (fun s -> BC.id s = id) chk_subjects
-      in
-      let mc jobs =
-        match Mc.check_spec ~jobs ?symmetry:symm ~n spec ~detector:(detector n) with
-        | Ok o -> Mc.outcome_to_json ~pp_out:spec.Afd_core.Afd.pp_out o
-        | Error e -> Alcotest.failf "%s: raw spec: %s" id e
-      in
-      let one = mc 1 in
-      List.iter
-        (fun jobs ->
-          Alcotest.(check string) (Printf.sprintf "%s at jobs=%d" id jobs) one (mc jobs))
-        [ 2; 4 ])
-    [ "CHK.omega"; "CHK.sigma" ]
 
 (* --- the certificate's exhaustiveness is the exploration's --- *)
 
@@ -557,8 +504,6 @@ let suite =
       `Quick test_breaks_off_representative;
     Alcotest.test_case "certificates and field classification are pinned" `Quick
       test_certificates_pinned;
-    Alcotest.test_case "witnesses and certificates are equal at jobs 1, 2, 4" `Quick
-      test_jobs_independent;
     Alcotest.test_case "a budget equal to the quotient size certifies exhaustive"
       `Quick test_budget_at_quotient_size;
     Alcotest.test_case "n=6 rung: FD-Sigma" `Quick
