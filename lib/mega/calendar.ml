@@ -4,14 +4,36 @@
    before any near-scheduled insert can target that bucket epoch:
    direct insertion requires [at - now < wsize], and the drain runs at
    the first [now] where that holds, inside [pop], before user code at
-   that time runs again). *)
+   that time runs again).
 
-type bucket = { mutable data : int array; mutable len : int; mutable cur : int }
+   A bucket is a FIFO of fixed-size chunks: records are written at
+   [wr] in its last chunk and read at [rd] in its first.  A chunk goes
+   back on the free stack once its last record has been read, and
+   [take] reuses the top of that stack before it allocates; so the
+   calendar never holds more chunks than it once had in use at the same
+   time. *)
+
+let wsize = 1 lsl 12
+let wmask = wsize - 1
+
+(* 512 records per chunk *)
+let chunk_words = 5 * 512
 
 type t = {
-  wsize : int;
-  wmask : int;
-  buckets : bucket array;
+  (* chunk [c] is [chunks.(c)] and is followed in its bucket by
+     [next.(c)] (unspecified for a bucket's last chunk); the free stack
+     is [free.(0 .. nfree - 1)] *)
+  mutable chunks : int array array;
+  mutable next : int array;
+  mutable free : int array;
+  mutable nchunks : int;
+  mutable nfree : int;
+  (* per bucket: first and last chunk (-1 when the bucket is empty),
+     read offset in the first, write offset in the last *)
+  head : int array;
+  tail : int array;
+  rd : int array;
+  wr : int array;
   occ : Bytes.t;  (* occupancy per bucket, for the advance scan *)
   mutable wcount : int;  (* nonempty buckets *)
   mutable now : int;
@@ -34,13 +56,16 @@ type t = {
   mutable ed : int;
 }
 
-let create ?(wheel_bits = 12) () =
-  if wheel_bits < 2 || wheel_bits > 20 then
-    invalid_arg "Calendar.create: wheel_bits out of range";
-  let wsize = 1 lsl wheel_bits in
-  { wsize;
-    wmask = wsize - 1;
-    buckets = Array.init wsize (fun _ -> { data = [||]; len = 0; cur = 0 });
+let create () =
+  { chunks = [||];
+    next = [||];
+    free = [||];
+    nchunks = 0;
+    nfree = 0;
+    head = Array.make wsize (-1);
+    tail = Array.make wsize (-1);
+    rd = Array.make wsize 0;
+    wr = Array.make wsize 0;
     occ = Bytes.make wsize '\000';
     wcount = 0;
     now = 0;
@@ -69,27 +94,62 @@ let ev_b t = t.eb
 let ev_c t = t.ec
 let ev_d t = t.ed
 
+let take t =
+  if t.nfree > 0 then begin
+    t.nfree <- t.nfree - 1;
+    t.free.(t.nfree)
+  end
+  else begin
+    let c = t.nchunks in
+    if c = Array.length t.chunks then begin
+      (* the free stack is empty, so only [chunks] and [next] are copied *)
+      let cap = max 16 (2 * c) in
+      let grow a x =
+        let b = Array.make cap x in
+        Array.blit a 0 b 0 c;
+        b
+      in
+      t.chunks <- grow t.chunks [||];
+      t.next <- grow t.next 0;
+      t.free <- Array.make cap 0
+    end;
+    t.chunks.(c) <- Array.make chunk_words 0;
+    t.nchunks <- c + 1;
+    c
+  end
+
+let give t c =
+  t.free.(t.nfree) <- c;
+  t.nfree <- t.nfree + 1
+
 let wheel_insert t at k a b c d =
-  let i = at land t.wmask in
-  let bk = t.buckets.(i) in
-  let cap = Array.length bk.data in
-  if bk.len + 5 > cap then begin
-    let d' = Array.make (max 20 (2 * cap)) 0 in
-    Array.blit bk.data 0 d' 0 bk.len;
-    bk.data <- d'
-  end;
-  let p = bk.len in
-  bk.data.(p) <- k;
-  bk.data.(p + 1) <- a;
-  bk.data.(p + 2) <- b;
-  bk.data.(p + 3) <- c;
-  bk.data.(p + 4) <- d;
-  if bk.len = bk.cur then begin
-    (* bucket was (logically) empty *)
-    Bytes.unsafe_set t.occ i '\001';
-    t.wcount <- t.wcount + 1
-  end;
-  bk.len <- bk.len + 5
+  let i = at land wmask in
+  let w = t.wr.(i) in
+  let w =
+    if t.head.(i) < 0 then begin
+      let ch = take t in
+      t.head.(i) <- ch;
+      t.tail.(i) <- ch;
+      t.rd.(i) <- 0;
+      Bytes.unsafe_set t.occ i '\001';
+      t.wcount <- t.wcount + 1;
+      0
+    end
+    else if w = chunk_words then begin
+      let ch = take t in
+      t.next.(t.tail.(i)) <- ch;
+      t.tail.(i) <- ch;
+      0
+    end
+    else w
+  in
+  let data = t.chunks.(t.tail.(i)) in
+  data.(w) <- k;
+  data.(w + 1) <- a;
+  data.(w + 2) <- b;
+  data.(w + 3) <- c;
+  data.(w + 4) <- d;
+  t.wr.(i) <- w + 5
 
 (* (time, seq) lexicographic *)
 let heap_less t i j =
@@ -158,7 +218,7 @@ let heap_pop_into_wheel t =
   end
 
 let drain t =
-  while t.hlen > 0 && t.ht.(0) - t.now < t.wsize do
+  while t.hlen > 0 && t.ht.(0) - t.now < wsize do
     heap_pop_into_wheel t
   done
 
@@ -166,25 +226,15 @@ let schedule t ~at ~kind ~a ~b ~c ~d =
   let at = if at <= t.now then t.now else at in
   t.pending <- t.pending + 1;
   t.seq <- t.seq + 1;
-  if at - t.now < t.wsize then wheel_insert t at kind a b c d
+  if at - t.now < wsize then wheel_insert t at kind a b c d
   else heap_insert t at t.seq kind a b c d
-
-let reset_bucket t i =
-  let bk = t.buckets.(i) in
-  if bk.len > bk.cur then invalid_arg "Calendar: resetting nonempty bucket";
-  if Bytes.unsafe_get t.occ i = '\001' then begin
-    Bytes.unsafe_set t.occ i '\000';
-    t.wcount <- t.wcount - 1
-  end;
-  bk.len <- 0;
-  bk.cur <- 0
 
 let advance t =
   (* precondition: pending > 0 and the current bucket is drained *)
   if t.wcount > 0 then begin
-    let b0 = t.now land t.wmask in
+    let b0 = t.now land wmask in
     let d = ref 1 in
-    while Bytes.unsafe_get t.occ ((b0 + !d) land t.wmask) = '\000' do
+    while Bytes.unsafe_get t.occ ((b0 + !d) land wmask) = '\000' do
       incr d
     done;
     t.now <- t.now + !d
@@ -195,18 +245,31 @@ let advance t =
 let rec pop t =
   if t.pending = 0 then false
   else begin
-    let i = t.now land t.wmask in
-    let bk = t.buckets.(i) in
-    if bk.cur < bk.len then begin
-      let p = bk.cur in
-      t.ek <- bk.data.(p);
-      t.ea <- bk.data.(p + 1);
-      t.eb <- bk.data.(p + 2);
-      t.ec <- bk.data.(p + 3);
-      t.ed <- bk.data.(p + 4);
-      bk.cur <- p + 5;
+    let i = t.now land wmask in
+    let h = t.head.(i) in
+    if h >= 0 then begin
+      let data = t.chunks.(h) in
+      let p = t.rd.(i) in
+      t.ek <- data.(p);
+      t.ea <- data.(p + 1);
+      t.eb <- data.(p + 2);
+      t.ec <- data.(p + 3);
+      t.ed <- data.(p + 4);
       t.pending <- t.pending - 1;
-      if bk.cur >= bk.len then reset_bucket t i;
+      let p = p + 5 in
+      if h = t.tail.(i) && p = t.wr.(i) then begin
+        (* the bucket drained *)
+        give t h;
+        t.head.(i) <- -1;
+        Bytes.unsafe_set t.occ i '\000';
+        t.wcount <- t.wcount - 1
+      end
+      else if p = chunk_words then begin
+        t.head.(i) <- t.next.(h);
+        t.rd.(i) <- 0;
+        give t h
+      end
+      else t.rd.(i) <- p;
       true
     end
     else begin

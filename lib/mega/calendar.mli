@@ -2,24 +2,34 @@
     overflow heap.
 
     Events are 5-int records [(kind, a, b, c, d)] scheduled at integer
-    virtual times.  Events within the wheel horizon ([now, now + W))
-    live in per-time buckets of a [W]-slot wheel; farther events wait
-    in a binary min-heap keyed by [(time, seq)] and are drained into
-    the wheel as [now] advances past their horizon.  Both paths
-    preserve global creation (FIFO) order among events with equal
-    timestamps: heap entries for a bucket are drained before any
+    virtual times.  Events within the wheel horizon ([now, now + W)),
+    [W = 4096] ticks, live in per-time buckets of the wheel; farther
+    events wait in a binary min-heap keyed by [(time, seq)] and are
+    drained into the wheel as [now] advances past their horizon.  Both
+    paths preserve global creation (FIFO) order among events with
+    equal timestamps: heap entries for a bucket are drained before any
     direct insert into that bucket epoch can occur, and within each
     path entries are kept in sequence order.
 
-    [pop]/[schedule] are allocation-free after warm-up (buckets, heap
-    and the popped-event fields are reused), which is what keeps the
-    engine at millions of events per second. *)
+    Storage: a bucket is a FIFO of fixed-size chunks of 512 records
+    (2 560 ints), all taken from one free stack owned by the calendar.
+    A chunk goes back on the stack as soon as its last record is read,
+    so a drained bucket holds nothing, and no record is ever copied.
+    With at most [P] events pending and at most [B] nonempty
+    buckets, the calendar holds at most [P/512 + 2B] chunks beside its
+    fixed wheel arrays (four [W]-int arrays and a [W]-byte occupancy
+    map) and the heap.
+
+    [pop]/[schedule] are allocation-free after warm-up (chunks, heap
+    and the popped-event fields are reused): a chunk is allocated only
+    when more are in use at once than ever before, which is what keeps
+    the engine at millions of events per second. *)
 
 type t
 
-val create : ?wheel_bits:int -> unit -> t
-(** [wheel_bits] (default 12) sizes the wheel at [2^wheel_bits]
-    ticks. *)
+val create : unit -> t
+(** An empty calendar at time 0 with a [W = 4096]-tick wheel and no
+    chunks. *)
 
 val now : t -> int
 (** Current virtual time: the timestamp of the last popped event. *)

@@ -57,6 +57,133 @@ let calendar_immediate () =
   sched 3 3;
   Alcotest.(check (list (pair int int))) "clamped to now" [ (7, 2); (7, 3) ] (pop_all cal)
 
+(* The calendar against a reference ordered by (time, creation seq).
+   A bucket chunk holds 512 records, so bursts of 513+ events into one
+   tick span chunks; offsets of 4096+ ticks go through the overflow
+   heap; offsets <= 0 are clamped to [now]. *)
+type cal_op = Sched of int * int (* offset from now, count *) | Pop of int
+
+let cal_op_gen =
+  QCheck2.Gen.(
+    let offset =
+      frequency
+        [ (3, int_range (-5) 0);
+          (10, int_range 1 8);
+          (2, int_range 9 4095);
+          (2, int_range 4096 12_000);
+        ]
+    in
+    (* runs of about a chunk's length, so that reads and writes meet
+       at chunk ends *)
+    let chunkish = frequency [ (2, oneofl [ 511; 512 ]); (1, int_range 509 515) ] in
+    let count = frequency [ (10, int_range 1 3); (1, chunkish); (1, int_range 513 1100) ] in
+    let pops = frequency [ (10, int_range 1 3); (1, chunkish); (1, int_range 4 1200) ] in
+    frequency [ (1, map2 (fun o n -> Sched (o, n)) offset count); (1, map (fun k -> Pop k) pops) ])
+
+let print_cal_op = function
+  | Sched (o, n) -> Printf.sprintf "Sched (%d, %d)" o n
+  | Pop k -> Printf.sprintf "Pop %d" k
+
+module Ref_cal = Map.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+exception Diverged
+
+(* stops at the first difference: a calendar that hands out a record
+   it no longer owns can lose count of its events, and its next [pop]
+   would then scan the wheel forever *)
+let calendar_vs_reference ops =
+  let cal = M.Calendar.create () in
+  let rf = ref Ref_cal.empty and rnow = ref 0 and seq = ref 0 in
+  let expect b = if not b then raise Diverged in
+  let pop_both () =
+    let popped = M.Calendar.pop cal in
+    match Ref_cal.min_binding_opt !rf with
+    | None -> expect (not popped)
+    | Some (((at, _) as key), (k, a, b, c, d)) ->
+      rf := Ref_cal.remove key !rf;
+      rnow := at;
+      expect
+        (popped
+        && M.Calendar.(now cal, ev_kind cal, ev_a cal, ev_b cal, ev_c cal, ev_d cal)
+           = (at, k, a, b, c, d))
+  in
+  let step op =
+    (match op with
+     | Sched (o, n) ->
+       for _ = 1 to n do
+         incr seq;
+         let id = !seq in
+         let at = M.Calendar.now cal + o in
+         let k = id land 7 and a = id and b = (7 * id) + 1 and c = abs o and d = n in
+         M.Calendar.schedule cal ~at ~kind:k ~a ~b ~c ~d;
+         rf := Ref_cal.add (max at !rnow, id) (k, a, b, c, d) !rf
+       done
+     | Pop k ->
+       for _ = 1 to k do
+         pop_both ()
+       done);
+    expect (M.Calendar.pending cal = Ref_cal.cardinal !rf)
+  in
+  match
+    List.iter step ops;
+    while not (Ref_cal.is_empty !rf) do
+      pop_both ()
+    done;
+    expect (not (M.Calendar.pop cal))
+  with
+  | () -> true
+  | exception Diverged -> false
+
+let prop_calendar =
+  QCheck2.Test.make ~name:"calendar ≡ (time, seq)-ordered reference" ~count:120
+    ~print:QCheck2.Print.(list print_cal_op)
+    QCheck2.Gen.(list_size (int_range 1 200) cal_op_gen)
+    calendar_vs_reference
+
+(* a chunk whose last record is still unread while the free stack
+   hands it to another bucket: at the end of a bucket, and at the end
+   of a full chunk with more of the bucket in the next one *)
+let calendar_chunk_reuse () =
+  List.iter
+    (fun ops ->
+      Alcotest.(check bool)
+        (String.concat "; " (List.map print_cal_op ops))
+        true (calendar_vs_reference ops))
+    [ [ Sched (1, 2); Pop 1; Sched (5, 2) ]; [ Sched (1, 1100); Pop 511; Sched (2, 513) ] ]
+
+(* After two wheel laps with at most [p] events pending, the calendar
+   holds its fixed wheel arrays plus the chunks in use: at most p/512
+   full ones and two partial ones per nonempty bucket (nine here, as
+   every delay is 1-8 ticks), each 2 560 words and a header, plus three
+   words of chunk bookkeeping with doubling slack.  A bucket that keeps
+   its storage after it drains holds 4 096 blocks after a lap. *)
+let calendar_memory_bound () =
+  let cal = M.Calendar.create () in
+  let fixed = Obj.reachable_words (Obj.repr cal) in
+  let p = 2048 in
+  let rng = Random.State.make [| 29 |] in
+  let delay () = 1 + Random.State.int rng 8 in
+  for i = 1 to p do
+    M.Calendar.schedule cal ~at:(delay ()) ~kind:0 ~a:i ~b:0 ~c:0 ~d:0
+  done;
+  while M.Calendar.now cal < 2 * 4096 do
+    ignore (M.Calendar.pop cal);
+    M.Calendar.schedule cal
+      ~at:(M.Calendar.now cal + delay ())
+      ~kind:1 ~a:(M.Calendar.ev_a cal) ~b:0 ~c:0 ~d:0
+  done;
+  Alcotest.(check int) "pending" p (M.Calendar.pending cal);
+  let chunks = (p / 512) + (2 * 9) in
+  let bound = fixed + (chunks * (2561 + 6)) in
+  let words = Obj.reachable_words (Obj.repr cal) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d reachable words <= %d" words bound)
+    true (words <= bound)
+
 (* {2 Congruence differential: mega ≡ Scheduler at small n} *)
 
 let kinds_for n =
@@ -368,4 +495,7 @@ let suite =
     Alcotest.test_case "sample: window eviction keeps exactness" `Quick sample_window_eviction;
     Alcotest.test_case "univ: join interns fresh ids, refuses the rest" `Quick univ_join;
     Alcotest.test_case "stats: nearest-rank percentiles" `Quick stats_percentiles;
+    QCheck_alcotest.to_alcotest prop_calendar;
+    Alcotest.test_case "calendar: chunks reused only once read" `Quick calendar_chunk_reuse;
+    Alcotest.test_case "calendar: memory linear in pending events" `Quick calendar_memory_bound;
   ]
