@@ -45,9 +45,15 @@ let count_conv ~min ~max ~what =
 let positive_int = count_conv ~min:1 ~max:max_int ~what:"a positive count"
 let non_negative_int = count_conv ~min:0 ~max:max_int ~what:"a non-negative count"
 
+(* A location set is one machine word, so a universe holds at most
+   [Loc.max_locations] locations. *)
 let n_arg =
+  let what = Printf.sprintf "a location count in 1..%d" Loc.max_locations in
   Arg.(
-    value & opt positive_int 3 & info [ "n" ] ~docv:"N" ~doc:"Number of locations.")
+    value
+    & opt (count_conv ~min:1 ~max:Loc.max_locations ~what) 3
+    & info [ "n" ] ~docv:"N"
+        ~doc:(Printf.sprintf "Number of locations, at most %d." Loc.max_locations))
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Scheduler random seed.")

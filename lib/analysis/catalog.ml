@@ -73,7 +73,7 @@ let set_symm =
   { Probe.sy_n = n;
     sy_state = Symm.perm_set;
     sy_action = Symm.perm_event Symm.perm_set;
-    sy_cmp = Symm.cmp_set;
+    sy_cmp = Loc.Set.compare;
     sy_fields =
       [ Probe.F
           { f_name = "crashset";
@@ -88,7 +88,7 @@ let leader_symm =
   { Probe.sy_n = n;
     sy_state = Symm.perm_set;
     sy_action = Symm.perm_event (fun pif l -> pif l);
-    sy_cmp = Symm.cmp_set;
+    sy_cmp = Loc.Set.compare;
     sy_fields =
       [ Probe.F
           { f_name = "crashset";
@@ -105,7 +105,7 @@ let flip_symm =
     sy_action = Symm.perm_event (fun pif l -> pif l);
     sy_cmp =
       (fun (c1, t1) (c2, t2) ->
-        let c = Symm.cmp_set c1 c2 in
+        let c = Loc.Set.compare c1 c2 in
         if c <> 0 then c else Bool.compare t1 t2);
     sy_fields =
       [ Probe.F
@@ -123,34 +123,20 @@ let flip_symm =
       ];
   }
 
-(* Hashes congruent with the custom state equalities above: AVL sets
-   that are [Loc.Set.equal] can differ in tree shape, so hash the sorted
-   element lists, never the trees.  Every probe with a custom
-   [equal_state] MUST pair it with one of these — otherwise the
-   explorer degrades to the exact single-bucket fallback (O(n²)); a
+(* Location sets are words, so states built of sets and flags take the
+   probe's structural identity.  Equal [Loc.Map]s can differ in tree
+   shape, so states holding one need a custom equality and a hash
+   congruent with it, through the map's bindings.  Every probe with a
+   custom [equal_state] MUST pair it with a congruent hash — otherwise
+   the explorer degrades to the exact single-bucket fallback (O(n²)); a
    regression test asserts the catalog carries no such probe. *)
-let hash_set s = Hashtbl.hash (Loc.Set.elements s)
-
-let hash_leader_noisy (c, q) = Hashtbl.hash (Loc.Set.elements c, Loc.Map.bindings q)
-
-let hash_flip_flop (c, toggle) = Hashtbl.hash (Loc.Set.elements c, toggle)
-
-let hash_set_noisy (c, q) =
-  Hashtbl.hash
-    ( Loc.Set.elements c,
-      List.map (fun (k, v) -> (k, List.map Loc.Set.elements v)) (Loc.Map.bindings q) )
+let hash_noisy (c, q) = Hashtbl.hash (c, Loc.Map.bindings q)
 
 let register_core () =
   let reg e = Registry.register ~origin:"core" e in
   let crashable = Loc.set_of_universe ~n in
-  let sym_set_probe () =
-    set_probe ~actions:sym_set_acts ~equal_state:Loc.Set.equal
-      ~hash_state:hash_set ~symm:set_symm ()
-  in
-  let sym_leader_probe () =
-    leader_probe ~actions:sym_leader_acts ~equal_state:Loc.Set.equal
-      ~hash_state:hash_set ~symm:leader_symm ()
-  in
+  let sym_set_probe () = set_probe ~actions:sym_set_acts ~symm:set_symm () in
+  let sym_leader_probe () = leader_probe ~actions:sym_leader_acts ~symm:leader_symm () in
   reg
     (Registry.Automaton
        (Afd_automata.crash_automaton ~n ~crashable, sym_set_probe ()));
@@ -165,12 +151,10 @@ let register_core () =
      FD-Silent stays out — its never-enabled fair tasks trip dead-task
      by design, and the catalog is the clean-bill-of-health set; the
      model checker covers it as CHK.silent instead. *)
-  let eq_flip_flop (c1, t1) (c2, t2) = Loc.Set.equal c1 c2 && Bool.equal t1 t2 in
   reg
     (Registry.Automaton
        ( Afd_automata.fd_flip_flop ~n,
-         leader_probe ~actions:sym_leader_acts ~equal_state:eq_flip_flop
-           ~hash_state:hash_flip_flop ~symm:flip_symm () ));
+         leader_probe ~actions:sym_leader_acts ~symm:flip_symm () ));
   let eq_leader_noisy (c1, q1) (c2, q2) =
     Loc.Set.equal c1 c2 && Loc.Map.equal (List.equal Loc.equal) q1 q2
   in
@@ -178,7 +162,7 @@ let register_core () =
     (Registry.Automaton
        ( Afd_automata.fd_omega_noisy ~n
            ~noise:(Afd_automata.noise_of_list [ (0, 2); (1, 2) ]),
-         leader_probe ~equal_state:eq_leader_noisy ~hash_state:hash_leader_noisy () ));
+         leader_probe ~equal_state:eq_leader_noisy ~hash_state:hash_noisy () ));
   let eq_set_noisy (c1, q1) (c2, q2) =
     Loc.Set.equal c1 c2 && Loc.Map.equal (List.equal Loc.Set.equal) q1 q2
   in
@@ -186,7 +170,7 @@ let register_core () =
     (Registry.Automaton
        ( Afd_automata.fd_ev_perfect_noisy ~n
            ~noise:(Afd_automata.noise_of_list [ (0, Loc.Set.singleton 1) ]),
-         set_probe ~equal_state:eq_set_noisy ~hash_state:hash_set_noisy () ));
+         set_probe ~equal_state:eq_set_noisy ~hash_state:hash_noisy () ));
   (* Algorithm 1 composed with the crash automaton: the closed system
      whose fair traces Theorem "sampled containment" tests consume. *)
   reg

@@ -351,15 +351,13 @@ let sym_probe ?symm () =
   Probe.make
     ~equal_action:(Fd_event.equal Loc.Set.equal)
     ~pp_action:(Fd_event.pp Loc.pp_set)
-    ~equal_state:Loc.Set.equal
-    ~hash_state:(fun s -> Hashtbl.hash (Loc.Set.elements s))
     ?symm sym_acts
 
 let sym_descriptor =
   { Probe.sy_n = sym_n;
     sy_state = Symm.perm_set;
     sy_action = Symm.perm_event Symm.perm_set;
-    sy_cmp = Symm.cmp_set;
+    sy_cmp = Loc.Set.compare;
     sy_fields =
       [ Probe.F
           { f_name = "crashset";

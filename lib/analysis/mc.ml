@@ -33,22 +33,16 @@ type sym_status =
   | Sym_breaking of Symm.witness
   | Sym_fallback of string
 
-(* A permutation action on detector states together with a semantic
-   total order and congruent hash.  All three are required: polymorphic
-   compare/hash are AVL-shape-sensitive on sets and maps, so a
-   [Loc.Set.map]-transported state could spuriously differ from a
-   stepped one. *)
+(* A permutation action on detector states together with a total
+   order whose equality is structural equality, so that [Hashtbl.hash]
+   is a congruent hash.  Location sets are words, so a
+   [Loc.Set.map]-transported set is the very value a stepped one is. *)
 type 's state_symmetry = {
   ss_perm : (int -> int) -> 's -> 's;
   ss_cmp : 's -> 's -> int;
-  ss_hash : 's -> int;
 }
 
-let sym_set =
-  { ss_perm = (fun pif s -> Loc.Set.map pif s);
-    ss_cmp = Loc.Set.compare;
-    ss_hash = (fun s -> Hashtbl.hash (Loc.Set.elements s));
-  }
+let sym_set = { ss_perm = Loc.Set.map; ss_cmp = Loc.Set.compare }
 
 let sym_pair a b =
   { ss_perm = (fun pif (x, y) -> (a.ss_perm pif x, b.ss_perm pif y));
@@ -56,17 +50,12 @@ let sym_pair a b =
       (fun (x1, y1) (x2, y2) ->
         let c = a.ss_cmp x1 x2 in
         if c <> 0 then c else b.ss_cmp y1 y2);
-    ss_hash = (fun (x, y) -> Hashtbl.hash (a.ss_hash x, b.ss_hash y));
   }
 
 (* For identity-independent components carried alongside symmetric
    ones (flags, counters, scripted noise): the permutation leaves the
    component alone and structural identity is exact. *)
-let sym_rigid =
-  { ss_perm = (fun _ x -> x);
-    ss_cmp = Stdlib.compare;
-    ss_hash = Hashtbl.hash;
-  }
+let sym_rigid = { ss_perm = (fun _ x -> x); ss_cmp = Stdlib.compare }
 
 type 'o outcome = {
   verdict : Space.verdict;
@@ -142,7 +131,8 @@ let rt_equal a b =
 (* Total order on runtimes with accumulators compared through the
    fold's declared {e semantic} order ([fcmp]) when present: under a
    symmetry quotient, transported accumulators must merge with stepped
-   ones even when their AVL shapes differ.  The two [C_fold]s at one
+   ones even where the accumulator holds a [Loc.Map], whose tree shape
+   depends on how it was built.  The two [C_fold]s at one
    array index carry the same clause's fold, so the cast stays inside
    one existential instance. *)
 let rt_cmp_sem a b =
@@ -291,14 +281,14 @@ let pequal system ~rt_eq tl =
 let mix h v = (h * 131) + v
 
 (* Product hash, congruent with [pequal]: it reads every field the
-   equality reads, folding over sets and maps in their key order rather
-   than building lists; [last_output] payloads go through the spec's
+   equality reads, folding over maps in their key order rather than
+   building lists; [last_output] payloads go through the spec's
    [hash_out], congruent with its [equal_out].  [acc] is whether [Fold]
    accumulators join: under structural identity ([rt_equal],
    [obj_equal]) equal accumulators are structurally equal and so hash
-   equal; quotient runs compare them through [fcmp], whose classes
-   (transported accumulators of differing AVL shape) have no congruent
-   hash, so there they are skipped. *)
+   equal; quotient runs compare them through [fcmp], whose classes need
+   not be structural ones (an accumulator holding a [Loc.Map]), so
+   there they are skipped. *)
 let phash system ~acc tl =
   let hash_state = system.hash_state and hash_out = system.hash_out in
   let mix_out l o h = mix (mix h l) (hash_out o) in
@@ -307,7 +297,7 @@ let phash system ~acc tl =
   | Running r ->
     let s = r.summary in
     let h = mix (hash_state r.sys) (min s.P.len len_cap) in
-    let h = Loc.Set.fold (fun l h -> mix h l) s.P.crashed (mix h (-1)) in
+    let h = mix (mix h (-1)) (Loc.hash_set s.P.crashed) in
     let h =
       Array.fold_left
         (fun h c ->
@@ -365,7 +355,7 @@ let lift_symmetry (sy : (_, _ Fd_event.t) Probe.symmetry) perm_o =
         let c = Stdlib.compare (len a.summary) (len b.summary) in
         if c <> 0 then c
         else
-          let c = Symm.cmp_set a.summary.P.crashed b.summary.P.crashed in
+          let c = Loc.Set.compare a.summary.P.crashed b.summary.P.crashed in
           if c <> 0 then c else cmp_rts a.rts b.rts 0
   in
   { Probe.sy_n = sy.Probe.sy_n;
@@ -408,9 +398,9 @@ let prepare ~max_states system prop product (sy, perm_o) =
       | Latched a, Latched b -> String.equal a.clause b.clause
       | _ -> equal a b
     in
-    (* Event equality through [equal_out]: permuted payloads are rebuilt
-       sets/maps whose AVL shape may differ from stepped ones, so
-       structural equality would yield spurious breaking witnesses. *)
+    (* Event equality through [equal_out]: a permuted payload holding a
+       [Loc.Map] may differ in tree shape from a stepped one, so
+       structural equality could yield spurious breaking witnesses. *)
     let equal_event a b =
       match (a, b) with
       | Fd_event.Crash i, Fd_event.Crash j -> i = j
@@ -795,14 +785,13 @@ let crash_automaton ?crashable ~n () =
   Afd_core.Afd_automata.crash_automaton ~n ~crashable
 
 (* The detector+crash pair with its lifted symmetry: the descriptor, the
-   pair identity through the declared semantic order (shape differences
-   introduced by [ss_perm] must not split states), its hash, and the
-   pair automaton. *)
+   pair identity through the declared order, its hash, and the pair
+   automaton. *)
 let symmetric_system ~n spec dsym perm_o detector crash =
   let psym = sym_pair dsym sym_set in
   { sys = pair_automaton detector crash;
     equal_state = (fun a b -> psym.ss_cmp a b = 0);
-    hash_state = psym.ss_hash;
+    hash_state = Hashtbl.hash;
     equal_out = spec.Afd_core.Afd.equal_out;
     hash_out = spec.Afd_core.Afd.hash_out;
     symmetry =

@@ -128,14 +128,14 @@ type sym_status =
       (** certification unavailable (missing [perm_out]/[fperm]
           transport, n out of range, ...); ran unreduced *)
 
-(** A permutation action on detector states with a {e semantic} total
-    order and a congruent hash.  All three matter: polymorphic
-    compare/hash are AVL-shape-sensitive on sets and maps, so a
-    transported state could spuriously differ from a stepped one. *)
+(** A permutation action on detector states with a total order.  The
+    pair identity hashes with [Hashtbl.hash], so [ss_cmp x y = 0] must
+    hold only for structurally equal states: true of location sets
+    (one word each, {!Loc.Set}) and of rigid components, not of a
+    [Loc.Map] permuted by rebuilding. *)
 type 's state_symmetry = {
   ss_perm : (int -> int) -> 's -> 's;
-  ss_cmp : 's -> 's -> int;  (** [ss_cmp x y = 0] iff semantically equal *)
-  ss_hash : 's -> int;  (** congruent with [ss_cmp]-equality *)
+  ss_cmp : 's -> 's -> int;  (** [ss_cmp x y = 0] iff [x = y] *)
 }
 
 val sym_set : Loc.Set.t state_symmetry

@@ -76,9 +76,7 @@ module Perm = struct
     end
 end
 
-(* Container actions.  [Set.map] rebuilds re-balance the AVL trees, so
-   permuted sets have deterministic shape; [cmp_set] below compares
-   element lists and stays congruent with set equality regardless. *)
+(* Container actions. *)
 
 let perm_set pi s = Loc.Set.map pi s
 
@@ -115,9 +113,6 @@ let rename_locs ~n pi name =
     end
   done;
   Buffer.contents buf
-
-let cmp_set a b =
-  Stdlib.compare (Loc.Set.elements a) (Loc.Set.elements b)
 
 (* ------------------------------------------------------------------ *)
 (* Orbit canonicalization                                              *)

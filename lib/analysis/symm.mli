@@ -75,10 +75,6 @@ val rename_locs : n:int -> (int -> int) -> string -> string
     Any other token, including one whose digits overflow an [int], is
     not a location and is copied unchanged. *)
 
-val cmp_set : Afd_ioa.Loc.Set.t -> Afd_ioa.Loc.Set.t -> int
-(** Total order on location sets congruent with [Loc.Set.equal]
-    (element lists compared — AVL tree shape never leaks). *)
-
 (** {1 The analyzer} *)
 
 type witness = {

@@ -28,7 +28,7 @@ type 'o spec = {
           with it ({!Afd_analysis.Mc}), so an incongruent hash splits
           states that should merge.  Use [Loc.hash] for leader outputs
           and [Loc.hash_set] for suspect sets — never [Hashtbl.hash] on
-          a set, which reads its tree shape. *)
+          a [Loc.Map], which reads its tree shape. *)
   check : n:int -> 'o Fd_event.t list -> Verdict.t;
       (** membership of the (finite, limit-extended) trace in [T_D];
           must include the validity check. *)

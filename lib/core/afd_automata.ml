@@ -25,9 +25,9 @@ let crash_automaton ~n ~crashable =
 
 (* Shared shape of Algorithms 1 and 2: state is the crash set; each
    non-crashed location continually outputs [f crashset i].
-   [equal_out] must be the payload's semantic equality: polymorphic
-   compare is AVL-shape-sensitive on sets, so a structural guard would
-   make acceptance depend on how the probed payload was built. *)
+   [equal_out] must be the payload's semantic equality: a structural
+   guard on a payload holding a [Loc.Map] would make acceptance depend
+   on how the probed payload was built. *)
 let truthful ~name ~n ~equal_out ~output =
   let kind = function
     | Fd_event.Crash _ -> Some Automaton.Input

@@ -117,10 +117,10 @@ and ('o, 'acc) fold = {
          uncertifiable, never wrong *)
   fcmp : ('acc -> 'acc -> int) option;
       (* a semantic total order on accumulators (e.g.
-         [Loc.Set.compare]): polymorphic compare is AVL-shape-sensitive
-         on sets and maps, so a transported accumulator could spuriously
-         differ from a stepped one; required alongside [fperm] for
-         certification *)
+         [Loc.Set.compare]): polymorphic compare reads the tree shape
+         of a [Loc.Map], so a transported accumulator holding one could
+         spuriously differ from a stepped one; required alongside
+         [fperm] for certification *)
 }
 
 type 'o t = Clause of string * 'o clause | Conj of 'o t list

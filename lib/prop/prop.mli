@@ -112,10 +112,10 @@ and ('o, 'acc) fold = {
   fcmp : ('acc -> 'acc -> int) option;
       (** a {e semantic} total order on accumulators (e.g.
           [Loc.Set.compare], [List.compare Loc.Set.compare]).
-          Polymorphic compare is AVL-shape-sensitive on sets and maps,
-          so a transported accumulator could spuriously differ from a
-          stepped one; certification requires [fcmp] alongside
-          [fperm]. *)
+          Polymorphic compare reads the tree shape of a [Loc.Map], so
+          a transported accumulator holding one could spuriously
+          differ from a stepped one; certification requires [fcmp]
+          alongside [fperm]. *)
 }
 
 type 'o t = Clause of string * 'o clause | Conj of 'o t list

@@ -35,4 +35,5 @@ let () =
       ("mega", Test_mega.suite);
       ("heartbeat-loss", Test_heartbeat_loss.suite);
       ("synod-pin", Test_synod_pin.suite);
+      ("loc-set", Test_loc.suite);
     ]

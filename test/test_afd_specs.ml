@@ -164,7 +164,7 @@ let hash_congruence_prop =
     ~name:"hash_out is congruent with equal_out (two insertion orders)" gen
     (fun (l, l') ->
       (* one set grown left to right, the other right to left from a
-         shuffle: equal elements, differently shaped trees *)
+         shuffle: equal elements, different insertion orders *)
       let a = List.fold_left (fun s i -> Loc.Set.add i s) Loc.Set.empty l in
       let b = List.fold_right Loc.Set.add l' Loc.Set.empty in
       List.for_all

@@ -227,6 +227,45 @@ let lasso_replay_prop =
         lassos_latch Omega.spec (Afd_automata.fd_flip_flop ~n:3) ~crashable ~k
       else lassos_latch Perfect.spec (Afd_automata.fd_silent ~n:3) ~crashable ~k)
 
+(* --- no race between two orders of building one location set --- *)
+
+(* Crashing p0 then p1 builds the crash set {p0, p1} in the other order
+   from crashing p1 then p0, and two channels delivering to one
+   receiver add to its sets in either order.  Equal location sets are
+   equal values, so these diamonds close and neither pair is a race;
+   the rule still reports the genuine ones (a crash racing a heartbeat
+   cycle). *)
+let test_no_set_order_races () =
+  let report =
+    Engine.run ~rules:(Option.to_list (Rule.find Rules.mc "race-pair")) ~max_states:4000
+      (List.filter
+         (fun it ->
+           List.mem (Registry.entry_name it.Registry.entry) [ "fd-omega-system"; "net" ])
+         (Catalog.items ()))
+  in
+  let races =
+    List.filter_map
+      (fun f ->
+        if String.equal f.Report.rule "race-pair" then
+          Scanf.sscanf f.Report.message "tasks %s and %s are both" (fun a b ->
+              Some (f.Report.where.Report.name, a, b))
+        else None)
+      report.Report.findings
+  in
+  let receiver t = Scanf.sscanf_opt t "chan_p%d_p%d/deliver" (fun _ r -> r) in
+  let set_order (name, a, b) =
+    match name with
+    | "fd-omega-system" ->
+      String.starts_with ~prefix:"crash/" a && String.starts_with ~prefix:"crash/" b
+    | _ -> Option.is_some (receiver a) && receiver a = receiver b
+  in
+  List.iter
+    (fun ((name, a, b) as r) ->
+      if set_order r then Alcotest.failf "%s: %s and %s reported as a race" name a b)
+    races;
+  Alcotest.(check bool) "net still has genuine races" true
+    (List.exists (fun (name, _, _) -> String.equal name "net") races)
+
 let suite =
   [ Alcotest.test_case "condensation: a fair cycle is one SCC" `Quick
       test_condense_cycle;
@@ -243,4 +282,6 @@ let suite =
     Alcotest.test_case "Mc refutes flipflop with a cycle, silent with a stop" `Quick
       test_refutation_kinds;
     QCheck_alcotest.to_alcotest lasso_replay_prop;
+    Alcotest.test_case "race-pair: no race between orders of one location set" `Quick
+      test_no_set_order_races;
   ]

@@ -48,7 +48,7 @@ let test_differential_vs_list () =
 
 let test_hash_fallback_single_bucket () =
   (* a custom equality with no hash degrades to one bucket but stays
-     correct: Loc.Set.equal identifies structurally distinct AVL trees *)
+     correct *)
   let a = Afd_automata.fd_perfect ~n:3 in
   let mk ?hash_state () =
     Probe.make
@@ -60,7 +60,7 @@ let test_hash_fallback_single_bucket () =
   let no_hash = mk () in
   Alcotest.(check bool) "custom equality without hash -> None" true
     (no_hash.Probe.hash_state = None);
-  let with_hash = mk ~hash_state:(fun s -> Hashtbl.hash (Loc.Set.elements s)) () in
+  let with_hash = mk ~hash_state:Loc.hash_set () in
   let r1 = Space.reachable (Space.explore a no_hash)
   and r2 = Space.reachable (Space.explore a with_hash) in
   Alcotest.(check int) "same count with and without hash" (List.length r1)
@@ -173,9 +173,9 @@ let test_mc_truthful_proved () =
    states; one that merged unequal ones would drop them). *)
 let test_mc_fold_subjects_n4 () =
   let pinned =
-    [ ("CHK.s", 25_632, 58_536, true);
-      ("CHK.sigma", 27_552, 62_304, true);
-      ("CHK.marabout", 85_199, 184_368, false);
+    [ ("CHK.s", 11_648, 33_160, true);
+      ("CHK.sigma", 19_496, 49_032, true);
+      ("CHK.marabout", 63_784, 153_496, false);
     ]
   in
   List.iter

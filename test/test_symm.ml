@@ -261,7 +261,7 @@ let test_breaks_off_representative () =
     { Probe.sy_n = 3;
       sy_state = Symm.perm_set;
       sy_action = (fun pif (Pass i) -> Pass (pif i));
-      sy_cmp = Symm.cmp_set;
+      sy_cmp = Afd_ioa.Loc.Set.compare;
       sy_fields = [];
     }
   in
@@ -443,20 +443,46 @@ let test_quotient_closed () =
 
 (* --- the ladder skips unreduced rungs past the first truncation --- *)
 
+(* A budget between CHK.s's unreduced counts at n=3 (1 124) and n=4
+   (11 648), far above its quotients (at most 101 orbits). *)
 let test_parametric_skips_raw_rungs () =
   let (BC.S { detector; symm; spec; _ }) =
     List.find (fun s -> BC.id s = "CHK.s") chk_subjects
   in
-  let p = Mc.parametric ~symmetry:(Option.get symm) spec ~detector in
+  let max_states = 4_000 in
+  let p = Mc.parametric ~max_states ~symmetry:(Option.get symm) spec ~detector in
   Alcotest.(check (list (option int)))
     "raw counts at n=2..5: exhausted, then truncated at 4 and skipped at 5"
-    [ Some 150; Some 1788; None; None ]
+    [ Some 132; Some 1124; None; None ]
     (List.map (fun pt -> pt.Mc.pt_raw_states) p.Mc.par_points);
-  match Mc.check_spec ~n:5 spec ~detector:(detector 5) with
+  Alcotest.(check (list bool)) "every quotient rung exhausts" [ true; true; true; true ]
+    (List.map (fun pt -> pt.Mc.pt_verdict = Space.Exhausted) p.Mc.par_points);
+  match Mc.check_spec ~max_states ~n:5 spec ~detector:(detector 5) with
   | Ok o ->
     Alcotest.(check bool) "a direct unreduced run at n=5 truncates" true
       (match o.Mc.verdict with Space.Truncated _ -> true | Space.Exhausted -> false)
   | Error e -> Alcotest.failf "raw spec: %s" e
+
+(* --- a breaking subject's fallback is the unreduced run --- *)
+
+(* A breaking subject explores unreduced under the pair identity its
+   symmetry declares ([ss_cmp]); the plain run compares the composed
+   states structurally.  Location sets are words, so the two identities
+   coincide and so do the counts: no state is split by the order its
+   sets were built in (at the tree-set parent, CHK.omega read 929
+   plain states against 580). *)
+let test_breaking_raw_is_semantic () =
+  let breaking =
+    List.filter
+      (fun r -> String.equal r.BC.sy_status "breaking")
+      (BC.sy_all ~ns:[ 2 ] ~max_states:4_000 ())
+  in
+  Alcotest.(check int) "nine breaking subjects" 9 (List.length breaking);
+  List.iter
+    (fun r ->
+      Alcotest.(check int) (r.BC.sy_id ^ ": unreduced = fallback states") r.BC.sy_states
+        r.BC.sy_raw_states)
+    breaking
 
 (* --- golden rows --- *)
 
@@ -465,20 +491,20 @@ let test_parametric_skips_raw_rungs () =
    rep counts and raw state counts must not drift. *)
 let golden_sy_rows =
   [
-    {|{"id": "CHK.p", "status": "certified", "detail": "30 reps x 6 perms", "states": 30, "raw_states": 1548, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":39,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":24,"transitions":52,"verdict":"exhausted","proved":true,"violated":[],"raw_states":150},{"n":3,"orbits":30,"transitions":100,"verdict":"exhausted","proved":true,"violated":[],"raw_states":1548},{"n":4,"orbits":35,"transitions":160,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":39,"transitions":230,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
-    {|{"id": "CHK.evp", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-EvP-noisy/fd_p0): task FD-EvP-noisy/fd_p2 enabled action is not the permuted one", "states": 1310, "raw_states": 1826, "agree": true, "ok": true, "parametric": null}|};
-    {|{"id": "CHK.s", "status": "certified", "detail": "59 reps x 6 perms", "states": 59, "raw_states": 1788, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":101,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":37,"transitions":66,"verdict":"exhausted","proved":true,"violated":[],"raw_states":150},{"n":3,"orbits":59,"transitions":152,"verdict":"exhausted","proved":true,"violated":[],"raw_states":1788},{"n":4,"orbits":81,"transitions":280,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":101,"transitions":450,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
-    {|{"id": "CHK.evs", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-EvP-noisy/fd_p0): task FD-EvP-noisy/fd_p2 enabled action is not the permuted one", "states": 1310, "raw_states": 1826, "agree": true, "ok": true, "parametric": null}|};
-    {|{"id": "CHK.omega", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Omega/fd_p0): task FD-Omega/fd_p2 enabled action is not the permuted one", "states": 580, "raw_states": 929, "agree": true, "ok": true, "parametric": null}|};
-    {|{"id": "CHK.antiomega", "status": "breaking", "detail": "enabledness not equivariant under (p0 p1 p2) at state #0 (task FD-antiOmega/fd_p0): task FD-antiOmega/fd_p1 enabled action is not the permuted one", "states": 528, "raw_states": 877, "agree": true, "ok": true, "parametric": null}|};
-    {|{"id": "CHK.omega2", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Omega2/fd_p0): task FD-Omega2/fd_p2 enabled action is not the permuted one", "states": 740, "raw_states": 1053, "agree": true, "ok": true, "parametric": null}|};
-    {|{"id": "CHK.psi2", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Psi2/fd_p0): task FD-Psi2/fd_p2 enabled action is not the permuted one", "states": 740, "raw_states": 1053, "agree": true, "ok": true, "parametric": null}|};
-    {|{"id": "CHK.sigma", "status": "certified", "detail": "99 reps x 6 perms", "states": 99, "raw_states": 2044, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":256,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":48,"transitions":78,"verdict":"exhausted","proved":true,"violated":[],"raw_states":172},{"n":3,"orbits":99,"transitions":214,"verdict":"exhausted","proved":true,"violated":[],"raw_states":2044},{"n":4,"orbits":171,"transitions":468,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":256,"transitions":876,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
-    {|{"id": "CHK.dk", "status": "certified", "detail": "30 reps x 6 perms", "states": 30, "raw_states": 1548, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":39,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":24,"transitions":52,"verdict":"exhausted","proved":true,"violated":[],"raw_states":150},{"n":3,"orbits":30,"transitions":100,"verdict":"exhausted","proved":true,"violated":[],"raw_states":1548},{"n":4,"orbits":35,"transitions":160,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":39,"transitions":230,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
-    {|{"id": "CHK.lying-p", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-EvP-noisy/fd_p0): task FD-EvP-noisy/fd_p2 enabled action is not the permuted one", "states": 695, "raw_states": 935, "agree": true, "ok": true, "parametric": null}|};
-    {|{"id": "CHK.marabout", "status": "certified", "detail": "216 reps x 6 perms", "states": 216, "raw_states": 3771, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"refuted","n":2},"sym":{"status":"certified","n":2,"reps":66,"perms":2,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":66,"transitions":104,"verdict":"exhausted","proved":false,"violated":["exactness"],"raw_states":219}]}}|};
-    {|{"id": "CHK.flipflop", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-FlipFlop/fd_p0): task FD-FlipFlop/fd_p2 enabled action is not the permuted one", "states": 1488, "raw_states": 2369, "agree": true, "ok": true, "parametric": null}|};
-    {|{"id": "CHK.silent", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Silent/fd_p0): task FD-Silent/fd_p2 enabled action is not the permuted one", "states": 119, "raw_states": 180, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.p", "status": "certified", "detail": "30 reps x 6 perms", "states": 30, "raw_states": 1124, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":39,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":24,"transitions":52,"verdict":"exhausted","proved":true,"violated":[],"raw_states":132},{"n":3,"orbits":30,"transitions":100,"verdict":"exhausted","proved":true,"violated":[],"raw_states":1124},{"n":4,"orbits":35,"transitions":160,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":39,"transitions":230,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
+    {|{"id": "CHK.evp", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-EvP-noisy/fd_p0): task FD-EvP-noisy/fd_p2 enabled action is not the permuted one", "states": 1310, "raw_states": 1310, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.s", "status": "certified", "detail": "59 reps x 6 perms", "states": 59, "raw_states": 1124, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":101,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":37,"transitions":66,"verdict":"exhausted","proved":true,"violated":[],"raw_states":132},{"n":3,"orbits":59,"transitions":152,"verdict":"exhausted","proved":true,"violated":[],"raw_states":1124},{"n":4,"orbits":81,"transitions":280,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":101,"transitions":450,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
+    {|{"id": "CHK.evs", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-EvP-noisy/fd_p0): task FD-EvP-noisy/fd_p2 enabled action is not the permuted one", "states": 1310, "raw_states": 1310, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.omega", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Omega/fd_p0): task FD-Omega/fd_p2 enabled action is not the permuted one", "states": 580, "raw_states": 580, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.antiomega", "status": "breaking", "detail": "enabledness not equivariant under (p0 p1 p2) at state #0 (task FD-antiOmega/fd_p0): task FD-antiOmega/fd_p1 enabled action is not the permuted one", "states": 528, "raw_states": 528, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.omega2", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Omega2/fd_p0): task FD-Omega2/fd_p2 enabled action is not the permuted one", "states": 740, "raw_states": 740, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.psi2", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Psi2/fd_p0): task FD-Psi2/fd_p2 enabled action is not the permuted one", "states": 740, "raw_states": 740, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.sigma", "status": "certified", "detail": "99 reps x 6 perms", "states": 99, "raw_states": 1571, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":256,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":48,"transitions":78,"verdict":"exhausted","proved":true,"violated":[],"raw_states":154},{"n":3,"orbits":99,"transitions":214,"verdict":"exhausted","proved":true,"violated":[],"raw_states":1571},{"n":4,"orbits":171,"transitions":468,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":256,"transitions":876,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
+    {|{"id": "CHK.dk", "status": "certified", "detail": "30 reps x 6 perms", "states": 30, "raw_states": 1124, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"cutoff-candidate","n0":2,"upto":5},"sym":{"status":"certified","n":5,"reps":39,"perms":120,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":24,"transitions":52,"verdict":"exhausted","proved":true,"violated":[],"raw_states":132},{"n":3,"orbits":30,"transitions":100,"verdict":"exhausted","proved":true,"violated":[],"raw_states":1124},{"n":4,"orbits":35,"transitions":160,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null},{"n":5,"orbits":39,"transitions":230,"verdict":"exhausted","proved":true,"violated":[],"raw_states":null}]}}|};
+    {|{"id": "CHK.lying-p", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-EvP-noisy/fd_p0): task FD-EvP-noisy/fd_p2 enabled action is not the permuted one", "states": 695, "raw_states": 695, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.marabout", "status": "certified", "detail": "216 reps x 6 perms", "states": 216, "raw_states": 2987, "agree": true, "ok": true, "parametric": {"verdict":{"kind":"refuted","n":2},"sym":{"status":"certified","n":2,"reps":66,"perms":2,"exhaustive":true,"fields":[]},"points":[{"n":2,"orbits":66,"transitions":104,"verdict":"exhausted","proved":false,"violated":["exactness"],"raw_states":196}]}}|};
+    {|{"id": "CHK.flipflop", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-FlipFlop/fd_p0): task FD-FlipFlop/fd_p2 enabled action is not the permuted one", "states": 1488, "raw_states": 1488, "agree": true, "ok": true, "parametric": null}|};
+    {|{"id": "CHK.silent", "status": "breaking", "detail": "enabledness not equivariant under (p0 p2) at state #0 (task FD-Silent/fd_p0): task FD-Silent/fd_p2 enabled action is not the permuted one", "states": 119, "raw_states": 119, "agree": true, "ok": true, "parametric": null}|};
   ]
 
 let test_sy_all_golden () =
@@ -514,4 +540,6 @@ let suite =
       test_quotient_closed;
     Alcotest.test_case "parametric skips raw rungs past a truncation" `Quick
       test_parametric_skips_raw_rungs;
+    Alcotest.test_case "breaking subjects: unreduced count = fallback count" `Quick
+      test_breaking_raw_is_semantic;
   ]

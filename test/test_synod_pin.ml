@@ -54,9 +54,9 @@ let closed_nets =
       ("k-set n=2 k=1 crashable p0", (fun () -> C.Kset.net ~n:2 ~k:1 ~crashable:p0), 169, 451);
     ]
   @ List.map truncated
-      [ ("k-set n=3 k=2 at 50k", (fun () -> C.Kset.net ~n:3 ~k:2 ~crashable:Loc.Set.empty), 282_981);
-        ("synod+Omega n=3 at 50k", (fun () -> C.Synod_omega.net ~n:3 ~crashable:Loc.Set.empty ()), 362_167);
-        ("Sigma+Omega n=3 at 50k", (fun () -> C.Synod_sigma.net ~n:3 ~crashable:Loc.Set.empty ()), 475_790);
+      [ ("k-set n=3 k=2 at 50k", (fun () -> C.Kset.net ~n:3 ~k:2 ~crashable:Loc.Set.empty), 289_180);
+        ("synod+Omega n=3 at 50k", (fun () -> C.Synod_omega.net ~n:3 ~crashable:Loc.Set.empty ()), 392_596);
+        ("Sigma+Omega n=3 at 50k", (fun () -> C.Synod_sigma.net ~n:3 ~crashable:Loc.Set.empty ()), 505_178);
       ]
 
 (* --- (b) seeded runs of the E9, E16 and E18 configurations --- *)
