@@ -179,20 +179,7 @@ let register_core () =
            [ Component.C (Afd_automata.fd_omega ~n);
              Component.C (Afd_automata.crash_automaton ~n ~crashable);
            ],
-         leader_probe ~max_states:48 () ));
-  (* The detector spec catalog: every spec must go through the
-     property engine (prop-based-spec rule). *)
-  reg (Registry.spec_entry Perfect.spec);
-  reg (Registry.spec_entry Ev_perfect.spec);
-  reg (Registry.spec_entry Strong.spec);
-  reg (Registry.spec_entry Ev_strong.spec);
-  reg (Registry.spec_entry Omega.spec);
-  reg (Registry.spec_entry (Omega_k.spec ~k:2));
-  reg (Registry.spec_entry (Psi_k.spec ~k:2));
-  reg (Registry.spec_entry Sigma.spec);
-  reg (Registry.spec_entry Anti_omega.spec);
-  reg (Registry.spec_entry Marabout.spec);
-  reg (Registry.spec_entry (D_k.spec ~k:2))
+         leader_probe ~max_states:48 () ))
 
 (* --- system: channels, crash, environment, heartbeat, bridge --- *)
 

@@ -16,5 +16,5 @@ let run ?(rules = Rules.all) ?max_states ?por ?symmetry items =
   Report.make ~rules_run:(List.length rules) ~subjects_checked:(List.length items)
     ~explorations findings
 
-let run_entry ?rules ?max_states ?por ?symmetry ~origin entry =
-  run ?rules ?max_states ?por ?symmetry [ { Registry.origin; entry } ]
+let run_entry ?rules ?symmetry ~origin entry =
+  run ?rules ?symmetry [ { Registry.origin; entry } ]

@@ -20,10 +20,9 @@ val run :
 
 val run_entry :
   ?rules:Rule.t list ->
-  ?max_states:int ->
-  ?por:bool ->
   ?symmetry:bool ->
   origin:string ->
   Registry.entry ->
   Report.t
-(** Lint a single subject (used by the fixture tests). *)
+(** Lint a single subject at its probe's own cap, without POR (used
+    by the fixture tests). *)

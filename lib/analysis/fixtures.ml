@@ -159,15 +159,6 @@ let broken_hiding =
 
 let no_probes = Registry.Automaton (base, probe ~actions:[] ())
 
-let raw_scan_spec =
-  (* a detector spec wired as a bare full-trace scan, bypassing the
-     property engine *)
-  Registry.Spec { name = "raw-scan-spec"; style = Registry.Raw_scan; allow_raw = false }
-
-let allowlisted_raw_spec =
-  Registry.Spec
-    { name = "legacy-wrapper-spec"; style = Registry.Raw_scan; allow_raw = true }
-
 let all =
   [ ("input-enabled", not_input_enabled);
     ("task-determinism", task_nondeterministic);
@@ -181,7 +172,6 @@ let all =
     ("rename-roundtrip", broken_roundtrip);
     ("hiding", broken_hiding);
     ("probe-coverage", no_probes);
-    ("prop-based-spec", raw_scan_spec);
   ]
 
 (* --- fixtures for the graph rules (the --mc set) --- *)

@@ -22,10 +22,6 @@ val listener : (int, act) Afd_ioa.Automaton.t
 val well_formed : Registry.entry
 (** A small well-formed counter automaton; the lint finds nothing. *)
 
-val allowlisted_raw_spec : Registry.entry
-(** A raw-scan detector spec with [allow_raw = true]: the
-    [prop-based-spec] rule must stay silent on it. *)
-
 val all : (string * Registry.entry) list
 (** [(rule_id, fixture)] pairs: linting the fixture yields at least one
     finding of rule [rule_id]. *)

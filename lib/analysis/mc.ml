@@ -128,14 +128,12 @@ let rt_equal a b =
   | C_fold f, C_fold g -> obj_equal f.acc g.acc
   | _ -> false
 
-(* Total order on runtimes with accumulators compared through the
-   fold's declared {e semantic} order ([fcmp]) when present: under a
-   symmetry quotient, transported accumulators must merge with stepped
-   ones even where the accumulator holds a [Loc.Map], whose tree shape
-   depends on how it was built.  The two [C_fold]s at one
-   array index carry the same clause's fold, so the cast stays inside
-   one existential instance. *)
-let rt_cmp_sem a b =
+(* Total order on runtimes, for orbit minima only: accumulators compare
+   through the fold's [fcmp], which is 0 exactly on structurally equal
+   accumulators (see [Prop.fold]), so the order is congruent with
+   [rt_equal].  The two [C_fold]s at one array index carry the same
+   clause's fold, so the cast stays inside one existential instance. *)
+let rt_cmp a b =
   match (a, b) with
   | C_always _, C_always _ -> 0
   | C_until u, C_until v -> Bool.compare u.released v.released
@@ -143,15 +141,13 @@ let rt_cmp_sem a b =
     match f.fold.P.fcmp with
     | Some c -> c f.acc (Obj.magic g.acc)
     | None ->
-      (* [resolve_symmetry] falls back before any quotient when a fold
-         lacks [fcmp]; guessing here could only merge states wrongly. *)
-      invalid_arg "Mc.rt_cmp_sem: fold clause has no semantic order (fcmp)")
+      (* [prepare] falls back before any quotient when a fold lacks
+         [fcmp]; guessing here could only merge states wrongly. *)
+      invalid_arg "Mc.rt_cmp: fold clause has no accumulator order (fcmp)")
   | C_always _, _ -> -1
   | _, C_always _ -> 1
   | C_until _, C_fold _ -> -1
   | C_fold _, C_until _ -> 1
-
-let rt_equal_sem a b = rt_cmp_sem a b = 0
 
 type ('s, 'o) pstate =
   | Running of { sys : 's; summary : 'o P.state; rts : 'o rt array }
@@ -161,17 +157,17 @@ exception Latch of string * string
 
 let no_perm_out = "spec declares no output transport (perm_out)"
 
-(* A closed system as the stages consume it: its automaton, its state
-   identity, how output payloads compare and hash, and — when symmetry
+(* The closed system as the stages consume it: the detector+crash pair
+   automaton, how output payloads compare and hash, and — when symmetry
    is requested and the spec can transport outputs — the permutation
-   action on its states together with the one on output payloads. *)
+   action on pair states together with the one on output payloads.
+   Pair states compare structurally. *)
 type ('s, 'o) system = {
-  sys : ('s, 'o Fd_event.t) Automaton.t;
-  equal_state : 's -> 's -> bool;
-  hash_state : 's -> int;
+  sys : ('s * Loc.Set.t, 'o Fd_event.t) Automaton.t;
   equal_out : 'o -> 'o -> bool;
   hash_out : 'o -> int;
-  symmetry : (('s, 'o Fd_event.t) Probe.symmetry * ((int -> int) -> 'o -> 'o)) option;
+  symmetry :
+    (('s * Loc.Set.t, 'o Fd_event.t) Probe.symmetry * ((int -> int) -> 'o -> 'o)) option;
 }
 
 (* --- stage 1, explore: clause runtime, product, identity, symmetry,
@@ -255,22 +251,23 @@ let product ~n rt sys =
   }
 
 (* Product identity: exactly the fields a safety clause may read (see
-   the interface).  The trace summary is compared through the capped
-   length and the crashed set; the stored representative is the one
-   discovered first.  [tl] is whether the liveness enrichment (last
-   outputs, capped counts) joins the identity.  The equality is built
-   once, as a two-argument closure for the explorer's hot path. *)
-let pequal system ~rt_eq tl =
-  let equal_state = system.equal_state and equal_out = system.equal_out in
+   the interface).  The pair state and the [Fold] accumulators compare
+   structurally, the trace summary through the capped length and the
+   crashed set; the stored representative is the one discovered first.
+   [tl] is whether the liveness enrichment (last outputs, capped
+   counts) joins the identity.  The equality is built once, as a
+   two-argument closure for the explorer's hot path. *)
+let pequal system tl =
+  let equal_out = system.equal_out in
   fun a b ->
     match (a, b) with
     | Latched a, Latched b ->
       String.equal a.clause b.clause && String.equal a.reason b.reason
     | Running a, Running b ->
-      equal_state a.sys b.sys
+      Stdlib.compare a.sys b.sys = 0
       && min a.summary.P.len len_cap = min b.summary.P.len len_cap
       && Loc.Set.equal a.summary.P.crashed b.summary.P.crashed
-      && Array.for_all2 rt_eq a.rts b.rts
+      && Array.for_all2 rt_equal a.rts b.rts
       && (not tl
          || Loc.Map.equal equal_out a.summary.P.last_output b.summary.P.last_output
             && Loc.Map.equal
@@ -282,21 +279,17 @@ let mix h v = (h * 131) + v
 
 (* Product hash, congruent with [pequal]: it reads every field the
    equality reads, folding over maps in their key order rather than
-   building lists; [last_output] payloads go through the spec's
-   [hash_out], congruent with its [equal_out].  [acc] is whether [Fold]
-   accumulators join: under structural identity ([rt_equal],
-   [obj_equal]) equal accumulators are structurally equal and so hash
-   equal; quotient runs compare them through [fcmp], whose classes need
-   not be structural ones (an accumulator holding a [Loc.Map]), so
-   there they are skipped. *)
-let phash system ~acc tl =
-  let hash_state = system.hash_state and hash_out = system.hash_out in
+   building lists.  Structurally equal pair states and accumulators
+   hash equal; [last_output] payloads go through the spec's [hash_out],
+   congruent with its [equal_out]. *)
+let phash system tl =
+  let hash_out = system.hash_out in
   let mix_out l o h = mix (mix h l) (hash_out o) in
   function
   | Latched { clause; reason } -> Hashtbl.hash (clause, reason)
   | Running r ->
     let s = r.summary in
-    let h = mix (hash_state r.sys) (min s.P.len len_cap) in
+    let h = mix (Composition.hash_pair r.sys) (min s.P.len len_cap) in
     let h = mix (mix h (-1)) (Loc.hash_set s.P.crashed) in
     let h =
       Array.fold_left
@@ -304,7 +297,7 @@ let phash system ~acc tl =
           match c with
           | C_always _ -> h
           | C_until u -> mix h (Bool.to_int u.released)
-          | C_fold f -> if acc then mix h (Hashtbl.hash (Obj.repr f.acc)) else h)
+          | C_fold f -> mix h (Hashtbl.hash (Obj.repr f.acc)))
         h r.rts
     in
     if not tl then h
@@ -324,7 +317,7 @@ let perm_rt pif = function
 let rec cmp_rts ra rb i =
   if i = Array.length ra then 0
   else
-    let c = rt_cmp_sem ra.(i) rb.(i) in
+    let c = rt_cmp ra.(i) rb.(i) in
     if c <> 0 then c else cmp_rts ra rb (i + 1)
 
 (* The system's symmetry lifted to product states. *)
@@ -338,10 +331,10 @@ let lift_symmetry (sy : (_, _ Fd_event.t) Probe.symmetry) perm_o =
           rts = Array.map (perm_rt pif) r.rts;
         }
   in
-  (* A total order congruent with [pequal ~rt_eq:rt_equal_sem false]:
-     orbit minima are canonical representatives.  The liveness
-     enrichment is deliberately absent — under a quotient, liveness is
-     not checked, exactly as under POR. *)
+  (* A total order congruent with [pequal system false]: orbit minima
+     are canonical representatives.  The liveness enrichment is
+     deliberately absent — under a quotient, liveness is not checked,
+     exactly as under POR. *)
   let pcmp a b =
     match (a, b) with
     | Latched a, Latched b -> Stdlib.compare (a.clause, a.reason) (b.clause, b.reason)
@@ -383,8 +376,7 @@ let prepare ~max_states system prop product (sy, perm_o) =
         match c with
         | P.Fold f when f.P.fperm = None ->
           Some (nm, "accumulator transport (fperm)")
-        | P.Fold f when f.P.fcmp = None ->
-          Some (nm, "semantic accumulator order (fcmp)")
+        | P.Fold f when f.P.fcmp = None -> Some (nm, "accumulator order (fcmp)")
         | _ -> None)
       (P.clauses prop)
   with
@@ -392,7 +384,7 @@ let prepare ~max_states system prop product (sy, perm_o) =
     Error (Sym_fallback (Printf.sprintf "fold clause %s has no %s" nm what))
   | None -> (
     let q_sy = lift_symmetry sy perm_o in
-    let equal = pequal system ~rt_eq:rt_equal_sem false in
+    let equal = pequal system false in
     let equiv a b =
       match (a, b) with
       | Latched a, Latched b -> String.equal a.clause b.clause
@@ -408,7 +400,7 @@ let prepare ~max_states system prop product (sy, perm_o) =
       | Fd_event.Crash _, Fd_event.Output _ | Fd_event.Output _, Fd_event.Crash _ -> false
     in
     let probe =
-      Probe.make ~equal_state:equal ~hash_state:(phash system ~acc:false false)
+      Probe.make ~equal_state:equal ~hash_state:(phash system false)
         ~equal_action:equal_event ~max_states ~symm:q_sy []
     in
     match Symm.prepare ~equiv product probe with
@@ -433,13 +425,12 @@ let explore ~max_states ~por ~log ~n prop system =
   (* Stable judges read [last_output]/[output_counts], so when liveness
      is in scope those fields join the product identity.  Under POR the
      sleep sets preserve states, not edges, so fair-cycle search is off
-     and the coarser safety identity suffices.  Unreduced runs keep the
-     structural accumulator identity, and hash accumulators. *)
+     and the coarser safety identity suffices. *)
   let unreduced status =
     let track_live = runtime.stables <> [] && not por in
     let probe =
-      Probe.make ~equal_state:(pequal system ~rt_eq:rt_equal track_live)
-        ~hash_state:(phash system ~acc:true track_live) ~max_states []
+      Probe.make ~equal_state:(pequal system track_live)
+        ~hash_state:(phash system track_live) ~max_states []
     in
     let space = timed log "explore" (fun () -> Space.explore ~por product probe) in
     { product; runtime; space; quotient = None; status }
@@ -735,107 +726,53 @@ let check ~max_states ~por ~timings ~n prop system =
     stats = space.Space.stats;
   }
 
-(* The detector+crash pair as a plain automaton, replicating
-   [Composition.as_automaton] on exactly two components: same signature
-   priority (Output > Internal > Input), same rule that every
-   in-signature component must accept the action (out-of-signature
-   components pass their state through), same "<component>/<task>"
-   task names — so the pair is trace-equivalent to the composition the
-   unreduced path explores.  The point of the replica: the pair state
-   is a first-order tuple a process permutation can act on, while
-   [Composition.state] hides component states behind an existential. *)
-let pair_automaton (det : ('s, 'a) Automaton.t) (crash : (Loc.Set.t, 'a) Automaton.t) :
-    ('s * Loc.Set.t, 'a) Automaton.t =
-  let kind a =
-    match (det.Automaton.kind a, crash.Automaton.kind a) with
-    | Some Automaton.Output, _ | _, Some Automaton.Output -> Some Automaton.Output
-    | Some Automaton.Internal, _ | _, Some Automaton.Internal ->
-      Some Automaton.Internal
-    | Some Automaton.Input, _ | _, Some Automaton.Input -> Some Automaton.Input
-    | None, None -> None
-  in
-  let step (s, c) a =
-    let ds = if det.Automaton.kind a = None then Some s else det.Automaton.step s a in
-    let cs =
-      if crash.Automaton.kind a = None then Some c else crash.Automaton.step c a
-    in
-    match (ds, cs) with Some s', Some c' -> Some (s', c') | _ -> None
-  in
-  let lift name proj (tk : _ Automaton.task) =
-    { Automaton.task_name = name ^ "/" ^ tk.Automaton.task_name;
-      fair = tk.Automaton.fair;
-      enabled = (fun st -> tk.Automaton.enabled (proj st));
-    }
-  in
-  { Automaton.name = det.Automaton.name ^ "+crash";
-    kind;
-    start = (det.Automaton.start, crash.Automaton.start);
-    step;
-    tasks =
-      List.map (lift det.Automaton.name fst) det.Automaton.tasks
-      @ List.map (lift crash.Automaton.name snd) crash.Automaton.tasks;
-  }
+(* An instance size the location universe can hold: outside it, the
+   crash automaton and the trace summary could not be built. *)
+let check_n n =
+  if n >= 1 && n <= Loc.max_locations then Ok ()
+  else
+    Error
+      (Printf.sprintf "n = %d is outside 1..%d (Loc.max_locations)" n Loc.max_locations)
 
-let raw_spec_error spec =
-  Printf.sprintf "spec %s is raw (no compiled formula to model-check)"
-    spec.Afd_core.Afd.name
-
-let crash_automaton ?crashable ~n () =
+(* The one closed system every run explores: the detector paired with
+   the crash automaton over [crashable] (default: every location), and,
+   when symmetry is requested and the spec can transport outputs, the
+   declared action lifted to pairs — the crash set permutes by
+   [sym_set], actions by the spec's [perm_out]. *)
+let system ?crashable ?symmetry ~n spec detector =
   let crashable = Option.value ~default:(Loc.set_of_universe ~n) crashable in
-  Afd_core.Afd_automata.crash_automaton ~n ~crashable
-
-(* The detector+crash pair with its lifted symmetry: the descriptor, the
-   pair identity through the declared order, its hash, and the pair
-   automaton. *)
-let symmetric_system ~n spec dsym perm_o detector crash =
-  let psym = sym_pair dsym sym_set in
-  { sys = pair_automaton detector crash;
-    equal_state = (fun a b -> psym.ss_cmp a b = 0);
-    hash_state = Hashtbl.hash;
+  let crash = Afd_core.Afd_automata.crash_automaton ~n ~crashable in
+  let lift dsym perm_o =
+    let psym = sym_pair dsym sym_set in
+    ( { Probe.sy_n = n;
+        sy_state = psym.ss_perm;
+        sy_action = Symm.perm_event perm_o;
+        sy_cmp = psym.ss_cmp;
+        sy_fields = [];
+      },
+      perm_o )
+  in
+  { sys = Composition.pair ~name:(detector.Automaton.name ^ "+crash") detector crash;
     equal_out = spec.Afd_core.Afd.equal_out;
     hash_out = spec.Afd_core.Afd.hash_out;
     symmetry =
-      Some
-        ( { Probe.sy_n = n;
-            sy_state = psym.ss_perm;
-            sy_action = Symm.perm_event perm_o;
-            sy_cmp = psym.ss_cmp;
-            sy_fields = [];
-          },
-          perm_o );
+      (match (symmetry, spec.Afd_core.Afd.perm_out) with
+      | Some dsym, Some perm_o -> Some (lift dsym perm_o)
+      | _ -> None);
   }
 
 let check_spec ?(max_states = default_max_states) ?(por = false) ?timings ?crashable
     ?symmetry ~n spec ~detector =
-  match spec.Afd_core.Afd.prop with
-  | None -> Error (raw_spec_error spec)
-  | Some prop -> (
-    let crash = crash_automaton ?crashable ~n () in
-    let run system = check ~max_states ~por ~timings ~n (prop ~n) system in
-    match (symmetry, spec.Afd_core.Afd.perm_out) with
-    | Some dsym, Some perm_o ->
-      Ok (run (symmetric_system ~n spec dsym perm_o detector crash))
-    | _ ->
-      let comp =
-        Composition.make
-          ~name:(detector.Automaton.name ^ "+crash")
-          [ Component.C detector; Component.C crash ]
-      in
-      let o =
-        run
-          { sys = Composition.as_automaton comp;
-            equal_state = Composition.equal_state;
-            hash_state = Composition.hash_state;
-            equal_out = spec.Afd_core.Afd.equal_out;
-            hash_out = spec.Afd_core.Afd.hash_out;
-            symmetry = None;
-          }
-      in
+  Result.map
+    (fun () ->
+      let system = system ?crashable ?symmetry ~n spec detector in
+      let o = check ~max_states ~por ~timings ~n (spec.Afd_core.Afd.prop ~n) system in
       (* Requested, but the spec cannot transport outputs: the run
          stays unreduced and says why. *)
-      Ok
-        (if Option.is_none symmetry then o
-         else { o with sym = Sym_fallback no_perm_out }))
+      if Option.is_some symmetry && Option.is_none system.symmetry then
+        { o with sym = Sym_fallback no_perm_out }
+      else o)
+    (check_n n)
 
 (* --- the quotient, exposed for cross-checking --- *)
 
@@ -849,17 +786,16 @@ type ('s, 'o) quotient_view = {
 
 (* The explore stage of [check_spec ~symmetry] (no POR), read off on a
    certificate. *)
-let quotient_view ?(max_states = default_max_states) ?crashable ~symmetry ~n spec
-    ~detector =
-  match (spec.Afd_core.Afd.prop, spec.Afd_core.Afd.perm_out) with
-  | None, _ -> Error (raw_spec_error spec)
-  | Some _, None -> Error no_perm_out
-  | Some prop, Some perm_o -> (
-    let system =
-      symmetric_system ~n spec symmetry perm_o detector
-        (crash_automaton ?crashable ~n ())
+let quotient_view ~symmetry ~n spec ~detector =
+  match (check_n n, spec.Afd_core.Afd.perm_out) with
+  | Error e, _ -> Error e
+  | Ok (), None -> Error no_perm_out
+  | Ok (), Some _ -> (
+    let system = system ~symmetry ~n spec detector in
+    let ex =
+      explore ~max_states:default_max_states ~por:false ~log:None ~n
+        (spec.Afd_core.Afd.prop ~n) system
     in
-    let ex = explore ~max_states ~por:false ~log:None ~n (prop ~n) system in
     match (ex.quotient, ex.status) with
     | Some q_sy, _ ->
       Ok { qv_product = ex.product; qv_states = ex.space.Space.states; qv_symmetry = q_sy }
@@ -900,8 +836,7 @@ type parametric = {
    verdict is explicitly a candidate, never a proof for all n. *)
 let cutoff_window = 3
 
-let parametric ?max_states ?(ns = [ 2; 3; 4; 5 ]) ?crashable ~symmetry spec
-    ~detector =
+let parametric ?max_states ?(ns = [ 2; 3; 4; 5 ]) ~symmetry spec ~detector =
   let points = ref [] in
   let sym = ref Sym_off in
   let halted = ref None in
@@ -913,8 +848,7 @@ let parametric ?max_states ?(ns = [ 2; 3; 4; 5 ]) ?crashable ~symmetry spec
      List.iter
        (fun n ->
          match
-           check_spec ?max_states ?crashable ~symmetry ~n spec
-             ~detector:(detector n)
+           check_spec ?max_states ~symmetry ~n spec ~detector:(detector n)
          with
          | Error e ->
            halted := Some (Unverified e);
@@ -927,7 +861,7 @@ let parametric ?max_states ?(ns = [ 2; 3; 4; 5 ]) ?crashable ~symmetry spec
                if !raw_truncated then None
                else
                  match
-                   check_spec ?max_states ?crashable ~n spec ~detector:(detector n)
+                   check_spec ?max_states ~n spec ~detector:(detector n)
                  with
                  | Ok { verdict = Space.Exhausted; states; _ } -> Some states
                  | Ok { verdict = Space.Truncated _; _ } ->

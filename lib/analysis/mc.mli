@@ -38,33 +38,36 @@
     preserves states but not cycles, so liveness is skipped entirely.
 
     {b Product state identity.}  Two product states are merged when
-    their system states, crashed-so-far sets, trace lengths capped at
-    8, [Until] release flags and [Fold] accumulators agree.  When
+    their detector+crash pair states, crashed-so-far sets, trace
+    lengths capped at 8, [Until] release flags and [Fold] accumulators
+    agree; pair states and accumulators compare structurally.  When
     [Stable] clauses are in scope (and [por] is off) the identity is
     enriched with [last_output] (modulo the spec's [equal_out]) and
     [output_counts] capped at 1, so that every Stable judge is a
     function of the merged state.  A clause comparing [len] against a
     bound above 8, or counts above 1, needs those caps raised.
 
-    The seen-set hash reads every field this equality reads: the
-    system state's hash, the capped length, the crashed set, the
-    [Until] flags and, with liveness in scope, every [last_output]
+    The seen-set hash reads every field this equality reads: the pair
+    state's {!Afd_ioa.Composition.hash_pair}, the capped length, the
+    crashed set, the [Until] flags, every [Fold] accumulator's
+    structural hash and, with liveness in scope, every [last_output]
     entry — its location and the spec's [hash_out] of its payload,
     which {!Afd_core.Afd.spec} requires congruent with [equal_out] —
-    and the capped counts.  Without a certified symmetry
-    quotient, [Fold] accumulators compare structurally and are hashed
-    structurally too.  Under a quotient they compare through the
-    fold's semantic order ([fcmp]), which has no congruent hash, so
-    quotient runs leave them out of the hash: states that differ only
-    there share a hash and are told apart by the equality.
+    and the capped counts.  Unreduced and quotient runs share this one
+    identity; a fold's [fcmp] only orders accumulators when a quotient
+    picks an orbit's minimum, and is 0 exactly where the identity
+    merges ({!Afd_prop.Prop.fold}).
 
-    {b Stages.}  {!check_spec} composes three stages.  {e Explore}
-    builds the clause runtime (one slot per safety clause, plus the
-    [Stable] judges), the product and its identity.  With symmetry it
-    lifts the declared action to product states and explores the orbit
-    quotient with {!Symm.explore}, which certifies as it explores; on
-    a break (or when certification is unavailable) it explores
-    unreduced with {!Space.explore} instead.  It hands off one record: the
+    {b Stages.}  {!check_spec} composes three stages over one closed
+    system: the detector paired with the crash automaton
+    ({!Afd_ioa.Composition.pair}).  {e Explore} builds the clause
+    runtime (one slot per safety clause, plus the [Stable] judges), the
+    product and its identity.  With symmetry it lifts the declared
+    action to product states and explores the orbit quotient with
+    {!Symm.explore}, which certifies as it explores; on a break (or
+    when certification is unavailable) it explores unreduced with
+    {!Space.explore} instead.  The two runs differ only in that orbit
+    walk and in the liveness enrichment of the identity.  It hands off one record: the
     product, the clause runtime, the {!Space.t}, how symmetry resolved
     (certificate, breaking witness or fallback) and, on a certificate,
     the lifted descriptor.  {e Safety} reads only that
@@ -129,10 +132,10 @@ type sym_status =
           transport, n out of range, ...); ran unreduced *)
 
 (** A permutation action on detector states with a total order.  The
-    pair identity hashes with [Hashtbl.hash], so [ss_cmp x y = 0] must
-    hold only for structurally equal states: true of location sets
-    (one word each, {!Loc.Set}) and of rigid components, not of a
-    [Loc.Map] permuted by rebuilding. *)
+    pair identity is structural, so [ss_cmp x y = 0] must hold only for
+    structurally equal states: true of location sets (one word each,
+    {!Loc.Set}) and of rigid components, not of a [Loc.Map] permuted by
+    rebuilding. *)
 type 's state_symmetry = {
   ss_perm : (int -> int) -> 's -> 's;
   ss_cmp : 's -> 's -> int;  (** [ss_cmp x y = 0] iff [x = y] *)
@@ -186,11 +189,11 @@ val check_spec :
   'o Afd_core.Afd.spec ->
   detector:('s, 'o Fd_event.t) Automaton.t ->
   ('o outcome, string) result
-(** Compose [detector] with the crash automaton over [crashable]
+(** Pair [detector] with the crash automaton over [crashable]
     (default: the full universe, i.e. {e all} fault patterns) and
-    model-check the spec's compiled formula against it, exploring at
-    most [max_states] (default 20 000) product states.  [Error] when
-    the spec is raw (no formula to check).
+    model-check the spec's formula against it, exploring at most
+    [max_states] (default 20 000) product states.  [Error], naming the
+    bound, when [n] lies outside [1..Loc.max_locations].
 
     [por] (default [false]) enables the sleep-set reduction; leave it
     off when shortest counterexamples or liveness verdicts matter
@@ -203,18 +206,15 @@ val check_spec :
     outcome.
 
     [symmetry], when given, is the permutation action on the
-    {e detector's} state.  The detector+crash pair is then built as a
-    first-order pair automaton trace-equivalent to the composition
-    (whose existential component states a permutation cannot reach),
-    the crash set permutes by {!sym_set}, actions by the spec's
-    [perm_out], and the explore stage explores orbit representatives,
-    certifying the lifted descriptor as it goes; a break falls back to
-    an unreduced run that carries the witness.
+    {e detector's} state.  The pair state then permutes componentwise
+    (the crash set by {!sym_set}), actions by the spec's [perm_out],
+    and the explore stage explores orbit representatives, certifying
+    the lifted descriptor as it goes; a break falls back to an
+    unreduced run of the same pair that carries the witness.
     Counterexamples found in the quotient are lifted back to genuine
     runs of the original system (and replay-confirmed as always);
     liveness is skipped, as under [por].  A spec without [perm_out]
-    falls back to the unreduced composition with
-    [sym = Sym_fallback]. *)
+    runs unreduced with [sym = Sym_fallback]. *)
 
 (** {1 The quotient}
 
@@ -234,17 +234,15 @@ type ('s, 'o) quotient_view = {
 }
 
 val quotient_view :
-  ?max_states:int ->
-  ?crashable:Loc.Set.t ->
   symmetry:'s state_symmetry ->
   n:int ->
   'o Afd_core.Afd.spec ->
   detector:('s, 'o Fd_event.t) Automaton.t ->
   (('s * Loc.Set.t, 'o) quotient_view, string) result
 (** Build the product {!check_spec} builds with [symmetry] and explore
-    its orbit quotient as {!check_spec} does (no POR).  [Error] when
-    the spec is raw or has no [perm_out], or the product does not
-    certify. *)
+    its orbit quotient as {!check_spec} does (every location crashable,
+    default budget, no POR).  [Error] when [n] is out of range, the
+    spec has no [perm_out], or the product does not certify. *)
 
 (** {1 Parametric cutoff search}
 
@@ -286,7 +284,6 @@ type parametric = {
 val parametric :
   ?max_states:int ->
   ?ns:int list ->
-  ?crashable:Loc.Set.t ->
   symmetry:'s state_symmetry ->
   'o Afd_core.Afd.spec ->
   detector:(int -> ('s, 'o Fd_event.t) Automaton.t) ->

@@ -1,5 +1,3 @@
-type spec_style = Prop_compiled | Raw_scan
-
 type entry =
   | Automaton :
       ('s, 'a) Afd_ioa.Automaton.t * ('s, 'a) Probe.t
@@ -7,24 +5,12 @@ type entry =
   | Composition :
       'a Afd_ioa.Composition.t * ('a Afd_ioa.Composition.state, 'a) Probe.t
       -> entry
-  | Spec of { name : string; style : spec_style; allow_raw : bool }
 
 type item = { origin : string; entry : entry }
 
 let entry_name = function
   | Automaton (a, _) -> a.Afd_ioa.Automaton.name
   | Composition (c, _) -> Afd_ioa.Composition.name c
-  | Spec { name; _ } -> name
-
-let spec_entry ?(allow_raw = false) spec =
-  Spec
-    { name = spec.Afd_core.Afd.name;
-      style =
-        (match Afd_core.Afd.style spec with
-        | Afd_core.Afd.Prop_compiled -> Prop_compiled
-        | Afd_core.Afd.Raw_scan -> Raw_scan);
-      allow_raw;
-    }
 
 let store : item list ref = ref []
 

@@ -7,11 +7,6 @@
     packing mirrors {!Afd_ioa.Component}: subjects over different
     state types and action alphabets live in one catalog. *)
 
-type spec_style = Prop_compiled | Raw_scan
-(** How a detector spec checks traces: compiled from an
-    [Afd_prop.Prop.t] formula, or a raw scan over the full
-    [Fd_event.t list]. *)
-
 type entry =
   | Automaton :
       ('s, 'a) Afd_ioa.Automaton.t * ('s, 'a) Probe.t
@@ -19,17 +14,10 @@ type entry =
   | Composition :
       'a Afd_ioa.Composition.t * ('a Afd_ioa.Composition.state, 'a) Probe.t
       -> entry
-  | Spec of { name : string; style : spec_style; allow_raw : bool }
-      (** a detector spec; [allow_raw] allowlists deliberate raw
-          scans (legacy wrappers) for the [prop-based-spec] rule *)
 
 type item = { origin : string; entry : entry }
 
 val entry_name : entry -> string
-
-val spec_entry : ?allow_raw:bool -> 'o Afd_core.Afd.spec -> entry
-(** Package a detector spec for the catalog, recording whether it is
-    prop-compiled.  [allow_raw] defaults to [false]. *)
 
 val register : origin:string -> entry -> unit
 (** Append an entry under the given origin label (the registering

@@ -44,13 +44,13 @@ let probe_coverage =
     check =
       (fun subj ->
         match subj.Subject.packed with
-        | Some (Subject.P { probe = { Probe.actions = []; _ }; _ }) ->
+        | Subject.P { probe = { Probe.actions = []; _ }; _ } ->
           [ mkf ~rule:"probe-coverage" ~severity:Report.Warning ~origin:subj.Subject.origin
               ~name:subj.Subject.name
               "empty action probe universe: the well-formedness of this subject was \
                not actually checked"
           ]
-        | Some (Subject.P _) | None -> []);
+        | Subject.P _ -> []);
   }
 
 let input_enabled =
@@ -60,17 +60,15 @@ let input_enabled =
     paper = "2.1";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { aut = a; probe = p; space = sp; _ }) ->
-          let states = Space.reachable (Lazy.force sp) in
-          List.map
-            (fun (si, act) ->
-              mkf ~rule:"input-enabled" ~severity:Report.Error ~origin:subj.Subject.origin
-                ~name:subj.Subject.name ~state:si
-                (Fmt.str "input action %a is disabled" p.Probe.pp_action act))
-            (Automaton.input_enabledness_counterexamples a ~states
-               ~probes:p.Probe.actions));
+        let (Subject.P { aut = a; probe = p; space = sp; _ }) = subj.Subject.packed in
+        let states = Space.reachable (Lazy.force sp) in
+        List.map
+          (fun (si, act) ->
+            mkf ~rule:"input-enabled" ~severity:Report.Error ~origin:subj.Subject.origin
+              ~name:subj.Subject.name ~state:si
+              (Fmt.str "input action %a is disabled" p.Probe.pp_action act))
+          (Automaton.input_enabledness_counterexamples a ~states
+             ~probes:p.Probe.actions));
   }
 
 let task_determinism =
@@ -80,32 +78,30 @@ let task_determinism =
     paper = "2.5";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { aut = a; probe = p; space = sp; _ }) ->
-          List.concat
-            (List.mapi
-               (fun si s ->
-                 let rec pairs acc = function
-                   | [] -> acc
-                   | (t1, a1) :: rest ->
-                     let acc =
-                       List.fold_left
-                         (fun acc (t2, a2) ->
-                           if p.Probe.equal_action a1 a2 then
-                             mkf ~rule:"task-determinism" ~severity:Report.Error
-                               ~origin:subj.Subject.origin ~name:subj.Subject.name
-                               ~task:t1 ~state:si
-                               (Fmt.str "tasks %s and %s both enable %a" t1 t2
-                                  p.Probe.pp_action a1)
-                             :: acc
-                           else acc)
-                         acc rest
-                     in
-                     pairs acc rest
-                 in
-                 pairs [] (enabled_by_task a s))
-               (Space.reachable (Lazy.force sp))));
+        let (Subject.P { aut = a; probe = p; space = sp; _ }) = subj.Subject.packed in
+        List.concat
+          (List.mapi
+             (fun si s ->
+               let rec pairs acc = function
+                 | [] -> acc
+                 | (t1, a1) :: rest ->
+                   let acc =
+                     List.fold_left
+                       (fun acc (t2, a2) ->
+                         if p.Probe.equal_action a1 a2 then
+                           mkf ~rule:"task-determinism" ~severity:Report.Error
+                             ~origin:subj.Subject.origin ~name:subj.Subject.name
+                             ~task:t1 ~state:si
+                             (Fmt.str "tasks %s and %s both enable %a" t1 t2
+                                p.Probe.pp_action a1)
+                           :: acc
+                         else acc)
+                       acc rest
+                   in
+                   pairs acc rest
+               in
+               pairs [] (enabled_by_task a s))
+             (Space.reachable (Lazy.force sp))));
   }
 
 let step_signature =
@@ -115,27 +111,25 @@ let step_signature =
     paper = "2.1";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { aut = a; probe = p; space = sp; _ }) ->
-          List.concat
-            (List.mapi
-               (fun si s ->
-                 List.filter_map
-                   (fun act ->
-                     if Automaton.kind_of a act = None && a.Automaton.step s act <> None
-                     then
-                       Some
-                         (mkf ~rule:"step-signature" ~severity:Report.Error
-                            ~origin:subj.Subject.origin ~name:subj.Subject.name
-                            ~state:si
-                            (Fmt.str
-                               "action %a is outside the signature but the step \
-                                relation accepts it"
-                               p.Probe.pp_action act))
-                     else None)
-                   p.Probe.actions)
-               (Space.reachable (Lazy.force sp))));
+        let (Subject.P { aut = a; probe = p; space = sp; _ }) = subj.Subject.packed in
+        List.concat
+          (List.mapi
+             (fun si s ->
+               List.filter_map
+                 (fun act ->
+                   if Automaton.kind_of a act = None && a.Automaton.step s act <> None
+                   then
+                     Some
+                       (mkf ~rule:"step-signature" ~severity:Report.Error
+                          ~origin:subj.Subject.origin ~name:subj.Subject.name
+                          ~state:si
+                          (Fmt.str
+                             "action %a is outside the signature but the step \
+                              relation accepts it"
+                             p.Probe.pp_action act))
+                   else None)
+                 p.Probe.actions)
+             (Space.reachable (Lazy.force sp))));
   }
 
 let task_signature =
@@ -145,32 +139,30 @@ let task_signature =
     paper = "2.5";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { aut = a; probe = p; space = sp; _ }) ->
-          List.concat
-            (List.mapi
-               (fun si s ->
-                 List.filter_map
-                   (fun (tname, act) ->
-                     match Automaton.kind_of a act with
-                     | Some Automaton.Output | Some Automaton.Internal -> None
-                     | Some Automaton.Input ->
-                       Some
-                         (mkf ~rule:"task-signature" ~severity:Report.Error
-                            ~origin:subj.Subject.origin ~name:subj.Subject.name
-                            ~task:tname ~state:si
-                            (Fmt.str "task enables the input action %a"
-                               p.Probe.pp_action act))
-                     | None ->
-                       Some
-                         (mkf ~rule:"task-signature" ~severity:Report.Error
-                            ~origin:subj.Subject.origin ~name:subj.Subject.name
-                            ~task:tname ~state:si
-                            (Fmt.str "task enables %a, which is not in the signature"
-                               p.Probe.pp_action act)))
-                   (enabled_by_task a s))
-               (Space.reachable (Lazy.force sp))));
+        let (Subject.P { aut = a; probe = p; space = sp; _ }) = subj.Subject.packed in
+        List.concat
+          (List.mapi
+             (fun si s ->
+               List.filter_map
+                 (fun (tname, act) ->
+                   match Automaton.kind_of a act with
+                   | Some Automaton.Output | Some Automaton.Internal -> None
+                   | Some Automaton.Input ->
+                     Some
+                       (mkf ~rule:"task-signature" ~severity:Report.Error
+                          ~origin:subj.Subject.origin ~name:subj.Subject.name
+                          ~task:tname ~state:si
+                          (Fmt.str "task enables the input action %a"
+                             p.Probe.pp_action act))
+                   | None ->
+                     Some
+                       (mkf ~rule:"task-signature" ~severity:Report.Error
+                          ~origin:subj.Subject.origin ~name:subj.Subject.name
+                          ~task:tname ~state:si
+                          (Fmt.str "task enables %a, which is not in the signature"
+                             p.Probe.pp_action act)))
+                 (enabled_by_task a s))
+             (Space.reachable (Lazy.force sp))));
   }
 
 let enabled_consistency =
@@ -180,25 +172,23 @@ let enabled_consistency =
     paper = "2.5";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { aut = a; probe = p; space = sp; _ }) ->
-          List.concat
-            (List.mapi
-               (fun si s ->
-                 List.filter_map
-                   (fun (tname, act) ->
-                     match a.Automaton.step s act with
-                     | Some _ -> None
-                     | None ->
-                       Some
-                         (mkf ~rule:"enabled-consistency" ~severity:Report.Error
-                            ~origin:subj.Subject.origin ~name:subj.Subject.name
-                            ~task:tname ~state:si
-                            (Fmt.str "task enables %a but the step relation rejects it"
-                               p.Probe.pp_action act)))
-                   (enabled_by_task a s))
-               (Space.reachable (Lazy.force sp))));
+        let (Subject.P { aut = a; probe = p; space = sp; _ }) = subj.Subject.packed in
+        List.concat
+          (List.mapi
+             (fun si s ->
+               List.filter_map
+                 (fun (tname, act) ->
+                   match a.Automaton.step s act with
+                   | Some _ -> None
+                   | None ->
+                     Some
+                       (mkf ~rule:"enabled-consistency" ~severity:Report.Error
+                          ~origin:subj.Subject.origin ~name:subj.Subject.name
+                          ~task:tname ~state:si
+                          (Fmt.str "task enables %a but the step relation rejects it"
+                             p.Probe.pp_action act)))
+                 (enabled_by_task a s))
+             (Space.reachable (Lazy.force sp))));
   }
 
 let dual_control =
@@ -209,7 +199,7 @@ let dual_control =
     check =
       (fun subj ->
         match subj.Subject.entry with
-        | Registry.Automaton _ | Registry.Spec _ -> []
+        | Registry.Automaton _ -> []
         | Registry.Composition (c, p) ->
           List.map
             (fun (act, owners) ->
@@ -229,7 +219,7 @@ let internal_leakage =
     check =
       (fun subj ->
         match subj.Subject.entry with
-        | Registry.Automaton _ | Registry.Spec _ -> []
+        | Registry.Automaton _ -> []
         | Registry.Composition (c, p) ->
           List.map
             (fun (act, owner) ->
@@ -248,12 +238,12 @@ let dead_task =
     check =
       (fun subj ->
         match (subj.Subject.entry, subj.Subject.packed) with
-        | (Registry.Spec _ | Registry.Composition _), _ | _, None ->
+        | Registry.Composition _, _ ->
           (* the bounded sample of a whole composition is too sparse to
              call a component's task dead; components are expected to be
              registered (and checked) individually *)
           []
-        | Registry.Automaton _, Some (Subject.P { aut = a; space = sp; _ }) ->
+        | Registry.Automaton _, Subject.P { aut = a; space = sp; _ } ->
           if Subject.quotiented subj then
             (* a task can be enabled only at its orbit-mates'
                representatives: "never enabled" over representatives
@@ -287,28 +277,26 @@ let unfair_task =
     paper = "4.4";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { aut = a; _ }) ->
-          let name = subj.Subject.name in
-          if contains_sub (String.lowercase_ascii name) "crash" then []
-          else
-            List.filter_map
-              (fun t ->
-                if
-                  (not t.Automaton.fair)
-                  && not
-                       (contains_sub
-                          (String.lowercase_ascii t.Automaton.task_name)
-                          "crash")
-                then
-                  Some
-                    (mkf ~rule:"unfair-task" ~severity:Report.Warning
-                       ~origin:subj.Subject.origin ~name ~task:t.Automaton.task_name
-                       "task carries no fairness obligation outside the crash \
-                        automaton (Section 4.4 reserves that for crash tasks)")
-                else None)
-              a.Automaton.tasks);
+        let (Subject.P { aut = a; _ }) = subj.Subject.packed in
+        let name = subj.Subject.name in
+        if contains_sub (String.lowercase_ascii name) "crash" then []
+        else
+          List.filter_map
+            (fun t ->
+              if
+                (not t.Automaton.fair)
+                && not
+                     (contains_sub
+                        (String.lowercase_ascii t.Automaton.task_name)
+                        "crash")
+              then
+                Some
+                  (mkf ~rule:"unfair-task" ~severity:Report.Warning
+                     ~origin:subj.Subject.origin ~name ~task:t.Automaton.task_name
+                     "task carries no fairness obligation outside the crash \
+                      automaton (Section 4.4 reserves that for crash tasks)")
+              else None)
+            a.Automaton.tasks);
   }
 
 let rename_roundtrip =
@@ -318,34 +306,32 @@ let rename_roundtrip =
     paper = "2.3/5.3";
     check =
       (fun subj ->
-        match subj.Subject.packed with
+        let (Subject.P { aut = a; probe = p; _ }) = subj.Subject.packed in
+        let name = subj.Subject.name in
+        match p.Probe.rename_roundtrip with
         | None -> []
-        | Some (Subject.P { aut = a; probe = p; _ }) -> (
-          let name = subj.Subject.name in
-          match p.Probe.rename_roundtrip with
-          | None -> []
-          | Some rt ->
-            List.filter_map
-              (fun act ->
-                if not (Automaton.in_signature a act) then None
-                else
-                  match rt act with
-                  | Some act' when p.Probe.equal_action act act' -> None
-                  | Some act' ->
-                    Some
-                      (mkf ~rule:"rename-roundtrip" ~severity:Report.Error
-                         ~origin:subj.Subject.origin ~name
-                         (Fmt.str "renaming round-trips %a to the different action %a"
-                            p.Probe.pp_action act p.Probe.pp_action act'))
-                  | None ->
-                    Some
-                      (mkf ~rule:"rename-roundtrip" ~severity:Report.Error
-                         ~origin:subj.Subject.origin ~name
-                         (Fmt.str
-                            "renaming round-trip is undefined on the in-signature \
-                             action %a"
-                            p.Probe.pp_action act)))
-              p.Probe.actions));
+        | Some rt ->
+          List.filter_map
+            (fun act ->
+              if not (Automaton.in_signature a act) then None
+              else
+                match rt act with
+                | Some act' when p.Probe.equal_action act act' -> None
+                | Some act' ->
+                  Some
+                    (mkf ~rule:"rename-roundtrip" ~severity:Report.Error
+                       ~origin:subj.Subject.origin ~name
+                       (Fmt.str "renaming round-trips %a to the different action %a"
+                          p.Probe.pp_action act p.Probe.pp_action act'))
+                | None ->
+                  Some
+                    (mkf ~rule:"rename-roundtrip" ~severity:Report.Error
+                       ~origin:subj.Subject.origin ~name
+                       (Fmt.str
+                          "renaming round-trip is undefined on the in-signature \
+                           action %a"
+                          p.Probe.pp_action act)))
+            p.Probe.actions);
   }
 
 let hiding =
@@ -355,53 +341,25 @@ let hiding =
     paper = "2.3";
     check =
       (fun subj ->
-        match subj.Subject.packed with
+        let (Subject.P { aut = a; probe = p; _ }) = subj.Subject.packed in
+        let name = subj.Subject.name in
+        match p.Probe.base_kind with
         | None -> []
-        | Some (Subject.P { aut = a; probe = p; _ }) -> (
-          let name = subj.Subject.name in
-          match p.Probe.base_kind with
-          | None -> []
-          | Some base ->
-            List.filter_map
-              (fun act ->
-                match (base act, Automaton.kind_of a act) with
-                | Some Automaton.Output, Some Automaton.Internal -> None
-                | before, after when before = after -> None
-                | before, after ->
-                  Some
-                    (mkf ~rule:"hiding" ~severity:Report.Error
-                       ~origin:subj.Subject.origin ~name
-                       (Fmt.str
-                          "hiding changed %a from %a to %a (only output to internal \
-                           is allowed)"
-                          p.Probe.pp_action act pp_kind_opt before pp_kind_opt after)))
-              p.Probe.actions));
-  }
-
-let prop_based_spec =
-  { Rule.id = "prop-based-spec";
-    severity = Report.Error;
-    doc =
-      "detector specs must be compiled Afd_prop formulas, not raw trace scans \
-       (allowlist for deliberate legacy wrappers)";
-    paper = "3.2";
-    check =
-      (fun subj ->
-        match subj.Subject.entry with
-        | Registry.Automaton _ | Registry.Composition _ -> []
-        | Registry.Spec { name; style; allow_raw } -> (
-          match style with
-          | Registry.Prop_compiled -> []
-          | Registry.Raw_scan ->
-            if allow_raw then []
-            else
-              [ mkf ~rule:"prop-based-spec" ~severity:Report.Error
-                  ~origin:subj.Subject.origin ~name
-                  "spec checks traces by scanning a raw Fd_event.t list instead of \
-                   an Afd_prop formula: it cannot be monitored online \
-                   (build it with Afd.of_prop, or allowlist a \
-                   deliberate legacy wrapper)"
-              ]));
+        | Some base ->
+          List.filter_map
+            (fun act ->
+              match (base act, Automaton.kind_of a act) with
+              | Some Automaton.Output, Some Automaton.Internal -> None
+              | before, after when before = after -> None
+              | before, after ->
+                Some
+                  (mkf ~rule:"hiding" ~severity:Report.Error
+                     ~origin:subj.Subject.origin ~name
+                     (Fmt.str
+                        "hiding changed %a from %a to %a (only output to internal \
+                         is allowed)"
+                        p.Probe.pp_action act pp_kind_opt before pp_kind_opt after)))
+            p.Probe.actions);
   }
 
 let all =
@@ -417,7 +375,6 @@ let all =
     unfair_task;
     rename_roundtrip;
     hiding;
-    prop_based_spec;
   ]
 
 let ids = List.map (fun r -> r.Rule.id) all
@@ -433,19 +390,17 @@ let reachable_input_enabled =
     paper = "2.1";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { aut = a; probe = p; space = sp; _ }) ->
-          let sp = Lazy.force sp in
-          let states = Space.reachable sp in
-          List.map
-            (fun (si, act) ->
-              mkf ~rule:"reachable-input-enabled" ~severity:Report.Error
-                ~origin:subj.Subject.origin ~name:subj.Subject.name ~state:si
-                (Fmt.str "input action %a is refused in reachable state #%d (%s)"
-                   p.Probe.pp_action act si (verdict_note sp)))
-            (Automaton.input_enabledness_counterexamples a ~states
-               ~probes:p.Probe.actions));
+        let (Subject.P { aut = a; probe = p; space = sp; _ }) = subj.Subject.packed in
+        let sp = Lazy.force sp in
+        let states = Space.reachable sp in
+        List.map
+          (fun (si, act) ->
+            mkf ~rule:"reachable-input-enabled" ~severity:Report.Error
+              ~origin:subj.Subject.origin ~name:subj.Subject.name ~state:si
+              (Fmt.str "input action %a is refused in reachable state #%d (%s)"
+                 p.Probe.pp_action act si (verdict_note sp)))
+          (Automaton.input_enabledness_counterexamples a ~states
+             ~probes:p.Probe.actions));
   }
 
 let deadlock =
@@ -457,37 +412,35 @@ let deadlock =
     paper = "2.4";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { aut = a; space = sp; _ }) ->
-          let fair_names =
-            List.filter_map
-              (fun t -> if t.Automaton.fair then Some t.Automaton.task_name else None)
-              a.Automaton.tasks
-          in
-          List.concat
-            (List.mapi
-               (fun si s ->
-                 let moves = enabled_by_task a s in
-                 let fair_enabled =
-                   List.exists (fun (tn, _) -> List.mem tn fair_names) moves
-                 in
-                 if
-                   fair_enabled
-                   && List.for_all
-                        (fun (_, act) -> a.Automaton.step s act = None)
-                        moves
-                 then
-                   [ mkf ~rule:"deadlock" ~severity:Report.Error
-                       ~origin:subj.Subject.origin ~name:subj.Subject.name ~state:si
-                       (Fmt.str
-                          "state #%d is not quiescent (%d task(s) claim enabled \
-                           actions) but the step relation rejects every one of them: \
-                           the scheduler would stall here forever"
-                          si (List.length moves))
-                   ]
-                 else [])
-               (Space.reachable (Lazy.force sp))));
+        let (Subject.P { aut = a; space = sp; _ }) = subj.Subject.packed in
+        let fair_names =
+          List.filter_map
+            (fun t -> if t.Automaton.fair then Some t.Automaton.task_name else None)
+            a.Automaton.tasks
+        in
+        List.concat
+          (List.mapi
+             (fun si s ->
+               let moves = enabled_by_task a s in
+               let fair_enabled =
+                 List.exists (fun (tn, _) -> List.mem tn fair_names) moves
+               in
+               if
+                 fair_enabled
+                 && List.for_all
+                      (fun (_, act) -> a.Automaton.step s act = None)
+                      moves
+               then
+                 [ mkf ~rule:"deadlock" ~severity:Report.Error
+                     ~origin:subj.Subject.origin ~name:subj.Subject.name ~state:si
+                     (Fmt.str
+                        "state #%d is not quiescent (%d task(s) claim enabled \
+                         actions) but the step relation rejects every one of them: \
+                         the scheduler would stall here forever"
+                        si (List.length moves))
+                 ]
+               else [])
+             (Space.reachable (Lazy.force sp))));
   }
 
 let race_pair =
@@ -500,59 +453,59 @@ let race_pair =
     paper = "2.5";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { aut = a; probe = p; space = sp; live; _ }) ->
-          let sp = Lazy.force sp in
-          let live = Lazy.force live in
-          let reported = Hashtbl.create 8 in
-          let findings = ref [] in
-          List.iteri
-            (fun si s ->
-              let moves =
-                List.filter_map
-                  (fun t ->
-                    Option.map (fun act -> (t, act)) (t.Automaton.enabled s))
-                  a.Automaton.tasks
-              in
-              let rec pairs = function
-                | [] -> ()
-                | ((t1, _) as m1) :: rest ->
-                  List.iter
-                    (fun ((t2, _) as m2) ->
-                      let n1 = t1.Automaton.task_name
-                      and n2 = t2.Automaton.task_name in
-                      (* symmetric dedup: (a,b) and (b,a) are one race *)
-                      let key = if String.compare n1 n2 <= 0 then (n1, n2) else (n2, n1) in
-                      if
-                        (not (Hashtbl.mem reported key))
-                        && not (Space.commute a p s m1 m2)
-                      then begin
-                        Hashtbl.add reported key ();
-                        let scc = live.Live.sccs.(live.Live.scc_of.(si)) in
-                        findings :=
-                          mkf ~rule:"race-pair" ~severity:Report.Info
-                            ~origin:subj.Subject.origin ~name:subj.Subject.name
-                            ~task:(fst key) ~state:si
-                            (Fmt.str
-                               "tasks %s and %s are both enabled in state #%d but \
-                                their moves do not commute: the schedule order is \
-                                observable (%s; reported once per unordered pair)"
-                               (fst key) (snd key) si
-                               (if scc.Live.internal <> [] then
-                                  Fmt.str
-                                    "recurring: the state sits in a %d-state cycle-capable \
-                                     SCC, so the race can be replayed forever"
-                                    (List.length scc.Live.members)
-                                else "transient: the state's SCC has no internal edge"))
-                          :: !findings
-                      end)
-                    rest;
-                  pairs rest
-              in
-              pairs moves)
-            (Space.reachable sp);
-          List.rev !findings);
+        let (Subject.P { aut = a; probe = p; space = sp; live; _ }) =
+          subj.Subject.packed
+        in
+        let sp = Lazy.force sp in
+        let live = Lazy.force live in
+        let reported = Hashtbl.create 8 in
+        let findings = ref [] in
+        List.iteri
+          (fun si s ->
+            let moves =
+              List.filter_map
+                (fun t ->
+                  Option.map (fun act -> (t, act)) (t.Automaton.enabled s))
+                a.Automaton.tasks
+            in
+            let rec pairs = function
+              | [] -> ()
+              | ((t1, _) as m1) :: rest ->
+                List.iter
+                  (fun ((t2, _) as m2) ->
+                    let n1 = t1.Automaton.task_name
+                    and n2 = t2.Automaton.task_name in
+                    (* symmetric dedup: (a,b) and (b,a) are one race *)
+                    let key = if String.compare n1 n2 <= 0 then (n1, n2) else (n2, n1) in
+                    if
+                      (not (Hashtbl.mem reported key))
+                      && not (Space.commute a p s m1 m2)
+                    then begin
+                      Hashtbl.add reported key ();
+                      let scc = live.Live.sccs.(live.Live.scc_of.(si)) in
+                      findings :=
+                        mkf ~rule:"race-pair" ~severity:Report.Info
+                          ~origin:subj.Subject.origin ~name:subj.Subject.name
+                          ~task:(fst key) ~state:si
+                          (Fmt.str
+                             "tasks %s and %s are both enabled in state #%d but \
+                              their moves do not commute: the schedule order is \
+                              observable (%s; reported once per unordered pair)"
+                             (fst key) (snd key) si
+                             (if scc.Live.internal <> [] then
+                                Fmt.str
+                                  "recurring: the state sits in a %d-state cycle-capable \
+                                   SCC, so the race can be replayed forever"
+                                  (List.length scc.Live.members)
+                              else "transient: the state's SCC has no internal edge"))
+                        :: !findings
+                    end)
+                  rest;
+                pairs rest
+            in
+            pairs moves)
+          (Space.reachable sp);
+        List.rev !findings);
   }
 
 let dead_transition =
@@ -564,42 +517,40 @@ let dead_transition =
     paper = "2.1";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { aut = a; probe = p; space = sp; _ }) ->
-          let sp = Lazy.force sp in
-          (* Only an exhausted, unreduced exploration sees every edge:
-             under truncation, POR or an orbit quotient an untaken
-             action proves nothing (its orbit-mate may fire). *)
-          if
-            sp.Space.verdict <> Space.Exhausted
-            || sp.Space.por
-            || Subject.quotiented subj
-          then []
-          else
-            let candidates =
-              List.filter (Automaton.in_signature a) p.Probe.actions
-            in
-            (* one shared pass over the edge array (with early exit),
-               instead of one Array.exists per candidate *)
-            let fired =
-              Live.fired_actions sp ~equal:p.Probe.equal_action candidates
-            in
-            List.concat
-              (List.mapi
-                 (fun i act ->
-                   if fired.(i) then []
-                   else
-                     [ mkf ~rule:"dead-transition" ~severity:Report.Info
-                         ~origin:subj.Subject.origin ~name:subj.Subject.name
-                         (Fmt.str
-                            "in-signature action %a labels no edge of the %d-state \
-                             exhausted graph: it can never fire (dead transition, or \
-                             an unfireable probe entry)"
-                            p.Probe.pp_action act
-                            (Array.length sp.Space.states))
-                     ])
-                 candidates));
+        let (Subject.P { aut = a; probe = p; space = sp; _ }) = subj.Subject.packed in
+        let sp = Lazy.force sp in
+        (* Only an exhausted, unreduced exploration sees every edge:
+           under truncation, POR or an orbit quotient an untaken
+           action proves nothing (its orbit-mate may fire). *)
+        if
+          sp.Space.verdict <> Space.Exhausted
+          || sp.Space.por
+          || Subject.quotiented subj
+        then []
+        else
+          let candidates =
+            List.filter (Automaton.in_signature a) p.Probe.actions
+          in
+          (* one shared pass over the edge array (with early exit),
+             instead of one Array.exists per candidate *)
+          let fired =
+            Live.fired_actions sp ~equal:p.Probe.equal_action candidates
+          in
+          List.concat
+            (List.mapi
+               (fun i act ->
+                 if fired.(i) then []
+                 else
+                   [ mkf ~rule:"dead-transition" ~severity:Report.Info
+                       ~origin:subj.Subject.origin ~name:subj.Subject.name
+                       (Fmt.str
+                          "in-signature action %a labels no edge of the %d-state \
+                           exhausted graph: it can never fire (dead transition, or \
+                           an unfireable probe entry)"
+                          p.Probe.pp_action act
+                          (Array.length sp.Space.states))
+                   ])
+               candidates));
   }
 
 let livelock =
@@ -611,38 +562,36 @@ let livelock =
     paper = "2.4";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { aut = a; space = sp; live; _ }) ->
-          let sp = Lazy.force sp in
-          (* a cycle of the orbit quotient lifts to a lasso only up to
-             a permutation — not necessarily a genuine cycle *)
-          if sp.Space.por || Subject.quotiented subj then []
-          else
-            let live = Lazy.force live in
-            Array.to_list live.Live.sccs
-            |> List.filter_map (fun scc ->
-                   if
-                     scc.Live.internal <> []
-                     && scc.Live.unmet = []
-                     && List.for_all
-                          (fun ei ->
-                            Automaton.kind_of a sp.Space.edges.(ei).Space.act
-                            = Some Automaton.Internal)
-                          scc.Live.internal
-                   then
-                     Some
-                       (mkf ~rule:"livelock" ~severity:Report.Warning
-                          ~origin:subj.Subject.origin ~name:subj.Subject.name
-                          ~state:(List.hd scc.Live.members)
-                          (Fmt.str
-                             "livelock: a weakly fair cycle over %d state(s) (SCC #%d, \
-                              entered at state #%d) fires internal actions only — the \
-                              system can run forever without ever producing an output \
-                              (the cycle is real regardless of exploration verdict)"
-                             (List.length scc.Live.members) scc.Live.id
-                             (List.hd scc.Live.members)))
-                   else None));
+        let (Subject.P { aut = a; space = sp; live; _ }) = subj.Subject.packed in
+        let sp = Lazy.force sp in
+        (* a cycle of the orbit quotient lifts to a lasso only up to
+           a permutation — not necessarily a genuine cycle *)
+        if sp.Space.por || Subject.quotiented subj then []
+        else
+          let live = Lazy.force live in
+          Array.to_list live.Live.sccs
+          |> List.filter_map (fun scc ->
+                 if
+                   scc.Live.internal <> []
+                   && scc.Live.unmet = []
+                   && List.for_all
+                        (fun ei ->
+                          Automaton.kind_of a sp.Space.edges.(ei).Space.act
+                          = Some Automaton.Internal)
+                        scc.Live.internal
+                 then
+                   Some
+                     (mkf ~rule:"livelock" ~severity:Report.Warning
+                        ~origin:subj.Subject.origin ~name:subj.Subject.name
+                        ~state:(List.hd scc.Live.members)
+                        (Fmt.str
+                           "livelock: a weakly fair cycle over %d state(s) (SCC #%d, \
+                            entered at state #%d) fires internal actions only — the \
+                            system can run forever without ever producing an output \
+                            (the cycle is real regardless of exploration verdict)"
+                           (List.length scc.Live.members) scc.Live.id
+                           (List.hd scc.Live.members)))
+                 else None));
   }
 
 let unsat_fairness =
@@ -655,42 +604,40 @@ let unsat_fairness =
     paper = "2.4";
     check =
       (fun subj ->
-        match subj.Subject.packed with
-        | None -> []
-        | Some (Subject.P { space = sp; live; _ }) ->
-          let sp = Lazy.force sp in
-          (* terminality and the absence of witnesses are absence
-             claims: only an exhausted, unreduced graph supports them *)
-          if
-            sp.Space.verdict <> Space.Exhausted
-            || sp.Space.por
-            || Subject.quotiented subj
-          then []
-          else
-            let live = Lazy.force live in
-            Array.to_list live.Live.sccs
-            |> List.filter_map (fun scc ->
-                   if
-                     scc.Live.terminal && scc.Live.unmet <> []
-                     && scc.Live.fair_stops = []
-                   then
-                     Some
-                       (mkf ~rule:"unsatisfiable-fairness-obligation"
-                          ~severity:Report.Error ~origin:subj.Subject.origin
-                          ~name:subj.Subject.name
-                          ~task:(String.concat "+" scc.Live.unmet)
-                          ~state:(List.hd scc.Live.members)
-                          (Fmt.str
-                             "terminal SCC #%d (%d state(s), entered at state #%d) \
-                              admits no fair execution: fair task(s) %s neither fire \
-                              on any internal edge nor are ever disabled, and no \
-                              member is a fair stop — the scheduler can neither \
-                              satisfy the obligation nor halt fairly"
-                             scc.Live.id
-                             (List.length scc.Live.members)
-                             (List.hd scc.Live.members)
-                             (String.concat ", " scc.Live.unmet)))
-                   else None));
+        let (Subject.P { space = sp; live; _ }) = subj.Subject.packed in
+        let sp = Lazy.force sp in
+        (* terminality and the absence of witnesses are absence
+           claims: only an exhausted, unreduced graph supports them *)
+        if
+          sp.Space.verdict <> Space.Exhausted
+          || sp.Space.por
+          || Subject.quotiented subj
+        then []
+        else
+          let live = Lazy.force live in
+          Array.to_list live.Live.sccs
+          |> List.filter_map (fun scc ->
+                 if
+                   scc.Live.terminal && scc.Live.unmet <> []
+                   && scc.Live.fair_stops = []
+                 then
+                   Some
+                     (mkf ~rule:"unsatisfiable-fairness-obligation"
+                        ~severity:Report.Error ~origin:subj.Subject.origin
+                        ~name:subj.Subject.name
+                        ~task:(String.concat "+" scc.Live.unmet)
+                        ~state:(List.hd scc.Live.members)
+                        (Fmt.str
+                           "terminal SCC #%d (%d state(s), entered at state #%d) \
+                            admits no fair execution: fair task(s) %s neither fire \
+                            on any internal edge nor are ever disabled, and no \
+                            member is a fair stop — the scheduler can neither \
+                            satisfy the obligation nor halt fairly"
+                           scc.Live.id
+                           (List.length scc.Live.members)
+                           (List.hd scc.Live.members)
+                           (String.concat ", " scc.Live.unmet)))
+                 else None));
   }
 
 let mc =

@@ -31,9 +31,7 @@
     - [rename-roundtrip] (error, §2.3/§5.3) — an action renaming whose
       [to_ ∘ of_] is not the identity on a probed in-signature action;
     - [hiding] (error, §2.3) — a hiding that changes the signature
-      other than reclassifying outputs as internal;
-    - [prop-based-spec] (error, §3.2) — a detector spec that scans raw
-      traces instead of compiling an [Afd_prop] formula.
+      other than reclassifying outputs as internal.
 
     Rules whose message asserts something "for all reachable states"
     ([dead-task], [reachable-input-enabled], [dead-transition]) carry

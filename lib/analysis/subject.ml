@@ -15,7 +15,7 @@ type t = {
   origin : string;
   entry : Registry.entry;
   name : string;
-  packed : packed option;
+  packed : packed;
 }
 
 let make ?(por = false) ?max_states ?(symmetry = false) ~origin entry =
@@ -57,7 +57,7 @@ let make ?(por = false) ?max_states ?(symmetry = false) ~origin entry =
   in
   let packed =
     match entry with
-    | Registry.Automaton (a, p) -> Some (pack a (with_cap p))
+    | Registry.Automaton (a, p) -> pack a (with_cap p)
     | Registry.Composition (c, p) ->
       (* Composition states hold closures, on which the probe's default
          structural equality would bail out: flatten with the
@@ -70,35 +70,30 @@ let make ?(por = false) ?max_states ?(symmetry = false) ~origin entry =
             hash_state = Some Composition.hash_state;
           }
       in
-      Some (pack a p)
-    | Registry.Spec _ -> None
+      pack a p
   in
   { origin; entry; name = Registry.entry_name entry; packed }
 
 let symm_verdict t =
-  match t.packed with
-  | Some (P { symm = Some v; _ }) -> Some (Lazy.force v)
-  | Some (P { symm = None; _ }) | None -> None
+  let (P { symm; _ }) = t.packed in
+  Option.map Lazy.force symm
 
 let quotiented t =
-  match t.packed with
-  | Some (P { quotiented = q; _ }) -> Lazy.force q
-  | None -> false
+  let (P { quotiented = q; _ }) = t.packed in
+  Lazy.force q
 
 let exploration t =
-  match t.packed with
-  | None -> None
-  | Some (P { space = sp; _ }) ->
-    if not (Lazy.is_val sp) then None
-    else
-      let sp = Lazy.force sp in
-      Some
-        { Report.explored = t.name;
-          exp_origin = t.origin;
-          states = Array.length sp.Space.states;
-          transitions = sp.Space.stats.Space.transitions;
-          verdict = Space.verdict_string sp.Space.verdict;
-          exhaustive = sp.Space.verdict = Space.Exhausted;
-          por = sp.Space.por;
-          slept = sp.Space.stats.Space.slept;
-        }
+  let (P { space = sp; _ }) = t.packed in
+  if not (Lazy.is_val sp) then None
+  else
+    let sp = Lazy.force sp in
+    Some
+      { Report.explored = t.name;
+        exp_origin = t.origin;
+        states = Array.length sp.Space.states;
+        transitions = sp.Space.stats.Space.transitions;
+        verdict = Space.verdict_string sp.Space.verdict;
+        exhaustive = sp.Space.verdict = Space.Exhausted;
+        por = sp.Space.por;
+        slept = sp.Space.stats.Space.slept;
+      }

@@ -39,7 +39,7 @@ type t = {
   origin : string;
   entry : Registry.entry;
   name : string;
-  packed : packed option;  (** [None] for spec entries *)
+  packed : packed;
 }
 
 val make :
@@ -54,7 +54,7 @@ val make :
     shared exploration (edge-granular rules then skip themselves — see
     {!Rules.mc}).
 
-    [symmetry] (default [false]) explores each packed subject's orbit
+    [symmetry] (default [false]) explores each subject's orbit
     quotient with {!Symm.explore}, at the same [por]: a subject that
     certifies is explored once, by that run, which is its shared
     exploration; a breaking or undeclared one explores unreduced, and
@@ -62,8 +62,7 @@ val make :
 
 val symm_verdict : t -> Symm.verdict option
 (** The equivariance verdict; [None] when the engine ran without
-    symmetry or the subject is a spec entry.  Forces the (bounded)
-    quotient exploration. *)
+    symmetry.  Forces the (bounded) quotient exploration. *)
 
 val quotiented : t -> bool
 (** Whether the shared exploration runs on orbit representatives
@@ -72,4 +71,4 @@ val quotiented : t -> bool
 
 val exploration : t -> Report.exploration option
 (** The exploration summary, only if some rule forced it ([None] for
-    specs and for subjects no rule explored). *)
+    subjects no rule explored). *)

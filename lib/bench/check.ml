@@ -3,8 +3,8 @@
    Each subject pairs a detector automaton with a spec and runs the
    same seeded schedule twice: once streaming events into the spec's
    compiled monitor ([Afd_automata.run_monitored], no trace retained),
-   once materializing the full trace and replaying the legacy [check].
-   Since [Afd.of_prop] makes [check] the offline replay of the very
+   once materializing the full trace and replaying it through
+   [Afd.check].  Since [Afd.check] is the offline replay of the very
    formula the monitor compiles, the two verdicts must agree
    structurally on every subject and every seed — that equality is the meta-verdict each matrix cell reports.
 
@@ -50,11 +50,7 @@ let verdict_equal a b =
   | _ -> false
 
 let run_subject ?window ~seed (S s) =
-  let m =
-    match Afd.monitor ?window s.spec ~n:s.n with
-    | Some m -> m
-    | None -> invalid_arg ("Check.run_subject: raw spec " ^ s.spec.Afd.name)
-  in
+  let m = Afd.monitor ?window s.spec ~n:s.n in
   let events = ref 0 in
   let _outcome =
     Afd_automata.run_monitored
@@ -334,7 +330,8 @@ let mc_all ?max_states ?(por = false) ?profile () =
       match mc_subject ?max_states ~por ?profile subj with
       | Ok r -> r
       | Error e ->
-        (* every shipped subject is prop-compiled; a raw spec here is a
+        (* [Mc.check_spec] refuses only an instance size outside
+           [1..Loc.max_locations]; a shipped subject sized so is a
            wiring bug, surfaced as a failing row rather than an
            exception so the whole table still renders *)
         let (S s) = subj in

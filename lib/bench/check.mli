@@ -3,7 +3,7 @@
     Every subject runs the same seeded schedule twice — streaming
     events into the spec's compiled monitor (nothing retained beyond
     the monitor's window) and replaying the materialized trace through
-    the legacy offline [check] — and each matrix cell's verdict is the
+    the offline {!Afd_core.Afd.check} — and each matrix cell's verdict is the
     {e meta}-verdict: [Sat] iff the two verdicts agree structurally
     {e and} the subject's expectation (sat for truthful pairings,
     violated for the deliberately broken ones) is met.  The raw online
@@ -45,7 +45,7 @@ val subjects : subject list
 
 type outcome = {
   online : Verdict.t;  (** the streaming monitor's verdict *)
-  offline : Verdict.t;  (** legacy full-trace [Afd.check] *)
+  offline : Verdict.t;  (** full-trace {!Afd_core.Afd.check} *)
   clauses : (string * Verdict.t) list;
   counterexample : int option;
       (** minimal violating prefix index, when violated *)
@@ -58,8 +58,7 @@ val verdict_equal : Verdict.t -> Verdict.t -> bool
 val run_subject : ?window:int -> seed:int -> subject -> outcome
 (** Run one subject under one seed: online (with [record_fired:false]
     — no trace is materialized on that run), then offline on the
-    regenerated trace.  Raises [Invalid_argument] on a
-    raw (non-prop) spec; the shipped {!subjects} are all compiled. *)
+    regenerated trace. *)
 
 val section : string
 
@@ -140,7 +139,8 @@ val mc_subject :
   ?profile:bool ->
   subject ->
   (mc_result, string) result
-(** Model-check one subject; [Error] for raw specs.  [profile] (default
+(** Model-check one subject; [Error] when {!Afd_analysis.Mc.check_spec}
+    refuses its instance size.  [profile] (default
     [false]) collects per-phase timings into the JSON's ["profile"]
     field (and only then — unprofiled JSON is unchanged). *)
 
@@ -151,8 +151,9 @@ val mc_all :
   unit ->
   mc_result list
 (** All {!subjects}, plus {!liveness_subjects} when [por] is off; a
-    raw spec yields a failing row ([mc_ok = false],
-    [mc_verdict = "error"]) instead of an exception. *)
+    subject {!mc_subject} refuses yields a failing row
+    ([mc_ok = false], [mc_verdict = "error"]) instead of an
+    exception. *)
 
 (** {1 Orbit-quotiented re-verification}
 
@@ -188,7 +189,8 @@ type sy_result = {
 
 val sy_subject :
   ?max_states:int -> ?ns:int list -> subject -> (sy_result, string) result
-(** [Error] on a raw spec or a subject with no declared symmetry.
+(** [Error] on an out-of-range instance size or a subject with no
+    declared symmetry.
     [ns] (default [2; 3; 4; 5]) are the parametric instance sizes. *)
 
 val sy_all : ?max_states:int -> ?ns:int list -> unit -> sy_result list

@@ -3,29 +3,16 @@ type 'o spec = {
   pp_out : 'o Fmt.t;
   equal_out : 'o -> 'o -> bool;
   hash_out : 'o -> int;
-  check : n:int -> 'o Fd_event.t list -> Verdict.t;
-  prop : (n:int -> 'o Afd_prop.Prop.t) option;
+  prop : n:int -> 'o Afd_prop.Prop.t;
   perm_out : ((int -> int) -> 'o -> 'o) option;
 }
 
 let of_prop ?perm_out ~name ~pp_out ~equal_out ~hash_out prop =
-  { name;
-    pp_out;
-    equal_out;
-    hash_out;
-    check = (fun ~n t -> Afd_prop.Monitor.replay ~n (prop ~n) t);
-    prop = Some prop;
-    perm_out;
-  }
+  { name; pp_out; equal_out; hash_out; prop; perm_out }
 
-let check spec ~n t = spec.check ~n t
+let check spec ~n t = Afd_prop.Monitor.replay ~n (spec.prop ~n) t
 
-type style = Prop_compiled | Raw_scan
-
-let style spec = if Option.is_some spec.prop then Prop_compiled else Raw_scan
-
-let monitor ?window spec ~n =
-  Option.map (fun prop -> Afd_prop.Monitor.create ?window ~n (prop ~n)) spec.prop
+let monitor ?window spec ~n = Afd_prop.Monitor.create ?window ~n (spec.prop ~n)
 
 type closure_failure = {
   original : string;
@@ -36,13 +23,13 @@ type closure_failure = {
 let fmt_trace spec t = Fmt.str "%a" (Fd_event.pp_trace spec.pp_out) t
 
 let closure_check transform spec ~n ~rng ~trials t =
-  if not (Verdict.is_sat (spec.check ~n t)) then Ok ()
+  if not (Verdict.is_sat (check spec ~n t)) then Ok ()
   else
     let rec go k =
       if k >= trials then Ok ()
       else
         let t' = transform rng t in
-        match spec.check ~n t' with
+        match check spec ~n t' with
         | Verdict.Sat -> go (k + 1)
         | v ->
           Error { original = fmt_trace spec t; transformed = fmt_trace spec t'; verdict = v }
@@ -53,7 +40,7 @@ let check_closure_under_sampling spec = closure_check Trace_ops.gen_sampling spe
 let check_closure_under_reordering spec = closure_check Trace_ops.gen_reordering spec
 
 let check_all_properties spec ~n ~rng ~trials t =
-  match spec.check ~n t with
+  match check spec ~n t with
   | Verdict.Violated r -> Error (Printf.sprintf "%s: trace not accepted: %s" spec.name r)
   | Verdict.Undecided _ -> Ok () (* vacuous: prefix too short to test closure *)
   | Verdict.Sat -> (

@@ -3,9 +3,11 @@
     An AFD is a crash problem [D = (Î, O_D, T_D)] satisfying crash
     exclusivity, validity, closure under sampling, and closure under
     constrained reordering.  A {!spec} packages the detector's output
-    payload type with a monitor for membership in [T_D].
+    payload type with the [Afd_prop] formula whose traces are [T_D].
+    Every spec is built by {!of_prop}, so the offline {!check}, the
+    online {!monitor} and the model checker all read that one formula.
 
-    {b Finite-trace semantics of [check].}  Safety clauses of each
+    {b Finite-trace semantics of {!check}.}  Safety clauses of each
     detector are checked exactly.  "Eventually/permanently" clauses are
     checked under {e limit-extension semantics}: the finite trace
     stands for the infinite trace in which each live location keeps
@@ -29,13 +31,9 @@ type 'o spec = {
           states that should merge.  Use [Loc.hash] for leader outputs
           and [Loc.hash_set] for suspect sets — never [Hashtbl.hash] on
           a [Loc.Map], which reads its tree shape. *)
-  check : n:int -> 'o Fd_event.t list -> Verdict.t;
-      (** membership of the (finite, limit-extended) trace in [T_D];
-          must include the validity check. *)
-  prop : (n:int -> 'o Afd_prop.Prop.t) option;
-      (** the temporal formula the spec compiles to, when built with
-          {!of_prop}; [check] is then its offline replay wrapper, so
-          online and offline verdicts coincide definitionally. *)
+  prop : n:int -> 'o Afd_prop.Prop.t;
+      (** the temporal formula defining [T_D] at [n] locations,
+          validity clauses included. *)
   perm_out : ((int -> int) -> 'o -> 'o) option;
       (** how a process permutation transports an output value
           ([Loc.Set.map] for suspect sets, application for leader
@@ -52,20 +50,17 @@ val of_prop :
   hash_out:('o -> int) ->
   (n:int -> 'o Afd_prop.Prop.t) ->
   'o spec
-(** Build a spec from a temporal formula; [check] becomes
-    [Afd_prop.Monitor.replay] of the formula.  The formula must
-    include the validity clauses (use {!Afd_prop.Prop.validity}). *)
+(** Build a spec from a temporal formula.  The formula must include
+    the validity clauses (use {!Afd_prop.Prop.validity}). *)
 
 val check : 'o spec -> n:int -> 'o Fd_event.t list -> Verdict.t
+(** Membership of the (finite, limit-extended) trace in [T_D]:
+    [Afd_prop.Monitor.replay] of the formula, so online and offline
+    verdicts coincide definitionally. *)
 
-type style = Prop_compiled | Raw_scan
-
-val style : 'o spec -> style
-
-val monitor : ?window:int -> 'o spec -> n:int -> 'o Afd_prop.Monitor.t option
-(** A fresh online monitor for the spec's formula; [None] for a
-    spec record built without one ([prop = None]).  [window] sizes
-    the counterexample witness window. *)
+val monitor : ?window:int -> 'o spec -> n:int -> 'o Afd_prop.Monitor.t
+(** A fresh online monitor for the spec's formula.  [window] sizes the
+    counterexample witness window. *)
 
 type closure_failure = {
   original : string;  (** formatted original trace *)

@@ -205,3 +205,41 @@ let as_automaton c =
     step = step c;
     tasks = List.map task tasks_list;
   }
+
+(* Two automata composed into one whose state is the plain pair: the
+   same semantics as [as_automaton] on a two-component composition
+   (signature priority Output > Internal > Input, every in-signature
+   component must accept, an out-of-signature one keeps its state,
+   "<component>/<task>" task names), written out over a first-order
+   state a process permutation can act on. *)
+let pair ~name (a : ('s, 'x) Automaton.t) (b : ('t, 'x) Automaton.t) :
+    ('s * 't, 'x) Automaton.t =
+  let kind x =
+    match (a.Automaton.kind x, b.Automaton.kind x) with
+    | Some Automaton.Output, _ | _, Some Automaton.Output -> Some Automaton.Output
+    | Some Automaton.Internal, _ | _, Some Automaton.Internal -> Some Automaton.Internal
+    | Some Automaton.Input, _ | _, Some Automaton.Input -> Some Automaton.Input
+    | None, None -> None
+  in
+  let part (m : (_, 'x) Automaton.t) st x =
+    if m.Automaton.kind x = None then Some st else m.Automaton.step st x
+  in
+  let step (s, t) x =
+    match (part a s x, part b t x) with
+    | Some s', Some t' -> Some (s', t')
+    | _ -> None
+  in
+  let lift (m : (_, 'x) Automaton.t) proj (tk : _ Automaton.task) =
+    { Automaton.task_name = m.Automaton.name ^ "/" ^ tk.Automaton.task_name;
+      fair = tk.Automaton.fair;
+      enabled = (fun st -> tk.Automaton.enabled (proj st));
+    }
+  in
+  { Automaton.name;
+    kind;
+    start = (a.Automaton.start, b.Automaton.start);
+    step;
+    tasks = List.map (lift a fst) a.Automaton.tasks @ List.map (lift b snd) b.Automaton.tasks;
+  }
+
+let hash_pair (s, t) = (((17 * 31) + Hashtbl.hash s) * 31) + Hashtbl.hash t

@@ -106,3 +106,17 @@ val hash_state : 'a state -> int
 val as_automaton : 'a t -> ('a state, 'a) Automaton.t
 (** View a composition as a single automaton (flattened task list),
     enabling nested composition and hiding. *)
+
+val pair : name:string -> ('s, 'a) Automaton.t -> ('t, 'a) Automaton.t -> ('s * 't, 'a) Automaton.t
+(** [pair ~name a b] is [as_automaton] of the composition of [a] and
+    [b], with the state kept as the plain pair [(s, t)] instead of an
+    array of existential instances: same signature priority, same rule
+    that every component with the action in its signature must accept
+    it, same ["<component>/<task>"] task names, in the same order.  Its
+    state is first-order, so a process permutation can act on it and
+    structural equality compares it. *)
+
+val hash_pair : 's * 't -> int
+(** {!hash_state}'s formula on a pair's two components, so
+    [hash_pair (s, t)] is [hash_state] of the matching two-instance
+    state; congruent with structural equality. *)

@@ -116,11 +116,11 @@ and ('o, 'acc) fold = {
          whole product states — [None] makes the clause's spec
          uncertifiable, never wrong *)
   fcmp : ('acc -> 'acc -> int) option;
-      (* a semantic total order on accumulators (e.g.
-         [Loc.Set.compare]): polymorphic compare reads the tree shape
-         of a [Loc.Map], so a transported accumulator holding one could
-         spuriously differ from a stepped one; required alongside
-         [fperm] for certification *)
+      (* a total order on accumulators (e.g. [Loc.Set.compare]), 0
+         only on structurally equal ones: the model checker's quotient
+         takes orbit minima under it while comparing and hashing
+         accumulators structurally; required alongside [fperm] for
+         certification *)
 }
 
 type 'o t = Clause of string * 'o clause | Conj of 'o t list

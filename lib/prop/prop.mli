@@ -110,12 +110,16 @@ and ('o, 'acc) fold = {
           without a transport makes its spec uncertifiable (the subject
           falls back to unreduced exploration), never unsound. *)
   fcmp : ('acc -> 'acc -> int) option;
-      (** a {e semantic} total order on accumulators (e.g.
-          [Loc.Set.compare], [List.compare Loc.Set.compare]).
-          Polymorphic compare reads the tree shape of a [Loc.Map], so
-          a transported accumulator holding one could spuriously
-          differ from a stepped one; certification requires [fcmp]
-          alongside [fperm]. *)
+      (** a total order on accumulators (e.g. [Loc.Set.compare],
+          [List.compare Loc.Set.compare]), from which the
+          symmetry-quotiented model checker picks each orbit's minimum.
+          Contract: [fcmp a b = 0] only when [a] and [b] are
+          structurally equal — the checker compares and hashes
+          accumulators structurally, and the order must agree with
+          that identity, as {!Afd_analysis.Mc.state_symmetry}'s
+          [ss_cmp] must.  Location sets are words and meet it; a
+          [Loc.Map], whose tree shape depends on how it was built, does
+          not.  Certification requires [fcmp] alongside [fperm]. *)
 }
 
 type 'o t = Clause of string * 'o clause | Conj of 'o t list

@@ -23,11 +23,9 @@ let hb_lossy_trace ~n ~drop_every ~seed ~crash_at ~steps =
 
 (* Stream a trace through the spec's online monitor. *)
 let monitor_verdict ~n trace =
-  match Afd.monitor Ev_perfect.spec ~n with
-  | None -> Alcotest.fail "EvP spec has no compiled formula"
-  | Some m ->
-    List.iter (Afd_prop.Monitor.observe m) trace;
-    Afd_prop.Monitor.verdict m
+  let m = Afd.monitor Ev_perfect.spec ~n in
+  List.iter (Afd_prop.Monitor.observe m) trace;
+  Afd_prop.Monitor.verdict m
 
 let test_loss_converges () =
   (* crash-free: every live pair keeps exchanging (1 - 1/k of the)

@@ -24,7 +24,6 @@ let live_of_entry = function
   | Registry.Composition (c, p) ->
     let a = Composition.as_automaton c in
     Live.analyze a (Space.explore a p)
-  | Registry.Spec _ -> Alcotest.fail "expected an automaton entry"
 
 (* --- condensation on the canonical shapes --- *)
 
@@ -146,8 +145,7 @@ let test_catalog_probes_hashed () =
       | Registry.Automaton (a, p) ->
         check_probe a.Automaton.name (p.Probe.hash_state <> None)
       | Registry.Composition (c, p) ->
-        check_probe (Composition.name c) (p.Probe.hash_state <> None)
-      | Registry.Spec _ -> ())
+        check_probe (Composition.name c) (p.Probe.hash_state <> None))
     (Catalog.items ())
 
 (* --- lasso refutations, directly through Mc --- *)
@@ -193,11 +191,7 @@ let lassos_latch spec detector ~crashable ~k =
   | Ok o ->
     List.for_all
       (fun l ->
-        let m =
-          match Afd.monitor spec ~n with
-          | Some m -> m
-          | None -> QCheck2.Test.fail_reportf "raw spec"
-        in
+        let m = Afd.monitor spec ~n in
         List.iter (Afd_prop.Monitor.observe m) l.Mc.l_stem;
         let unroll = if l.Mc.l_cycle = [] then 0 else k in
         for _ = 1 to unroll do

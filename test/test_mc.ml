@@ -22,7 +22,7 @@ let run ~symmetric ~profile subj =
   match
     Mc.check_spec ~max_states:4_000 ?timings ?symmetry ~n spec ~detector:(detector n)
   with
-  | Error e -> Alcotest.failf "%s: raw spec: %s" (BC.id subj) e
+  | Error e -> Alcotest.failf "%s: %s" (BC.id subj) e
   | Ok o ->
     ( Mc.outcome_to_json ~pp_out:spec.Afd_core.Afd.pp_out o,
       match timings with Some r -> !r | None -> [] )
@@ -213,6 +213,30 @@ let test_reasons_formatted_when_reported () =
       (List.length violations + List.length lassos)
       !formatted
 
+(* The checker's one refusal: an instance size the location universe
+   cannot hold.  It comes back as an [Error] naming the bound, not as
+   an exception from deep inside the crash automaton. *)
+let test_n_out_of_range () =
+  let bound = Printf.sprintf "1..%d" Afd_ioa.Loc.max_locations in
+  let names_bound e =
+    let lb = String.length bound in
+    let rec at i =
+      i + lb <= String.length e && (String.sub e i lb = bound || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun n ->
+      match
+        Mc.check_spec ~n Afd_core.Perfect.spec
+          ~detector:(Afd_core.Afd_automata.fd_perfect ~n:3)
+      with
+      | Ok _ -> Alcotest.failf "n = %d was model-checked" n
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "n = %d: %S names %s" n e bound) true
+          (names_bound e))
+    [ 0; 63 ]
+
 let suite =
   [ Alcotest.test_case "quotient outcomes match the golden JSON" `Quick
       test_quotient_golden;
@@ -229,4 +253,6 @@ let suite =
       test_latched_sinks;
     Alcotest.test_case "judges' reasons are formatted only when reported" `Quick
       test_reasons_formatted_when_reported;
+    Alcotest.test_case "n outside 1..Loc.max_locations is an Error" `Quick
+      test_n_out_of_range;
   ]

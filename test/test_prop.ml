@@ -6,7 +6,7 @@
    subject, every seed and every witness-window size, the verdict of
    the incremental monitor fed event-by-event from the scheduler (no
    trace materialized) is structurally equal —
-   reasons included — to the legacy full-trace [Afd.check] replay. *)
+   reasons included — to the full-trace [Afd.check] replay. *)
 
 open Afd_ioa
 open Afd_core
@@ -148,13 +148,8 @@ let test_replay_equals_offline_check () =
       Fd_event.Output (0, Loc.Set.singleton 1);
     ]
   in
-  let prop =
-    match Perfect.spec.Afd.prop with
-    | Some p -> p
-    | None -> Alcotest.fail "Perfect.spec must be prop-compiled"
-  in
   Alcotest.check verdict "replay is the spec's check" (Afd.check Perfect.spec ~n:2 t)
-    (M.replay ~n:2 (prop ~n:2) t)
+    (M.replay ~n:2 (Perfect.spec.Afd.prop ~n:2) t)
 
 (* ------------------------------------------------------------------ *)
 (* Online == offline over the catalog                                  *)
@@ -186,6 +181,79 @@ let prop_online_equals_offline =
     (fun (seed, window) ->
       List.iter (fun subj -> check_subject ~window ~seed subj) Check.subjects;
       true)
+
+(* ------------------------------------------------------------------ *)
+(* The fold accumulator order's contract                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [fcmp a b = 0] exactly when [a] and [b] are structurally equal: the
+   model checker compares and hashes accumulators structurally and
+   takes orbit minima under [fcmp], so the two must agree.  Checked on
+   the folds of Sigma, Marabout and Strong, for accumulators reached by
+   two random event sequences and for a transported accumulator against
+   the one stepped along the permuted sequence. *)
+
+(* The accumulator after [events], or after the prefix before the first
+   latched error. *)
+let fold_acc ~n (f : (_, _) P.fold) events =
+  let rec go st acc = function
+    | [] -> acc
+    | e :: rest -> (
+      match f.P.fstep st acc e with
+      | Ok acc' -> go (P.update st e) acc' rest
+      | Error _ -> acc)
+  in
+  go (P.init ~n) f.P.finit events
+
+let fcmp_contract_holds ~n ~pi (spec : Loc.Set.t Afd.spec) xs ys =
+  let perm_event = function
+    | Fd_event.Crash i -> Fd_event.Crash (pi i)
+    | Fd_event.Output (i, s) -> Fd_event.Output (pi i, Loc.Set.map pi s)
+  in
+  let folds =
+    List.filter_map
+      (fun (nm, c) ->
+        match c with
+        | P.Fold f -> (
+          match (f.P.fcmp, f.P.fperm) with
+          | Some cmp, Some perm ->
+            let a = fold_acc ~n f xs and b = fold_acc ~n f ys in
+            let agree x y = (cmp x y = 0) = (Stdlib.compare x y = 0) in
+            Some
+              (agree a b && agree b a && cmp a a = 0
+              && agree (perm pi a) (fold_acc ~n f (List.map perm_event xs)))
+          | _ -> QCheck2.Test.fail_reportf "%s: fold %s lacks fcmp or fperm" spec.Afd.name nm)
+        | P.Always _ | P.Until _ | P.Stable _ -> None)
+      (P.clauses (spec.Afd.prop ~n))
+  in
+  folds <> [] && List.for_all Fun.id folds
+
+let prop_fcmp_structural =
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 4 >>= fun n ->
+      let event =
+        oneof
+          [ map (fun i -> Fd_event.Crash i) (int_bound (n - 1));
+            map2
+              (fun i bits ->
+                Fd_event.Output
+                  (i, Loc.Set.of_list (List.filter (fun l -> bits land (1 lsl l) <> 0)
+                                         (List.init n Fun.id))))
+              (int_bound (n - 1))
+              (int_bound ((1 lsl n) - 1));
+          ]
+      in
+      let events = list_size (int_bound 6) event in
+      map3 (fun pi xs ys -> (n, Array.of_list pi, xs, ys))
+        (shuffle_l (List.init n Fun.id)) events events)
+  in
+  QCheck2.Test.make ~name:"fcmp is 0 exactly on structurally equal accumulators"
+    ~count:500 gen
+    (fun (n, pi, xs, ys) ->
+      List.for_all
+        (fun spec -> fcmp_contract_holds ~n ~pi:(Array.get pi) spec xs ys)
+        [ Sigma.spec; Marabout.spec; Strong.spec ])
 
 let test_matrix_smoke () =
   let entries = Check.matrix ~seeds:2 () in
@@ -219,6 +287,7 @@ let suite =
     Alcotest.test_case "replay is definitionally the offline check" `Quick
       test_replay_equals_offline_check;
     QCheck_alcotest.to_alcotest prop_online_equals_offline;
+    QCheck_alcotest.to_alcotest prop_fcmp_structural;
     Alcotest.test_case "check matrix smoke: every meta-verdict is sat" `Quick
       test_matrix_smoke;
   ]

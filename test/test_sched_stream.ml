@@ -463,11 +463,7 @@ let test_monitored_run_bounded_memory () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
   in
-  let m =
-    match Afd.monitor ~window:32 Perfect.spec ~n:3 with
-    | Some m -> m
-    | None -> Alcotest.fail "Perfect.spec must be prop-compiled"
-  in
+  let m = Afd.monitor ~window:32 Perfect.spec ~n:3 in
   let events = ref 0 in
   let before = live_words () in
   let o =

@@ -28,21 +28,19 @@ let test_differential_vs_list () =
   List.iter
     (fun { Registry.origin; entry } ->
       let subj = Subject.make ~origin entry in
-      match subj.Subject.packed with
-      | None -> ()
-      | Some (Subject.P { aut = a; probe = p; _ }) ->
-        incr checked;
-        let hashed = Space.reachable (Space.explore a p) in
-        let listed = List_explore.list_based a p in
-        Alcotest.(check int)
-          (subj.Subject.name ^ ": same state count")
-          (List.length listed) (List.length hashed);
-        List.iter2
-          (fun x y ->
-            Alcotest.(check bool)
-              (subj.Subject.name ^ ": same visit order")
-              true (p.Probe.equal_state x y))
-          hashed listed)
+      let (Subject.P { aut = a; probe = p; _ }) = subj.Subject.packed in
+      incr checked;
+      let hashed = Space.reachable (Space.explore a p) in
+      let listed = List_explore.list_based a p in
+      Alcotest.(check int)
+        (subj.Subject.name ^ ": same state count")
+        (List.length listed) (List.length hashed);
+      List.iter2
+        (fun x y ->
+          Alcotest.(check bool)
+            (subj.Subject.name ^ ": same visit order")
+            true (p.Probe.equal_state x y))
+        hashed listed)
     (Catalog.items ());
   Alcotest.(check bool) "covered a real spread of subjects" true (!checked >= 20)
 
@@ -570,6 +568,77 @@ let test_por_matches_reference () =
         [ 400; 3_000 ])
     chk_subjects
 
+
+(* --- the detector+crash pair against its reference ---
+
+   [Composition.pair] is the closed system the model checker explores;
+   [Composition.as_automaton] of the two-component composition is the
+   semantics it must reproduce.  On every CHK subject, POR off and on:
+   the same states in order (compared through [hash_pair], which must
+   equal [hash_state] of the matching instances), the same edges in
+   order, the same slept count and verdict, and every edge action
+   classified alike. *)
+
+let test_pair_matches_composition () =
+  List.iter
+    (fun (BC.S { id; n; detector; _ }) ->
+      let det = detector n
+      and crash = Afd_automata.crash_automaton ~n ~crashable:(Loc.set_of_universe ~n) in
+      let comp =
+        Composition.as_automaton
+          (Composition.make ~name:"closed" [ Component.C det; Component.C crash ])
+      and pair = Composition.pair ~name:"closed" det crash in
+      let cprobe =
+        Probe.make ~equal_state:Composition.equal_state
+          ~hash_state:Composition.hash_state ~max_states:20_000 []
+      and pprobe = Probe.make ~hash_state:Composition.hash_pair ~max_states:20_000 [] in
+      List.iter
+        (fun por ->
+          let label = Printf.sprintf "%s por=%b" id por in
+          let sc = Space.explore ~por comp cprobe and sp = Space.explore ~por pair pprobe in
+          Alcotest.(check int) (label ^ ": state count")
+            (Array.length sc.Space.states) (Array.length sp.Space.states);
+          Alcotest.(check bool) (label ^ ": states in order") true
+            (Array.for_all2
+               (fun c p -> Composition.hash_state c = Composition.hash_pair p)
+               sc.Space.states sp.Space.states);
+          let edges (x : (_, _) Space.t) =
+            Array.map (fun e -> (e.Space.src, e.Space.dst, e.Space.act, e.Space.task)) x.Space.edges
+          in
+          Alcotest.(check bool) (label ^ ": edges in order") true (edges sc = edges sp);
+          Alcotest.(check bool) (label ^ ": edge actions classified alike") true
+            (Array.for_all
+               (fun e -> comp.Automaton.kind e.Space.act = pair.Automaton.kind e.Space.act)
+               sp.Space.edges);
+          Alcotest.(check int) (label ^ ": slept") sc.Space.stats.Space.slept
+            sp.Space.stats.Space.slept;
+          Alcotest.(check string) (label ^ ": verdict")
+            (Space.verdict_string sc.Space.verdict)
+            (Space.verdict_string sp.Space.verdict))
+        [ false; true ])
+    chk_subjects
+
+(* Signature priority on every pair of component kinds, including the
+   clashes a compatible composition never produces: action [k] is
+   [kinds.(k / 4)] in one automaton and [kinds.(k mod 4)] in the
+   other. *)
+let test_pair_signature_priority () =
+  let kinds = [| None; Some Automaton.Input; Some Automaton.Output; Some Automaton.Internal |] in
+  let mk name kind_of =
+    { Automaton.name; kind = kind_of; start = (); step = (fun () _ -> Some ()); tasks = [] }
+  in
+  let a = mk "a" (fun k -> kinds.(k / 4)) and b = mk "b" (fun k -> kinds.(k mod 4)) in
+  let comp =
+    Composition.as_automaton (Composition.make ~name:"ab" [ Component.C a; Component.C b ])
+  and pair = Composition.pair ~name:"ab" a b in
+  let pp_kind = Fmt.option ~none:(Fmt.any "none") Automaton.pp_kind in
+  for k = 0 to 15 do
+    Alcotest.(check string)
+      (Printf.sprintf "kind of action %d" k)
+      (Fmt.str "%a" pp_kind (comp.Automaton.kind k))
+      (Fmt.str "%a" pp_kind (pair.Automaton.kind k))
+  done
+
 let suite =
   [ Alcotest.test_case "hashed explorer == list scan on the whole catalog" `Quick
       test_differential_vs_list;
@@ -593,4 +662,8 @@ let suite =
       `Quick test_well_formed;
     Alcotest.test_case "POR search == list-based sleep-set reference" `Quick
       test_por_matches_reference;
+    Alcotest.test_case "Composition.pair == as_automaton on every CHK subject" `Quick
+      test_pair_matches_composition;
+    Alcotest.test_case "Composition.pair keeps the signature priority" `Quick
+      test_pair_signature_priority;
   ]

@@ -361,7 +361,7 @@ let test_certificates_pinned () =
           (Printf.sprintf "%s: %s" a.Afd_ioa.Automaton.name
              (render_verdict (Symm.analyze a p)))
       | Some _ | None -> None)
-    | Registry.Composition _ | Registry.Spec _ -> None
+    | Registry.Composition _ -> None
   in
   let entries =
     List.map (fun it -> it.Registry.entry) (Catalog.items ())
