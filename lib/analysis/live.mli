@@ -20,6 +20,18 @@
     fair cycle — the loop of a lasso counterexample — by stitching
     BFS paths through one witness waypoint per fair task.
 
+    {b Flat arrays, records on demand.}  {!analyze} condenses a CSR
+    int array of the task edges (successors in reverse edge order) with
+    an int-array Tarjan, groups members and internal edges per SCC the
+    same way, and computes one fair-cycle bit per SCC, only for SCCs
+    with an internal edge.  Fair stops are evaluated per state on
+    request, stopping at the first enabled fair task, and memoized.
+    Nearly every SCC of a product graph is a single state without a
+    self-loop, so none of this builds a per-SCC value.  The {!scc}
+    records — lists, witnesses, obligations — are built once, on the
+    first {!sccs} call: the SCC lint rules ask for them, the model
+    checker never does.
+
     Soundness vs completeness under incomplete graphs: every SCC,
     internal edge and obligation {e witness} is a positive fact about
     real transitions, so cycles found on a truncated or sleep-set
@@ -49,27 +61,42 @@ type scc = {
           end there *)
 }
 
-type t = {
-  scc_of : int array;  (** state index -> SCC id *)
-  sccs : scc array;  (** indexed by SCC id *)
-  fair_tasks : string list;  (** names of the automaton's fair tasks *)
-}
+type t
+(** The condensation of one exploration: SCC ids, the fair-cycle bit
+    per SCC, memoized fair stops, and the {!scc} records on demand. *)
 
 val analyze : ('s, 'a) Afd_ioa.Automaton.t -> ('s, 'a) Space.t -> t
 (** Condense the task-labelled subgraph of the exploration (iterative
-    Tarjan — no recursion, safe at 10^5 states) and compute each SCC's
-    fairness obligations from the automaton's task structure.  The
-    automaton must be the one the space was explored from (task
-    enabledness is re-evaluated on the stored states). *)
+    Tarjan over a CSR array — no recursion, safe at 10^5 states) and
+    compute, for each SCC with an internal edge, whether it carries a
+    weakly fair cycle.  The automaton must be the one the space was
+    explored from (task enabledness is re-evaluated on the stored
+    states, only where an answer needs it). *)
+
+val scc_count : t -> int
+
+val scc_of : t -> int -> int
+(** [scc_of t i]: the id of state [i]'s SCC, in [0 ..< scc_count t]. *)
+
+val fair_tasks : t -> string list
+(** Names of the automaton's fair tasks, in task-list order. *)
+
+val sccs : t -> scc array
+(** Every SCC's record, indexed by id.  Built on the first call and
+    shared by later ones; {!fair_cycle_through}, {!fair_stop_at} and
+    {!cycle_actions} never build them. *)
 
 val fair_cycle_through : t -> int -> bool
 (** Does a weakly fair infinite execution exist that visits state [i]
     infinitely often?  True iff [i]'s SCC has an internal edge and no
-    unmet obligation. *)
+    unmet obligation (its record's [internal <> [] && unmet = []]); one
+    bit per SCC, computed by {!analyze}. *)
 
 val fair_stop_at : t -> int -> bool
 (** May a fair execution end in state [i]?  True iff no fair task is
-    enabled there (pending unfair tasks — crashes — need never fire). *)
+    enabled there (pending unfair tasks — crashes — need never fire).
+    Evaluated on the first request, stopping at the first enabled fair
+    task, and memoized. *)
 
 val cycle_actions : ('s, 'a) Space.t -> t -> int -> 'a list
 (** A concrete fair cycle through state [i], as the action sequence of

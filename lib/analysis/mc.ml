@@ -419,19 +419,21 @@ type ('s, 'o) explored = {
   status : sym_status;
 }
 
+(* The unreduced run's probe.  Stable judges read
+   [last_output]/[output_counts], so when liveness is in scope those
+   fields join the product identity.  Under POR the sleep sets preserve
+   states, not edges, so fair-cycle search is off and the coarser
+   safety identity suffices. *)
+let unreduced_probe ~max_states ~por runtime system =
+  let track_live = runtime.stables <> [] && not por in
+  Probe.make ~equal_state:(pequal system track_live) ~hash_state:(phash system track_live)
+    ~max_states []
+
 let explore ~max_states ~por ~log ~n prop system =
   let runtime = clause_runtime prop in
   let product = product ~n runtime system.sys in
-  (* Stable judges read [last_output]/[output_counts], so when liveness
-     is in scope those fields join the product identity.  Under POR the
-     sleep sets preserve states, not edges, so fair-cycle search is off
-     and the coarser safety identity suffices. *)
   let unreduced status =
-    let track_live = runtime.stables <> [] && not por in
-    let probe =
-      Probe.make ~equal_state:(pequal system track_live)
-        ~hash_state:(phash system track_live) ~max_states []
-    in
+    let probe = unreduced_probe ~max_states ~por runtime system in
     let space = timed log "explore" (fun () -> Space.explore ~por product probe) in
     { product; runtime; space; quotient = None; status }
   in
@@ -774,7 +776,7 @@ let check_spec ?(max_states = default_max_states) ?(por = false) ?timings ?crash
       else o)
     (check_n n)
 
-(* --- the quotient, exposed for cross-checking --- *)
+(* --- the explored product, exposed for cross-checking --- *)
 
 type ('s, 'o) product_state = ('s, 'o) pstate
 
@@ -783,6 +785,16 @@ type ('s, 'o) quotient_view = {
   qv_states : ('s, 'o) product_state array;
   qv_symmetry : (('s, 'o) product_state, 'o Fd_event.t) Probe.symmetry;
 }
+
+let unreduced_view ~n spec ~detector =
+  Result.map
+    (fun () ->
+      let ex =
+        explore ~max_states:default_max_states ~por:false ~log:None ~n
+          (spec.Afd_core.Afd.prop ~n) (system ~n spec detector)
+      in
+      (ex.product, ex.space))
+    (check_n n)
 
 (* The explore stage of [check_spec ~symmetry] (no POR), read off on a
    certificate. *)
@@ -836,7 +848,17 @@ type parametric = {
    verdict is explicitly a candidate, never a proof for all n. *)
 let cutoff_window = 3
 
-let parametric ?max_states ?(ns = [ 2; 3; 4; 5 ]) ~symmetry spec ~detector =
+(* An unreduced rung as the ladder reads it: the explore stage of the
+   plain run (same product, identity and budget), as a count that stops
+   at the first budget cut.  Neither safety nor liveness runs. *)
+let raw_count ~max_states ~n spec detector =
+  let system = system ~n spec detector in
+  let runtime = clause_runtime (spec.Afd_core.Afd.prop ~n) in
+  Space.count (product ~n runtime system.sys)
+    (unreduced_probe ~max_states ~por:false runtime system)
+
+let parametric ?(max_states = default_max_states) ?(ns = [ 2; 3; 4; 5 ]) ~symmetry spec
+    ~detector =
   let points = ref [] in
   let sym = ref Sym_off in
   let halted = ref None in
@@ -847,9 +869,7 @@ let parametric ?max_states ?(ns = [ 2; 3; 4; 5 ]) ~symmetry spec ~detector =
   (try
      List.iter
        (fun n ->
-         match
-           check_spec ?max_states ~symmetry ~n spec ~detector:(detector n)
-         with
+         match check_spec ~max_states ~symmetry ~n spec ~detector:(detector n) with
          | Error e ->
            halted := Some (Unverified e);
            raise Exit
@@ -859,15 +879,11 @@ let parametric ?max_states ?(ns = [ 2; 3; 4; 5 ]) ~symmetry spec ~detector =
            | Sym_quotient _ ->
              let raw =
                if !raw_truncated then None
-               else
-                 match
-                   check_spec ?max_states ~n spec ~detector:(detector n)
-                 with
-                 | Ok { verdict = Space.Exhausted; states; _ } -> Some states
-                 | Ok { verdict = Space.Truncated _; _ } ->
-                   raw_truncated := true;
-                   None
-                 | Error _ -> None
+               else begin
+                 let k = raw_count ~max_states ~n spec (detector n) in
+                 raw_truncated := Option.is_none k;
+                 k
+               end
              in
              let violated =
                List.map (fun v -> v.clause) o.violations

@@ -216,14 +216,29 @@ val check_spec :
     liveness is skipped, as under [por].  A spec without [perm_out]
     runs unreduced with [sym = Sym_fallback]. *)
 
-(** {1 The quotient}
+(** {1 The explored product}
 
-    The explore stage's orbit representatives, exposed so tests can
-    check them against {!Symm.canonizer_w}. *)
+    The explore stage's graphs: the orbit representatives, exposed so
+    tests can check them against {!Symm.canonizer_w}, and the unreduced
+    graph the liveness stage condenses, so tests can check {!Live}
+    against a reference on it. *)
 
 type ('s, 'o) product_state
 (** A state of the product of a system with a formula's clause
     runtime. *)
+
+val unreduced_view :
+  n:int ->
+  'o Afd_core.Afd.spec ->
+  detector:('s, 'o Fd_event.t) Automaton.t ->
+  ( (('s * Loc.Set.t, 'o) product_state, 'o Fd_event.t) Automaton.t
+    * (('s * Loc.Set.t, 'o) product_state, 'o Fd_event.t) Space.t,
+    string )
+  result
+(** The product {!check_spec} builds without symmetry and its unreduced
+    exploration (every location crashable, default budget, no POR):
+    the graph the liveness stage condenses.  [Error] when [n] is out
+    of range. *)
 
 type ('s, 'o) quotient_view = {
   qv_product : (('s, 'o) product_state, 'o Fd_event.t) Automaton.t;
@@ -261,11 +276,16 @@ type point = {
   pt_proved : bool;  (** safety proved at this n *)
   pt_violated : string list;  (** violated clauses, when any *)
   pt_raw_states : int option;
-      (** unreduced state count at the same n when the unreduced run
-          exhausts within budget; [None] when it truncates at this n
-          or at a smaller n (larger instances only grow, so the ladder
-          stops running unreduced rungs after the first truncation) —
-          the quotient reached an instance brute force cannot *)
+      (** unreduced state count at the same n when the unreduced
+          exploration exhausts within budget; [None] when it truncates
+          at this n or at a smaller n (larger instances only grow, so
+          the ladder stops counting unreduced rungs after the first
+          truncation) — the quotient reached an instance brute force
+          cannot.  An unreduced rung is an explore-only count
+          ({!Space.count}) that stops at the first budget cut: the
+          same product, identity and budget as the plain {!check_spec}
+          run, hence the same figure, without its safety or liveness
+          stage. *)
 }
 
 type parametric_verdict =
@@ -293,10 +313,11 @@ val parametric :
     refutation, the first instance whose symmetry certification fails
     (per-n statuses differ: a k-set detector can be equivariant at
     n = k and breaking above), or the first budget truncation.  Each
-    proved point also runs the unreduced instance to record the
-    orbit-vs-state curve ([pt_raw_states]), until one unreduced
-    instance truncates: the larger ones are not run and report
-    [None]. *)
+    quotiented point also counts the unreduced instance's states to
+    record the orbit-vs-state curve ([pt_raw_states]): the count runs
+    only the explore stage, and stops at the first budget cut.  Once
+    one unreduced instance truncates, the larger ones are not counted
+    and report [None]. *)
 
 val pp_parametric : Format.formatter -> parametric -> unit
 val parametric_to_json : parametric -> string

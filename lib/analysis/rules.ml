@@ -482,7 +482,7 @@ let race_pair =
                       && not (Space.commute a p s m1 m2)
                     then begin
                       Hashtbl.add reported key ();
-                      let scc = live.Live.sccs.(live.Live.scc_of.(si)) in
+                      let scc = (Live.sccs live).(Live.scc_of live si) in
                       findings :=
                         mkf ~rule:"race-pair" ~severity:Report.Info
                           ~origin:subj.Subject.origin ~name:subj.Subject.name
@@ -569,7 +569,7 @@ let livelock =
         if sp.Space.por || Subject.quotiented subj then []
         else
           let live = Lazy.force live in
-          Array.to_list live.Live.sccs
+          Array.to_list (Live.sccs live)
           |> List.filter_map (fun scc ->
                  if
                    scc.Live.internal <> []
@@ -615,7 +615,7 @@ let unsat_fairness =
         then []
         else
           let live = Lazy.force live in
-          Array.to_list live.Live.sccs
+          Array.to_list (Live.sccs live)
           |> List.filter_map (fun scc ->
                  if
                    scc.Live.terminal && scc.Live.unmet <> []

@@ -74,7 +74,10 @@ let stepped aut probe =
    to 0 and a probe scans them all — the old list scan, still exact. *)
 let slot bits h = (h * 0x4F1BBCDCBFA53E0B) lsr (Sys.int_size - bits)
 
-let explore_with ?(por = false) moves aut probe =
+(* [count_only] is the count query's private mode: no edge is recorded,
+   and the search stops at the first budget cut, where [Truncated] is
+   already certain. *)
+let core ~count_only ~por moves aut probe =
   let max_states = probe.Probe.max_states in
   let hash = match probe.Probe.hash_state with Some h -> h | None -> fun _ -> 0 in
   let equal = probe.Probe.equal_state in
@@ -155,15 +158,21 @@ let explore_with ?(por = false) moves aut probe =
     i
   in
   let record_edge src dst act task =
-    let e = { src; dst; act; task } in
-    let cap = Array.length !edges in
-    if !transitions >= cap then begin
-      let b = Array.make (max 8 (2 * cap)) e in
-      Array.blit !edges 0 b 0 cap;
-      edges := b
-    end;
-    (!edges).(!transitions) <- e;
-    incr transitions
+    if not count_only then begin
+      let e = { src; dst; act; task } in
+      let cap = Array.length !edges in
+      if !transitions >= cap then begin
+        let b = Array.make (max 8 (2 * cap)) e in
+        Array.blit !edges 0 b 0 cap;
+        edges := b
+      end;
+      (!edges).(!transitions) <- e;
+      incr transitions
+    end
+  in
+  let cut_one () =
+    incr cut;
+    if count_only then Queue.clear queue
   in
   (* Take the transition [act] from state [i] to the given successor
      ([None]: blocked); [sl] is the sleep set the successor inherits
@@ -195,13 +204,13 @@ let explore_with ?(por = false) moves aut probe =
         let j = add_state s' h ~par:(Some (i, act)) ~d ~sl in
         record_edge i j act task
       end
-      else incr cut
+      else cut_one ()
   in
   let seed s ~d =
     let h = hash s in
     if find s h >= 0 then incr dup_seeds
     else if !n < max_states then ignore (add_state s h ~par:None ~d ~sl:[])
-    else incr cut
+    else cut_one ()
   in
   seed aut.Automaton.start ~d:0;
   List.iter (seed ~d:max_int) probe.Probe.seed_states;
@@ -257,7 +266,13 @@ let explore_with ?(por = false) moves aut probe =
     stats = { transitions = !transitions; slept = !slept; cut = !cut; dup_seeds = !dup_seeds };
   }
 
+let explore_with ?(por = false) moves aut probe = core ~count_only:false ~por moves aut probe
+
 let explore ?por aut probe = explore_with ?por (stepped aut probe) aut probe
+
+let count aut probe =
+  let t = core ~count_only:true ~por:false (stepped aut probe) aut probe in
+  match t.verdict with Exhausted -> Some (Array.length t.states) | Truncated _ -> None
 
 let reachable t = Array.to_list t.states
 

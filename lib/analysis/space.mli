@@ -15,7 +15,9 @@
     {!explore_with}.  Only how a state's {!moves} are produced varies:
     {!explore} steps in place ({!stepped}), and an orbit quotient
     ({!Symm.explore}) walks the state's orbit, checking equivariance,
-    for canonical successors.  The core never canonizes by itself, so
+    for canonical successors.  {!count} runs the same core
+    in a count-only mode that records no edge and stops at the first
+    budget cut.  The core never canonizes by itself, so
     no uncertified canonizer can merge states.
 
     {b The seen-set} is an open-addressed table of discovery indices
@@ -124,6 +126,14 @@ val explore_with :
     seen-set in the order it takes the moves, so a move it skips
     (done, slept) is never asked for.  {!explore} is
     [explore_with (stepped aut probe)]. *)
+
+val count : ('s, 'a) Afd_ioa.Automaton.t -> ('s, 'a) Probe.t -> int option
+(** [count aut probe] is [Some k] when {!explore} [aut probe] (POR off)
+    is [Exhausted] with [k] states, and [None] when it is [Truncated].
+    It runs the same core in a count-only mode: no edge is recorded,
+    and the search stops at the first budget cut, where [Truncated] is
+    already certain — a truncating count costs the states expanded
+    before the first cut, not the whole budget. *)
 
 val reachable : ('s, 'a) t -> 's list
 (** The states in discovery order; the start state is first. *)

@@ -95,21 +95,23 @@ let scc_entry ~id ~label ~detector =
       let sp = A.Space.explore a p in
       let live = A.Live.analyze a sp in
       let cyclic =
-        Array.to_list live.A.Live.sccs
+        Array.to_list (A.Live.sccs live)
         |> List.filter (fun s -> s.A.Live.internal <> [])
         |> List.length
       in
       let covered =
-        Array.for_all
-          (fun i -> i >= 0 && i < Array.length live.A.Live.sccs)
-          live.A.Live.scc_of
+        List.for_all
+          (fun i ->
+            let c = A.Live.scc_of live i in
+            c >= 0 && c < A.Live.scc_count live)
+          (List.init (Array.length sp.A.Space.states) Fun.id)
       in
       let detail =
         Printf.sprintf "states=%d sccs=%d cycle-capable=%d fair-tasks=%d"
           (Array.length sp.A.Space.states)
-          (Array.length live.A.Live.sccs)
+          (A.Live.scc_count live)
           cyclic
-          (List.length live.A.Live.fair_tasks)
+          (List.length (A.Live.fair_tasks live))
       in
       R.Metrics.outcome ~steps:sp.A.Space.stats.A.Space.transitions ~detail
         (if covered && cyclic > 0 then Verdict.Sat

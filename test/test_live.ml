@@ -3,7 +3,9 @@
 
    The load-bearing properties: the Tarjan condensation classifies the
    canonical shapes correctly (a pure cycle is one cycle-capable SCC,
-   a chain is all-singleton with a fair stop only at its end); the
+   a chain is all-singleton with a fair stop only at its end) and
+   agrees exactly with the list-based reference in list_live.ml on the
+   model checker's graphs, the lint registry and random graphs; the
    SCC-powered rules fire on their fixtures and stay silent on the
    harmless twin; every catalog probe pairs its state equality with a
    congruent hash (no silent single-bucket fallback); the two
@@ -31,7 +33,7 @@ let test_condense_cycle () =
   (* the harmless spinner: two states, one fair task looping them *)
   let live = live_of_entry Fixtures.harmless_cycle in
   let cyclic =
-    Array.to_list live.Live.sccs
+    Array.to_list (Live.sccs live)
     |> List.filter (fun s -> s.Live.internal <> [])
   in
   (match cyclic with
@@ -59,11 +61,11 @@ let test_condense_chain () =
   let sp = Space.explore a p in
   Alcotest.(check bool) "chain exhausted" true (sp.Space.verdict = Space.Exhausted);
   let live = Live.analyze a sp in
-  Alcotest.(check int) "four singleton SCCs" 4 (Array.length live.Live.sccs);
+  Alcotest.(check int) "four singleton SCCs" 4 (Live.scc_count live);
   Array.iter
     (fun scc ->
       Alcotest.(check (list int)) "no internal task edge" [] scc.Live.internal)
-    live.Live.sccs;
+    (Live.sccs live);
   List.iter
     (fun si ->
       Alcotest.(check bool)
@@ -80,6 +82,123 @@ let test_condense_chain () =
         (si = 3)
         (Live.fair_stop_at live si))
     [ 0; 1; 2; 3 ]
+
+(* --- the flat condensation against the list-based reference --- *)
+
+let scc_testable =
+  Alcotest.testable
+    (fun ppf s ->
+      Fmt.pf ppf "SCC #%d members=%a internal=%a terminal=%b unmet=%a witness=%a stops=%a"
+        s.Live.id
+        Fmt.(Dump.list int) s.Live.members
+        Fmt.(Dump.list int) s.Live.internal
+        s.Live.terminal
+        Fmt.(Dump.list string) s.Live.unmet
+        Fmt.(Dump.list (Dump.pair string int)) s.Live.disabled_witness
+        Fmt.(Dump.list int) s.Live.fair_stops)
+    ( = )
+
+(* [Live.analyze] and [List_live.analyze] agree on one explored graph:
+   SCC ids, the fair-cycle and fair-stop predicates on every state
+   (asked before any record is built), and every record. *)
+let agrees_with_reference name aut sp =
+  let live = Live.analyze aut sp in
+  let ref_ = List_live.analyze aut sp in
+  let nstates = Array.length sp.Space.states in
+  Alcotest.(check int) (name ^ ": SCC count") (Array.length ref_.List_live.sccs)
+    (Live.scc_count live);
+  for i = 0 to nstates - 1 do
+    if Live.scc_of live i <> ref_.List_live.scc_of.(i) then
+      Alcotest.failf "%s: state %d in SCC %d, reference %d" name i (Live.scc_of live i)
+        ref_.List_live.scc_of.(i);
+    if Live.fair_cycle_through live i <> List_live.fair_cycle_through ref_ i then
+      Alcotest.failf "%s: fair_cycle_through %d differs from the reference" name i;
+    if Live.fair_stop_at live i <> List_live.fair_stop_at ref_ i then
+      Alcotest.failf "%s: fair_stop_at %d differs from the reference" name i
+  done;
+  Alcotest.(check (list string)) (name ^ ": fair tasks") ref_.List_live.fair_tasks
+    (Live.fair_tasks live);
+  Alcotest.(check (array scc_testable)) (name ^ ": SCC records") ref_.List_live.sccs
+    (Live.sccs live)
+
+(* Every CHK subject's unreduced product graph, the one [Mc]'s
+   liveness stage condenses, at n = 3 and n = 4. *)
+let test_reference_chk () =
+  List.iter
+    (fun (Afd_bench.Check.S { id; detector; spec; _ }) ->
+      List.iter
+        (fun n ->
+          match Mc.unreduced_view ~n spec ~detector:(detector n) with
+          | Ok (a, sp) -> agrees_with_reference (Printf.sprintf "%s n=%d" id n) a sp
+          | Error e -> Alcotest.failf "%s n=%d: %s" id n e)
+        [ 3; 4 ])
+    (Afd_bench.Check.subjects @ Afd_bench.Check.liveness_subjects)
+
+(* Random task graphs: states [0 ..< m], task [j] moves state [s] to
+   [succ.(j).(s)] (disabled where that is -1), a probed environment
+   action adds edges the condensation must ignore, and tasks may share
+   a name (obligations are met per name).  Long cycles and nested SCCs
+   exercise every Tarjan step the catalog's graphs may not. *)
+let random_graph_prop =
+  let gen =
+    let open QCheck2.Gen in
+    let* m = int_range 1 24 in
+    let* k = int_range 1 4 in
+    let* names = int_range 1 k in
+    let* fair = list_repeat k bool in
+    let* succ =
+      list_repeat k (array_repeat m (frequency [ (1, pure (-1)); (3, int_bound (m - 1)) ]))
+    in
+    pure (m, names, fair, succ)
+  in
+  let print (m, names, fair, succ) =
+    Printf.sprintf "m=%d names=%d fair=[%s] succ=[%s]" m names
+      (String.concat ";" (List.map string_of_bool fair))
+      (String.concat " | "
+         (List.map
+            (fun a -> String.concat "," (Array.to_list (Array.map string_of_int a)))
+            succ))
+  in
+  QCheck2.Test.make ~count:300 ~name:"condensation = list reference on random graphs"
+    ~print gen (fun (m, names, fair, succ) ->
+      let env = (-1, 0) in
+      let a =
+        { Automaton.name = "random";
+          kind = (fun (j, _) -> Some (if j < 0 then Automaton.Input else Automaton.Output));
+          start = 0;
+          step =
+            (fun s (j, d) ->
+              if j < 0 then Some (((s * 7) + 1) mod m)
+              else if (List.nth succ j).(s) = d then Some d
+              else None);
+          tasks =
+            List.mapi
+              (fun j (fair, tbl) ->
+                { Automaton.task_name = Printf.sprintf "t%d" (j mod names);
+                  fair;
+                  enabled = (fun s -> if tbl.(s) < 0 then None else Some (j, tbl.(s)));
+                })
+              (List.combine fair succ);
+        }
+      in
+      let p = Probe.make ~hash_state:Fun.id ~max_states:64 [ env ] in
+      agrees_with_reference (print (m, names, fair, succ)) a (Space.explore a p);
+      true)
+
+(* Every lint-registry subject, and the graph-rule fixtures. *)
+let test_reference_registry () =
+  let entry name = function
+    | Registry.Automaton (a, p) -> agrees_with_reference name a (Space.explore a p)
+    | Registry.Composition (c, p) ->
+      let a = Composition.as_automaton c in
+      agrees_with_reference name a (Space.explore a p)
+  in
+  List.iter
+    (fun { Registry.origin; entry = e } ->
+      entry (Printf.sprintf "%s(%s)" (Registry.entry_name e) origin) e)
+    (Catalog.items ());
+  List.iter (fun (id, e) -> entry ("fixture " ^ id) e) Fixtures.mc;
+  entry "harmless cycle" Fixtures.harmless_cycle
 
 (* --- the SCC-powered rules, against fixture and harmless twin --- *)
 
@@ -265,6 +384,11 @@ let suite =
       test_condense_cycle;
     Alcotest.test_case "condensation: a chain is singletons + fair stop" `Quick
       test_condense_chain;
+    Alcotest.test_case "condensation = list reference on every CHK subject, n=3,4" `Quick
+      test_reference_chk;
+    Alcotest.test_case "condensation = list reference on the lint registry" `Quick
+      test_reference_registry;
+    QCheck_alcotest.to_alcotest random_graph_prop;
     Alcotest.test_case "livelock rule: fires on internal, silent on output" `Quick
       test_livelock_rule;
     Alcotest.test_case "unsat-fairness rule: fires on the pinned spinner" `Quick

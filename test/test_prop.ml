@@ -140,16 +140,31 @@ let test_counterexample_window_and_json () =
           Alcotest.failf "JSON witness %s lacks %s" json needle)
       [ "\"index\":2"; "\"clause\":\"silent-p0\""; "\"window_start\":1" ]
 
-let test_replay_equals_offline_check () =
-  let t =
+(* Known answers for P's offline check at n = 2: a trace whose output
+   suspects a location before it crashes violates strong accuracy, and
+   only that clause; a trace that suspects it only after the crash, with
+   every live location outputting, satisfies every clause. *)
+let test_offline_check_known_answers () =
+  let violating =
+    [ Fd_event.Output (0, Loc.Set.singleton 1);
+      Fd_event.Output (1, Loc.Set.empty);
+      Fd_event.Crash 1;
+      Fd_event.Output (0, Loc.Set.singleton 1);
+    ]
+  in
+  Alcotest.check verdict "early suspicion violates accuracy"
+    (Verdict.Violated
+       "accuracy: output {p1} at p0 suspects not-yet-crashed location(s) {p1}")
+    (Afd.check Perfect.spec ~n:2 violating);
+  let satisfying =
     [ Fd_event.Output (0, Loc.Set.empty);
       Fd_event.Output (1, Loc.Set.empty);
       Fd_event.Crash 1;
       Fd_event.Output (0, Loc.Set.singleton 1);
     ]
   in
-  Alcotest.check verdict "replay is the spec's check" (Afd.check Perfect.spec ~n:2 t)
-    (M.replay ~n:2 (Perfect.spec.Afd.prop ~n:2) t)
+  Alcotest.check verdict "suspicion after the crash satisfies P" Verdict.Sat
+    (Afd.check Perfect.spec ~n:2 satisfying)
 
 (* ------------------------------------------------------------------ *)
 (* Online == offline over the catalog                                  *)
@@ -284,8 +299,8 @@ let suite =
       test_clause_verdicts_and_names;
     Alcotest.test_case "counterexample window and JSON witness" `Quick
       test_counterexample_window_and_json;
-    Alcotest.test_case "replay is definitionally the offline check" `Quick
-      test_replay_equals_offline_check;
+    Alcotest.test_case "offline check: known answers for P" `Quick
+      test_offline_check_known_answers;
     QCheck_alcotest.to_alcotest prop_online_equals_offline;
     QCheck_alcotest.to_alcotest prop_fcmp_structural;
     Alcotest.test_case "check matrix smoke: every meta-verdict is sat" `Quick

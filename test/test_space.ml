@@ -98,6 +98,43 @@ let test_truncation_verdict () =
     (full.Space.verdict = Space.Exhausted);
   Alcotest.(check int) "4 counter states" 4 (Array.length full.Space.states)
 
+(* --- the count query == the full exploration's verdict --- *)
+
+(* [Space.count] is [Some k] exactly when [Space.explore] exhausts with
+   k states and [None] exactly when it truncates, at budgets on both
+   sides of each subject's exhaustion point, across the catalog and the
+   graph-rule fixtures (probe seeds included). *)
+let test_count_matches_explore () =
+  let checked = ref 0 in
+  let check name a p =
+    let k = Array.length (Space.explore a p).Space.states in
+    List.iter
+      (fun m ->
+        let p = { p with Probe.max_states = m } in
+        let sp = Space.explore a p in
+        let expected =
+          match sp.Space.verdict with
+          | Space.Exhausted -> Some (Array.length sp.Space.states)
+          | Space.Truncated _ -> None
+        in
+        incr checked;
+        Alcotest.(check (option int))
+          (Printf.sprintf "%s at budget %d" name m)
+          expected (Space.count a p))
+      (List.sort_uniq Int.compare
+         (List.filter (fun m -> m >= 1) [ 1; k / 2; k - 1; k; k + 1; p.Probe.max_states ]))
+  in
+  let entry name = function
+    | Registry.Automaton (a, p) -> check name a p
+    | Registry.Composition (c, p) -> check name (Composition.as_automaton c) p
+  in
+  List.iter
+    (fun { Registry.origin; entry = e } ->
+      entry (Printf.sprintf "%s(%s)" (Registry.entry_name e) origin) e)
+    (Catalog.items ());
+  List.iter (fun (id, e) -> entry ("fixture " ^ id) e) Fixtures.mc;
+  Alcotest.(check bool) "budgets checked" true (!checked > 50)
+
 (* --- POR: same reachable set, fewer interleavings --- *)
 
 let independent_pair () =
@@ -648,6 +685,8 @@ let suite =
       test_seed_dedup_and_visit_order;
     Alcotest.test_case "truncation is an explicit verdict" `Quick
       test_truncation_verdict;
+    Alcotest.test_case "count: Some k iff explore exhausts with k states" `Quick
+      test_count_matches_explore;
     Alcotest.test_case "POR preserves the reachable set, prunes interleavings"
       `Quick test_por_preserves_reachable_set;
     Alcotest.test_case "MC proves P's safety clauses on the closed system" `Quick

@@ -463,6 +463,35 @@ let test_parametric_skips_raw_rungs () =
       (match o.Mc.verdict with Space.Truncated _ -> true | Space.Exhausted -> false)
   | Error e -> Alcotest.failf "raw spec: %s" e
 
+(* --- an unreduced rung is a count, pinned at its budget boundary --- *)
+
+(* CHK.s at n = 3 exhausts unreduced with exactly 1 124 states: the
+   ladder's count reads [Some 1124] at a budget of 1 124 (the plain run
+   exhausts too) and [None] at 1 123 (the plain run truncates). *)
+let test_parametric_raw_count_boundary () =
+  let (BC.S { detector; symm; spec; _ }) =
+    List.find (fun s -> BC.id s = "CHK.s") chk_subjects
+  in
+  List.iter
+    (fun (max_states, expected) ->
+      let p =
+        Mc.parametric ~max_states ~ns:[ 3 ] ~symmetry:(Option.get symm) spec ~detector
+      in
+      Alcotest.(check (list (option int)))
+        (Printf.sprintf "raw count at budget %d" max_states)
+        [ expected ]
+        (List.map (fun pt -> pt.Mc.pt_raw_states) p.Mc.par_points);
+      match Mc.check_spec ~max_states ~n:3 spec ~detector:(detector 3) with
+      | Ok o ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "plain run at budget %d" max_states)
+          expected
+          (match o.Mc.verdict with
+          | Space.Exhausted -> Some o.Mc.states
+          | Space.Truncated _ -> None)
+      | Error e -> Alcotest.failf "check_spec: %s" e)
+    [ (1124, Some 1124); (1123, None) ]
+
 (* --- a breaking subject's fallback is the unreduced run --- *)
 
 (* A breaking subject explores unreduced under the pair identity its
@@ -540,6 +569,8 @@ let suite =
       test_quotient_closed;
     Alcotest.test_case "parametric skips raw rungs past a truncation" `Quick
       test_parametric_skips_raw_rungs;
+    Alcotest.test_case "parametric raw count: Some k at budget k, None at k-1" `Quick
+      test_parametric_raw_count_boundary;
     Alcotest.test_case "breaking subjects: unreduced count = fallback count" `Quick
       test_breaking_raw_is_semantic;
   ]
