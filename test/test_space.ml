@@ -685,8 +685,6 @@ let suite =
       test_seed_dedup_and_visit_order;
     Alcotest.test_case "truncation is an explicit verdict" `Quick
       test_truncation_verdict;
-    Alcotest.test_case "count: Some k iff explore exhausts with k states" `Quick
-      test_count_matches_explore;
     Alcotest.test_case "POR preserves the reachable set, prunes interleavings"
       `Quick test_por_preserves_reachable_set;
     Alcotest.test_case "MC proves P's safety clauses on the closed system" `Quick
@@ -705,4 +703,6 @@ let suite =
       test_pair_matches_composition;
     Alcotest.test_case "Composition.pair keeps the signature priority" `Quick
       test_pair_signature_priority;
+    Alcotest.test_case "count: Some k iff explore exhausts with k states" `Quick
+      test_count_matches_explore;
   ]
