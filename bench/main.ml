@@ -142,7 +142,7 @@ let tree_experiment label ~n ~f ~td =
       "  %-22s nodes=%-6d root-biv=%b biv=%-5d blocked=%d hooks=%-5d thm59-fail=%d \
        crit-locs=%s  horizon(any/fair)=%d/%d@."
       label
-      (Array.length tree.T.Tagged_tree.nodes)
+      (T.Tagged_tree.size tree)
       (T.Valence.root_bivalent va)
       (T.Valence.count va T.Valence.Bivalent)
       (T.Valence.count va T.Valence.Blocked)
@@ -159,7 +159,7 @@ let e10_e11_e12 () =
   tree_experiment "n=2, crash-free" ~n:2 ~f:1 ~td:(T.Tree_system.td_no_crash ~n:2 ~rounds:3);
   tree_experiment "n=2, f=0" ~n:2 ~f:0 ~td:(T.Tree_system.td_no_crash ~n:2 ~rounds:2);
   if Sys.getenv_opt "AFD_BENCH_LARGE" <> None then
-    (* 441,489 quotient nodes, ~4 s on a 2-core host; measured result
+    (* 441,489 quotient nodes, ~8.6 s on a shared 2-core host; measured result
        recorded in EXPERIMENTS.md *)
     tree_experiment "n=3, p2 crashes" ~n:3 ~f:1
       ~td:(T.Tree_system.td_one_crash ~n:3 ~crash:2 ~pre:1 ~post:2)
@@ -366,7 +366,7 @@ let a1 () =
         let hooks = T.Hook.find_all va in
         row "  post=%d  |t_D|=%-3d nodes=%-6d bivalent=%-5d hooks=%d@." post
           (List.length td)
-          (Array.length tree.T.Tagged_tree.nodes)
+          (T.Tagged_tree.size tree)
           (T.Valence.count va T.Valence.Bivalent)
           (List.length hooks))
     [ 1; 2; 3; 4 ]

@@ -304,7 +304,7 @@ let tree_cmd =
       let hooks = T.Hook.find_all va in
       let bad = List.filter (fun h -> Result.is_error (T.Hook.check_theorem59 va h)) hooks in
       Format.printf "nodes=%d root-bivalent=%b bivalent=%d blocked=%d@."
-        (Array.length tree.T.Tagged_tree.nodes)
+        (T.Tagged_tree.size tree)
         (T.Valence.root_bivalent va)
         (T.Valence.count va T.Valence.Bivalent)
         (T.Valence.count va T.Valence.Blocked);

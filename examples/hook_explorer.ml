@@ -26,7 +26,7 @@ let () =
     | Error e -> failwith e
   in
   Format.printf "quotient graph: %d nodes, %d labels per node@."
-    (Array.length tree.T.Tagged_tree.nodes)
+    (T.Tagged_tree.size tree)
     (List.length (T.Tagged_tree.labels tree));
 
   let va = T.Valence.classify tree in

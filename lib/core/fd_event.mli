@@ -1,34 +1,6 @@
-(** Events of failure-detector traces — an alias of
-    {!Afd_prop.Fd_event}, where the type moved when specs became
-    compiled temporal formulas (Section 3.2). *)
+(** Events of failure-detector traces (Section 3.2) — an alias of
+    {!Afd_prop.Fd_event}, where the type and its documentation live. *)
 
-open Afd_ioa
-
-type 'o t = 'o Afd_prop.Fd_event.t =
-  | Crash of Loc.t
-  | Output of Loc.t * 'o  (** an event of [O_{D,i}] at location [i] *)
-
-val loc : 'o t -> Loc.t
-val is_crash : 'o t -> bool
-val is_output : 'o t -> bool
-val output_payload : 'o t -> 'o option
-
-val equal : ('o -> 'o -> bool) -> 'o t -> 'o t -> bool
-val pp : 'o Fmt.t -> Format.formatter -> 'o t -> unit
-val pp_trace : 'o Fmt.t -> Format.formatter -> 'o t list -> unit
-
-val faulty : 'o t list -> Loc.Set.t
-(** Locations at which a crash event occurs in the trace. *)
-
-val live : n:int -> 'o t list -> Loc.Set.t
-(** [universe \ faulty]. *)
-
-val outputs_at : Loc.t -> 'o t list -> 'o list
-(** [t|O_{D,i}] payloads, in order. *)
-
-val last_output_at : Loc.t -> 'o t list -> 'o option
-
-val first_crash_index : Loc.t -> 'o t list -> int option
-(** 0-based index of the first [Crash i] event. *)
-
-val map : ('o -> 'p) -> 'o t -> 'p t
+include module type of struct
+  include Afd_prop.Fd_event
+end

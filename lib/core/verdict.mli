@@ -1,27 +1,6 @@
 (** Three-valued verdicts for trace-property monitors — an alias of
-    {!Afd_prop.Verdict}, where the type moved when specs became
-    compiled temporal formulas.  See that module for semantics,
-    including the reason-accumulating conjunction. *)
+    {!Afd_prop.Verdict}, where the type and its documentation live. *)
 
-type t = Afd_prop.Verdict.t =
-  | Sat
-  | Violated of string  (** with a human-readable reason *)
-  | Undecided of string
-      (** the finite prefix neither satisfies nor violates;
-          reason explains what is still missing *)
-
-val is_sat : t -> bool
-val is_violated : t -> bool
-val pp : Format.formatter -> t -> unit
-
-val all : t list -> t
-(** Conjunction via {!( &&& )}; [all [] = Sat]. *)
-
-val of_bool : error:string -> bool -> t
-
-val ( &&& ) : t -> t -> t
-(** Binary conjunction: [Violated] dominates, then [Undecided], else
-    [Sat]; same-class reasons are accumulated (joined with ["; "]). *)
-
-val tag : string -> t -> t
-(** Prefix a non-[Sat] reason with ["name: "]. *)
+include module type of struct
+  include Afd_prop.Verdict
+end

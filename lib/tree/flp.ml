@@ -8,14 +8,14 @@ let label_name = Fmt.str "%a" Tagged_tree.pp_label
 
 let walk (va : Valence.t) ~max_steps ~must_take =
   let tree = va.Valence.tree in
-  let nlabels = Array.length tree.Tagged_tree.nodes.(0).Tagged_tree.edges in
+  let nlabels = Array.length tree.Tagged_tree.labels in
   let last_taken = Array.make nlabels 0 in
   let ever_taken = Array.make nlabels false in
   let current = ref 0 in
   let steps = ref 0 in
   let exhausted = ref false in
   while (not !exhausted) && !steps < max_steps do
-    let node = tree.Tagged_tree.nodes.(!current) in
+    let node = Tagged_tree.node tree !current in
     let candidates =
       Array.to_list (Array.mapi (fun k e -> (k, e)) node.Tagged_tree.edges)
       |> List.filter (fun (_, (_, act, _)) -> act <> None)
@@ -44,13 +44,12 @@ let walk (va : Valence.t) ~max_steps ~must_take =
       (* refresh disabled labels so they do not count as starved-able *)
       Array.iteri
         (fun j (_, act, _) -> if act = None then last_taken.(j) <- !steps)
-        tree.Tagged_tree.nodes.(!current).Tagged_tree.edges
+        (Tagged_tree.node tree !current).Tagged_tree.edges
   done;
   let starved =
     List.filteri (fun k _ -> not ever_taken.(k)) (List.init nlabels Fun.id)
     |> List.map (fun k ->
-           let label, _, _ = tree.Tagged_tree.nodes.(0).Tagged_tree.edges.(k) in
-           label_name label)
+           label_name tree.Tagged_tree.labels.(k))
   in
   { survived = !steps; exhausted = !exhausted; starved_labels = starved }
 

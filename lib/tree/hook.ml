@@ -18,7 +18,7 @@ let edge_by_label node label =
 let find_all (va : Valence.t) =
   let tree = va.Valence.tree in
   let hooks = ref [] in
-  Array.iter
+  Tagged_tree.iter
     (fun node ->
       let id = node.Tagged_tree.id in
       if va.Valence.of_node.(id) = Valence.Bivalent then
@@ -29,7 +29,7 @@ let find_all (va : Valence.t) =
               Array.iter
                 (fun (r, r_action, r_dst) ->
                   if r <> l then
-                    let rnode = tree.Tagged_tree.nodes.(r_dst) in
+                    let rnode = Tagged_tree.node tree r_dst in
                     match edge_by_label rnode l with
                     | Some (_, _, rl_dst) -> (
                       match va.Valence.of_node.(rl_dst) with
@@ -40,7 +40,7 @@ let find_all (va : Valence.t) =
                 node.Tagged_tree.edges
             | Valence.Bivalent | Valence.Blocked -> ())
           node.Tagged_tree.edges)
-    tree.Tagged_tree.nodes;
+    tree;
   List.rev !hooks
 
 let critical_location h =

@@ -1,5 +1,6 @@
 open Afd_ioa
 open Afd_system
+open Afd_analysis
 
 type comp_kind =
   | CProcess of Loc.t
@@ -11,7 +12,7 @@ type ctx = {
   tree : Tagged_tree.t;
   n : int;
   kinds : comp_kind array;  (* per component index *)
-  crashed : Loc.Set.t array;  (* per node *)
+  crashed : Loc.Set.t array;  (* per position in t_D *)
   queues : ((Loc.t * Loc.t) * Msg.t list) list array;  (* per node *)
 }
 
@@ -35,53 +36,44 @@ let classify name =
 let make_ctx tree ~n =
   let comps = Composition.components tree.Tagged_tree.system in
   let kinds = Array.map (fun c -> classify (Component.name c)) comps in
-  let nn = Array.length tree.Tagged_tree.nodes in
-  let crashed = Array.make nn Loc.Set.empty in
-  let queues = Array.make nn [] in
-  let visited = Array.make nn false in
-  visited.(0) <- true;
-  let q = Queue.create () in
-  Queue.add 0 q;
-  let apply_act crs qs act =
+  (* Tree systems hold no crash automaton, so FD edges are the only
+     source of crashes: a node's crashed set is the crashes of
+     t_D[0..pos). *)
+  let td = tree.Tagged_tree.td in
+  let crashed = Array.make (Array.length td + 1) Loc.Set.empty in
+  Array.iteri
+    (fun p ev -> crashed.(p + 1) <- Loc.Set.union crashed.(p) (Afd_core.Fd_event.faulty [ ev ]))
+    td;
+  (* Channel queues are a function of the config, so any path to a node
+     rebuilds them: replay each node's BFS-parent edge, in discovery
+     order, where a parent always precedes its child. *)
+  let apply qs act =
+    let update key f =
+      (key, f (Option.value ~default:[] (List.assoc_opt key qs))) :: List.remove_assoc key qs
+    in
     match act with
-    | Act.Crash i -> (Loc.Set.add i crs, qs)
-    | Act.Send { src; dst; msg } ->
-      let key = (src, dst) in
-      let cur = Option.value ~default:[] (List.assoc_opt key qs) in
-      (crs, (key, cur @ [ msg ]) :: List.remove_assoc key qs)
-    | Act.Receive { src; dst; _ } ->
-      let key = (src, dst) in
-      let cur = Option.value ~default:[] (List.assoc_opt key qs) in
-      (crs, (key, match cur with [] -> [] | _ :: rest -> rest) :: List.remove_assoc key qs)
-    | _ -> (crs, qs)
+    | Act.Send { src; dst; msg } -> update (src, dst) (fun q -> q @ [ msg ])
+    | Act.Receive { src; dst; _ } -> update (src, dst) (function [] -> [] | _ :: rest -> rest)
+    | _ -> qs
   in
-  while not (Queue.is_empty q) do
-    let id = Queue.pop q in
-    Array.iter
-      (fun (_, act, dst) ->
-        match act with
-        | Some act when not visited.(dst) ->
-          visited.(dst) <- true;
-          let crs, qs = apply_act crashed.(id) queues.(id) act in
-          crashed.(dst) <- crs;
-          queues.(dst) <- qs;
-          Queue.add dst q
-        | _ -> ())
-      tree.Tagged_tree.nodes.(id).Tagged_tree.edges
-  done;
+  let parent = tree.Tagged_tree.space.Space.parent in
+  let queues = Array.make (Array.length parent) [] in
+  Array.iteri
+    (fun id -> function Some (p, (_, act)) -> queues.(id) <- apply queues.(p) act | None -> ())
+    parent;
   { tree; n; kinds; crashed; queues }
 
 let queue_of ctx id key =
   Option.value ~default:[] (List.assoc_opt key ctx.queues.(id))
 
 let similar_mod ctx ~i id id' =
-  let node = ctx.tree.Tagged_tree.nodes.(id)
-  and node' = ctx.tree.Tagged_tree.nodes.(id') in
+  let states = ctx.tree.Tagged_tree.space.Space.states in
+  let config, pos = states.(id) and config', pos' = states.(id') in
   (* (1) crash_i occurred in both *)
-  Loc.Set.mem i ctx.crashed.(id)
-  && Loc.Set.mem i ctx.crashed.(id')
+  Loc.Set.mem i ctx.crashed.(pos)
+  && Loc.Set.mem i ctx.crashed.(pos')
   && (* (6) same remaining FD sequence *)
-  node.Tagged_tree.pos = node'.Tagged_tree.pos
+  pos = pos'
   && (* (2)(3)(5): componentwise equality away from i *)
   (let ok = ref true in
    Array.iteri
@@ -89,8 +81,8 @@ let similar_mod ctx ~i id id' =
        if !ok then
          let eq () =
            Component.equal_state
-             (Composition.state_inst node.Tagged_tree.config k)
-             (Composition.state_inst node'.Tagged_tree.config k)
+             (Composition.state_inst config k)
+             (Composition.state_inst config' k)
          in
          match kind with
          | CProcess j when not (Loc.equal j i) -> if not (eq ()) then ok := false
@@ -110,7 +102,7 @@ let similar_mod ctx ~i id id' =
     (Loc.universe ~n:ctx.n)
 
 let child_by_label tree id label =
-  let node = tree.Tagged_tree.nodes.(id) in
+  let node = Tagged_tree.node tree id in
   Array.to_list node.Tagged_tree.edges
   |> List.find_map (fun (l, _, dst) -> if l = label then Some dst else None)
 
@@ -132,29 +124,23 @@ let check_lemma39 ctx ~i id id' =
     go labels
 
 let candidate_pairs ctx ~i ~limit =
-  let pairs = ref [] in
-  let count = ref 0 in
-  Array.iter
+  let pairs = ref [] and count = ref 0 and first = ref None in
+  Tagged_tree.iter
     (fun node ->
-      if !count < limit && Loc.Set.mem i ctx.crashed.(node.Tagged_tree.id) then
+      let id = node.Tagged_tree.id in
+      if Loc.Set.mem i ctx.crashed.(node.Tagged_tree.pos) then begin
+        if !first = None then first := Some id;
         Array.iter
           (fun (label, act, dst) ->
             if !count < limit then
               match (label, act) with
-              | Tagged_tree.Task tid, Some (Act.Receive { dst = d; _ })
-                when Loc.equal d i ->
-                ignore tid;
-                pairs := (node.Tagged_tree.id, dst) :: !pairs;
+              | Tagged_tree.Task _, Some (Act.Receive { dst = d; _ }) when Loc.equal d i ->
+                pairs := (id, dst) :: !pairs;
                 incr count
               | _ -> ())
-          node.Tagged_tree.edges)
-    ctx.tree.Tagged_tree.nodes;
+          node.Tagged_tree.edges
+      end)
+    ctx.tree;
   (* one diagonal pair for reflexivity coverage *)
-  (match
-     Array.find_opt
-       (fun node -> Loc.Set.mem i ctx.crashed.(node.Tagged_tree.id))
-       ctx.tree.Tagged_tree.nodes
-   with
-  | Some node -> pairs := (node.Tagged_tree.id, node.Tagged_tree.id) :: !pairs
-  | None -> ());
+  Option.iter (fun id -> pairs := (id, id) :: !pairs) !first;
   List.rev !pairs

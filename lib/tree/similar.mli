@@ -20,7 +20,9 @@ open Afd_ioa
 
 type ctx
 (** Preprocessed tree: component classification by location, per-node
-    channel queues and crash history (reconstructed from BFS paths). *)
+    channel queues (replayed along the exploration's BFS-parent edges)
+    and the crash history (the crashes of [t_D] before the node's
+    position). *)
 
 val make_ctx : Tagged_tree.t -> n:int -> ctx
 

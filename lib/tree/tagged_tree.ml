@@ -1,6 +1,7 @@
 open Afd_ioa
 open Afd_core
 open Afd_system
+open Afd_analysis
 
 type label = FD | Task of Composition.task_id
 
@@ -19,10 +20,12 @@ type node = {
 type t = {
   system : Act.t Composition.t;
   td : Act.fd_payload Fd_event.t array;
-  nodes : node array;
+  labels : label array;
+  space : (Act.t Composition.state * int, int * Act.t) Space.t;
+  offsets : int array;
 }
 
-let labels t = FD :: List.map (fun tid -> Task tid) (Composition.tasks t.system)
+let labels t = Array.to_list t.labels
 
 let act_of_fd_event ev ~detector =
   match ev with
@@ -33,80 +36,83 @@ let decision_of_edge = function
   | Some (Act.Decide { v; _ }) -> Some v
   | Some _ | None -> None
 
-(* Key table on (config, pos). *)
-module Key = struct
-  type t = Act.t Composition.state * int
-
-  let equal (c1, p1) (c2, p2) = p1 = p2 && Composition.equal_state c1 c2
-  let hash (c, p) = (Composition.hash_state c * 31) + p
-end
-
-module Key_tbl = Hashtbl.Make (Key)
+(* The t_D player: the system paired with its position in t_D, one
+   task per label.  A move's action carries its label's index in
+   [labels] (FD is 0), so the view can file each core edge under its
+   label.  FD is listed last: node ids are discovery order, and with FD
+   last a node's task successors are numbered before its FD successor —
+   the numbering the printed trees pin. *)
+let player ~system ~detector ~td labels =
+  let task k label =
+    let enabled =
+      match label with
+      | FD ->
+        fun (_, pos) ->
+          if pos < Array.length td then Some (k, act_of_fd_event td.(pos) ~detector) else None
+      | Task tid ->
+        fun (config, _) -> Option.map (fun a -> (k, a)) (Composition.enabled system config tid)
+    in
+    { Automaton.task_name = Fmt.str "%a" pp_label label; fair = true; enabled }
+  in
+  let step (config, pos) (k, act) =
+    match Composition.step system config act with
+    | None ->
+      (* An FD output directed at a component that cannot absorb it
+         would be a modelling error; inputs are always enabled, so this
+         is unreachable for well-formed systems.  Raising keeps the core
+         from dropping the edge as blocked. *)
+      invalid_arg (Fmt.str "Tagged_tree.build: action %a not applicable" Act.pp act)
+    | Some config' -> Some (config', if k = 0 then pos + 1 else pos)
+  in
+  let tasks = Array.to_list (Array.mapi task labels) in
+  { Automaton.name = "tagged-tree";
+    kind = (fun _ -> Some Automaton.Internal);
+    start = (Composition.start system, 0);
+    step;
+    tasks = List.tl tasks @ [ List.hd tasks ];
+  }
 
 let build ~system ~detector ~td ~max_nodes =
   let td = Array.of_list td in
-  let task_labels = Composition.tasks system in
-  let tbl = Key_tbl.create 1024 in
-  let nodes = ref [] in
-  let count = ref 0 in
-  let queue = Queue.create () in
-  let intern config pos =
-    match Key_tbl.find_opt tbl (config, pos) with
-    | Some id -> id
-    | None ->
-      let id = !count in
-      incr count;
-      Key_tbl.add tbl (config, pos) id;
-      Queue.add (id, config, pos) queue;
-      id
+  let labels = Array.of_list (FD :: List.map (fun tid -> Task tid) (Composition.tasks system)) in
+  let probe =
+    Probe.make
+      ~equal_state:(fun (c1, p1) (c2, p2) -> p1 = p2 && Composition.equal_state c1 c2)
+      ~hash_state:(fun (c, p) -> (Composition.hash_state c * 31) + p)
+      ~max_states:max_nodes []
   in
-  let root = intern (Composition.start system) 0 in
-  assert (root = 0);
-  let overflow = ref false in
-  while (not (Queue.is_empty queue)) && not !overflow do
-    let id, config, pos = Queue.pop queue in
-    if !count > max_nodes then overflow := true
-    else begin
-      let edge_of_label label =
-        let action =
-          match label with
-          | FD -> if pos < Array.length td then Some (act_of_fd_event td.(pos) ~detector) else None
-          | Task tid -> Composition.enabled system config tid
-        in
-        match action with
-        | None -> (label, None, id) (* bottom tag: self-loop in the quotient *)
-        | Some act -> (
-          match Composition.step system config act with
-          | None ->
-            (* An FD output directed at a component that cannot absorb
-               it would be a modelling error; inputs are always
-               enabled, so this is unreachable for well-formed systems. *)
-            invalid_arg
-              (Fmt.str "Tagged_tree.build: action %a not applicable" Act.pp act)
-          | Some config' ->
-            let pos' = match label with FD -> pos + 1 | Task _ -> pos in
-            (label, Some act, intern config' pos'))
-      in
-      let edges =
-        Array.of_list (edge_of_label FD :: List.map (fun tid -> edge_of_label (Task tid)) task_labels)
-      in
-      nodes := { id; config; pos; edges } :: !nodes
-    end
-  done;
-  if !overflow then
+  let space = Space.explore (player ~system ~detector ~td labels) probe in
+  match space.Space.verdict with
+  | Space.Truncated _ ->
     Error (Printf.sprintf "Tagged_tree.build: more than %d quotient nodes" max_nodes)
-  else begin
-    let arr = Array.make !count None in
-    List.iter (fun n -> arr.(n.id) <- Some n) !nodes;
-    let nodes =
-      Array.map
-        (function
-          | Some n -> n
-          | None -> invalid_arg "Tagged_tree.build: dangling node id")
-        arr
-    in
-    Ok { system; td; nodes }
-  end
+  | Space.Exhausted ->
+    (* Each state is expanded once, in discovery order, so a node's
+       edges are one contiguous run of the core's edge array. *)
+    let n = Array.length space.Space.states in
+    let offsets = Array.make (n + 1) 0 in
+    Array.iter (fun { Space.src; _ } -> offsets.(src + 1) <- offsets.(src + 1) + 1) space.Space.edges;
+    for i = 1 to n do
+      offsets.(i) <- offsets.(i) + offsets.(i - 1)
+    done;
+    Ok { system; td; labels; space; offsets }
+
+let size t = Array.length t.space.Space.states
+
+let node t id =
+  let config, pos = t.space.Space.states.(id) in
+  (* ⊥ edges are implicit: a label with no core edge is disabled here,
+     and its ⊥ tag loops to the node (Proposition 30). *)
+  let edges = Array.map (fun l -> (l, None, id)) t.labels in
+  for e = t.offsets.(id) to t.offsets.(id + 1) - 1 do
+    let { Space.dst; act = k, act; _ } = t.space.Space.edges.(e) in
+    edges.(k) <- (t.labels.(k), Some act, dst)
+  done;
+  { id; config; pos; edges }
+
+let iter f t =
+  for id = 0 to size t - 1 do
+    f (node t id)
+  done
 
 let equal_upto t1 t2 ~depth =
   let memo = Hashtbl.create 256 in
@@ -120,7 +126,7 @@ let equal_upto t1 t2 ~depth =
       (* optimistic seed breaks cycles: equality is the greatest fixed
          point over the lockstep product graph *)
       Hashtbl.add memo key true;
-      let n1 = t1.nodes.(id1) and n2 = t2.nodes.(id2) in
+      let n1 = node t1 id1 and n2 = node t2 id2 in
       let r =
         Composition.equal_state n1.config n2.config
         && Array.length n1.edges = Array.length n2.edges
@@ -140,9 +146,8 @@ let exe_of_walk t ids =
   let rec go acc = function
     | [] | [ _ ] -> List.rev acc
     | a :: (b :: _ as rest) ->
-      let node = t.nodes.(a) in
       let edge =
-        Array.to_list node.edges
+        Array.to_list (node t a).edges
         |> List.find_opt (fun (_, act, dst) -> dst = b && act <> None)
       in
       let acc = match edge with Some (_, Some act, _) -> act :: acc | _ -> acc in

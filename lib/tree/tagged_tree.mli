@@ -16,6 +16,15 @@
     33–34 are exactly the statement that tags determine subtrees).
     ⊥-edges become self-loops (Proposition 30: exe(N) is unchanged).
 
+    {b The quotient graph is an exploration of the one BFS core}
+    ({!Afd_analysis.Space.explore}) over the system paired with a t_D
+    player: its state is [(config, pos)], and it has one task per
+    label — the FD task is enabled while [pos < |t_D|], steps the head
+    event and advances [pos]; a composition task is enabled exactly
+    when the composition says so.  Node ids are the core's discovery
+    order; the core keeps only the enabled edges, and {!node} supplies
+    the ⊥ self-loops of the disabled labels on the fly.
+
     Labels other than FD are exactly the tasks of the composition,
     which matches the paper's label set because each process has one
     task, each channel one, and E_{C,i} two ([Env_{i,0}], [Env_{i,1}]). *)
@@ -35,14 +44,22 @@ type node = {
   config : Act.t Composition.state;
   pos : int;  (** events of [t_D] already consumed *)
   edges : (label * Act.t option * int) array;
-      (** (label, action tag, successor node id); a [None] tag loops to
-          the node itself *)
+      (** (label, action tag, successor node id), one per label in
+          {!labels} order (FD first); a [None] tag loops to the node
+          itself *)
 }
 
 type t = {
   system : Act.t Composition.t;
   td : Act.fd_payload Fd_event.t array;
-  nodes : node array;  (** node 0 is the root ⊤ *)
+  labels : label array;  (** FD first, then the composition's tasks *)
+  space : (Act.t Composition.state * int, int * Act.t) Afd_analysis.Space.t;
+      (** the core's exploration: states are [(config, pos)], state 0
+          is the root ⊤, and an edge's action pairs its label's index
+          in [labels] with its tag.  Only enabled edges are kept. *)
+  offsets : int array;
+      (** node [i]'s core edges are [space.edges.(offsets.(i))] up to,
+          excluding, [space.edges.(offsets.(i + 1))] *)
 }
 
 val labels : t -> label list
@@ -54,8 +71,19 @@ val build :
   max_nodes:int ->
   (t, string) result
 (** Breadth-first exploration of the quotient graph; [detector] is the
-    name under which FD-edge outputs enter the system.  [Error] when
-    the node budget is exhausted. *)
+    name under which FD-edge outputs enter the system.  [max_nodes] is
+    the core's state budget: [Error] exactly when the quotient graph
+    has more than [max_nodes] nodes.  Raises [Invalid_argument] when
+    the composition refuses an enabled action. *)
+
+val size : t -> int
+(** Number of quotient nodes. *)
+
+val node : t -> int -> node
+(** The node with the given id, its ⊥ edges included. *)
+
+val iter : (node -> unit) -> t -> unit
+(** Every node, in id order. *)
 
 val act_of_fd_event : Act.fd_payload Fd_event.t -> detector:string -> Act.t
 (** How FD-edge events enter the system: crashes as [Act.Crash],

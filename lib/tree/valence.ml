@@ -17,11 +17,11 @@ type t = {
    from it — backward reachability from decide-edge sources). *)
 
 let adjacency tree =
-  let n = Array.length tree.Tagged_tree.nodes in
+  let n = Tagged_tree.size tree in
   let preds = Array.make n [] and succs = Array.make n [] in
   let seeds0 = ref [] and seeds1 = ref [] in
   let into0 = ref [] and into1 = ref [] in
-  Array.iter
+  Tagged_tree.iter
     (fun node ->
       let id = node.Tagged_tree.id in
       Array.iter
@@ -39,7 +39,7 @@ let adjacency tree =
             into1 := dst :: !into1
           | None -> ())
         node.Tagged_tree.edges)
-    tree.Tagged_tree.nodes;
+    tree;
   (preds, succs, (!seeds0, !seeds1), (!into0, !into1))
 
 let sweep n adj seeds =
@@ -58,7 +58,7 @@ let sweep n adj seeds =
   reach
 
 let classify tree =
-  let n = Array.length tree.Tagged_tree.nodes in
+  let n = Tagged_tree.size tree in
   let preds, succs, (seeds0, seeds1), (into0, into1) = adjacency tree in
   let future0 = sweep n preds seeds0 and future1 = sweep n preds seeds1 in
   let past0 = sweep n succs into0 and past1 = sweep n succs into1 in
@@ -88,7 +88,7 @@ let agreement_in_graph t =
 
 let univalent_stable t =
   let bad = ref None in
-  Array.iter
+  Tagged_tree.iter
     (fun node ->
       match t.of_node.(node.Tagged_tree.id) with
       | Univalent v ->
@@ -105,5 +105,5 @@ let univalent_stable t =
                        dst pp other))
           node.Tagged_tree.edges
       | Bivalent | Blocked -> ())
-    t.tree.Tagged_tree.nodes;
+    t.tree;
   match !bad with None -> Ok () | Some msg -> Error msg

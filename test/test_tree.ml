@@ -20,15 +20,15 @@ let nocrash_tree () = build_tree ~n:2 ~f:1 ~td:(T.Tree_system.td_no_crash ~n:2 ~
 
 let test_root_and_labels () =
   let tree = crash1_tree () in
-  Alcotest.(check bool) "nonempty" true (Array.length tree.T.Tagged_tree.nodes > 100);
+  Alcotest.(check bool) "nonempty" true (T.Tagged_tree.size tree > 100);
   (* labels: FD + 2 processes + 2 channels + 4 env tasks *)
   Alcotest.(check int) "label count" 9 (List.length (T.Tagged_tree.labels tree));
-  let root = tree.T.Tagged_tree.nodes.(0) in
+  let root = T.Tagged_tree.node tree 0 in
   Alcotest.(check int) "root consumed nothing" 0 root.T.Tagged_tree.pos
 
 let test_edges_well_formed () =
   let tree = crash1_tree () in
-  Array.iter
+  T.Tagged_tree.iter
     (fun node ->
       Array.iter
         (fun (_, act, dst) ->
@@ -37,23 +37,23 @@ let test_edges_well_formed () =
             Alcotest.(check int) "bottom edge loops" node.T.Tagged_tree.id dst
           | Some _ ->
             Alcotest.(check bool) "successor exists" true
-              (dst >= 0 && dst < Array.length tree.T.Tagged_tree.nodes))
+              (dst >= 0 && dst < T.Tagged_tree.size tree))
         node.T.Tagged_tree.edges)
-    tree.T.Tagged_tree.nodes
+    tree
 
 let test_fd_edges_consume_td () =
   let tree = crash1_tree () in
-  Array.iter
+  T.Tagged_tree.iter
     (fun node ->
       Array.iter
         (fun (label, act, dst) ->
           if label = T.Tagged_tree.FD && act <> None then begin
-            let succ = tree.T.Tagged_tree.nodes.(dst) in
+            let succ = T.Tagged_tree.node tree dst in
             Alcotest.(check int) "pos advances" (node.T.Tagged_tree.pos + 1)
               succ.T.Tagged_tree.pos
           end)
         node.T.Tagged_tree.edges)
-    tree.T.Tagged_tree.nodes
+    tree
 
 let test_prop51_root_bivalent () =
   List.iter
@@ -129,7 +129,7 @@ let test_walk_is_execution () =
   let rec walk id acc budget =
     if budget = 0 then List.rev acc
     else
-      let node = tree.T.Tagged_tree.nodes.(id) in
+      let node = T.Tagged_tree.node tree id in
       match
         Array.to_list node.T.Tagged_tree.edges
         |> List.find_opt (fun (_, act, _) -> act <> None)
@@ -178,7 +178,7 @@ let test_theorem40_descendant_chains () =
   let tree = crash1_tree () in
   let ctx = T.Similar.make_ctx tree ~n:2 in
   let child id label =
-    Array.to_list tree.T.Tagged_tree.nodes.(id).T.Tagged_tree.edges
+    Array.to_list (T.Tagged_tree.node tree id).T.Tagged_tree.edges
     |> List.find_map (fun (l, _, dst) -> if l = label then Some dst else None)
     |> Option.get
   in
@@ -220,8 +220,8 @@ let test_symmetry_across_fault_patterns () =
   let t1 = crash1_tree () in
   let t0 = build_tree ~n:2 ~f:1 ~td:(T.Tree_system.td_one_crash ~n:2 ~crash:0 ~pre:1 ~post:3) in
   Alcotest.(check int) "same node count"
-    (Array.length t1.T.Tagged_tree.nodes)
-    (Array.length t0.T.Tagged_tree.nodes);
+    (T.Tagged_tree.size t1)
+    (T.Tagged_tree.size t0);
   let hooks tree =
     let va = T.Valence.classify tree in
     T.Hook.find_all va
@@ -243,6 +243,68 @@ let test_budget_exceeded () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "tiny budget must overflow"
 
+(* Every t_D the tests above build at n = 2. *)
+let tds_n2 =
+  [ ("p1 crashes", T.Tree_system.td_one_crash ~n:2 ~crash:1 ~pre:1 ~post:3);
+    ("p0 crashes", T.Tree_system.td_one_crash ~n:2 ~crash:0 ~pre:1 ~post:3);
+    ("crash-free", T.Tree_system.td_no_crash ~n:2 ~rounds:3);
+  ]
+
+let test_matches_reference_builder () =
+  (* The core's exploration against the private-BFS reference builder
+     (test/list_tree.ml): same node ids, positions, configurations and
+     (label, tag, successor) edges in label order, ⊥ self-loops
+     included. *)
+  List.iter
+    (fun (name, td) ->
+      let tree = build_tree ~n:2 ~f:1 ~td in
+      let reference =
+        match
+          List_tree.build
+            ~system:(T.Tree_system.flood_system ~n:2 ~f:1)
+            ~detector:Afd_consensus.Flood_p.detector_name ~td ~max_nodes:3_000_000
+        with
+        | Ok r -> r
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check int) (name ^ ": node count")
+        (Array.length reference.List_tree.nodes)
+        (T.Tagged_tree.size tree);
+      Array.iter
+        (fun (r : List_tree.node) ->
+          let node = T.Tagged_tree.node tree r.id in
+          let same_edge (l1, a1, d1) (l2, a2, d2) =
+            l1 = l2 && Option.equal Afd_system.Act.equal a1 a2 && d1 = d2
+          in
+          if
+            not
+              (node.T.Tagged_tree.id = r.id
+              && node.T.Tagged_tree.pos = r.pos
+              && Composition.equal_state node.T.Tagged_tree.config r.config
+              && Array.length node.T.Tagged_tree.edges = Array.length r.edges
+              && Array.for_all2 same_edge node.T.Tagged_tree.edges r.edges)
+          then Alcotest.failf "%s: node %d differs from the reference builder" name r.id)
+        reference.List_tree.nodes)
+    tds_n2
+
+let test_budget_boundary () =
+  (* [max_nodes] is exact: the 1 826-node tree fits a budget of 1 826
+     and overflows one of 1 825, with the cap named in the error. *)
+  let build max_nodes =
+    T.Tagged_tree.build
+      ~system:(T.Tree_system.flood_system ~n:2 ~f:1)
+      ~detector:Afd_consensus.Flood_p.detector_name
+      ~td:(T.Tree_system.td_one_crash ~n:2 ~crash:1 ~pre:1 ~post:3)
+      ~max_nodes
+  in
+  (match build 1826 with
+  | Ok tree -> Alcotest.(check int) "fits its own size" 1826 (T.Tagged_tree.size tree)
+  | Error e -> Alcotest.fail e);
+  match build 1825 with
+  | Error e ->
+    Alcotest.(check string) "names the cap" "Tagged_tree.build: more than 1825 quotient nodes" e
+  | Ok _ -> Alcotest.fail "a budget one below the tree's size must overflow"
+
 let suite =
   [ Alcotest.test_case "root and labels" `Quick test_root_and_labels;
     Alcotest.test_case "edges well-formed" `Quick test_edges_well_formed;
@@ -260,4 +322,6 @@ let suite =
     Alcotest.test_case "Theorem 40: related descendants" `Quick test_theorem40_descendant_chains;
     Alcotest.test_case "fault-pattern symmetry" `Quick test_symmetry_across_fault_patterns;
     Alcotest.test_case "node budget respected" `Quick test_budget_exceeded;
+    Alcotest.test_case "matches the reference builder" `Quick test_matches_reference_builder;
+    Alcotest.test_case "node budget is exact" `Quick test_budget_boundary;
   ]
