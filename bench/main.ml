@@ -163,7 +163,7 @@ let e10_e11_e12 () =
        recorded in EXPERIMENTS.md *)
     tree_experiment "n=3, p2 crashes" ~n:3 ~f:1
       ~td:(T.Tree_system.td_one_crash ~n:3 ~crash:2 ~pre:1 ~post:2)
-  else row "  (set AFD_BENCH_LARGE=1 for the n=3 tree: 441,489 nodes, ~4 s)@."
+  else row "  (set AFD_BENCH_LARGE=1 for the n=3 tree: 441,489 nodes)@."
 
 (* ------------------------------------------------------------------ *)
 (* E13: realistic (message-passing) EvP under partial synchrony       *)

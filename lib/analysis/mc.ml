@@ -76,11 +76,8 @@ type 'o outcome = {
 
 let default_max_states = 20_000
 
-(* The trace-length and output-count caps of the product identity (see
-   the interface): the catalog's Stable judges only test counts
-   [>= live_min = 1]. *)
+(* The trace-length cap of the product identity (see the interface). *)
 let len_cap = 8
-let count_cap = 1
 
 (* Phase timings are an out-parameter, never part of the outcome
    record: a profiled run stays byte-identical to an unprofiled one.
@@ -158,14 +155,12 @@ exception Latch of string * string
 let no_perm_out = "spec declares no output transport (perm_out)"
 
 (* The closed system as the stages consume it: the detector+crash pair
-   automaton, how output payloads compare and hash, and — when symmetry
-   is requested and the spec can transport outputs — the permutation
-   action on pair states together with the one on output payloads.
-   Pair states compare structurally. *)
+   automaton and — when symmetry is requested and the spec can
+   transport outputs — the permutation action on pair states together
+   with the one on output payloads.  Pair states and output payloads
+   compare structurally. *)
 type ('s, 'o) system = {
   sys : ('s * Loc.Set.t, 'o Fd_event.t) Automaton.t;
-  equal_out : 'o -> 'o -> bool;
-  hash_out : 'o -> int;
   symmetry :
     (('s * Loc.Set.t, 'o Fd_event.t) Probe.symmetry * ((int -> int) -> 'o -> 'o)) option;
 }
@@ -254,37 +249,28 @@ let product ~n rt sys =
    the interface).  The pair state and the [Fold] accumulators compare
    structurally, the trace summary through the capped length and the
    crashed set; the stored representative is the one discovered first.
-   [tl] is whether the liveness enrichment (last outputs, capped
-   counts) joins the identity.  The equality is built once, as a
-   two-argument closure for the explorer's hot path. *)
-let pequal system tl =
-  let equal_out = system.equal_out in
-  fun a b ->
-    match (a, b) with
-    | Latched a, Latched b ->
-      String.equal a.clause b.clause && String.equal a.reason b.reason
-    | Running a, Running b ->
-      Stdlib.compare a.sys b.sys = 0
-      && min a.summary.P.len len_cap = min b.summary.P.len len_cap
-      && Loc.Set.equal a.summary.P.crashed b.summary.P.crashed
-      && Array.for_all2 rt_equal a.rts b.rts
-      && (not tl
-         || Loc.Map.equal equal_out a.summary.P.last_output b.summary.P.last_output
-            && Loc.Map.equal
-                 (fun x y -> min x count_cap = min y count_cap)
-                 a.summary.P.output_counts b.summary.P.output_counts)
-    | Latched _, Running _ | Running _, Latched _ -> false
+   [tl] is whether the liveness enrichment (last outputs, payloads
+   compared structurally) joins the identity. *)
+let pequal tl a b =
+  match (a, b) with
+  | Latched a, Latched b ->
+    String.equal a.clause b.clause && String.equal a.reason b.reason
+  | Running a, Running b ->
+    Stdlib.compare a.sys b.sys = 0
+    && min a.summary.P.len len_cap = min b.summary.P.len len_cap
+    && Loc.Set.equal a.summary.P.crashed b.summary.P.crashed
+    && Array.for_all2 rt_equal a.rts b.rts
+    && ((not tl) || Loc.Map.equal ( = ) a.summary.P.last_output b.summary.P.last_output)
+  | Latched _, Running _ | Running _, Latched _ -> false
 
 let mix h v = (h * 131) + v
 
 (* Product hash, congruent with [pequal]: it reads every field the
    equality reads, folding over maps in their key order rather than
-   building lists.  Structurally equal pair states and accumulators
-   hash equal; [last_output] payloads go through the spec's [hash_out],
-   congruent with its [equal_out]. *)
-let phash system tl =
-  let hash_out = system.hash_out in
-  let mix_out l o h = mix (mix h l) (hash_out o) in
+   building lists.  Structurally equal pair states, accumulators and
+   [last_output] payloads hash equal. *)
+let phash tl =
+  let mix_out l o h = mix (mix h l) (Hashtbl.hash o) in
   function
   | Latched { clause; reason } -> Hashtbl.hash (clause, reason)
   | Running r ->
@@ -300,12 +286,7 @@ let phash system tl =
           | C_fold f -> mix h (Hashtbl.hash (Obj.repr f.acc)))
         h r.rts
     in
-    if not tl then h
-    else
-      let h = Loc.Map.fold mix_out s.P.last_output (mix h (-2)) in
-      Loc.Map.fold
-        (fun l c h -> mix (mix h l) (min c count_cap))
-        s.P.output_counts (mix h (-3))
+    if not tl then h else Loc.Map.fold mix_out s.P.last_output (mix h (-2))
 
 let perm_rt pif = function
   | (C_always _ | C_until _) as c -> c
@@ -331,7 +312,7 @@ let lift_symmetry (sy : (_, _ Fd_event.t) Probe.symmetry) perm_o =
           rts = Array.map (perm_rt pif) r.rts;
         }
   in
-  (* A total order congruent with [pequal system false]: orbit minima
+  (* A total order congruent with [pequal false]: orbit minima
      are canonical representatives.  The liveness enrichment is
      deliberately absent — under a quotient, liveness is not checked,
      exactly as under POR. *)
@@ -369,7 +350,7 @@ let status_of = function
    states by clause only: latch reasons embed permuted location names,
    and a latch is absorbing, so the coarse identity is still a
    bisimulation on the part that matters. *)
-let prepare ~max_states system prop product (sy, perm_o) =
+let prepare ~max_states prop product (sy, perm_o) =
   match
     List.find_map
       (fun (nm, c) ->
@@ -384,24 +365,14 @@ let prepare ~max_states system prop product (sy, perm_o) =
     Error (Sym_fallback (Printf.sprintf "fold clause %s has no %s" nm what))
   | None -> (
     let q_sy = lift_symmetry sy perm_o in
-    let equal = pequal system false in
+    let equal = pequal false in
     let equiv a b =
       match (a, b) with
       | Latched a, Latched b -> String.equal a.clause b.clause
       | _ -> equal a b
     in
-    (* Event equality through [equal_out]: a permuted payload holding a
-       [Loc.Map] may differ in tree shape from a stepped one, so
-       structural equality could yield spurious breaking witnesses. *)
-    let equal_event a b =
-      match (a, b) with
-      | Fd_event.Crash i, Fd_event.Crash j -> i = j
-      | Fd_event.Output (i, x), Fd_event.Output (j, y) -> i = j && system.equal_out x y
-      | Fd_event.Crash _, Fd_event.Output _ | Fd_event.Output _, Fd_event.Crash _ -> false
-    in
     let probe =
-      Probe.make ~equal_state:equal ~hash_state:(phash system false)
-        ~equal_action:equal_event ~max_states ~symm:q_sy []
+      Probe.make ~equal_state:equal ~hash_state:(phash false) ~max_states ~symm:q_sy []
     in
     match Symm.prepare ~equiv product probe with
     | Ok q -> Ok (q_sy, q)
@@ -419,21 +390,20 @@ type ('s, 'o) explored = {
   status : sym_status;
 }
 
-(* The unreduced run's probe.  Stable judges read
-   [last_output]/[output_counts], so when liveness is in scope those
-   fields join the product identity.  Under POR the sleep sets preserve
-   states, not edges, so fair-cycle search is off and the coarser
-   safety identity suffices. *)
-let unreduced_probe ~max_states ~por runtime system =
+(* The unreduced run's probe.  Stable judges read [last_output], so
+   when liveness is in scope it joins the product identity.  Under POR
+   the sleep sets preserve states, not edges, so fair-cycle search is
+   off and the coarser safety identity suffices. *)
+let unreduced_probe ~max_states ~por runtime =
   let track_live = runtime.stables <> [] && not por in
-  Probe.make ~equal_state:(pequal system track_live) ~hash_state:(phash system track_live)
+  Probe.make ~equal_state:(pequal track_live) ~hash_state:(phash track_live)
     ~max_states []
 
 let explore ~max_states ~por ~log ~n prop system =
   let runtime = clause_runtime prop in
   let product = product ~n runtime system.sys in
   let unreduced status =
-    let probe = unreduced_probe ~max_states ~por runtime system in
+    let probe = unreduced_probe ~max_states ~por runtime in
     let space = timed log "explore" (fun () -> Space.explore ~por product probe) in
     { product; runtime; space; quotient = None; status }
   in
@@ -441,7 +411,7 @@ let explore ~max_states ~por ~log ~n prop system =
   | None -> unreduced Sym_off
   | Some lift -> (
     match
-      timed log "symmetry" (fun () -> prepare ~max_states system prop product lift)
+      timed log "symmetry" (fun () -> prepare ~max_states prop product lift)
     with
     | Error status -> unreduced status
     | Ok (q_sy, q) -> (
@@ -755,8 +725,6 @@ let system ?crashable ?symmetry ~n spec detector =
       perm_o )
   in
   { sys = Composition.pair ~name:(detector.Automaton.name ^ "+crash") detector crash;
-    equal_out = spec.Afd_core.Afd.equal_out;
-    hash_out = spec.Afd_core.Afd.hash_out;
     symmetry =
       (match (symmetry, spec.Afd_core.Afd.perm_out) with
       | Some dsym, Some perm_o -> Some (lift dsym perm_o)
@@ -855,10 +823,9 @@ let raw_count ~max_states ~n spec detector =
   let system = system ~n spec detector in
   let runtime = clause_runtime (spec.Afd_core.Afd.prop ~n) in
   Space.count (product ~n runtime system.sys)
-    (unreduced_probe ~max_states ~por:false runtime system)
+    (unreduced_probe ~max_states ~por:false runtime)
 
-let parametric ?(max_states = default_max_states) ?(ns = [ 2; 3; 4; 5 ]) ~symmetry spec
-    ~detector =
+let ladder ~max_states ~ns ~symmetry spec ~detector =
   let points = ref [] in
   let sym = ref Sym_off in
   let halted = ref None in
@@ -935,6 +902,24 @@ let parametric ?(max_states = default_max_states) ?(ns = [ 2; 3; 4; 5 ]) ~symmet
         else Proved_upto upto)
   in
   { par_points; par_verdict; par_sym = !sym }
+
+(* A cutoff candidate reads "proved for n0..upto" off the points, so the
+   ladder must climb one size at a time: a gap or a descent would claim
+   a size that never ran. *)
+let parametric ?(max_states = default_max_states) ?(ns = [ 2; 3; 4; 5 ]) ~symmetry spec
+    ~detector =
+  match ns with
+  | n0 :: _ when List.equal Int.equal ns (List.mapi (fun k _ -> n0 + k) ns) ->
+    ladder ~max_states ~ns ~symmetry spec ~detector
+  | _ ->
+    { par_points = [];
+      par_verdict =
+        Unverified
+          (Fmt.str "ladder [%a] is not a non-empty run of consecutive ascending sizes"
+             Fmt.(list ~sep:(any "; ") int)
+             ns);
+      par_sym = Sym_off;
+    }
 
 let pp_sym_status fmt = function
   | Sym_off -> Fmt.string fmt "off"

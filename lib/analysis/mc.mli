@@ -42,21 +42,24 @@
     lengths capped at 8, [Until] release flags and [Fold] accumulators
     agree; pair states and accumulators compare structurally.  When
     [Stable] clauses are in scope (and [por] is off) the identity is
-    enriched with [last_output] (modulo the spec's [equal_out]) and
-    [output_counts] capped at 1, so that every Stable judge is a
-    function of the merged state.  A clause comparing [len] against a
-    bound above 8, or counts above 1, needs those caps raised.
+    enriched with [last_output], its payloads compared structurally
+    ({!Afd_core.Afd}'s payload contract), so that every Stable judge is
+    a function of the merged state.  The trace summary keeps no output
+    counts: [validity.liveness] reads only whether a live location has
+    a last output, which [last_output]'s key set already records.  A
+    clause comparing [len] against a bound above 8 needs that cap
+    raised; a clause that counts outputs folds its own accumulator,
+    which joins the identity.
 
     The seen-set hash reads every field this equality reads: the pair
     state's {!Afd_ioa.Composition.hash_pair}, the capped length, the
     crashed set, the [Until] flags, every [Fold] accumulator's
     structural hash and, with liveness in scope, every [last_output]
-    entry — its location and the spec's [hash_out] of its payload,
-    which {!Afd_core.Afd.spec} requires congruent with [equal_out] —
-    and the capped counts.  Unreduced and quotient runs share this one
-    identity; a fold's [fcmp] only orders accumulators when a quotient
-    picks an orbit's minimum, and is 0 exactly where the identity
-    merges ({!Afd_prop.Prop.fold}).
+    entry — its location and the [Hashtbl.hash] of its payload.
+    Unreduced and quotient runs share this one identity; a fold's
+    [fcmp] only orders accumulators when a quotient picks an orbit's
+    minimum, and is 0 exactly where the identity merges
+    ({!Afd_prop.Prop.fold}).
 
     {b Stages.}  {!check_spec} composes three stages over one closed
     system: the detector paired with the crash automaton
@@ -309,15 +312,17 @@ val parametric :
   detector:(int -> ('s, 'o Fd_event.t) Automaton.t) ->
   parametric
 (** Run {!check_spec} with [symmetry] at each [n] in [ns] (default
-    [2; 3; 4; 5], must be ascending).  The ladder stops at the first
-    refutation, the first instance whose symmetry certification fails
-    (per-n statuses differ: a k-set detector can be equivariant at
-    n = k and breaking above), or the first budget truncation.  Each
-    quotiented point also counts the unreduced instance's states to
-    record the orbit-vs-state curve ([pt_raw_states]): the count runs
-    only the explore stage, and stops at the first budget cut.  Once
-    one unreduced instance truncates, the larger ones are not counted
-    and report [None]. *)
+    [2; 3; 4; 5]).  [ns] must be a non-empty run of consecutive
+    ascending sizes ([n0; n0+1; ...]); any other list is [Unverified],
+    naming the list, with no points and nothing run.  The ladder stops
+    at the first refutation, the first instance whose symmetry
+    certification fails (per-n statuses differ: a k-set detector can
+    be equivariant at n = k and breaking above), or the first budget
+    truncation.  Each quotiented point also counts the unreduced
+    instance's states to record the orbit-vs-state curve
+    ([pt_raw_states]): the count runs only the explore stage, and stops
+    at the first budget cut.  Once one unreduced instance truncates,
+    the larger ones are not counted and report [None]. *)
 
 val pp_parametric : Format.formatter -> parametric -> unit
 val parametric_to_json : parametric -> string

@@ -46,9 +46,9 @@ let make ?(seed_states = []) ?(equal_action = structural) ?equal_state ?hash_sta
     ?symm actions =
   (* A hash is only safe when it is a congruence for the state equality:
      with the default structural equality, [Hashtbl.hash] qualifies; a
-     caller-supplied equality (e.g. [Loc.Map.equal], blind to tree
-     shape) needs a matching caller-supplied hash, otherwise the
-     explorer falls back to a single bucket (exact, just slower). *)
+     caller-supplied equality needs a matching caller-supplied hash,
+     otherwise the explorer falls back to a single bucket (exact, just
+     slower). *)
   let hash_state =
     match (hash_state, equal_state) with
     | (Some _ as h), _ -> h

@@ -1,14 +1,11 @@
 type 'o spec = {
   name : string;
   pp_out : 'o Fmt.t;
-  equal_out : 'o -> 'o -> bool;
-  hash_out : 'o -> int;
   prop : n:int -> 'o Afd_prop.Prop.t;
   perm_out : ((int -> int) -> 'o -> 'o) option;
 }
 
-let of_prop ?perm_out ~name ~pp_out ~equal_out ~hash_out prop =
-  { name; pp_out; equal_out; hash_out; prop; perm_out }
+let of_prop ?perm_out ~name ~pp_out prop = { name; pp_out; prop; perm_out }
 
 let check spec ~n t = Afd_prop.Monitor.replay ~n (spec.prop ~n) t
 

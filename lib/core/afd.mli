@@ -15,22 +15,21 @@
     preserved by sampling (live locations keep all outputs) and by
     constrained reordering (per-location order, hence last outputs, are
     preserved), so the closure properties of Section 3.2 are honestly
-    testable on finite traces. *)
+    testable on finite traces.
+
+    {b Output payloads compare structurally.}  The detector automata's
+    output guards, the trace operations and the model checker's state
+    identity ({!Afd_analysis.Mc}) compare payloads with [( = )], and the
+    checker's seen-set hashes them with [Hashtbl.hash].  A location and
+    a [Loc.Set] mask are one immediate word, so equal payloads are the
+    same value.  A payload holding a [Loc.Map] does
+    not meet this contract: two equal maps may differ in tree shape,
+    and it needs a canonical map representation first. *)
 
 
 type 'o spec = {
   name : string;
   pp_out : 'o Fmt.t;
-  equal_out : 'o -> 'o -> bool;
-  hash_out : 'o -> int;
-      (** a hash congruent with [equal_out]: [equal_out a b] implies
-          [hash_out a = hash_out b].  Like [equal_out] it is a declared
-          property of the payload type, not an option: the model
-          checker's seen-set hashes every live location's last output
-          with it ({!Afd_analysis.Mc}), so an incongruent hash splits
-          states that should merge.  Use [Loc.hash] for leader outputs
-          and [Loc.hash_set] for suspect sets — never [Hashtbl.hash] on
-          a [Loc.Map], which reads its tree shape. *)
   prop : n:int -> 'o Afd_prop.Prop.t;
       (** the temporal formula defining [T_D] at [n] locations,
           validity clauses included. *)
@@ -46,8 +45,6 @@ val of_prop :
   ?perm_out:((int -> int) -> 'o -> 'o) ->
   name:string ->
   pp_out:'o Fmt.t ->
-  equal_out:('o -> 'o -> bool) ->
-  hash_out:('o -> int) ->
   (n:int -> 'o Afd_prop.Prop.t) ->
   'o spec
 (** Build a spec from a temporal formula.  The formula must include

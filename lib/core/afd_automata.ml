@@ -24,11 +24,8 @@ let crash_automaton ~n ~crashable =
   }
 
 (* Shared shape of Algorithms 1 and 2: state is the crash set; each
-   non-crashed location continually outputs [f crashset i].
-   [equal_out] must be the payload's semantic equality: a structural
-   guard on a payload holding a [Loc.Map] would make acceptance depend
-   on how the probed payload was built. *)
-let truthful ~name ~n ~equal_out ~output =
+   non-crashed location continually outputs [f crashset i]. *)
+let truthful ~name ~n ~output =
   let kind = function
     | Fd_event.Crash _ -> Some Automaton.Input
     | Fd_event.Output _ -> Some Automaton.Output
@@ -37,10 +34,7 @@ let truthful ~name ~n ~equal_out ~output =
     | Fd_event.Crash i -> Some (Loc.Set.add i crashset)
     | Fd_event.Output (i, o) ->
       (* Enabled iff this is the action our task would produce. *)
-      if
-        (not (Loc.Set.mem i crashset))
-        && Option.equal equal_out (output crashset i) (Some o)
-      then Some crashset
+      if (not (Loc.Set.mem i crashset)) && output crashset i = Some o then Some crashset
       else None
   in
   let task i =
@@ -60,15 +54,14 @@ let truthful ~name ~n ~equal_out ~output =
   }
 
 let fd_omega ~n =
-  truthful ~name:"FD-Omega" ~n ~equal_out:Loc.equal ~output:(fun crashset _i ->
+  truthful ~name:"FD-Omega" ~n ~output:(fun crashset _i ->
       Loc.min_not_in ~n (fun j -> Loc.Set.mem j crashset))
 
 let fd_perfect ~n =
-  truthful ~name:"FD-P" ~n ~equal_out:Loc.Set.equal ~output:(fun crashset _i ->
-      Some crashset)
+  truthful ~name:"FD-P" ~n ~output:(fun crashset _i -> Some crashset)
 
 let fd_sigma ~n =
-  truthful ~name:"FD-Sigma" ~n ~equal_out:Loc.Set.equal ~output:(fun crashset _i ->
+  truthful ~name:"FD-Sigma" ~n ~output:(fun crashset _i ->
       Some (Loc.Set.diff (Loc.set_of_universe ~n) crashset))
 
 (* Spare the smallest live location by naming the smallest other one.
@@ -78,7 +71,7 @@ let fd_sigma ~n =
    with a single live location it named it forever, so no live
    location was ever spared; the fair-cycle pass refutes that corner). *)
 let fd_anti_omega ~n =
-  truthful ~name:"FD-antiOmega" ~n ~equal_out:Loc.equal ~output:(fun crashset _i ->
+  truthful ~name:"FD-antiOmega" ~n ~output:(fun crashset _i ->
       match Loc.min_not_in ~n (fun j -> Loc.Set.mem j crashset) with
       | None -> None
       | Some spared -> Loc.min_not_in ~n (fun j -> Loc.equal j spared))
@@ -97,13 +90,13 @@ let k_smallest_preferring_live ~n ~k crashset =
 
 let fd_omega_k ~n ~k =
   if k < 1 || k > n then invalid_arg "Afd_automata.fd_omega_k: need 1 <= k <= n";
-  truthful ~name:(Printf.sprintf "FD-Omega%d" k) ~n ~equal_out:Loc.Set.equal
-    ~output:(fun crashset _i -> Some (k_smallest_preferring_live ~n ~k crashset))
+  truthful ~name:(Printf.sprintf "FD-Omega%d" k) ~n ~output:(fun crashset _i ->
+      Some (k_smallest_preferring_live ~n ~k crashset))
 
 let fd_psi_k ~n ~k =
   if k < 1 || k > n then invalid_arg "Afd_automata.fd_psi_k: need 1 <= k <= n";
-  truthful ~name:(Printf.sprintf "FD-Psi%d" k) ~n ~equal_out:Loc.Set.equal
-    ~output:(fun crashset _i -> Some (k_smallest_preferring_live ~n ~k crashset))
+  truthful ~name:(Printf.sprintf "FD-Psi%d" k) ~n ~output:(fun crashset _i ->
+      Some (k_smallest_preferring_live ~n ~k crashset))
 
 (* Liveness-broken detectors for the model checker's lasso search.
    Both are safe on every finite prefix (no sampled schedule can latch
@@ -157,7 +150,7 @@ let fd_flip_flop ~n =
    weak fairness is vacuous) keeps [validity.liveness] pending
    forever. *)
 let fd_silent ~n =
-  truthful ~name:"FD-Silent" ~n ~equal_out:Loc.Set.equal ~output:(fun crashset i ->
+  truthful ~name:"FD-Silent" ~n ~output:(fun crashset i ->
       if i = 0 then Some crashset else None)
 
 type 'o noise = 'o list Loc.Map.t
@@ -169,8 +162,8 @@ let noise_of_list l =
     l Loc.Map.empty
 
 (* Noisy variant: state carries per-location noise queues, drained
-   before the truthful output.  Same [equal_out] caveat as [truthful]. *)
-let noisy ~name ~n ~equal_out ~noise ~output =
+   before the truthful output. *)
+let noisy ~name ~n ~noise ~output =
   let kind = function
     | Fd_event.Crash _ -> Some Automaton.Input
     | Fd_event.Output _ -> Some Automaton.Output
@@ -190,7 +183,7 @@ let noisy ~name ~n ~equal_out ~noise ~output =
   let step (crashset, queues) = function
     | Fd_event.Crash i -> Some (Loc.Set.add i crashset, queues)
     | Fd_event.Output (i, o) ->
-      if Option.equal equal_out (next (crashset, queues) i) (Some o) then
+      if next (crashset, queues) i = Some o then
         Some (crashset, consume queues i)
       else None
   in
@@ -209,12 +202,11 @@ let noisy ~name ~n ~equal_out ~noise ~output =
   }
 
 let fd_omega_noisy ~n ~noise =
-  noisy ~name:"FD-Omega-noisy" ~n ~equal_out:Loc.equal ~noise
+  noisy ~name:"FD-Omega-noisy" ~n ~noise
     ~output:(fun crashset _i -> Loc.min_not_in ~n (fun j -> Loc.Set.mem j crashset))
 
 let fd_ev_perfect_noisy ~n ~noise =
-  noisy ~name:"FD-EvP-noisy" ~n ~equal_out:Loc.Set.equal ~noise
-    ~output:(fun crashset _i -> Some crashset)
+  noisy ~name:"FD-EvP-noisy" ~n ~noise ~output:(fun crashset _i -> Some crashset)
 
 let run_system ?(record_fired = true) ?observer ~detector ~n ~seed
     ~crash_at ~steps () =

@@ -20,5 +20,4 @@ let spared =
 
 let prop ~n:_ = P.conj [ P.validity (); spared ]
 let spec =
-  Afd.of_prop ~perm_out:(fun pi i -> pi i) ~name:"anti-Omega" ~pp_out:Loc.pp
-    ~equal_out:Loc.equal ~hash_out:Loc.hash prop
+  Afd.of_prop ~perm_out:(fun pi i -> pi i) ~name:"anti-Omega" ~pp_out:Loc.pp prop

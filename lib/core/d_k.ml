@@ -41,7 +41,7 @@ let spec ~k =
   Afd.of_prop
     ~perm_out:(fun pi -> Loc.Set.map pi)
     ~name:(Printf.sprintf "D_%d" k)
-    ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set
+    ~pp_out:Loc.pp_set
     (prop ~k)
 
 (* Witness for non-closure under constrained reordering, n = 2, no

@@ -30,5 +30,4 @@ let convergence =
 
 let prop ~n:_ = P.conj [ P.validity (); convergence ]
 let spec =
-  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"EvP" ~pp_out:Loc.pp_set
-    ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set prop
+  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"EvP" ~pp_out:Loc.pp_set prop

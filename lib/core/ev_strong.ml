@@ -32,5 +32,4 @@ let convergence =
 
 let prop ~n:_ = P.conj [ P.validity (); convergence ]
 let spec =
-  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"EvS" ~pp_out:Loc.pp_set
-    ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set prop
+  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"EvS" ~pp_out:Loc.pp_set prop

@@ -40,7 +40,7 @@ let exactness =
 let prop ~n:_ = P.conj [ P.validity (); exactness ]
 let spec =
   Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"Marabout" ~pp_out:Loc.pp_set
-    ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set prop
+    prop
 
 type refutation = {
   pattern_a : Loc.Set.t;

@@ -23,5 +23,4 @@ let stable_leader =
 
 let prop ~n:_ = P.conj [ P.validity (); stable_leader ]
 let spec =
-  Afd.of_prop ~perm_out:(fun pi i -> pi i) ~name:"Omega" ~pp_out:Loc.pp
-    ~equal_out:Loc.equal ~hash_out:Loc.hash prop
+  Afd.of_prop ~perm_out:(fun pi i -> pi i) ~name:"Omega" ~pp_out:Loc.pp prop

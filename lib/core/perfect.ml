@@ -35,5 +35,4 @@ let completeness =
 
 let prop ~n:_ = P.conj [ P.validity (); accuracy; completeness ]
 let spec =
-  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"P" ~pp_out:Loc.pp_set
-    ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set prop
+  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"P" ~pp_out:Loc.pp_set prop

@@ -43,5 +43,4 @@ let completeness =
 
 let prop ~n:_ = P.conj [ P.validity (); intersection; completeness ]
 let spec =
-  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"Sigma" ~pp_out:Loc.pp_set
-    ~equal_out:Loc.Set.equal ~hash_out:Loc.hash_set prop
+  Afd.of_prop ~perm_out:(fun pi -> Loc.Set.map pi) ~name:"Sigma" ~pp_out:Loc.pp_set prop

@@ -1,11 +1,9 @@
 open Afd_ioa
 
-let validity ~n ?(live_min = 1) t =
-  Afd_prop.Monitor.replay ~n (Afd_prop.Prop.validity ~live_min ()) t
+let validity ~n t = Afd_prop.Monitor.replay ~n (Afd_prop.Prop.validity ()) t
 
-let is_sampling ~equal_out ~of_:t t' =
-  let equal = Fd_event.equal equal_out in
-  if not (Trace.is_subsequence ~equal t' t) then false
+let is_sampling ~of_:t t' =
+  if not (Trace.is_subsequence ~equal:( = ) t' t) then false
   else
     let faulty = Fd_event.faulty t in
     let live_ok i =
@@ -16,7 +14,7 @@ let is_sampling ~equal_out ~of_:t t' =
       (* first crash kept, outputs form a prefix *)
       let outs = Fd_event.outputs_at i t and outs' = Fd_event.outputs_at i t' in
       Fd_event.first_crash_index i t' <> None
-      && Trace.is_prefix ~equal:equal_out outs' outs
+      && Trace.is_prefix ~equal:( = ) outs' outs
     in
     let locs_in_t =
       List.fold_left (fun acc e -> Loc.Set.add (Fd_event.loc e) acc) Loc.Set.empty t
@@ -70,8 +68,7 @@ let keyed t =
       ((i, k), e))
     t
 
-let is_constrained_reordering ~equal_out ~of_:t t' =
-  let equal = Fd_event.equal equal_out in
+let is_constrained_reordering ~of_:t t' =
   List.length t = List.length t'
   && (* per-location projections equal *)
   (let locs =
@@ -80,7 +77,7 @@ let is_constrained_reordering ~equal_out ~of_:t t' =
    Loc.Set.for_all
      (fun i ->
        let at l = List.filter (fun e -> Loc.equal (Fd_event.loc e) i) l in
-       List.equal equal (at t) (at t'))
+       List.equal ( = ) (at t) (at t'))
      locs)
   &&
   (* crash-before constraint: if e is a crash preceding e' in t, the

@@ -11,16 +11,17 @@
     - validity clause (1) — no outputs after a crash at the same
       location — is checked exactly (it is a safety property);
     - validity clause (2) — infinitely many outputs at live locations —
-      is approximated by "at least [live_min] outputs at each live
-      location", reported as [Undecided] when unmet. *)
+      is read under limit extension as "every live location has an
+      output", reported as [Undecided] when unmet.
+
+    Payloads compare structurally ({!Afd.spec}'s contract). *)
 
 
-val validity : n:int -> ?live_min:int -> 'o Fd_event.t list -> Verdict.t
-(** Default [live_min] is 1. *)
+val validity : n:int -> 'o Fd_event.t list -> Verdict.t
+(** {!Afd_prop.Prop.validity} replayed over the trace. *)
 
-val is_sampling :
-  equal_out:('o -> 'o -> bool) -> of_:'o Fd_event.t list -> 'o Fd_event.t list -> bool
-(** [is_sampling ~equal_out ~of_:t t'] — Section 3.2: [t'] is a
+val is_sampling : of_:'o Fd_event.t list -> 'o Fd_event.t list -> bool
+(** [is_sampling ~of_:t t'] — Section 3.2: [t'] is a
     subsequence of [t]; live locations keep all their outputs; each
     faulty location keeps its first crash event and a prefix of its
     outputs. *)
@@ -30,9 +31,8 @@ val gen_sampling : Random.State.t -> 'o Fd_event.t list -> 'o Fd_event.t list
     outputs at each faulty location and randomly drops duplicate crash
     events (the first crash at each location is always kept). *)
 
-val is_constrained_reordering :
-  equal_out:('o -> 'o -> bool) -> of_:'o Fd_event.t list -> 'o Fd_event.t list -> bool
-(** [is_constrained_reordering ~equal_out ~of_:t t'] — Section 3.2:
+val is_constrained_reordering : of_:'o Fd_event.t list -> 'o Fd_event.t list -> bool
+(** [is_constrained_reordering ~of_:t t'] — Section 3.2:
     [t'] is a permutation of [t] preserving (1) the relative order of
     same-location events and (2) the order between any crash event and
     any event that follows it. *)

@@ -2,7 +2,6 @@ type t = int
 
 let compare = Int.compare
 let equal = Int.equal
-let hash = Fun.id
 
 let pp fmt i = Format.fprintf fmt "p%d" i
 let to_string i = "p" ^ string_of_int i

@@ -9,7 +9,6 @@ type t = int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** [pp] prints a location as [pN], e.g. [p0], [p3]. *)

@@ -7,7 +7,6 @@ type 'o state = {
   len : int;
   crashed : Loc.Set.t;
   last_output : 'o Loc.Map.t;
-  output_counts : int Loc.Map.t;
 }
 
 let init ~n =
@@ -15,38 +14,28 @@ let init ~n =
     len = 0;
     crashed = Loc.Set.empty;
     last_output = Loc.Map.empty;
-    output_counts = Loc.Map.empty;
   }
 
 let update st e =
   match e with
   | Fd_event.Crash i -> { st with len = st.len + 1; crashed = Loc.Set.add i st.crashed }
   | Fd_event.Output (i, o) ->
-    let c = match Loc.Map.find_opt i st.output_counts with Some c -> c | None -> 0 in
-    { st with
-      len = st.len + 1;
-      last_output = Loc.Map.add i o st.last_output;
-      output_counts = Loc.Map.add i (c + 1) st.output_counts;
-    }
+    { st with len = st.len + 1; last_output = Loc.Map.add i o st.last_output }
 
 (* Transport a process permutation through the summary: relabel the
-   crashed set and the per-location maps, mapping payloads through the
+   crashed set and the last-output map, mapping payloads through the
    output transport.  Needed by the symmetry-quotiented model checker;
    the length is invariant under relabelling. *)
 let permute pif pout st =
-  let map_keys f m =
-    Loc.Map.fold (fun k v acc -> Loc.Map.add (pif k) (f v) acc) m Loc.Map.empty
-  in
   { st with
     crashed = Loc.Set.map pif st.crashed;
-    last_output = map_keys pout st.last_output;
-    output_counts = map_keys (fun c -> c) st.output_counts;
+    last_output =
+      Loc.Map.fold
+        (fun k v acc -> Loc.Map.add (pif k) (pout v) acc)
+        st.last_output Loc.Map.empty;
   }
 
 let live st = Loc.Set.diff (Loc.set_of_universe ~n:st.n) st.crashed
-
-let output_count st i =
-  match Loc.Map.find_opt i st.output_counts with Some c -> c | None -> 0
 
 let last_outputs st =
   let live = live st in
@@ -147,7 +136,7 @@ let rec clauses = function
 
 (* --- the canned validity formula (Section 3.2) --- *)
 
-let validity ?(live_min = 1) () =
+let validity () =
   conj
     [ always ~name:"validity.safety" (fun st e ->
           match e with
@@ -156,9 +145,6 @@ let validity ?(live_min = 1) () =
           | Fd_event.Output _ | Fd_event.Crash _ -> Ok ());
       eventually_stable ~name:"validity.liveness" (fun st ->
           for_live st (fun i ->
-              let c = output_count st i in
-              if c >= live_min then J_sat
-              else
-                J_undecided
-                  (reasonf "live location %a has %d < %d outputs" Loc.pp i c live_min)));
+              if Loc.Map.mem i st.last_output then J_sat
+              else J_undecided (reasonf "live location %a has 0 < 1 outputs" Loc.pp i)));
     ]

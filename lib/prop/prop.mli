@@ -3,7 +3,7 @@
 
     Formulas are built from {e atoms} — predicates over the next event
     and an incrementally maintained {!state} summary (length,
-    crashed-so-far set, last output and output count per location) —
+    crashed-so-far set, last output per location) —
     combined with [always], [until], [implies], [eventually_stable]
     (the paper's limit-extension liveness reading: the finite trace
     stands for the infinite trace where each live location repeats its
@@ -21,8 +21,12 @@ type 'o state = private {
   n : int;  (** size of the location universe *)
   len : int;  (** number of events consumed so far *)
   crashed : Loc.Set.t;  (** crashed-so-far context *)
-  last_output : 'o Loc.Map.t;  (** last payload per location that output *)
-  output_counts : int Loc.Map.t;
+  last_output : 'o Loc.Map.t;
+      (** last payload per location that output; its key set is the set
+          of locations that have output at all.  The summary keeps no
+          counts: a clause that needs per-location counts above 1 folds
+          its own accumulator ({!folding}), and a [Fold] accumulator
+          joins the model checker's state identity. *)
 }
 
 val init : n:int -> 'o state
@@ -30,14 +34,12 @@ val update : 'o state -> 'o Fd_event.t -> 'o state
 
 val permute : (Loc.t -> Loc.t) -> ('o -> 'o) -> 'o state -> 'o state
 (** [permute pi pout st] relabels the summary under a process
-    permutation: crashed set and per-location maps move through [pi],
+    permutation: crashed set and last-output keys move through [pi],
     last-output payloads through [pout]; the length is untouched.  Used
     by the symmetry-quotiented model checker ({!Afd_analysis.Mc}). *)
 
 val live : 'o state -> Loc.Set.t
 (** [universe \ crashed]. *)
-
-val output_count : 'o state -> Loc.t -> int
 
 val last_outputs : 'o state -> ('o Loc.Map.t * Loc.Set.t, string) result
 (** The last output of every live location together with the live set
@@ -148,8 +150,9 @@ val clauses : 'o t -> (string * 'o clause) list
 
 (** {1 Canned clauses} *)
 
-val validity : ?live_min:int -> unit -> 'o t
+val validity : unit -> 'o t
 (** The AFD validity property (Section 3.2), as two clauses:
     ["validity.safety"] — no output at a location after its crash —
-    and ["validity.liveness"] — every live location has at least
-    [live_min] outputs (default 1), undecided until then. *)
+    and ["validity.liveness"] — every live location has a last output
+    (the limit-extension reading of "outputs infinitely often"),
+    undecided until then. *)

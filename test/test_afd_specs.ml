@@ -134,63 +134,9 @@ let test_dk_counterexample () =
   Alcotest.(check bool) "original accepted" true
     (Verdict.is_sat (Afd.check spec ~n:2 original));
   Alcotest.(check bool) "reordered is a constrained reordering" true
-    (Trace_ops.is_constrained_reordering ~equal_out:Loc.Set.equal ~of_:original reordered);
+    (Trace_ops.is_constrained_reordering ~of_:original reordered);
   Alcotest.(check bool) "reordered rejected: D_k is not closed" true
     (Verdict.is_violated (Afd.check spec ~n:2 reordered))
-
-(* --- payload hashes --- *)
-
-(* The model checker's seen-set hashes each live location's last output
-   with the spec's [hash_out], so the hash must be congruent with
-   [equal_out]: equal payloads hash alike however their sets were
-   built.  The 11 catalog specs, by payload type. *)
-let set_specs =
-  [ Perfect.spec; Ev_perfect.spec; Strong.spec; Ev_strong.spec; Sigma.spec;
-    Marabout.spec; Omega_k.spec ~k:2; Psi_k.spec ~k:2; D_k.spec ~k:2 ]
-
-let leader_specs = [ Omega.spec; Anti_omega.spec ]
-
-let hash_congruence_prop =
-  let gen =
-    QCheck2.Gen.(
-      list_size (int_bound 12) (int_bound 7) >>= fun l ->
-      map (fun l' -> (l, l')) (shuffle_l l))
-  in
-  let print (l, l') =
-    let ints l = String.concat ";" (List.map string_of_int l) in
-    Printf.sprintf "[%s] / [%s]" (ints l) (ints l')
-  in
-  QCheck2.Test.make ~count:300 ~print
-    ~name:"hash_out is congruent with equal_out (two insertion orders)" gen
-    (fun (l, l') ->
-      (* one set grown left to right, the other right to left from a
-         shuffle: equal elements, different insertion orders *)
-      let a = List.fold_left (fun s i -> Loc.Set.add i s) Loc.Set.empty l in
-      let b = List.fold_right Loc.Set.add l' Loc.Set.empty in
-      List.for_all
-        (fun spec ->
-          (not (spec.Afd.equal_out a b)) || spec.Afd.hash_out a = spec.Afd.hash_out b)
-        set_specs
-      && List.for_all
-           (fun spec ->
-             List.for_all
-               (fun (i, j) ->
-                 (not (spec.Afd.equal_out i j)) || spec.Afd.hash_out i = spec.Afd.hash_out j)
-               (List.combine l l'))
-           leader_specs)
-
-(* Congruence alone allows a constant; the suspect sets at n = 3 must
-   not share a hash, or every FD-P state would share a bucket. *)
-let test_subset_hashes_distinct () =
-  let subsets =
-    List.init 8 (fun m ->
-        Loc.Set.of_list (List.filter (fun i -> m land (1 lsl i) <> 0) [ 0; 1; 2 ]))
-  in
-  List.iter
-    (fun spec ->
-      let hs = List.sort_uniq Int.compare (List.map spec.Afd.hash_out subsets) in
-      Alcotest.(check int) (spec.Afd.name ^ ": 8 subsets, 8 hashes") 8 (List.length hs))
-    set_specs
 
 (* --- closure properties on generated valid traces (E3) --- *)
 
@@ -247,8 +193,5 @@ let suite =
     Alcotest.test_case "Psi_k" `Quick test_psi_k;
     Alcotest.test_case "Marabout (not an AFD: needs prediction)" `Quick test_marabout;
     Alcotest.test_case "D_k reordering counterexample" `Quick test_dk_counterexample;
-    QCheck_alcotest.to_alcotest hash_congruence_prop;
-    Alcotest.test_case "hash_out tells the subsets of 3 locations apart" `Quick
-      test_subset_hashes_distinct;
   ]
   @ closure_suite

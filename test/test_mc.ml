@@ -192,8 +192,7 @@ let test_reasons_formatted_when_reported () =
         else P.J_undecided (P.reasonf "someone is suspected (%a)" counted ()))
   in
   let spec =
-    Afd_core.Afd.of_prop ~name:"counted" ~pp_out:Loc.pp_set ~equal_out:Loc.Set.equal
-      ~hash_out:Loc.hash_set (fun ~n:_ ->
+    Afd_core.Afd.of_prop ~name:"counted" ~pp_out:Loc.pp_set (fun ~n:_ ->
         P.conj [ P.validity (); p0_never_crashes; suspects_nobody ])
   in
   match

@@ -87,11 +87,12 @@ let test_until_releases () =
   Alcotest.check verdict "violates while unreleased"
     (Verdict.Violated "quiet-until-crash: p0 spoke too early") (M.verdict m')
 
+(* At n = 1 with only p0 outputs, the trace length is p0's output
+   count. *)
 let test_stable_is_rejudged () =
   let prop =
     P.eventually_stable ~name:"chatty-p0" (fun st ->
-        P.j_of_bool ~undecided:"p0 has spoken < 2 times"
-          (P.output_count st 0 >= 2))
+        P.j_of_bool ~undecided:"p0 has spoken < 2 times" (st.P.len >= 2))
   in
   let m = M.create ~n:1 prop in
   M.observe m (out 0);
@@ -270,6 +271,50 @@ let prop_fcmp_structural =
         (fun spec -> fcmp_contract_holds ~n ~pi:(Array.get pi) spec xs ys)
         [ Sigma.spec; Marabout.spec; Strong.spec ])
 
+(* ------------------------------------------------------------------ *)
+(* The validity liveness judge against a list scan                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [validity.liveness] reads only whether each live location has a last
+   output.  The reference scans the trace: a location is live when no
+   crash names it, silent when no output does. *)
+let liveness_reference ~n t =
+  let silent =
+    List.filter
+      (fun i ->
+        (not (List.mem (Fd_event.Crash i) t))
+        && not (List.exists (fun e -> e = Fd_event.Output (i, ())) t))
+      (Loc.universe ~n)
+  in
+  if silent = [] then Verdict.Sat
+  else
+    Verdict.Undecided
+      ("validity.liveness: "
+      ^ String.concat "; "
+          (List.map (Printf.sprintf "live location p%d has 0 < 1 outputs") silent))
+
+let prop_liveness_matches_scan =
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 4 >>= fun n ->
+      let event =
+        map2
+          (fun crash i -> if crash then Fd_event.Crash i else Fd_event.Output (i, ()))
+          bool (int_bound (n - 1))
+      in
+      map (fun t -> (n, t)) (list_size (int_bound 10) event))
+  in
+  let print (n, t) = Fmt.str "n=%d %a" n (Fd_event.pp_trace (Fmt.any "()")) t in
+  let liveness =
+    List.filter_map
+      (fun (nm, c) -> if nm = "validity.liveness" then Some (P.Clause (nm, c)) else None)
+      (P.clauses (P.validity ()))
+    |> P.conj
+  in
+  QCheck2.Test.make ~name:"validity.liveness agrees with a list scan (n <= 4)"
+    ~count:500 ~print gen (fun (n, t) ->
+      Check.verdict_equal (M.replay ~n liveness t) (liveness_reference ~n t))
+
 let test_matrix_smoke () =
   let entries = Check.matrix ~seeds:2 () in
   let r =
@@ -305,4 +350,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fcmp_structural;
     Alcotest.test_case "check matrix smoke: every meta-verdict is sat" `Quick
       test_matrix_smoke;
+    QCheck_alcotest.to_alcotest prop_liveness_matches_scan;
   ]

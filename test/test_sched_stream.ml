@@ -367,7 +367,7 @@ let prop_gen_reordering =
       let a = Trace_ops.gen_reordering (Random.State.make [| rng_seed |]) t in
       let b = naive_gen_reordering (Random.State.make [| rng_seed |]) t in
       List.equal (Fd_event.equal Loc.Set.equal) a b
-      && Trace_ops.is_constrained_reordering ~equal_out:Loc.Set.equal ~of_:t a)
+      && Trace_ops.is_constrained_reordering ~of_:t a)
 
 (* ------------------------------------------------------------------ *)
 (* Observer path                                                       *)

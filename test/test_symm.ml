@@ -492,6 +492,28 @@ let test_parametric_raw_count_boundary () =
       | Error e -> Alcotest.failf "check_spec: %s" e)
     [ (1124, Some 1124); (1123, None) ]
 
+(* --- the ladder climbs one size at a time --- *)
+
+(* A cutoff candidate reads "proved for n0..upto" off its points, so a
+   gap ([2; 4; 5] would claim n = 3) or a descent is refused before any
+   instance runs: the detector family fails the test if it is asked for
+   an instance. *)
+let test_parametric_rejects_gaps () =
+  let (BC.S { symm; spec; _ }) = List.find (fun s -> BC.id s = "CHK.p") chk_subjects in
+  let detector n = Alcotest.failf "instance n=%d ran" n in
+  List.iter
+    (fun (ns, shown) ->
+      let p = Mc.parametric ~ns ~symmetry:(Option.get symm) spec ~detector in
+      Alcotest.(check int) (shown ^ ": no points") 0 (List.length p.Mc.par_points);
+      match p.Mc.par_verdict with
+      | Mc.Unverified r ->
+        Alcotest.(check string)
+          (shown ^ ": the reason names the list")
+          ("ladder " ^ shown ^ " is not a non-empty run of consecutive ascending sizes")
+          r
+      | _ -> Alcotest.failf "%s: expected Unverified" shown)
+    [ ([ 2; 4; 5 ], "[2; 4; 5]"); ([ 3; 2 ], "[3; 2]"); ([], "[]") ]
+
 (* --- a breaking subject's fallback is the unreduced run --- *)
 
 (* A breaking subject explores unreduced under the pair identity its
@@ -573,4 +595,6 @@ let suite =
       test_parametric_raw_count_boundary;
     Alcotest.test_case "breaking subjects: unreduced count = fallback count" `Quick
       test_breaking_raw_is_semantic;
+    Alcotest.test_case "parametric rejects a ladder with gaps" `Quick
+      test_parametric_rejects_gaps;
   ]

@@ -24,47 +24,45 @@ let test_validity_liveness_undecided () =
   | Verdict.Undecided _ -> ()
   | v -> Alcotest.failf "expected undecided, got %a" Verdict.pp v
 
-let equal_out = Loc.Set.equal
-
 let test_sampling_checker () =
   let t = [ ev_out 0 []; crash 1; crash 1; ev_out 0 [ 1 ]; ev_out 0 [ 1 ] ] in
   (* dropping the duplicate crash is a sampling *)
   let t1 = [ ev_out 0 []; crash 1; ev_out 0 [ 1 ]; ev_out 0 [ 1 ] ] in
-  Alcotest.(check bool) "drop dup crash" true (Trace_ops.is_sampling ~equal_out ~of_:t t1);
+  Alcotest.(check bool) "drop dup crash" true (Trace_ops.is_sampling ~of_:t t1);
   (* dropping a live location's output is NOT a sampling *)
   let t2 = [ crash 1; crash 1; ev_out 0 [ 1 ]; ev_out 0 [ 1 ] ] in
   Alcotest.(check bool) "dropping live output rejected" false
-    (Trace_ops.is_sampling ~equal_out ~of_:t t2);
+    (Trace_ops.is_sampling ~of_:t t2);
   (* dropping the only crash is NOT a sampling *)
   let t3 = [ ev_out 0 []; ev_out 0 [ 1 ]; ev_out 0 [ 1 ] ] in
   Alcotest.(check bool) "dropping first crash rejected" false
-    (Trace_ops.is_sampling ~equal_out ~of_:t t3)
+    (Trace_ops.is_sampling ~of_:t t3)
 
 let test_sampling_faulty_prefix () =
   let t = [ ev_out 1 []; ev_out 1 [ 0 ]; crash 1 ] in
   (* keep a prefix of the faulty location's outputs: ok *)
   let t1 = [ ev_out 1 []; crash 1 ] in
   Alcotest.(check bool) "prefix of faulty outputs" true
-    (Trace_ops.is_sampling ~equal_out ~of_:t t1);
+    (Trace_ops.is_sampling ~of_:t t1);
   (* keep a non-prefix subsequence: rejected *)
   let t2 = [ ev_out 1 [ 0 ]; crash 1 ] in
   Alcotest.(check bool) "non-prefix rejected" false
-    (Trace_ops.is_sampling ~equal_out ~of_:t t2)
+    (Trace_ops.is_sampling ~of_:t t2)
 
 let test_reordering_checker () =
   let t = [ ev_out 0 []; ev_out 1 []; crash 1; ev_out 0 [ 1 ] ] in
   (* swapping the two leading outputs at different locations is fine *)
   let t1 = [ ev_out 1 []; ev_out 0 []; crash 1; ev_out 0 [ 1 ] ] in
   Alcotest.(check bool) "swap across locations ok" true
-    (Trace_ops.is_constrained_reordering ~equal_out ~of_:t t1);
+    (Trace_ops.is_constrained_reordering ~of_:t t1);
   (* moving an event before a crash that preceded it is forbidden *)
   let t2 = [ ev_out 0 []; ev_out 1 []; ev_out 0 [ 1 ]; crash 1 ] in
   Alcotest.(check bool) "event escaping its crash rejected" false
-    (Trace_ops.is_constrained_reordering ~equal_out ~of_:t t2);
+    (Trace_ops.is_constrained_reordering ~of_:t t2);
   (* permuting same-location events is forbidden *)
   let t3 = [ ev_out 0 [ 1 ]; ev_out 1 []; crash 1; ev_out 0 [] ] in
   Alcotest.(check bool) "same-location swap rejected" false
-    (Trace_ops.is_constrained_reordering ~equal_out ~of_:t t3)
+    (Trace_ops.is_constrained_reordering ~of_:t t3)
 
 let test_count_reorderings () =
   (* two events at different locations, no crash: 2 linear extensions *)
@@ -100,14 +98,14 @@ let prop_sampling_is_sampling =
     (fun t ->
       let rng = Random.State.make [| 11 |] in
       let t' = Trace_ops.gen_sampling rng t in
-      Trace_ops.is_sampling ~equal_out ~of_:t t')
+      Trace_ops.is_sampling ~of_:t t')
 
 let prop_reordering_is_reordering =
   QCheck2.Test.make ~name:"gen_reordering produces constrained reorderings" ~count:300
     (trace_gen 3) (fun t ->
       let rng = Random.State.make [| 13 |] in
       let t' = Trace_ops.gen_reordering rng t in
-      Trace_ops.is_constrained_reordering ~equal_out ~of_:t t')
+      Trace_ops.is_constrained_reordering ~of_:t t')
 
 let prop_reordering_preserves_validity =
   QCheck2.Test.make ~name:"constrained reordering preserves validity verdicts" ~count:300
@@ -145,27 +143,27 @@ let prop_sampling_composes =
       let rng = Random.State.make [| 31 |] in
       let t1 = Trace_ops.gen_sampling rng t in
       let t2 = Trace_ops.gen_sampling rng t1 in
-      Trace_ops.is_sampling ~equal_out ~of_:t t2)
+      Trace_ops.is_sampling ~of_:t t2)
 
 let prop_reordering_composes =
   QCheck2.Test.make ~name:"reorderings compose" ~count:300 (trace_gen 3) (fun t ->
       let rng = Random.State.make [| 37 |] in
       let t1 = Trace_ops.gen_reordering rng t in
       let t2 = Trace_ops.gen_reordering rng t1 in
-      Trace_ops.is_constrained_reordering ~equal_out ~of_:t t2)
+      Trace_ops.is_constrained_reordering ~of_:t t2)
 
 let prop_identity_is_both =
   QCheck2.Test.make ~name:"identity is a sampling and a reordering" ~count:200
     (trace_gen 3) (fun t ->
-      Trace_ops.is_sampling ~equal_out ~of_:t t
-      && Trace_ops.is_constrained_reordering ~equal_out ~of_:t t)
+      Trace_ops.is_sampling ~of_:t t
+      && Trace_ops.is_constrained_reordering ~of_:t t)
 
 let prop_reordering_is_permutation =
   QCheck2.Test.make ~name:"reordering is a permutation" ~count:300 (trace_gen 3)
     (fun t ->
       let rng = Random.State.make [| 29 |] in
       let t' = Trace_ops.gen_reordering rng t in
-      Afd_ioa.Trace.is_permutation ~equal:(Fd_event.equal equal_out) t t')
+      Afd_ioa.Trace.is_permutation ~equal:(Fd_event.equal Loc.Set.equal) t t')
 
 let suite =
   [ Alcotest.test_case "validity ok" `Quick test_validity_ok;
