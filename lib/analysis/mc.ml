@@ -98,56 +98,8 @@ let timed log name f =
   note log name (Unix.gettimeofday () -. t0);
   x
 
-(* Per-clause runtime carried in each product state.  [Fold]
-   accumulators are existential (each clause brings its own ['acc]);
-   packing the accumulator with its fold keeps the types aligned, the
-   same trick [Component.inst] uses for component states. *)
-type 'o rt =
-  | C_always of 'o P.event_check
-  | C_until of {
-      release : 'o P.state -> bool;
-      check : 'o P.event_check;
-      released : bool;
-    }
-  | C_fold : { fold : ('o, 'acc) P.fold; acc : 'acc } -> 'o rt
-
-(* Structural comparison across an existential boundary — exact for the
-   first-order accumulators the catalog uses (sets, lists, pairs);
-   values that defeat [compare] (closures) compare unequal, which only
-   splits states, never merges wrongly. *)
-let obj_equal a b =
-  try Stdlib.compare (Obj.repr a) (Obj.repr b) = 0 with Invalid_argument _ -> false
-
-let rt_equal a b =
-  match (a, b) with
-  | C_always _, C_always _ -> true
-  | C_until u, C_until v -> u.released = v.released
-  | C_fold f, C_fold g -> obj_equal f.acc g.acc
-  | _ -> false
-
-(* Total order on runtimes, for orbit minima only: accumulators compare
-   through the fold's [fcmp], which is 0 exactly on structurally equal
-   accumulators (see [Prop.fold]), so the order is congruent with
-   [rt_equal].  The two [C_fold]s at one array index carry the same
-   clause's fold, so the cast stays inside one existential instance. *)
-let rt_cmp a b =
-  match (a, b) with
-  | C_always _, C_always _ -> 0
-  | C_until u, C_until v -> Bool.compare u.released v.released
-  | C_fold f, C_fold g -> (
-    match f.fold.P.fcmp with
-    | Some c -> c f.acc (Obj.magic g.acc)
-    | None ->
-      (* [prepare] falls back before any quotient when a fold lacks
-         [fcmp]; guessing here could only merge states wrongly. *)
-      invalid_arg "Mc.rt_cmp: fold clause has no accumulator order (fcmp)")
-  | C_always _, _ -> -1
-  | _, C_always _ -> 1
-  | C_until _, C_fold _ -> -1
-  | C_fold _, C_until _ -> 1
-
 type ('s, 'o) pstate =
-  | Running of { sys : 's; summary : 'o P.state; rts : 'o rt array }
+  | Running of { sys : 's; summary : 'o P.state; rts : 'o P.clause array }
   | Latched of { clause : string; reason : string }
 
 exception Latch of string * string
@@ -168,12 +120,12 @@ type ('s, 'o) system = {
 (* --- stage 1, explore: clause runtime, product, identity, symmetry,
    exploration --- *)
 
-(* The clause runtime: one slot per safety clause, stepped along every
-   product edge; the [Stable] judges are read by the liveness stage
-   only. *)
+(* The clause runtime: one slot per safety clause, each a
+   {!P.clause} in its initial state, stepped along every product edge;
+   the [Stable] judges are read by the liveness stage only. *)
 type 'o runtime = {
   names : string array;
-  init_rts : 'o rt array;
+  init_rts : 'o P.clause array;
   stables : (string * 'o P.state_judge) list;
 }
 
@@ -183,31 +135,13 @@ let clause_runtime prop =
       (fun (nm, c) ->
         match c with
         | P.Stable judge -> Either.Right (nm, judge)
-        | _ -> Either.Left (nm, c))
+        | P.Always _ | P.Fold _ -> Either.Left (nm, c))
       (P.clauses prop)
   in
-  let init = function
-    | P.Always chk -> C_always chk
-    | P.Until (release, check) -> C_until { release; check; released = false }
-    | P.Fold f -> C_fold { fold = f; acc = f.P.finit }
-    | P.Stable _ -> assert false
-  in
   { names = Array.of_list (List.map fst safety);
-    init_rts = Array.of_list (List.map (fun (_, c) -> init c) safety);
+    init_rts = Array.of_list (List.map snd safety);
     stables;
   }
-
-let step_rt summary act = function
-  | C_always chk as c -> (
-    match chk summary act with Ok () -> c | Error r -> raise (Latch ("", r)))
-  | C_until u as c ->
-    if u.released then c
-    else if u.release summary then C_until { u with released = true }
-    else (match u.check summary act with Ok () -> c | Error r -> raise (Latch ("", r)))
-  | C_fold { fold; acc } -> (
-    match fold.P.fstep summary acc act with
-    | Ok acc' -> C_fold { fold; acc = acc' }
-    | Error r -> raise (Latch ("", r)))
 
 (* The product of [sys] with the clause runtime: a clause that errors
    on an edge latches the edge's destination as a violating sink. *)
@@ -222,8 +156,8 @@ let product ~n rt sys =
         match
           Array.mapi
             (fun i c ->
-              try step_rt r.summary act c
-              with Latch (_, reason) -> raise (Latch (rt.names.(i), reason)))
+              try P.step r.summary act c
+              with P.Violation reason -> raise (Latch (rt.names.(i), reason)))
             r.rts
         with
         | rts -> Some (Running { sys = sys'; summary = P.update r.summary act; rts })
@@ -259,7 +193,7 @@ let pequal tl a b =
     Stdlib.compare a.sys b.sys = 0
     && min a.summary.P.len len_cap = min b.summary.P.len len_cap
     && Loc.Set.equal a.summary.P.crashed b.summary.P.crashed
-    && Array.for_all2 rt_equal a.rts b.rts
+    && Array.for_all2 P.equal a.rts b.rts
     && ((not tl) || Loc.Map.equal ( = ) a.summary.P.last_output b.summary.P.last_output)
   | Latched _, Running _ | Running _, Latched _ -> false
 
@@ -277,28 +211,13 @@ let phash tl =
     let s = r.summary in
     let h = mix (Composition.hash_pair r.sys) (min s.P.len len_cap) in
     let h = mix (mix h (-1)) (Loc.hash_set s.P.crashed) in
-    let h =
-      Array.fold_left
-        (fun h c ->
-          match c with
-          | C_always _ -> h
-          | C_until u -> mix h (Bool.to_int u.released)
-          | C_fold f -> mix h (Hashtbl.hash (Obj.repr f.acc)))
-        h r.rts
-    in
+    let h = Array.fold_left P.hash h r.rts in
     if not tl then h else Loc.Map.fold mix_out s.P.last_output (mix h (-2))
-
-let perm_rt pif = function
-  | (C_always _ | C_until _) as c -> c
-  | C_fold { fold; acc } -> (
-    match fold.P.fperm with
-    | Some fp -> C_fold { fold; acc = fp pif acc }
-    | None -> assert false)
 
 let rec cmp_rts ra rb i =
   if i = Array.length ra then 0
   else
-    let c = rt_cmp ra.(i) rb.(i) in
+    let c = P.compare ra.(i) rb.(i) in
     if c <> 0 then c else cmp_rts ra rb (i + 1)
 
 (* The system's symmetry lifted to product states. *)
@@ -309,7 +228,7 @@ let lift_symmetry (sy : (_, _ Fd_event.t) Probe.symmetry) perm_o =
       Running
         { sys = sy.Probe.sy_state pif r.sys;
           summary = P.permute pif (perm_o pif) r.summary;
-          rts = Array.map (perm_rt pif) r.rts;
+          rts = Array.map (P.permute_clause pif) r.rts;
         }
   in
   (* A total order congruent with [pequal false]: orbit minima
@@ -355,10 +274,11 @@ let prepare ~max_states prop product (sy, perm_o) =
     List.find_map
       (fun (nm, c) ->
         match c with
-        | P.Fold f when f.P.fperm = None ->
+        | P.Fold { fold = { P.fperm = None; _ }; _ } ->
           Some (nm, "accumulator transport (fperm)")
-        | P.Fold f when f.P.fcmp = None -> Some (nm, "accumulator order (fcmp)")
-        | _ -> None)
+        | P.Fold { fold = { P.fcmp = None; _ }; _ } ->
+          Some (nm, "accumulator order (fcmp)")
+        | P.Always _ | P.Stable _ | P.Fold _ -> None)
       (P.clauses prop)
   with
   | Some (nm, what) ->
@@ -433,8 +353,9 @@ let explore ~max_states ~por ~log ~n prop system =
 (* --- stage 2, safety: judges, inescapability, candidates, path
    lifting, replay --- *)
 
-(* The first violated [Fold] judge of a reachable Running state: its
-   clause slot and its (lazy) reason. *)
+(* The first violated judge of a reachable Running state's safety
+   clauses (only a [Fold] judge can be violated): its clause slot and
+   its (lazy) reason. *)
 let judge_violation = function
   | Latched _ -> None
   | Running r ->
@@ -442,12 +363,9 @@ let judge_violation = function
     Array.iteri
       (fun i c ->
         if Option.is_none !res then
-          match c with
-          | C_fold { fold; acc } -> (
-            match fold.P.fjudge r.summary acc with
-            | P.J_violated reason -> res := Some (i, reason)
-            | P.J_sat | P.J_undecided _ -> ())
-          | C_always _ | C_until _ -> ())
+          match P.judge r.summary c with
+          | P.J_violated reason -> res := Some (i, reason)
+          | P.J_sat | P.J_undecided _ -> ())
       r.rts;
     !res
 
@@ -754,6 +672,8 @@ type ('s, 'o) quotient_view = {
   qv_symmetry : (('s, 'o) product_state, 'o Fd_event.t) Probe.symmetry;
 }
 
+(* The probe is rebuilt from the runtime exactly as [explore] built it
+   for this run; probes are pure records, so it is the same identity. *)
 let unreduced_view ~n spec ~detector =
   Result.map
     (fun () ->
@@ -761,7 +681,9 @@ let unreduced_view ~n spec ~detector =
         explore ~max_states:default_max_states ~por:false ~log:None ~n
           (spec.Afd_core.Afd.prop ~n) (system ~n spec detector)
       in
-      (ex.product, ex.space))
+      ( ex.product,
+        ex.space,
+        unreduced_probe ~max_states:default_max_states ~por:false ex.runtime ))
     (check_n n)
 
 (* The explore stage of [check_spec ~symmetry] (no POR), read off on a

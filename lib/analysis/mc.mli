@@ -6,23 +6,25 @@
     prefixes.  On small instances this module closes the gap: it builds
     the product of a closed system automaton (detector composed with
     the crash automaton — every action is an ['o Fd_event.t]) with the
-    runtime of the spec's {!Afd_prop.Prop} {e safety} clauses, explores
+    spec's {!Afd_prop.Prop} {e safety} clauses, each carried as its own
+    runtime state ({!Afd_prop.Prop.step}), explores
     it exhaustively with {!Space}, and reports each violation as a
     shortest-path {!Afd_prop.Counterexample}.  When the explorer says
     [Exhausted] and no violation exists, the safety clauses hold in
     {e every} reachable state — a proof over all schedules and all
     fault patterns in the crashable set, not a sample.
 
-    {b What is checked.}  [Always] and [Until] clauses are checked on
-    every edge of the product graph; an [Error] latches the edge's
-    destination as a violating sink, so its BFS depth is the minimal
-    violating prefix.  [Fold] clauses are stepped along every edge
-    (latching on step errors) and their judges are evaluated in every
-    reachable product state (their reasons stay lazy, and only a
-    reported violation's is formatted); a [J_violated] judgement is
-    reported only when it is {e inescapable} — no path leads back to a non-violated
-    state — which under an [Exhausted] verdict means every infinite
-    extension stays violated.
+    {b What is checked.}  Every safety clause is stepped with
+    {!Afd_prop.Prop.step} along every edge of the product graph, the
+    same step the online {!Afd_prop.Monitor} takes; a
+    {!Afd_prop.Prop.Violation} ([Always] checks, [Fold] steps) latches
+    the edge's destination as a violating sink, so its BFS depth is the
+    minimal violating prefix.  [Fold] judges ({!Afd_prop.Prop.judge})
+    are evaluated in every reachable product state (their reasons stay
+    lazy, and only a reported violation's is formatted); a [J_violated]
+    judgement is reported only when it is {e inescapable} — no path
+    leads back to a non-violated state — which under an [Exhausted]
+    verdict means every infinite extension stays violated.
 
     {b Liveness.}  [Stable] (eventually) clauses are decided through
     {!Live}: the clause is {e refuted} when some reachable state has a
@@ -39,12 +41,12 @@
 
     {b Product state identity.}  Two product states are merged when
     their detector+crash pair states, crashed-so-far sets, trace
-    lengths capped at 8, [Until] release flags and [Fold] accumulators
-    agree; pair states and accumulators compare structurally.  When
-    [Stable] clauses are in scope (and [por] is off) the identity is
-    enriched with [last_output], its payloads compared structurally
-    ({!Afd_core.Afd}'s payload contract), so that every Stable judge is
-    a function of the merged state.  The trace summary keeps no output
+    lengths capped at 8 and clause states ({!Afd_prop.Prop.equal}: the
+    [Fold] accumulators) agree; pair states and accumulators compare
+    structurally.  When [Stable] clauses are in scope (and [por] is
+    off) the identity is enriched with [last_output], its payloads
+    compared structurally ({!Afd_core.Afd}'s payload contract), so
+    that every Stable judge is a function of the merged state.  The trace summary keeps no output
     counts: [validity.liveness] reads only whether a live location has
     a last output, which [last_output]'s key set already records.  A
     clause comparing [len] against a bound above 8 needs that cap
@@ -53,33 +55,41 @@
 
     The seen-set hash reads every field this equality reads: the pair
     state's {!Afd_ioa.Composition.hash_pair}, the capped length, the
-    crashed set, the [Until] flags, every [Fold] accumulator's
-    structural hash and, with liveness in scope, every [last_output]
-    entry — its location and the [Hashtbl.hash] of its payload.
-    Unreduced and quotient runs share this one identity; a fold's
-    [fcmp] only orders accumulators when a quotient picks an orbit's
-    minimum, and is 0 exactly where the identity merges
-    ({!Afd_prop.Prop.fold}).
+    crashed set, every clause state's {!Afd_prop.Prop.hash} (a [Fold]
+    accumulator's structural hash) and, with liveness in scope, every
+    [last_output] entry — its location and the [Hashtbl.hash] of its
+    payload.  Unreduced and quotient runs share this one identity; a
+    fold's [fcmp] only orders accumulators when a quotient picks an
+    orbit's minimum ({!Afd_prop.Prop.compare}), and is 0 exactly where
+    the identity merges ({!Afd_prop.Prop.fold}).
 
     {b Stages.}  {!check_spec} composes three stages over one closed
     system: the detector paired with the crash automaton
     ({!Afd_ioa.Composition.pair}).  {e Explore} builds the clause
-    runtime (one slot per safety clause, plus the [Stable] judges), the
-    product and its identity.  With symmetry it lifts the declared
-    action to product states and explores the orbit quotient with
-    {!Symm.explore}, which certifies as it explores; on a break (or
-    when certification is unavailable) it explores unreduced with
-    {!Space.explore} instead.  The two runs differ only in that orbit
-    walk and in the liveness enrichment of the identity.  It hands off one record: the
-    product, the clause runtime, the {!Space.t}, how symmetry resolved
-    (certificate, breaking witness or fallback) and, on a certificate,
-    the lifted descriptor.  {e Safety} reads only that
-    record: [Fold] judges, inescapability, one candidate per clause,
-    quotient path lifting and monitor replay.  {e Liveness} runs pivot
-    search and lasso replay on the same graph.  The hand-off is where
-    a packed product explorer plugs in (it only has to decode to
-    {!Space.t}), and the clause runtime is the stage a closure checker
-    reuses to step the formula along its own automata. *)
+    runtime (one {!Afd_prop.Prop.clause} slot per safety clause, plus
+    the [Stable] judges), the product and its identity.  With symmetry
+    it lifts the declared action to product states and explores the
+    orbit quotient with {!Symm.explore}, which certifies as it
+    explores; on a break (or when certification is unavailable) it
+    explores unreduced with {!Space.explore} instead.  The two runs
+    differ only in that orbit walk and in the liveness enrichment of
+    the identity.  It hands off one record: the product, the clause
+    runtime, the {!Space.t}, how symmetry resolved (certificate,
+    breaking witness or fallback) and, on a certificate, the lifted
+    descriptor.  {e Safety} reads only that record: [Fold] judges,
+    inescapability, one candidate per clause, quotient path lifting and
+    monitor replay.  {e Liveness} runs pivot search and lasso replay on
+    the same graph.  The hand-off is where a packed product explorer
+    plugs in (it only has to decode to {!Space.t}), and a closure
+    checker steps the same {!Afd_prop.Prop.clause} states along its own
+    automata.
+
+    {b Replay stays independent.}  The monitor replay behind
+    [confirmed] and [l_confirmed] steps the same {!Afd_prop.Prop.step}
+    as the product, but re-derives each violation from the start along
+    the extracted (or lifted) path, with a fresh summary and no state
+    merging.  Merging (the length cap, structural identity) and lifting
+    are what it checks. *)
 
 open Afd_ioa
 open Afd_prop
@@ -235,13 +245,15 @@ val unreduced_view :
   'o Afd_core.Afd.spec ->
   detector:('s, 'o Fd_event.t) Automaton.t ->
   ( (('s * Loc.Set.t, 'o) product_state, 'o Fd_event.t) Automaton.t
-    * (('s * Loc.Set.t, 'o) product_state, 'o Fd_event.t) Space.t,
+    * (('s * Loc.Set.t, 'o) product_state, 'o Fd_event.t) Space.t
+    * (('s * Loc.Set.t, 'o) product_state, 'o Fd_event.t) Probe.t,
     string )
   result
-(** The product {!check_spec} builds without symmetry and its unreduced
-    exploration (every location crashable, default budget, no POR):
-    the graph the liveness stage condenses.  [Error] when [n] is out
-    of range. *)
+(** The product {!check_spec} builds without symmetry, its unreduced
+    exploration (every location crashable, default budget, no POR) —
+    the graph the liveness stage condenses — and the probe that
+    exploration used, whose [equal_state] and [hash_state] are the
+    product identity.  [Error] when [n] is out of range. *)
 
 type ('s, 'o) quotient_view = {
   qv_product : (('s, 'o) product_state, 'o Fd_event.t) Automaton.t;

@@ -1,24 +1,15 @@
 (* Compile a formula to an incremental monitor.  Each clause becomes a
-   runner; safety-flavoured runners (Always/Until/Fold steps) latch the
-   first violation together with its trace index, stable-suffix
-   judgements are recomputed on the current summary and never latch.
-   A ring buffer of the last [window] events provides the witness
-   window for counterexamples; total live memory is O(window + |acc|),
-   independent of the trace length. *)
-
-type 'o kind =
-  | K_always of 'o Prop.event_check
-  | K_until of {
-      release : 'o Prop.state -> bool;
-      check : 'o Prop.event_check;
-      mutable released : bool;
-    }
-  | K_stable of 'o Prop.state_judge
-  | K_fold : { fold : ('o, 'acc) Prop.fold; mutable acc : 'acc } -> 'o kind
+   runner holding the clause's current state ({!Prop.step}); a runner
+   whose step raises latches the first violation together with its
+   trace index, while stable-suffix judgements are recomputed on the
+   current summary and never latch.  A ring buffer of the last
+   [window] events provides the witness window for counterexamples;
+   total live memory is O(window + |acc|), independent of the trace
+   length. *)
 
 type 'o runner = {
   cname : string;
-  kind : 'o kind;
+  mutable clause : 'o Prop.clause;
   mutable latched : (int * string) option;
 }
 
@@ -35,15 +26,7 @@ let default_window = 16
 let create ?(window = default_window) ~n prop =
   let runners =
     Prop.clauses prop
-    |> List.map (fun (cname, clause) ->
-           let kind =
-             match clause with
-             | Prop.Always check -> K_always check
-             | Prop.Until (release, check) -> K_until { release; check; released = false }
-             | Prop.Stable judge -> K_stable judge
-             | Prop.Fold fold -> K_fold { fold; acc = fold.Prop.finit }
-           in
-           { cname; kind; latched = None })
+    |> List.map (fun (cname, clause) -> { cname; clause; latched = None })
     |> Array.of_list
   in
   let window = max window 1 in
@@ -88,34 +71,15 @@ let observe m e =
   Array.iter
     (fun r ->
       if r.latched = None then
-        match r.kind with
-        | K_always check -> (
-          match check pre e with Ok () -> () | Error reason -> latch m r idx reason e)
-        | K_until u ->
-          if not u.released then
-            if u.release pre then u.released <- true
-            else (
-              match u.check pre e with
-              | Ok () -> ()
-              | Error reason -> latch m r idx reason e)
-        | K_stable _ -> ()
-        | K_fold f -> (
-          match f.fold.Prop.fstep pre f.acc e with
-          | Ok acc' -> f.acc <- acc'
-          | Error reason -> latch m r idx reason e))
+        match Prop.step pre e r.clause with
+        | c -> r.clause <- c
+        | exception Prop.Violation reason -> latch m r idx reason e)
     m.runners
-
-let length m = m.st.Prop.len
-let state m = m.st
 
 let runner_judgement m r =
   match r.latched with
   | Some (_, reason) -> Prop.J_violated (Lazy.from_val reason)
-  | None -> (
-    match r.kind with
-    | K_always _ | K_until _ -> Prop.J_sat
-    | K_stable judge -> judge m.st
-    | K_fold f -> f.fold.Prop.fjudge m.st f.acc)
+  | None -> Prop.judge m.st r.clause
 
 let runner_verdict m r = Prop.to_verdict (runner_judgement m r)
 

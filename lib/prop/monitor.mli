@@ -3,11 +3,12 @@
     A monitor consumes one event at a time ({!observe}) in O(1)
     amortized and keeps O(window) live memory in the trace length, so
     it can be fed from [Scheduler.run ~observer ~record_fired:false]
-    however long the run.  Safety clauses ([Always]/[Until]/[Fold] steps) latch
-    the first violation with its trace index; [Stable] clauses are
-    re-judged on the current summary and may flip (the limit-extension
-    reading of eventual properties is inherently non-monotone on
-    growing prefixes).
+    however long the run.  Each clause's state is stepped with
+    {!Prop.step}: a clause whose step raises ([Always] checks, [Fold]
+    steps) latches the first violation with its trace index; [Stable]
+    clauses are re-judged on the current summary ({!Prop.judge}) and
+    may flip (the limit-extension reading of eventual properties is
+    inherently non-monotone on growing prefixes).
 
     Offline checking is the same code path: {!replay} feeds a list into
     a fresh monitor, so online and offline verdicts are definitionally
@@ -23,11 +24,6 @@ val create : ?window:int -> n:int -> 'o Prop.t -> 'o t
     depend on it. *)
 
 val observe : 'o t -> 'o Fd_event.t -> unit
-
-val length : 'o t -> int
-(** Number of events observed. *)
-
-val state : 'o t -> 'o Prop.state
 
 val verdict : 'o t -> Verdict.t
 (** Conjunction of all clause verdicts, each reason tagged with its

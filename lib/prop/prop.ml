@@ -73,7 +73,6 @@ let j_and a b =
   | (J_undecided _ as u), _ | _, (J_undecided _ as u) -> u
   | J_sat, J_sat -> J_sat
 
-let j_all js = List.fold_left j_and J_sat js
 let j_of_bool ~undecided b = if b then J_sat else J_undecided (Lazy.from_val undecided)
 
 let to_verdict = function
@@ -91,12 +90,10 @@ type 'o state_judge = 'o state -> judgement
 
 type 'o clause =
   | Always of 'o event_check
-  | Until of ('o state -> bool) * 'o event_check
   | Stable of 'o state_judge
-  | Fold : ('o, 'acc) fold -> 'o clause
+  | Fold : { fold : ('o, 'acc) fold; acc : 'acc } -> 'o clause
 
 and ('o, 'acc) fold = {
-  finit : 'acc;
   fstep : 'o state -> 'acc -> 'o Fd_event.t -> ('acc, string) result;
   fjudge : 'o state -> 'acc -> judgement;
   fperm : ((Loc.t -> Loc.t) -> 'acc -> 'acc) option;
@@ -115,24 +112,81 @@ and ('o, 'acc) fold = {
 type 'o t = Clause of string * 'o clause | Conj of 'o t list
 
 let always ~name check = Clause (name, Always check)
-let until ~name ~release check = Clause (name, Until (release, check))
 let eventually_stable ~name judge = Clause (name, Stable judge)
 
 (* Every argument is labeled, so [?perm]/[?cmp] are never erased by a
    positional application — callers always name what they pass. *)
 let[@warning "-16"] folding ?perm ?cmp ~name ~init ~step ~judge =
   Clause
-    (name, Fold { finit = init; fstep = step; fjudge = judge; fperm = perm; fcmp = cmp })
+    ( name,
+      Fold { fold = { fstep = step; fjudge = judge; fperm = perm; fcmp = cmp }; acc = init } )
 
 let conj ts = Conj ts
 let ( &&& ) a b = Conj [ a; b ]
 
-let implies ~name ~premise check =
-  always ~name (fun st e -> if premise st e then check st e else Ok ())
-
 let rec clauses = function
   | Clause (name, c) -> [ (name, c) ]
   | Conj ts -> List.concat_map clauses ts
+
+(* --- clauses as runtime state --- *)
+
+exception Violation of string
+
+(* An unchanged clause comes back physically equal, so stepping an
+   [Always] or [Stable] clause allocates nothing. *)
+let step st e c =
+  match c with
+  | Always check -> (match check st e with Ok () -> c | Error r -> raise (Violation r))
+  | Stable _ -> c
+  | Fold { fold; acc } -> (
+    match fold.fstep st acc e with
+    | Ok acc' -> Fold { fold; acc = acc' }
+    | Error r -> raise (Violation r))
+
+let judge st = function
+  | Always _ -> J_sat
+  | Stable j -> j st
+  | Fold { fold; acc } -> fold.fjudge st acc
+
+(* Structural comparison across an existential boundary — exact for the
+   first-order accumulators the catalog uses (sets, lists, pairs);
+   values that defeat [compare] (closures) compare unequal, which only
+   splits states, never merges wrongly. *)
+let obj_equal a b =
+  try Stdlib.compare (Obj.repr a) (Obj.repr b) = 0 with Invalid_argument _ -> false
+
+let equal a b =
+  match (a, b) with
+  | Always _, Always _ | Stable _, Stable _ -> true
+  | Fold f, Fold g -> obj_equal f.acc g.acc
+  | (Always _ | Stable _ | Fold _), _ -> false
+
+let rank = function Always _ -> 0 | Stable _ -> 1 | Fold _ -> 2
+
+(* Accumulators compare through the fold's [fcmp], which is 0 exactly
+   on structurally equal accumulators, so the order is congruent with
+   [equal].  Two folds compared here are one clause's states, so the
+   cast stays inside one existential instance.  Without [fcmp] there is
+   no order to guess: the model checker's quotient refuses such a fold
+   before it compares anything. *)
+let compare a b =
+  match (a, b) with
+  | Fold f, Fold g -> (
+    match f.fold.fcmp with
+    | Some c -> c f.acc (Obj.magic g.acc)
+    | None -> invalid_arg "Prop.compare: fold clause has no accumulator order (fcmp)")
+  | _ -> Int.compare (rank a) (rank b)
+
+let hash h = function
+  | Always _ | Stable _ -> h
+  | Fold f -> (h * 131) + Hashtbl.hash (Obj.repr f.acc)
+
+let permute_clause pif = function
+  | (Always _ | Stable _) as c -> c
+  | Fold { fold; acc } -> (
+    match fold.fperm with
+    | Some fp -> Fold { fold; acc = fp pif acc }
+    | None -> invalid_arg "Prop.permute_clause: fold clause has no transport (fperm)")
 
 (* --- the canned validity formula (Section 3.2) --- *)
 

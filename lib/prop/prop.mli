@@ -4,14 +4,15 @@
     Formulas are built from {e atoms} — predicates over the next event
     and an incrementally maintained {!state} summary (length,
     crashed-so-far set, last output per location) —
-    combined with [always], [until], [implies], [eventually_stable]
-    (the paper's limit-extension liveness reading: the finite trace
-    stands for the infinite trace where each live location repeats its
-    last output forever), stateful [folding] clauses, and conjunction.
-    {!Monitor} compiles a formula to an incremental monitor consuming
-    one event in O(1) amortized time and O(1) memory in the trace
-    length, so properties can be checked online over runs of any
-    length. *)
+    combined with [always], [eventually_stable] (the paper's
+    limit-extension liveness reading: the finite trace stands for the
+    infinite trace where each live location repeats its last output
+    forever), stateful [folding] clauses, and conjunction.  A clause is
+    its own runtime state ({!step}, {!judge}): {!Monitor} steps a
+    formula's clauses online, one event in O(1) amortized time and O(1)
+    memory in the trace length, so properties can be checked over runs
+    of any length, and the model checker ({!Afd_analysis.Mc}) steps the
+    same clauses along every edge of its product graph. *)
 
 open Afd_ioa
 
@@ -65,7 +66,6 @@ val j_and : judgement -> judgement -> judgement
 (** Same dominance and reason accumulation as {!Verdict.( &&& )}; the
     joined reason is formatted only when forced. *)
 
-val j_all : judgement list -> judgement
 val j_of_bool : undecided:string -> bool -> judgement
 val to_verdict : judgement -> Verdict.t
 (** Forces the reason. *)
@@ -88,20 +88,14 @@ type 'o state_judge = 'o state -> judgement
 
 type 'o clause =
   | Always of 'o event_check  (** safety: holds at every event *)
-  | Until of ('o state -> bool) * 'o event_check
-      (** [Until (release, check)]: [check] holds at every event until
-          the first event whose pre-state satisfies [release]; weak
-          until — a prefix that never releases and never violates is
-          [Sat]. *)
   | Stable of 'o state_judge
       (** liveness under limit-extension: judged on the current
           summary, never latched — verdicts may flip as the prefix
           grows. *)
-  | Fold : ('o, 'acc) fold -> 'o clause
-      (** a stateful clause carrying its own accumulator *)
+  | Fold : { fold : ('o, 'acc) fold; acc : 'acc } -> 'o clause
+      (** a stateful clause and its current accumulator *)
 
 and ('o, 'acc) fold = {
-  finit : 'acc;
   fstep : 'o state -> 'acc -> 'o Fd_event.t -> ('acc, string) result;
       (** [Error] is a latched violation at the current event *)
   fjudge : 'o state -> 'acc -> judgement;
@@ -127,7 +121,6 @@ and ('o, 'acc) fold = {
 type 'o t = Clause of string * 'o clause | Conj of 'o t list
 
 val always : name:string -> 'o event_check -> 'o t
-val until : name:string -> release:('o state -> bool) -> 'o event_check -> 'o t
 val eventually_stable : name:string -> 'o state_judge -> 'o t
 
 val folding :
@@ -138,15 +131,55 @@ val folding :
   step:('o state -> 'acc -> 'o Fd_event.t -> ('acc, string) result) ->
   judge:('o state -> 'acc -> judgement) ->
   'o t
-
-val implies : name:string -> premise:('o state -> 'o Fd_event.t -> bool) -> 'o event_check -> 'o t
-(** [always] restricted to events satisfying the premise. *)
+(** A [Fold] clause whose accumulator starts at [init]. *)
 
 val conj : 'o t list -> 'o t
 val ( &&& ) : 'o t -> 'o t -> 'o t
 
 val clauses : 'o t -> (string * 'o clause) list
-(** Flattened named clauses, in formula order. *)
+(** Flattened named clauses, in formula order, each in its initial
+    state. *)
+
+(** {1 Clauses as runtime state}
+
+    A clause is its own runtime state: stepping an [Always] or
+    [Stable] clause returns it unchanged, stepping a [Fold] returns the
+    clause with its next accumulator.  {!Monitor} and the model checker
+    ({!Afd_analysis.Mc}) both step clauses with {!step} and judge them
+    with {!judge}; the checker's product identity, quotient order and
+    symmetry lift are {!equal}, {!compare}, {!hash} and
+    {!permute_clause}. *)
+
+exception Violation of string
+
+val step : 'o state -> 'o Fd_event.t -> 'o clause -> 'o clause
+(** [step pre e c] is [c] after event [e], where [pre] is the summary
+    before [e] (as for {!event_check}).  Raises [Violation reason]
+    when [c] is violated at [e].  An [Always] or [Stable] clause comes
+    back physically unchanged. *)
+
+val judge : 'o state -> 'o clause -> judgement
+(** The clause's judgement on the current summary: [J_sat] for
+    [Always] (its violations are raised by {!step}), the [Stable]
+    judge, or the fold's [fjudge] on its accumulator. *)
+
+val equal : 'o clause -> 'o clause -> bool
+(** Two states of one clause are equal when their accumulators are
+    structurally equal; [Always] and [Stable] clauses carry no state. *)
+
+val compare : 'o clause -> 'o clause -> int
+(** A total order on the states of one clause, congruent with
+    {!equal}: accumulators compare through the fold's [fcmp].  Raises
+    [Invalid_argument] on a fold without [fcmp]. *)
+
+val hash : int -> 'o clause -> int
+(** [hash h c] mixes [c]'s accumulator's structural hash into [h]
+    (congruent with {!equal}); [h] itself for a stateless clause. *)
+
+val permute_clause : (Loc.t -> Loc.t) -> 'o clause -> 'o clause
+(** Transport a clause state under a process permutation: a fold's
+    accumulator moves through its [fperm].  Raises [Invalid_argument]
+    on a fold without [fperm]. *)
 
 (** {1 Canned clauses} *)
 

@@ -129,7 +129,7 @@ let test_reference_chk () =
       List.iter
         (fun n ->
           match Mc.unreduced_view ~n spec ~detector:(detector n) with
-          | Ok (a, sp) -> agrees_with_reference (Printf.sprintf "%s n=%d" id n) a sp
+          | Ok (a, sp, _) -> agrees_with_reference (Printf.sprintf "%s n=%d" id n) a sp
           | Error e -> Alcotest.failf "%s n=%d: %s" id n e)
         [ 3; 4 ])
     (Afd_bench.Check.subjects @ Afd_bench.Check.liveness_subjects)

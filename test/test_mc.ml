@@ -236,6 +236,27 @@ let test_n_out_of_range () =
           (names_bound e))
     [ 0; 63 ]
 
+(* The product identity is exact: no two states an unreduced
+   exploration stored are equal under its probe's [equal_state].  The
+   seen-set tries the equality only on states whose hashes meet, so a
+   field the hash reads is otherwise never checked by the equality; the
+   pairwise scan here ignores the hash. *)
+let test_identity_separates_states () =
+  List.iter
+    (fun (BC.S { id; detector; spec; _ }) ->
+      match Mc.unreduced_view ~n:3 spec ~detector:(detector 3) with
+      | Error e -> Alcotest.failf "%s n=3: %s" id e
+      | Ok (_, sp, probe) ->
+        let states = sp.Space.states in
+        Array.iteri
+          (fun i a ->
+            for j = i + 1 to Array.length states - 1 do
+              if probe.Probe.equal_state a states.(j) then
+                Alcotest.failf "%s n=3: explored states %d and %d are equal" id i j
+            done)
+          states)
+    chk_subjects
+
 let suite =
   [ Alcotest.test_case "quotient outcomes match the golden JSON" `Quick
       test_quotient_golden;
@@ -254,4 +275,6 @@ let suite =
       test_reasons_formatted_when_reported;
     Alcotest.test_case "n outside 1..Loc.max_locations is an Error" `Quick
       test_n_out_of_range;
+    Alcotest.test_case "the product identity separates every explored state (n = 3)"
+      `Quick test_identity_separates_states;
   ]

@@ -67,26 +67,6 @@ let test_always_latches_first_violation () =
       Alcotest.(check int) "offending event location" 0 i
     | _ -> Alcotest.fail "offending event must be the latched output")
 
-let test_until_releases () =
-  (* p0 must stay silent until p1 has crashed. *)
-  let prop =
-    P.until ~name:"quiet-until-crash"
-      ~release:(fun st -> Loc.Set.mem 1 st.P.crashed)
-      (fun _st e ->
-        match e with
-        | Fd_event.Output (i, ()) when Loc.equal i 0 -> Error "p0 spoke too early"
-        | Fd_event.Output _ | Fd_event.Crash _ -> Ok ())
-  in
-  let m = M.create ~n:2 prop in
-  M.observe m (out 1);
-  M.observe m (Fd_event.Crash 1);
-  M.observe m (out 0);
-  Alcotest.check verdict "released before the output" Verdict.Sat (M.verdict m);
-  let m' = M.create ~n:2 prop in
-  M.observe m' (out 0);
-  Alcotest.check verdict "violates while unreleased"
-    (Verdict.Violated "quiet-until-crash: p0 spoke too early") (M.verdict m')
-
 (* At n = 1 with only p0 outputs, the trace length is p0's output
    count. *)
 let test_stable_is_rejudged () =
@@ -209,18 +189,20 @@ let prop_online_equals_offline =
    two random event sequences and for a transported accumulator against
    the one stepped along the permuted sequence. *)
 
-(* The accumulator after [events], or after the prefix before the first
-   latched error. *)
-let fold_acc ~n (f : (_, _) P.fold) events =
-  let rec go st acc = function
-    | [] -> acc
+(* The clause state after [events], or after the prefix before the
+   first latched error. *)
+let stepped ~n c events =
+  let rec go st c = function
+    | [] -> c
     | e :: rest -> (
-      match f.P.fstep st acc e with
-      | Ok acc' -> go (P.update st e) acc' rest
-      | Error _ -> acc)
+      match P.step st e c with
+      | c' -> go (P.update st e) c' rest
+      | exception P.Violation _ -> c)
   in
-  go (P.init ~n) f.P.finit events
+  go (P.init ~n) c events
 
+(* [P.compare] orders accumulators through [fcmp] and [P.equal] is
+   structural equality, so the contract is that the two agree. *)
 let fcmp_contract_holds ~n ~pi (spec : Loc.Set.t Afd.spec) xs ys =
   let perm_event = function
     | Fd_event.Crash i -> Fd_event.Crash (pi i)
@@ -230,16 +212,15 @@ let fcmp_contract_holds ~n ~pi (spec : Loc.Set.t Afd.spec) xs ys =
     List.filter_map
       (fun (nm, c) ->
         match c with
-        | P.Fold f -> (
-          match (f.P.fcmp, f.P.fperm) with
-          | Some cmp, Some perm ->
-            let a = fold_acc ~n f xs and b = fold_acc ~n f ys in
-            let agree x y = (cmp x y = 0) = (Stdlib.compare x y = 0) in
-            Some
-              (agree a b && agree b a && cmp a a = 0
-              && agree (perm pi a) (fold_acc ~n f (List.map perm_event xs)))
-          | _ -> QCheck2.Test.fail_reportf "%s: fold %s lacks fcmp or fperm" spec.Afd.name nm)
-        | P.Always _ | P.Until _ | P.Stable _ -> None)
+        | P.Fold { fold = { P.fcmp = Some _; fperm = Some _; _ }; _ } ->
+          let a = stepped ~n c xs and b = stepped ~n c ys in
+          let agree x y = (P.compare x y = 0) = P.equal x y in
+          Some
+            (agree a b && agree b a && P.compare a a = 0
+            && agree (P.permute_clause pi a) (stepped ~n c (List.map perm_event xs)))
+        | P.Fold _ ->
+          QCheck2.Test.fail_reportf "%s: fold %s lacks fcmp or fperm" spec.Afd.name nm
+        | P.Always _ | P.Stable _ -> None)
       (P.clauses (spec.Afd.prop ~n))
   in
   folds <> [] && List.for_all Fun.id folds
@@ -336,8 +317,6 @@ let suite =
       test_verdict_accumulation;
     Alcotest.test_case "always latches the first violation" `Quick
       test_always_latches_first_violation;
-    Alcotest.test_case "until stops checking once released" `Quick
-      test_until_releases;
     Alcotest.test_case "stable clauses are re-judged, never latched" `Quick
       test_stable_is_rejudged;
     Alcotest.test_case "clause verdicts carry formula-order names" `Quick

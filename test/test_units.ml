@@ -1,4 +1,4 @@
-(* Small-module unit coverage: Verdict, Msg, Fd_event, Spec_util,
+(* Small-module unit coverage: Verdict, Msg, Fd_event,
    Problem, Fairness edge cases, pretty-printers, the JSON escaper. *)
 
 open Afd_ioa
@@ -56,24 +56,6 @@ let test_fd_event () =
   let mapped = List.map (Fd_event.map String.length) t in
   Alcotest.(check (list int)) "map payloads" [ 1; 1 ]
     (Fd_event.outputs_at 0 mapped)
-
-(* --- Spec_util --- *)
-
-let test_spec_util () =
-  let t = [ Fd_event.Output (0, 1); Fd_event.Crash 1; Fd_event.Output (0, 2) ] in
-  (match Spec_util.last_outputs_of_live ~n:2 t with
-  | Ok (m, live) ->
-    Alcotest.(check (option int)) "last at p0" (Some 2) (Loc.Map.find_opt 0 m);
-    Alcotest.(check bool) "live = {p0}" true (Loc.Set.equal live (Loc.Set.singleton 0))
-  | Error _ -> Alcotest.fail "should resolve");
-  (match Spec_util.last_outputs_of_live ~n:3 t with
-  | Error (Verdict.Undecided _) -> () (* p2 live without outputs *)
-  | _ -> Alcotest.fail "expected undecided");
-  let v =
-    Spec_util.for_all_outputs t (fun ~crashed _ o ->
-        if o = 2 && not (Loc.Set.mem 1 crashed) then Error "2 before crash" else Ok ())
-  in
-  Alcotest.(check bool) "crashed-so-far tracking" true (Verdict.is_sat v)
 
 (* --- Problem --- *)
 
@@ -158,7 +140,6 @@ let suite =
   [ Alcotest.test_case "verdict algebra" `Quick test_verdict_algebra;
     Alcotest.test_case "vset" `Quick test_vset;
     Alcotest.test_case "fd_event helpers" `Quick test_fd_event;
-    Alcotest.test_case "spec_util" `Quick test_spec_util;
     Alcotest.test_case "problem wrapper" `Quick test_problem;
     Alcotest.test_case "problem flags violations" `Quick test_problem_solves_violation;
     Alcotest.test_case "fairness on quiescent runs" `Quick test_fairness_quiescent;
