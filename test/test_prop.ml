@@ -326,8 +326,8 @@ let suite =
     Alcotest.test_case "offline check: known answers for P" `Quick
       test_offline_check_known_answers;
     QCheck_alcotest.to_alcotest prop_online_equals_offline;
-    QCheck_alcotest.to_alcotest prop_fcmp_structural;
     Alcotest.test_case "check matrix smoke: every meta-verdict is sat" `Quick
       test_matrix_smoke;
+    QCheck_alcotest.to_alcotest prop_fcmp_structural;
     QCheck_alcotest.to_alcotest prop_liveness_matches_scan;
   ]
